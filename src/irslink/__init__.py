@@ -46,6 +46,7 @@ from .montecarlo import (
     effective_gain,
     estimate_outage,
     gain_samples,
+    outage_counts,
     sample_channels,
     sample_gain_moments,
 )

@@ -18,7 +18,7 @@ from .closedform import (
     outage_probability,
 )
 from .errors import DomainError
-from .montecarlo import McEstimate, gain_samples
+from .montecarlo import McEstimate, gain_samples, outage_counts
 from .phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, phase_vector
 from .scenario import Scenario
 
@@ -91,6 +91,8 @@ def fit_for_design(scenario: Scenario) -> GammaParams | None:
 
 def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
     """Closed-form outage over the scenario grid, with MC validation if trials > 0."""
+    if trials < 0:
+        raise DomainError(f"trial count must be >= 0, got {trials}")
     xi = scenario.xi_grid()
     params0 = scenario.system_parameters(scenario.xi_min)
     z = params0.sigma2 * (2.0**xi - 1.0) / params0.rho
@@ -108,9 +110,7 @@ def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
     if trials > 0:
         r_sr, r_rd = scenario.covariances()
         gains = gain_samples(scenario.beta_sd, r_sr, r_rd, scenario.design, trials, seed)
-        estimates = [McEstimate.from_counts(trials, int(np.count_nonzero(gains < zv))) for zv in z]
-        p_mc = np.array([e.p_hat for e in estimates])
-        std_err = np.array([e.std_err for e in estimates])
+        p_mc, std_err = McEstimate.rates(trials, outage_counts(gains, z))
     else:
         p_mc = np.full(xi.shape, np.nan)
         std_err = np.full(xi.shape, np.nan)

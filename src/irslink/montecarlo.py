@@ -10,6 +10,23 @@ counter-based stream (seed, channel domain, i) in a fixed layout
 then 2N for the surface-destination vector, Box-Muller throughout), so
 trials are order-independent units of work and every estimate is a pure
 function of (scenario, design, trials, seed).
+
+Engine: one block kernel serves every caller.  gain_samples runs blocks of
+up to 64 trials: it repositions the stream once per trial and writes that
+trial's uniforms into one row of a buffer; Box-Muller, the projection
+through the two covariance factors (one matrix product each), the phase
+resolution and the gain, taken as re^2 + im^2, then run on the whole block.
+The public per-trial operations (sample_channels, cophased_phases,
+effective_gain) are views of the same kernel and the same reductions on a
+single row, so chaining them reproduces gain_samples bit for bit.  A lone
+trial is projected as two identical rows, because numpy hands a one-row
+product to the BLAS matrix-vector routine, which rounds differently from the
+matrix-product one.
+
+Against version 0.1.0, which projected with one matrix-vector product per
+trial and took the gain as a complex modulus squared, gains differ in the
+last bits.  The draws do not, and an outage count can change only where a
+gain lies within a few ulps of its threshold.
 """
 
 from dataclasses import dataclass
@@ -36,8 +53,8 @@ class ChannelRealization:
             raise DomainError("channel vectors must be 1-D and of equal length")
         if not (
             np.isfinite(self.h_sd)
-            and np.all(np.isfinite(self.h_sr))
-            and np.all(np.isfinite(self.h_rd))
+            and np.isfinite(self.h_sr).all()
+            and np.isfinite(self.h_rd).all()
         ):
             raise DomainError("channel realization has non-finite entries")
 
@@ -55,19 +72,70 @@ class McEstimate:
     p_hat: float
     std_err: float
 
+    @staticmethod
+    def rates(trials: int, failures):
+        """(p_hat, std_err) for a failure count or an array of them."""
+        p = failures / trials
+        return p, np.sqrt(p * (1.0 - p) / trials)
+
     @classmethod
     def from_counts(cls, trials: int, failures: int) -> "McEstimate":
-        p = failures / trials
-        return cls(trials, failures, p, float(np.sqrt(p * (1.0 - p) / trials)))
+        p, se = cls.rates(trials, failures)
+        return cls(trials, failures, float(p), float(se))
 
 
-def _draw_channels(gen, beta_sd, l_sr, l_rd, n):
-    """Fixed draw layout: 2 normals for h_sd, then 2N for h_sr, then 2N for h_rd."""
-    g = rng.standard_normals(gen, 2 + 4 * n)
-    h_sd = complex(np.sqrt(beta_sd / 2.0) * (g[0] + 1j * g[1]))
-    g_sr = (g[2 : 2 + n] + 1j * g[2 + n : 2 + 2 * n]) / np.sqrt(2.0)
-    g_rd = (g[2 + 2 * n : 2 + 3 * n] + 1j * g[2 + 3 * n :]) / np.sqrt(2.0)
-    return h_sd, l_sr @ g_sr, l_rd @ g_rd
+def outage_counts(gains: np.ndarray, z) -> np.ndarray:
+    """Number of gains strictly below each threshold of z, for the whole grid at once.
+
+    Sorting once and bisecting on the left gives the exact count of gain < z,
+    the capacity-below-target definition of a failure.
+    """
+    return np.searchsorted(np.sort(gains), z, side="left")
+
+
+_BLOCK = 64  # trials per kernel call; bounds the uniform buffer at 64 x (2+4N) doubles
+
+
+def _channel_block(beta_sd, l_sr, l_rd, u):
+    """Channels from uniforms along the last axis: a 2-D u holds one trial per row.
+
+    h_sd takes u's leading shape, h_sr and h_rd add N on the last axis, and
+    each trial depends on its own row of uniforms alone.
+    """
+    n = l_sr.shape[0]
+    g = rng.box_muller(u)
+    h_sd = np.sqrt(beta_sd / 2.0) * (g[..., 0] + 1j * g[..., 1])
+    g_sr = (g[..., 2 : 2 + n] + 1j * g[..., 2 + n : 2 + 2 * n]) / np.sqrt(2.0)
+    g_rd = (g[..., 2 + 2 * n : 2 + 3 * n] + 1j * g[..., 2 + 3 * n :]) / np.sqrt(2.0)
+    return h_sd, _project(g_sr, l_sr), _project(g_rd, l_rd)
+
+
+def _project(g, factor):
+    """factor @ g for every trial (row) of g, as one matrix product.
+
+    A lone trial goes through as two identical rows: numpy hands a one-row
+    product to the matrix-vector routine, which rounds differently from the
+    matrix-product routine that every larger block uses.
+    """
+    if g.ndim == 2 and g.shape[0] > 1:
+        return g @ factor.T
+    return (np.concatenate((g, g)).reshape(2, -1) @ factor.T)[0].reshape(g.shape)
+
+
+def _gains(h_sd, h_sr, phases, h_rd):
+    """|h_sd + sum_n conj(h_sr[n]) phases[n] h_rd[n]|^2 along the last axis.
+
+    Taken as re^2 + im^2: numpy's complex modulus rounds differently on its
+    vector and scalar paths, which would break the per-trial/batch identity.
+    """
+    x = h_sd + (np.conj(h_sr) * phases * h_rd).sum(axis=-1)
+    return x.real * x.real + x.imag * x.imag
+
+
+def _cophase(h_sd, h_sr, h_rd):
+    """Co-phasing phases along the last axis; the reference is 0 where h_sd is 0."""
+    reference = np.where(h_sd != 0, np.angle(h_sd), 0.0)
+    return np.exp(1j * (reference[..., None] - np.angle(np.conj(h_sr) * h_rd)))
 
 
 def sample_channels(
@@ -86,9 +154,9 @@ def sample_channels(
     n = l_sr.shape[0]
     if l_sr.shape != (n, n) or l_rd.shape != (n, n):
         raise DomainError("covariance factors must be square and of equal size")
-    gen = rng.stream(seed, rng.DOMAIN_CHANNEL, trial_index)
-    h_sd, h_sr, h_rd = _draw_channels(gen, beta_sd, l_sr, l_rd, n)
-    return ChannelRealization(h_sd=h_sd, h_sr=h_sr, h_rd=h_rd)
+    u = rng.stream(seed, rng.DOMAIN_CHANNEL, trial_index).random(2 + 4 * n)
+    h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, u)
+    return ChannelRealization(h_sd=complex(h_sd), h_sr=h_sr, h_rd=h_rd)
 
 
 def effective_gain(ch: ChannelRealization, phases: np.ndarray) -> float:
@@ -96,8 +164,7 @@ def effective_gain(ch: ChannelRealization, phases: np.ndarray) -> float:
     phases = np.asarray(phases)
     if phases.shape != ch.h_sr.shape:
         raise DomainError(f"phase vector shape {phases.shape} does not match n={ch.n}")
-    cascade = np.sum(np.conj(ch.h_sr) * phases * ch.h_rd)
-    return float(np.abs(ch.h_sd + cascade) ** 2)
+    return float(_gains(ch.h_sd, ch.h_sr, phases, ch.h_rd))
 
 
 def cophased_phases(ch: ChannelRealization) -> np.ndarray:
@@ -106,17 +173,7 @@ def cophased_phases(ch: ChannelRealization) -> np.ndarray:
     The resulting amplitude is |h_sd| + sum_n |h_sr[n]| |h_rd[n]|; with a
     blocked direct channel the reference phase is zero.
     """
-    reference = np.angle(ch.h_sd) if ch.h_sd != 0 else 0.0
-    return np.exp(1j * (reference - np.angle(np.conj(ch.h_sr) * ch.h_rd)))
-
-
-def _resolve_phases(design: PhaseShiftDesign, n: int):
-    """Static designs materialize once; per-trial designs return None here."""
-    if isinstance(design, (Equal, Fixed)):
-        return phase_vector(design, n)
-    if isinstance(design, (UniformRandom, OptimalCsi)):
-        return None
-    raise DomainError(f"unknown phase-shift design {design!r}")
+    return _cophase(ch.h_sd, ch.h_sr, ch.h_rd)
 
 
 def gain_samples(
@@ -129,29 +186,39 @@ def gain_samples(
 ) -> np.ndarray:
     """Effective gains of trials 0..trials-1; the raw material of every estimate.
 
-    Equivalent to chaining sample_channels / phase resolution / effective_gain
-    per trial, with the per-trial stream bookkeeping hoisted out of the loop.
+    Equal to chaining sample_channels / phase resolution / effective_gain per
+    trial, bit for bit; the work runs in blocks of trials.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     n = r_sr.n
     l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
-    static = _resolve_phases(design, n)
+    if isinstance(design, (Equal, Fixed)):
+        static = phase_vector(design, n)
+    elif isinstance(design, (UniformRandom, OptimalCsi)):
+        static = None
+    else:
+        raise DomainError(f"unknown phase-shift design {design!r}")
     channel_streams = rng.StreamFamily(seed)
     phase_streams = rng.StreamFamily(design.seed) if isinstance(design, UniformRandom) else None
     gains = np.empty(trials)
-    for i in range(trials):
-        gen = channel_streams.get(rng.DOMAIN_CHANNEL, i)
-        h_sd, h_sr, h_rd = _draw_channels(gen, beta_sd, l_sr, l_rd, n)
+    for start in range(0, trials, _BLOCK):
+        count = min(_BLOCK, trials - start)
+        u = np.empty((count, 2 + 4 * n))
+        for r in range(count):
+            channel_streams.get(rng.DOMAIN_CHANNEL, start + r).random(out=u[r])
+        h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, u)
         if static is not None:
             phases = static
         elif phase_streams is not None:
-            pg = phase_streams.get(rng.DOMAIN_PHASE, i)
-            phases = np.exp(1j * pg.uniform(-np.pi, np.pi, n))
+            thetas = np.empty((count, n))
+            for r in range(count):
+                pg = phase_streams.get(rng.DOMAIN_PHASE, start + r)
+                thetas[r] = pg.uniform(-np.pi, np.pi, n)
+            phases = np.exp(1j * thetas)
         else:
-            reference = np.angle(h_sd) if h_sd != 0 else 0.0
-            phases = np.exp(1j * (reference - np.angle(np.conj(h_sr) * h_rd)))
-        gains[i] = np.abs(h_sd + np.sum(np.conj(h_sr) * phases * h_rd)) ** 2
+            phases = _cophase(h_sd, h_sr, h_rd)
+        gains[start : start + count] = _gains(h_sd, h_sr, phases, h_rd)
     return gains
 
 
@@ -170,8 +237,7 @@ def estimate_outage(
     """
     z = snr_threshold(params)
     gains = gain_samples(params.beta_sd, r_sr, r_rd, design, trials, seed)
-    failures = int(np.count_nonzero(gains < z))
-    return McEstimate.from_counts(trials, failures)
+    return McEstimate.from_counts(trials, int(outage_counts(gains, z)))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ DOMAIN_PHASE = 1
 
 _MAX_SEED = 2**64
 _WORD = 0xFFFFFFFFFFFFFFFF
+_COUNTER_MASK = (1 << 256) - 1
 
 
 def check_seed(seed) -> int:
@@ -44,35 +45,60 @@ class StreamFamily:
 
     def __init__(self, seed: int):
         seed = check_seed(seed)
-        self._bg = np.random.Philox(0)
+        key = np.array([seed & _WORD, (seed >> 64) & _WORD], dtype=np.uint64)
+        self._bg = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bg)
-        self._key = np.array([seed & _WORD, (seed >> 64) & _WORD], dtype=np.uint64)
-        self._template = self._bg.state
+        # One state record, reused by every get: only the counter words change.
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def get(self, domain: int, index: int) -> np.random.Generator:
         counter = (domain << 192) | (int(index) << 64)
-        words = np.array(
-            [(counter >> (64 * i)) & _WORD for i in range(4)], dtype=np.uint64
-        )
-        state = self._template
-        state["state"] = {"counter": words, "key": self._key}
-        state["buffer"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bg.state = state
+        words = self._counter  # word 0 stays 0: the counter is a multiple of 2^64
+        words[1] = (counter >> 64) & _WORD
+        words[2] = (counter >> 128) & _WORD
+        words[3] = (counter >> 192) & _WORD
+        self._bg.state = self._state
         return self._gen
 
 
 def stream(seed: int, domain: int, index: int) -> np.random.Generator:
-    """Standalone generator for stream ``index`` of ``domain`` under ``seed``."""
-    return StreamFamily(seed).get(domain, index)
+    """Standalone generator for stream ``index`` of ``domain`` under ``seed``.
+
+    Keyed and positioned at construction: the same values as
+    ``StreamFamily(seed).get(domain, index)``, at the cost of one Philox.
+    """
+    seed = check_seed(seed)
+    counter = ((domain << 192) | (int(index) << 64)) & _COUNTER_MASK
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """N(0,1) variates from uniforms along the last axis, which has even length.
+
+    The first half of each row gives the radii, the second half the angles;
+    the cosine branch fills the first half of the output, the sine branch the
+    second.  Every row of a 2-D buffer maps exactly as a 1-D call would.
+    """
+    pairs = u.shape[-1] // 2
+    radius = np.log1p(-u[..., :pairs])  # 1-u in (0,1], no log(0)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = 2.0 * np.pi * u[..., pairs:]
+    out = np.empty(u.shape)
+    np.multiply(radius, np.cos(angle), out=out[..., :pairs])
+    np.multiply(radius, np.sin(angle), out=out[..., pairs:])
+    return out
 
 
 def standard_normals(gen: np.random.Generator, count: int) -> np.ndarray:
     """Box-Muller: ``count`` N(0,1) variates from ``ceil(count/2)`` uniform pairs."""
     pairs = (count + 1) // 2
-    u = gen.random(2 * pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u[:pairs]))  # 1-u in (0,1], no log(0)
-    angle = 2.0 * np.pi * u[pairs:]
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+    return box_muller(gen.random(2 * pairs))[:count]

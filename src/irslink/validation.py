@@ -25,7 +25,7 @@ from .closedform import (
 )
 from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
-from .montecarlo import McEstimate, gain_samples
+from .montecarlo import McEstimate, gain_samples, outage_counts
 from .phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, cascade_traces, equal_phase_trace_bound, phase_vector
 from .scenario import load_scenario
 
@@ -200,9 +200,7 @@ def criterion_5(trials=None, seed=None) -> CriterionResult:
     p, se = {}, {}
     for name, design in designs.items():
         gains = gain_samples(sc.beta_sd, r_sr, r_rd, design, trials, seed)
-        est = [McEstimate.from_counts(trials, int(np.count_nonzero(gains < zv))) for zv in z]
-        p[name] = np.array([e.p_hat for e in est])
-        se[name] = np.array([e.std_err for e in est])
+        p[name], se[name] = McEstimate.rates(trials, outage_counts(gains, z))
 
     def in_window(name):
         return (p[name] > 0.05) & (p[name] < 0.95)

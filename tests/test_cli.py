@@ -83,6 +83,15 @@ def test_compare_rejects_unknown_model():
     assert "bogus" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["curve", "compare"])
+def test_negative_trials_are_input_errors(tmp_path, command):
+    out = tmp_path / "negative.csv"
+    result = run_cli(command, "--scenario", "fig2c", "--trials", "-5", "--out", str(out))
+    assert result.returncode == 2
+    assert "trial count" in result.stderr
+    assert not out.exists()
+
+
 def test_validate_fast_subset(tmp_path):
     report = tmp_path / "report.txt"
     result = run_cli("validate", "--only", "1,2,9,10", "--out", str(report))

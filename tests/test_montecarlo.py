@@ -13,6 +13,7 @@ from irslink.montecarlo import (
     effective_gain,
     estimate_outage,
     gain_samples,
+    outage_counts,
     sample_channels,
     sample_gain_moments,
 )
@@ -156,6 +157,43 @@ def test_engine_matches_public_per_trial_ops():
                 phases = phase_vector(design, 4, draw_index=i)
             manual[i] = effective_gain(ch, phases)
         assert np.array_equal(engine, manual)
+
+
+def _all_designs(n):
+    return (Equal(0.7), Fixed(np.linspace(-3, 3, n)), UniformRandom(5), OptimalCsi())
+
+
+@pytest.mark.parametrize("side", [1, 2, 8])  # N = 1, 4, 64
+def test_block_boundaries_keep_runs_prefixes(side):
+    r = square_sinc(side)
+    for design in _all_designs(r.n):
+        full = gain_samples(0.5, r, r, design, 200, seed=13)
+        for trials in (1, 63, 64, 65, 131):
+            assert np.array_equal(gain_samples(0.5, r, r, design, trials, seed=13), full[:trials])
+
+
+@pytest.mark.parametrize("side", [1, 2, 8])
+def test_per_trial_ops_match_partial_blocks(side):
+    """First and last trial of a partial trailing block, including a one-trial block."""
+    r = square_sinc(side)
+    factor = matrix_sqrt(r)
+    for design in _all_designs(r.n):
+        for trials in (65, 131):
+            gains = gain_samples(0.5, r, r, design, trials, seed=13)
+            for i in (trials - trials % 64, trials - 1):
+                ch = sample_channels(0.5, factor, factor, 13, i)
+                if isinstance(design, OptimalCsi):
+                    phases = cophased_phases(ch)
+                else:
+                    phases = phase_vector(design, r.n, draw_index=i)
+                assert effective_gain(ch, phases) == gains[i]
+
+
+def test_outage_counts_match_strict_inequality():
+    gains = np.array([0.5, 2.0, 1.0, 1.0, 3.0])
+    z = np.array([0.0, 0.5, 1.0, 1.5, 3.0, 4.0])
+    assert outage_counts(gains, z).tolist() == [int(np.count_nonzero(gains < zv)) for zv in z]
+    assert outage_counts(gains, 1.0) == 1
 
 
 def test_trials_are_order_independent_units():
