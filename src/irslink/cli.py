@@ -6,12 +6,10 @@ Exit codes: 0 success, 1 validation failure, 2 input error.
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
 from .curves import run_compare, run_curve, run_surface, write_compare_csv, write_curve_csv, write_surface_csv
 from .errors import IrsLinkError
-from .scenario import MODELS, load_scenario
+from .scenario import MODELS, load_scenario, step_grid
 from .validation import run_criteria
 
 EXIT_OK = 0
@@ -70,11 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid(lo, hi, step):
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
-
-
 def _cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
     curve = run_curve(scenario, trials=args.trials, seed=args.seed)
@@ -85,8 +78,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    ka = _grid(args.ka_min, args.ka_max, args.ka_step)
-    wa = _grid(args.wa_min, args.wa_max, args.wa_step)
+    ka = step_grid(args.ka_min, args.ka_max, args.ka_step)
+    wa = step_grid(args.wa_min, args.wa_max, args.wa_step)
     values = run_surface(ka, wa, args.z)
     out = args.out or "surface.csv"
     write_surface_csv(ka, wa, values, args.z, out)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import special
 
 from .correlation import ArrayGeometry, CorrelationMatrix
-from .errors import DegenerateScenarioError, DomainError, InternalConsistencyError
+from .errors import DegenerateScenarioError, DomainError
 from .phaseshift import cascade_traces, real_trace
 
 
@@ -161,8 +161,9 @@ def uniform_phase_trace_moments(
 ) -> UniformPhaseMoments:
     """Closed-form phase averages via Hadamard-product identities.
 
-    Cross-checked against the explicit index sums on every call; the two
-    routes must agree to 1e-12 relative.
+    uniform_phase_trace_moments_by_sums is the independent index-sum oracle
+    for these expressions; acceptance criterion 2 and the test suite require
+    the two routes to agree to 1e-12 relative.
     """
     if r_sr.n != r_rd.n:
         raise DomainError(f"dimension mismatch: r_sr {r_sr.n}, r_rd {r_rd.n}")
@@ -177,15 +178,7 @@ def uniform_phase_trace_moments(
         + real_trace(complex(np.sum(c * c.T)), "phase-averaged quad trace")
         - diag_sq
     )
-    moments = UniformPhaseMoments(nu, eta, delta)
-    reference = uniform_phase_trace_moments_by_sums(r_sr, r_rd)
-    for name in ("mean_trace", "mean_trace_sq", "mean_quad_trace"):
-        got, ref = getattr(moments, name), getattr(reference, name)
-        if abs(got - ref) > 1e-12 * max(1.0, abs(ref)):
-            raise InternalConsistencyError(
-                f"{name}: matrix form {got!r} disagrees with index sums {ref!r}"
-            )
-    return moments
+    return UniformPhaseMoments(nu, eta, delta)
 
 
 def uniform_phase_trace_moments_by_sums(
@@ -233,15 +226,18 @@ def gamma_fit_uniform_phase(
     return GammaParams(shape=mean * mean / variance, scale=variance / mean)
 
 
-def outage_probability(gp: GammaParams, z: float) -> float:
+def outage_probability(gp: GammaParams, z):
     """P(X < z) = 1 - Q(shape, z/scale) for the matched Gamma variable.
 
     Evaluated as the regularized lower incomplete gamma so the deep lower
-    tail keeps full precision instead of cancelling against 1.
+    tail keeps full precision instead of cancelling against 1.  A scalar z
+    gives a float; an array of thresholds gives an array from one ufunc call.
     """
-    if z < 0:
-        raise DomainError(f"SNR threshold must be >= 0, got {z}")
-    return float(special.gammainc(gp.shape, z / gp.scale))
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise DomainError(f"SNR threshold must be >= 0, got {z.min()}")
+    p = special.gammainc(gp.shape, z / gp.scale)
+    return float(p) if p.ndim == 0 else p
 
 
 def outage_scale_sensitivity(gp: GammaParams, z: float) -> float:

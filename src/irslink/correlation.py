@@ -4,7 +4,7 @@ Builds the planar-array sinc correlation model, the exponential comparison
 model, and the uncorrelated identity, and factors them for channel sampling.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,29 +46,25 @@ class CorrelationMatrix:
 
     Entries are dimensionless correlation coefficients for a just-built
     model matrix (unit diagonal), or carry linear power units after
-    scale_covariance.
+    scale_covariance.  eig_range holds the (smallest, largest) eigenvalue
+    behind the PSD verdict: computed here, or scaled from the model matrix
+    by scale_covariance.
     """
 
     entries: np.ndarray
+    eig_range: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"correlation matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("correlation matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(m))):
-            raise DomainError("correlation matrix is not Hermitian")
+        m = _checked_entries(self.entries)
         eigs = np.linalg.eigvalsh(m)
-        lam_max = max(float(eigs[-1]), 0.0)
-        if float(eigs[0]) < -PSD_RTOL * lam_max:
+        lo, hi = float(eigs[0]), float(eigs[-1])
+        lam_max = max(hi, 0.0)
+        if lo < -PSD_RTOL * lam_max:
             raise NotPositiveSemidefiniteError(
-                f"smallest eigenvalue {eigs[0]:.3e} below PSD tolerance "
-                f"{-PSD_RTOL * lam_max:.3e}"
+                f"smallest eigenvalue {lo:.3e} below PSD tolerance {-PSD_RTOL * lam_max:.3e}"
             )
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "eig_range", (lo, hi))
 
     @property
     def n(self) -> int:
@@ -76,6 +72,20 @@ class CorrelationMatrix:
 
     def has_unit_diagonal(self) -> bool:
         return bool(np.max(np.abs(np.diag(self.entries) - 1.0)) <= UNIT_DIAGONAL_ATOL)
+
+
+def _checked_entries(entries) -> np.ndarray:
+    """A read-only complex copy of a square, finite, Hermitian matrix."""
+    m = np.asarray(entries, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError(f"correlation matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("correlation matrix has non-finite entries")
+    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(m))):
+        raise DomainError("correlation matrix is not Hermitian")
+    m = m.copy()
+    m.setflags(write=False)
+    return m
 
 
 def element_position(geometry: ArrayGeometry, index: int) -> np.ndarray:
@@ -127,12 +137,21 @@ def identity_correlation(n: int) -> CorrelationMatrix:
 
 
 def scale_covariance(r: CorrelationMatrix, beta: float, d_h: float, d_v: float) -> CorrelationMatrix:
-    """Fold the large-scale gain and element area into the matrix: beta*d_h*d_v*R."""
+    """Fold the large-scale gain and element area into the matrix: beta*d_h*d_v*R.
+
+    The PSD test lam_min >= -PSD_RTOL*lam_max is invariant under a positive
+    factor, so the scaled matrix inherits r's verdict and its eigenvalue
+    range scaled by that factor instead of decomposing the matrix again.
+    """
     if beta <= 0:
         raise DomainError(f"large-scale gain must be positive, got {beta}")
     if d_h <= 0 or d_v <= 0:
         raise DomainError("element dimensions must be positive")
-    return CorrelationMatrix(beta * d_h * d_v * r.entries)
+    factor = beta * d_h * d_v
+    scaled = object.__new__(CorrelationMatrix)
+    object.__setattr__(scaled, "entries", _checked_entries(factor * r.entries))
+    object.__setattr__(scaled, "eig_range", (factor * r.eig_range[0], factor * r.eig_range[1]))
+    return scaled
 
 
 def matrix_sqrt(r: CorrelationMatrix) -> np.ndarray:

@@ -5,9 +5,13 @@ them once and sweeps only the threshold; likewise the Monte-Carlo gains are
 drawn once per curve and compared against every threshold on the grid.
 """
 
+import os
+import secrets
 from dataclasses import dataclass
+from urllib.parse import quote, unquote
 
 import numpy as np
+from scipy import special
 
 from . import __version__
 from .closedform import (
@@ -73,10 +77,10 @@ class OutageCurve:
         )
 
 
-def fit_for_design(scenario: Scenario) -> GammaParams | None:
-    """The design-appropriate Gamma fit; None for per-realization co-phasing,
-    which has no closed form."""
-    r_sr, r_rd = scenario.covariances()
+def fit_for_design(scenario: Scenario, r_sr, r_rd) -> GammaParams | None:
+    """The design-appropriate Gamma fit for the scenario's covariances
+    (r_sr, r_rd); None for per-realization co-phasing, which has no closed
+    form."""
     design = scenario.design
     if isinstance(design, Equal):
         return gamma_fit_equal_phase(scenario.beta_sd, r_sr, r_rd)
@@ -97,18 +101,18 @@ def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
     params0 = scenario.system_parameters(scenario.xi_min)
     z = params0.sigma2 * (2.0**xi - 1.0) / params0.rho
 
-    gp = fit_for_design(scenario)
+    r_sr, r_rd = scenario.covariances()
+    gp = fit_for_design(scenario, r_sr, r_rd)
     if gp is None:
         p_cf = np.full(xi.shape, np.nan)
         k_col = np.full(xi.shape, np.nan)
         w_col = np.full(xi.shape, np.nan)
     else:
-        p_cf = np.array([outage_probability(gp, zv) for zv in z])
+        p_cf = outage_probability(gp, z)
         k_col = np.full(xi.shape, gp.shape)
         w_col = np.full(xi.shape, gp.scale)
 
     if trials > 0:
-        r_sr, r_rd = scenario.covariances()
         gains = gain_samples(scenario.beta_sd, r_sr, r_rd, scenario.design, trials, seed)
         p_mc, std_err = McEstimate.rates(trials, outage_counts(gains, z))
     else:
@@ -135,15 +139,13 @@ def run_surface(ka_grid, wa_grid, z: float) -> np.ndarray:
     """Outage over a (shape, scale) grid at a fixed threshold."""
     ka = np.asarray(ka_grid, dtype=float)
     wa = np.asarray(wa_grid, dtype=float)
-    if ka.size == 0 or wa.size == 0 or ka.min() <= 0 or wa.min() <= 0:
+    # "not all > 0" also rejects NaN, as GammaParams does.
+    if ka.size == 0 or wa.size == 0 or not (np.all(ka > 0) and np.all(wa > 0)):
         raise DomainError("shape and scale grids must be positive and non-empty")
     if z < 0:
         raise DomainError(f"threshold must be >= 0, got {z}")
-    out = np.empty((ka.size, wa.size))
-    for i, k in enumerate(ka):
-        for j, w in enumerate(wa):
-            out[i, j] = outage_probability(GammaParams(k, w), z)
-    return out
+    # The same P = gammainc(k, z/w) as outage_probability, over the whole grid.
+    return special.gammainc(ka[:, None], z / wa[None, :])
 
 
 def run_compare(scenario: Scenario, models, trials: int, seed: int) -> dict:
@@ -159,19 +161,43 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
 
+def _escape(value: str) -> str:
+    """A header value as one whitespace-free token: '%', '=', whitespace and
+    unprintable characters become %XX (UTF-8), all others keep their bytes."""
+    return "".join(
+        quote(c, safe="") if c in "%=" or c.isspace() or not c.isprintable() else c
+        for c in value
+    )
+
+
+def _write_lines(path, lines) -> None:
+    """Write the lines to a temporary file beside ``path``, then rename it
+    over ``path``: a failed write leaves any previous file untouched."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_curve_csv(curve: OutageCurve, path) -> None:
     lines = [
         f"# irslink outage curve",
-        f"# tool_version={curve.tool_version}",
-        f"# scenario={curve.scenario_name} scenario_hash={curve.scenario_hash} "
+        f"# tool_version={_escape(curve.tool_version)}",
+        f"# scenario={_escape(curve.scenario_name)} scenario_hash={_escape(curve.scenario_hash)} "
         f"seed={curve.seed} trials={curve.trials}",
         ",".join(COLUMNS),
     ]
     cols = [curve.xi, curve.z, curve.p_closed_form, curve.p_mc, curve.std_err, curve.k_a, curve.w_a]
     for row in zip(*cols):
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_curve_csv(path) -> OutageCurve:
@@ -187,7 +213,7 @@ def read_curve_csv(path) -> OutageCurve:
                 for token in line[1:].split():
                     if "=" in token:
                         key, value = token.split("=", 1)
-                        meta[key] = value
+                        meta[key] = unquote(value)
                 continue
             if line.startswith("xi,"):
                 continue
@@ -221,8 +247,7 @@ def write_surface_csv(ka_grid, wa_grid, values: np.ndarray, z: float, path) -> N
     ]
     for k, row in zip(np.asarray(ka_grid, dtype=float), values):
         lines.append(_fmt(k) + "," + ",".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_compare_csv(curves: dict, path) -> None:
@@ -241,7 +266,8 @@ def write_compare_csv(curves: dict, path) -> None:
         f"# models={','.join(models)} seed={first.seed} trials={first.trials}",
     ]
     lines += [
-        f"# scenario_{m}={curves[m].scenario_name} scenario_hash_{m}={curves[m].scenario_hash}"
+        f"# scenario_{m}={_escape(curves[m].scenario_name)} "
+        f"scenario_hash_{m}={curves[m].scenario_hash}"
         for m in models
     ]
     lines.append(",".join(header))
@@ -251,5 +277,4 @@ def write_compare_csv(curves: dict, path) -> None:
             c = curves[m]
             row += [_fmt(c.p_closed_form[i]), _fmt(c.p_mc[i]), _fmt(c.std_err[i])]
         lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

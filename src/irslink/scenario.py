@@ -25,7 +25,7 @@ from .correlation import (
     scale_covariance,
     sinc_correlation,
 )
-from .errors import ScenarioFormatError
+from .errors import DomainError, ScenarioFormatError
 from .phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom
 from .units import SPEED_OF_LIGHT, db_to_linear, dbm_to_watts
 
@@ -53,6 +53,23 @@ _SCHEMA_KEYS = (
 )
 
 PRESETS = ("fig2a", "fig2b", "fig2c")
+
+# Largest sweep grid accepted; every preset and CLI default is far below it.
+MAX_GRID_POINTS = 100_000
+
+
+def step_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi (kept when within 1e-9 steps of the grid).
+
+    Rejects non-finite bounds, a non-positive step, hi < lo and grids of
+    more than MAX_GRID_POINTS points.
+    """
+    if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
+        raise DomainError(f"grid needs finite lo <= hi and step > 0, got {lo}, {hi}, {step}")
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"grid of {count} points exceeds the cap of {MAX_GRID_POINTS}")
+    return lo + step * np.arange(count)
 
 
 @dataclass(frozen=True)
@@ -116,8 +133,7 @@ class Scenario:
         )
 
     def xi_grid(self) -> np.ndarray:
-        count = int(math.floor((self.xi_max - self.xi_min) / self.xi_step + 1e-9)) + 1
-        return self.xi_min + self.xi_step * np.arange(count)
+        return step_grid(self.xi_min, self.xi_max, self.xi_step)
 
     def to_schema_dict(self) -> dict:
         """Canonical flat dict of exactly the schema keys (name is metadata)."""
@@ -260,6 +276,10 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioFormatError("xi_max must be >= xi_min", field="xi_max")
     if xi_step <= 0:
         raise ScenarioFormatError("must be positive", field="xi_step")
+    try:
+        step_grid(xi_min, xi_max, xi_step)
+    except DomainError as exc:
+        raise ScenarioFormatError(str(exc), field="xi_step") from None
 
     scenario = Scenario(
         name=name,

@@ -67,6 +67,33 @@ def test_surface_subcommand(tmp_path):
     assert any(l.startswith("k_a") for l in lines)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("surface", "--ka-step", "1e-6"),
+        ("surface", "--wa-min", "0.25", "--wa-max", "1e9", "--wa-step", "1"),
+        ("surface", "--ka-step", "0"),
+        ("surface", "--ka-max", "inf"),
+    ],
+)
+def test_surface_grid_is_bounded(tmp_path, args):
+    out = tmp_path / "surface.csv"
+    result = run_cli(*args, "--out", str(out))
+    assert result.returncode == 2
+    assert "grid" in result.stderr
+    assert not out.exists()
+
+
+def test_curve_grid_is_bounded(tmp_path):
+    scenario_path = tmp_path / "fine.json"
+    scenario_path.write_text(json.dumps(make(xi_max=8.0, xi_step=1e-6)))
+    out = tmp_path / "fine.csv"
+    result = run_cli("curve", "--scenario", str(scenario_path), "--trials", "0", "--out", str(out))
+    assert result.returncode == 2
+    assert "xi_step" in result.stderr and "cap" in result.stderr
+    assert not out.exists()
+
+
 def test_compare_subcommand(tmp_path):
     out = tmp_path / "cmp.csv"
     result = run_cli(

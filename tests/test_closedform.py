@@ -21,6 +21,7 @@ from irslink.closedform import (
 from irslink.correlation import ArrayGeometry, CorrelationMatrix
 from irslink.errors import DegenerateScenarioError, DomainError
 from irslink.phaseshift import Equal, Fixed, UniformRandom, cascade_traces, phase_vector
+from irslink.scenario import load_scenario
 from irslink.units import db_to_linear, dbm_to_watts
 
 
@@ -239,6 +240,20 @@ def test_uniform_stats_dual_route(sinc16):
     sums = uniform_phase_trace_moments_by_sums(sinc16, sinc16)
     for field in ("mean_trace", "mean_trace_sq", "mean_quad_trace"):
         assert getattr(matrix_form, field) == pytest.approx(getattr(sums, field), rel=1e-12)
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig2b", "fig2c"])
+@pytest.mark.parametrize("model", ["sinc", "exponential", "uncorrelated"])
+def test_uniform_stats_dual_route_at_physical_scale(preset, model):
+    """At link-budget scale the traces are ~1e-14 and their squares ~1e-27,
+    so only a relative tolerance can tell the two routes apart."""
+    r_sr, r_rd = load_scenario(preset).with_model(model).covariances()
+    matrix_form = uniform_phase_trace_moments(r_sr, r_rd)
+    sums = uniform_phase_trace_moments_by_sums(r_sr, r_rd)
+    for field in ("mean_trace", "mean_trace_sq", "mean_quad_trace"):
+        got, ref = getattr(matrix_form, field), getattr(sums, field)
+        assert 0.0 < abs(ref) < 1e-10
+        assert abs(got - ref) <= 1e-11 * abs(ref), (field, got, ref)
 
 
 def test_uniform_stats_match_phase_draws(sinc16):

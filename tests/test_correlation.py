@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irslink.correlation import (
+    PSD_RTOL,
     ArrayGeometry,
     CorrelationMatrix,
     element_position,
@@ -14,6 +15,7 @@ from irslink.correlation import (
     sinc_correlation,
 )
 from irslink.errors import DomainError, NotPositiveSemidefiniteError
+from irslink.scenario import MODELS, PRESETS, load_scenario
 
 from conftest import WAVELENGTH, square_sinc
 
@@ -98,6 +100,41 @@ def test_scale_covariance():
         scale_covariance(r, 0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         scale_covariance(r, -1.0, 1.0, 1.0)
+
+
+def assert_spectrum_matches_fresh_eigvalsh(r):
+    eigs = np.linalg.eigvalsh(r.entries)
+    lo, hi = r.eig_range
+    tol = 1e-12 * abs(eigs[-1])
+    assert abs(lo - eigs[0]) <= tol and abs(hi - eigs[-1]) <= tol
+    assert lo >= -PSD_RTOL * max(hi, 0.0)
+    assert eigs[0] >= -PSD_RTOL * max(eigs[-1], 0.0)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("model", MODELS)
+def test_scaled_covariances_inherit_model_spectrum(preset, model):
+    sc = load_scenario(preset).with_model(model)
+    lo, hi = sc.correlation_model().eig_range
+    for scaled in sc.covariances():
+        factor = scaled.entries[0, 0].real  # unit-diagonal model times the gain
+        assert scaled.eig_range == (factor * lo, factor * hi)
+        assert_spectrum_matches_fresh_eigvalsh(scaled)
+        assert_spectrum_matches_fresh_eigvalsh(CorrelationMatrix(scaled.entries))
+
+
+def test_scaled_spectrum_near_psd_boundary():
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))
+    lam = np.array([-0.5 * PSD_RTOL, 0.0, 1e-3, 0.1, 0.5, 1.0])
+    r = CorrelationMatrix((q * lam) @ q.T)
+    assert r.eig_range[0] < 0.0
+    for beta in (1e-14, 3e-3, 7.0, 1e9):
+        scaled = scale_covariance(r, beta, 1.0, 1.0)
+        assert scaled.eig_range == (beta * r.eig_range[0], beta * r.eig_range[1])
+        assert_spectrum_matches_fresh_eigvalsh(scaled)
+    lam[0] = -2.0 * PSD_RTOL
+    with pytest.raises(NotPositiveSemidefiniteError):
+        CorrelationMatrix((q * lam) @ q.T)
 
 
 def test_matrix_sqrt_identity_and_diagonal():

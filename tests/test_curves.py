@@ -1,9 +1,12 @@
+import builtins
+import json
 import math
 
 import numpy as np
 import pytest
 
-from irslink.closedform import gamma_fit_uniform_phase, outage_probability
+import irslink.curves as curves_module
+from irslink.closedform import GammaParams, gamma_fit_uniform_phase, outage_probability
 from irslink.curves import (
     OutageCurve,
     read_curve_csv,
@@ -68,6 +71,56 @@ def test_csv_round_trip(tmp_path):
     assert "scenario_hash=" in text
 
 
+def test_csv_round_trip_escapes_scenario_name(tmp_path):
+    scenario_path = tmp_path / "my run=2%.json"
+    scenario_path.write_text(json.dumps(make()))
+    curve = run_curve(load_scenario(scenario_path), trials=0, seed=5)
+    assert curve.scenario_name == "my run=2%"
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, path)
+    assert "scenario=my%20run%3D2%25 " in path.read_text()
+    assert read_curve_csv(path) == curve
+
+
+class _FullDisk:
+    """A file whose write stores half the text, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("writer", ["curve", "surface", "compare"])
+def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    curve = run_curve(small_scenario(), trials=0, seed=5)
+    write = {
+        "curve": lambda p: write_curve_csv(curve, p),
+        "surface": lambda p: write_surface_csv([1.0], [2.0], np.array([[0.5]]), 2.0, p),
+        "compare": lambda p: write_compare_csv({"sinc": curve}, p),
+    }[writer]
+    path = tmp_path / "out.csv"
+    path.write_text("previous\n")
+    monkeypatch.setattr(
+        curves_module, "open", lambda *a, **k: _FullDisk(builtins.open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError, match="No space"):
+        write(path)
+    assert path.read_text() == "previous\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["out.csv"]
+    monkeypatch.undo()
+    write(path)
+    assert path.read_text().startswith("# irslink")
+
+
 def test_csv_round_trip_with_nan_columns(tmp_path):
     curve = run_curve(small_scenario(), trials=0, seed=5)
     path = tmp_path / "curve.csv"
@@ -106,9 +159,19 @@ def test_surface_spot_value_and_monotonicity(tmp_path):
     assert len(rows) == ka.size + 1
 
 
+@pytest.mark.parametrize("z", [0.0, 0.5, 2.0, 40.0])
+def test_surface_matches_per_cell_outage(z):
+    ka = np.array([0.05, 0.5, 1.0, 2.5, 30.0])
+    wa = np.array([0.01, 0.3, 2.0, 9.0])
+    expected = [[outage_probability(GammaParams(k, w), z) for w in wa] for k in ka]
+    assert np.array_equal(run_surface(ka, wa, z), expected)
+
+
 def test_surface_rejects_bad_grids():
     with pytest.raises(DomainError):
         run_surface([0.0, 1.0], [1.0], 2.0)
+    with pytest.raises(DomainError):
+        run_surface([1.0], [np.nan, 1.0], 2.0)
     with pytest.raises(DomainError):
         run_surface([1.0], [1.0], -1.0)
 

@@ -5,7 +5,7 @@ import pytest
 
 from irslink.errors import ScenarioFormatError
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, UniformRandom
-from irslink.scenario import PRESETS, load_scenario, scenario_from_dict
+from irslink.scenario import MAX_GRID_POINTS, PRESETS, load_scenario, scenario_from_dict
 
 BASE = {
     "beta_sd_db": -90.0,
@@ -153,6 +153,18 @@ def test_xi_grid_endpoints():
     assert grid[-1] == pytest.approx(8.0)
     assert len(grid) == 33
     assert np.all(np.diff(grid) > 0)
+
+
+def test_xi_grid_size_is_capped():
+    at_cap = scenario_from_dict(make(xi_min=0.0, xi_max=float(MAX_GRID_POINTS - 1), xi_step=1.0))
+    assert at_cap.xi_grid().size == MAX_GRID_POINTS
+    for bad in (
+        make(xi_max=float(MAX_GRID_POINTS), xi_step=1.0),
+        make(xi_max=float("inf")),
+        make(xi_max=float("nan")),
+    ):
+        with pytest.raises(ScenarioFormatError, match="xi_step"):
+            scenario_from_dict(bad)
 
 
 def test_covariances_are_scaled_models():
