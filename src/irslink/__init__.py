@@ -4,6 +4,8 @@ Closed-form Gamma moment matching for arbitrary, equal and uniformly random
 phase shifts, validated against an independent Monte-Carlo channel simulator.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .closedform import (
@@ -22,7 +24,6 @@ from .closedform import (
 from .correlation import (
     ArrayGeometry,
     CorrelationMatrix,
-    element_position,
     exponential_correlation,
     identity_correlation,
     matrix_sqrt,
@@ -73,4 +74,5 @@ from .curves import (
     write_surface_csv,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names imported above, without the submodules the imports also bind.
+__all__ = [n for n, v in sorted(globals().items()) if n[0] != "_" and not isinstance(v, _ModuleType)]

@@ -12,28 +12,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .correlation import ArrayGeometry, CorrelationMatrix
+from .correlation import CorrelationMatrix
 from .errors import DegenerateScenarioError, DomainError
 from .phaseshift import cascade_traces, real_trace
 
 
 @dataclass(frozen=True)
 class SystemParameters:
-    """Scalar link constants in linear units (gains dimensionless, powers in watts)."""
+    """Scalar link constants in linear units; the indirect-link gains live in the covariances."""
 
     beta_sd: float
-    beta_sr: float
-    beta_rd: float
     rho: float
     sigma2: float
     xi: float
-    geometry: ArrayGeometry
 
     def __post_init__(self):
         if self.beta_sd < 0:
             raise DomainError(f"direct-link gain must be >= 0, got {self.beta_sd}")
-        if self.beta_sr <= 0 or self.beta_rd <= 0:
-            raise DomainError("indirect-link gains must be positive")
         if self.rho <= 0 or self.sigma2 <= 0:
             raise DomainError("transmit and noise powers must be positive")
         if self.xi < 0:
@@ -62,9 +57,13 @@ class GammaParams:
         return self.shape * self.scale * self.scale
 
 
-def snr_threshold(params: SystemParameters) -> float:
-    """z = sigma2 (2^xi - 1) / rho: the gain below which the target rate fails."""
-    return params.sigma2 * (2.0 ** params.xi - 1.0) / params.rho
+def snr_threshold(params: SystemParameters, xi=None):
+    """z = sigma2 (2^xi - 1) / rho: the gain below which the target rate fails.
+
+    At params.xi, or at xi: a float rate in float arithmetic, an array of rates in numpy's.
+    """
+    xi = params.xi if xi is None else xi
+    return params.sigma2 * (2.0**xi - 1.0) / params.rho
 
 
 def regularized_upper_gamma(a: float, x: float) -> float:

@@ -88,18 +88,8 @@ def _checked_entries(entries) -> np.ndarray:
     return m
 
 
-def element_position(geometry: ArrayGeometry, index: int) -> np.ndarray:
-    """Cartesian position (meters) of the 1-based element ``index``.
-
-    Elements fill rows first: [0, ((index-1) mod n_h) d_h, floor((index-1)/n_h) d_v].
-    """
-    if not 1 <= index <= geometry.n:
-        raise DomainError(f"element index {index} outside 1..{geometry.n}")
-    i = index - 1
-    return np.array([0.0, (i % geometry.n_h) * geometry.d_h, (i // geometry.n_h) * geometry.d_v])
-
-
 def _all_positions(geometry: ArrayGeometry) -> np.ndarray:
+    """Element i (0-based, rows first) sits at [0, (i mod n_h) d_h, floor(i / n_h) d_v] meters."""
     i = np.arange(geometry.n)
     return np.stack(
         [np.zeros(geometry.n), (i % geometry.n_h) * geometry.d_h, (i // geometry.n_h) * geometry.d_v],
@@ -136,21 +126,18 @@ def identity_correlation(n: int) -> CorrelationMatrix:
     return CorrelationMatrix(np.eye(n))
 
 
-def scale_covariance(r: CorrelationMatrix, beta: float, d_h: float, d_v: float) -> CorrelationMatrix:
-    """Fold the large-scale gain and element area into the matrix: beta*d_h*d_v*R.
+def scale_covariance(r: CorrelationMatrix, beta: float) -> CorrelationMatrix:
+    """Fold the large-scale gain (times the element area) into the matrix: beta*R.
 
     The PSD test lam_min >= -PSD_RTOL*lam_max is invariant under a positive
     factor, so the scaled matrix inherits r's verdict and its eigenvalue
-    range scaled by that factor instead of decomposing the matrix again.
+    range scaled by beta instead of decomposing the matrix again.
     """
     if beta <= 0:
         raise DomainError(f"large-scale gain must be positive, got {beta}")
-    if d_h <= 0 or d_v <= 0:
-        raise DomainError("element dimensions must be positive")
-    factor = beta * d_h * d_v
     scaled = object.__new__(CorrelationMatrix)
-    object.__setattr__(scaled, "entries", _checked_entries(factor * r.entries))
-    object.__setattr__(scaled, "eig_range", (factor * r.eig_range[0], factor * r.eig_range[1]))
+    object.__setattr__(scaled, "entries", _checked_entries(beta * r.entries))
+    object.__setattr__(scaled, "eig_range", (beta * r.eig_range[0], beta * r.eig_range[1]))
     return scaled
 
 

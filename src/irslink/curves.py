@@ -13,17 +13,11 @@ from urllib.parse import quote, unquote
 import numpy as np
 from scipy import special
 
-from . import __version__
-from .closedform import (
-    GammaParams,
-    gamma_fit,
-    gamma_fit_equal_phase,
-    gamma_fit_uniform_phase,
-    outage_probability,
-)
+from . import __version__, rng
+from .closedform import outage_probability, snr_threshold
 from .errors import DomainError
 from .montecarlo import McEstimate, gain_samples, outage_counts
-from .phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, phase_vector
+from .phaseshift import checked_design
 from .scenario import Scenario
 
 _FLOAT_FMT = "%.17g"  # lossless float64 round trip
@@ -77,32 +71,17 @@ class OutageCurve:
         )
 
 
-def fit_for_design(scenario: Scenario, r_sr, r_rd) -> GammaParams | None:
-    """The design-appropriate Gamma fit for the scenario's covariances
-    (r_sr, r_rd); None for per-realization co-phasing, which has no closed
-    form."""
-    design = scenario.design
-    if isinstance(design, Equal):
-        return gamma_fit_equal_phase(scenario.beta_sd, r_sr, r_rd)
-    if isinstance(design, Fixed):
-        return gamma_fit(scenario.beta_sd, r_sr, r_rd, phase_vector(design, scenario.n))
-    if isinstance(design, UniformRandom):
-        return gamma_fit_uniform_phase(scenario.beta_sd, r_sr, r_rd)
-    if isinstance(design, OptimalCsi):
-        return None
-    raise DomainError(f"unknown phase-shift design {design!r}")
-
-
 def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
     """Closed-form outage over the scenario grid, with MC validation if trials > 0."""
     if trials < 0:
         raise DomainError(f"trial count must be >= 0, got {trials}")
+    seed = rng.check_seed(seed)
     xi = scenario.xi_grid()
-    params0 = scenario.system_parameters(scenario.xi_min)
-    z = params0.sigma2 * (2.0**xi - 1.0) / params0.rho
+    z = snr_threshold(scenario.system_parameters(scenario.xi_min), xi)
 
     r_sr, r_rd = scenario.covariances()
-    gp = fit_for_design(scenario, r_sr, r_rd)
+    # None for per-realization co-phasing, which has no closed form.
+    gp = checked_design(scenario.design).gamma_fit(scenario.beta_sd, r_sr, r_rd)
     if gp is None:
         p_cf = np.full(xi.shape, np.nan)
         k_col = np.full(xi.shape, np.nan)

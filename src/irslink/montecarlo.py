@@ -14,8 +14,9 @@ function of (scenario, design, trials, seed).
 Engine: one block kernel serves every caller.  gain_samples runs blocks of
 up to 64 trials: it repositions the stream once per trial and writes that
 trial's uniforms into one row of a buffer; Box-Muller, the projection
-through the two covariance factors (one matrix product each), the phase
-resolution and the gain, taken as re^2 + im^2, then run on the whole block.
+through the two covariance factors (one matrix product each), the design's
+phases for the block and the gain, taken as re^2 + im^2, then run on the
+whole block.
 The public per-trial operations (sample_channels, cophased_phases,
 effective_gain) are views of the same kernel and the same reductions on a
 single row, so chaining them reproduces gain_samples bit for bit.  A lone
@@ -37,7 +38,7 @@ from . import rng
 from .closedform import SystemParameters, snr_threshold
 from .correlation import CorrelationMatrix, matrix_sqrt
 from .errors import DomainError
-from .phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom, phase_vector
+from .phaseshift import OptimalCsi, PhaseShiftDesign, checked_design
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,6 @@ def _gains(h_sd, h_sr, phases, h_rd):
     return x.real * x.real + x.imag * x.imag
 
 
-def _cophase(h_sd, h_sr, h_rd):
-    """Co-phasing phases along the last axis; the reference is 0 where h_sd is 0."""
-    reference = np.where(h_sd != 0, np.angle(h_sd), 0.0)
-    return np.exp(1j * (reference[..., None] - np.angle(np.conj(h_sr) * h_rd)))
-
-
 def sample_channels(
     beta_sd: float,
     l_sr: np.ndarray,
@@ -173,7 +168,7 @@ def cophased_phases(ch: ChannelRealization) -> np.ndarray:
     The resulting amplitude is |h_sd| + sum_n |h_sr[n]| |h_rd[n]|; with a
     blocked direct channel the reference phase is zero.
     """
-    return _cophase(ch.h_sd, ch.h_sr, ch.h_rd)
+    return OptimalCsi.cophase(ch.h_sd, ch.h_sr, ch.h_rd)
 
 
 def gain_samples(
@@ -191,16 +186,11 @@ def gain_samples(
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
+    design = checked_design(design)
     n = r_sr.n
     l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
-    if isinstance(design, (Equal, Fixed)):
-        static = phase_vector(design, n)
-    elif isinstance(design, (UniformRandom, OptimalCsi)):
-        static = None
-    else:
-        raise DomainError(f"unknown phase-shift design {design!r}")
+    block_phases = design.block_phases(n)
     channel_streams = rng.StreamFamily(seed)
-    phase_streams = rng.StreamFamily(design.seed) if isinstance(design, UniformRandom) else None
     gains = np.empty(trials)
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)
@@ -208,17 +198,7 @@ def gain_samples(
         for r in range(count):
             channel_streams.get(rng.DOMAIN_CHANNEL, start + r).random(out=u[r])
         h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, u)
-        if static is not None:
-            phases = static
-        elif phase_streams is not None:
-            thetas = np.empty((count, n))
-            for r in range(count):
-                pg = phase_streams.get(rng.DOMAIN_PHASE, start + r)
-                thetas[r] = pg.uniform(-np.pi, np.pi, n)
-            phases = np.exp(1j * thetas)
-        else:
-            phases = _cophase(h_sd, h_sr, h_rd)
-        gains[start : start + count] = _gains(h_sd, h_sr, phases, h_rd)
+        gains[start : start + count] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
     return gains
 
 

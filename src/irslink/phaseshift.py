@@ -3,13 +3,21 @@
 A design describes how the diagonal unit-modulus phase matrix of the
 reflecting surface is produced.  The surface matrix itself is never stored
 densely; only its diagonal (the phase vector) is materialized.
+
+Each design class answers for itself: its schema ``kind`` and
+``schema_fields``, its phase vector for draw i (``phases``), its closed-form
+Gamma fit (``gamma_fit``, None for co-phasing) and, for one simulator run
+over n elements, ``block_phases(n)``: a function that maps a block of trials
+(start, h_sd, h_sr, h_rd), one trial per row, to the phases of draws start,
+start+1, ...
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from . import rng
+from . import closedform, rng
 from .correlation import CorrelationMatrix
 from .errors import ContractViolationError, DomainError, InternalConsistencyError
 
@@ -27,9 +35,23 @@ class Equal:
     """One common phase shift on every element."""
 
     theta: float
+    kind: ClassVar[str] = "equal"
 
     def __post_init__(self):
         object.__setattr__(self, "theta", float(_wrap_angle(self.theta)))
+
+    def schema_fields(self) -> dict:
+        return {"theta": self.theta}
+
+    def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
+        return np.full(n, np.exp(1j * self.theta))
+
+    def gamma_fit(self, beta_sd, r_sr, r_rd):
+        return closedform.gamma_fit_equal_phase(beta_sd, r_sr, r_rd)
+
+    def block_phases(self, n: int):
+        phases = self.phases(n)
+        return lambda start, h_sd, h_sr, h_rd: phases
 
 
 @dataclass(frozen=True)
@@ -37,54 +59,106 @@ class Fixed:
     """An arbitrary per-element phase vector."""
 
     thetas: np.ndarray
+    kind: ClassVar[str] = "fixed"
 
     def __post_init__(self):
         t = _wrap_angle(np.atleast_1d(self.thetas))
         t.setflags(write=False)
         object.__setattr__(self, "thetas", t)
 
+    def schema_fields(self) -> dict:
+        return {"theta": [float(t) for t in self.thetas]}
+
+    def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
+        if self.thetas.shape[0] != n:
+            raise DomainError(f"fixed design has {self.thetas.shape[0]} phases, scenario needs {n}")
+        return np.exp(1j * self.thetas)
+
+    def gamma_fit(self, beta_sd, r_sr, r_rd):
+        return closedform.gamma_fit(beta_sd, r_sr, r_rd, self.phases(r_sr.n))
+
+    def block_phases(self, n: int):
+        phases = self.phases(n)
+        return lambda start, h_sd, h_sr, h_rd: phases
+
 
 @dataclass(frozen=True)
 class UniformRandom:
-    """Independent phases redrawn uniformly on [-pi, pi) per trial."""
+    """Independent phases redrawn uniformly on [-pi, pi) per trial; draw i depends on (seed, i) only."""
 
     seed: int
+    kind: ClassVar[str] = "uniform_random"
 
     def __post_init__(self):
         object.__setattr__(self, "seed", rng.check_seed(self.seed))
 
+    def schema_fields(self) -> dict:
+        return {"seed": self.seed}
+
+    def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
+        gen = rng.stream(self.seed, rng.DOMAIN_PHASE, draw_index)
+        return np.exp(1j * gen.uniform(-np.pi, np.pi, n))
+
+    def gamma_fit(self, beta_sd, r_sr, r_rd):
+        return closedform.gamma_fit_uniform_phase(beta_sd, r_sr, r_rd)
+
+    def block_phases(self, n: int):
+        streams = rng.StreamFamily(self.seed)  # one per run: its gets reposition, not re-key
+
+        def draws(start, h_sd, h_sr, h_rd):
+            thetas = np.empty((h_sr.shape[0], n))
+            for r in range(thetas.shape[0]):
+                thetas[r] = streams.get(rng.DOMAIN_PHASE, start + r).uniform(-np.pi, np.pi, n)
+            return np.exp(1j * thetas)
+
+        return draws
+
 
 @dataclass(frozen=True)
 class OptimalCsi:
-    """Per-realization co-phasing; resolved inside the simulator."""
+    """Per-realization co-phasing with perfect channel knowledge; no closed form."""
+
+    kind: ClassVar[str] = "optimal_csi"
+
+    def schema_fields(self) -> dict:
+        return {}
+
+    def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
+        raise ContractViolationError(
+            "OptimalCsi phases depend on the channel realization; "
+            "resolve them in the simulator, not here"
+        )
+
+    def gamma_fit(self, beta_sd, r_sr, r_rd):
+        return None
+
+    def block_phases(self, n: int):
+        return lambda start, h_sd, h_sr, h_rd: self.cophase(h_sd, h_sr, h_rd)
+
+    @staticmethod
+    def cophase(h_sd, h_sr, h_rd) -> np.ndarray:
+        """Co-phasing phases along the last axis; the reference is 0 where h_sd is 0."""
+        reference = np.where(h_sd != 0, np.angle(h_sd), 0.0)
+        return np.exp(1j * (reference[..., None] - np.angle(np.conj(h_sr) * h_rd)))
 
 
 PhaseShiftDesign = Equal | Fixed | UniformRandom | OptimalCsi
 
 
+def checked_design(design: PhaseShiftDesign) -> PhaseShiftDesign:
+    """The design itself; DomainError for anything that is not one of the four."""
+    if not isinstance(design, PhaseShiftDesign):
+        raise DomainError(f"unknown phase-shift design {design!r}")
+    return design
+
+
 def phase_vector(design: PhaseShiftDesign, n: int, draw_index: int = 0) -> np.ndarray:
     """Materialize the diagonal of the phase matrix as a unit-modulus vector.
 
-    UniformRandom draws are a pure function of (seed, draw_index), so trials
-    can be evaluated in any order or in parallel.
+    Each design answers for itself (see its ``phases``); OptimalCsi has no
+    phases apart from a channel realization and raises ContractViolationError.
     """
-    if isinstance(design, Equal):
-        return np.full(n, np.exp(1j * design.theta))
-    if isinstance(design, Fixed):
-        if design.thetas.shape[0] != n:
-            raise DomainError(
-                f"fixed design has {design.thetas.shape[0]} phases, scenario needs {n}"
-            )
-        return np.exp(1j * design.thetas)
-    if isinstance(design, UniformRandom):
-        gen = rng.stream(design.seed, rng.DOMAIN_PHASE, draw_index)
-        return np.exp(1j * gen.uniform(-np.pi, np.pi, n))
-    if isinstance(design, OptimalCsi):
-        raise ContractViolationError(
-            "OptimalCsi phases depend on the channel realization; "
-            "resolve them in the simulator, not here"
-        )
-    raise DomainError(f"unknown phase-shift design {design!r}")
+    return checked_design(design).phases(n, draw_index)
 
 
 def real_trace(value: complex, what: str = "trace") -> float:

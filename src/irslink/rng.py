@@ -16,6 +16,8 @@ must not be changed without revalidating every pinned-seed test.
 
 import numpy as np
 
+from .errors import DomainError
+
 # Stream domains.  Channel fading draws and phase draws share the user seed
 # but must never share counter space.
 DOMAIN_CHANNEL = 0
@@ -28,9 +30,9 @@ _COUNTER_MASK = (1 << 256) - 1
 
 def check_seed(seed) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) < _MAX_SEED:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
     return int(seed)
 
 
@@ -96,9 +98,3 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     np.multiply(radius, np.cos(angle), out=out[..., :pairs])
     np.multiply(radius, np.sin(angle), out=out[..., pairs:])
     return out
-
-
-def standard_normals(gen: np.random.Generator, count: int) -> np.ndarray:
-    """Box-Muller: ``count`` N(0,1) variates from ``ceil(count/2)`` uniform pairs."""
-    pairs = (count + 1) // 2
-    return box_muller(gen.random(2 * pairs))[:count]

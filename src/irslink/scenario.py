@@ -30,7 +30,7 @@ from .phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRando
 from .units import SPEED_OF_LIGHT, db_to_linear, dbm_to_watts
 
 MODELS = ("sinc", "exponential", "uncorrelated")
-DESIGNS = ("equal", "fixed", "uniform_random", "optimal_csi")
+DESIGNS = tuple(d.kind for d in (Equal, Fixed, UniformRandom, OptimalCsi))
 
 _SCHEMA_KEYS = (
     "beta_sd_db",
@@ -117,19 +117,16 @@ class Scenario:
     def covariances(self):
         """(r_sr, r_rd), the model matrix scaled by the configured products."""
         r = self.correlation_model()
-        r_sr = scale_covariance(r, db_to_linear(self.beta_sr_dhdv_db), 1.0, 1.0)
-        r_rd = scale_covariance(r, db_to_linear(self.beta_rd_dhdv_db), 1.0, 1.0)
+        r_sr = scale_covariance(r, db_to_linear(self.beta_sr_dhdv_db))
+        r_rd = scale_covariance(r, db_to_linear(self.beta_rd_dhdv_db))
         return r_sr, r_rd
 
     def system_parameters(self, xi: float) -> SystemParameters:
         return SystemParameters(
             beta_sd=self.beta_sd,
-            beta_sr=db_to_linear(self.beta_sr_dhdv_db),
-            beta_rd=db_to_linear(self.beta_rd_dhdv_db),
             rho=dbm_to_watts(self.rho_dbm),
             sigma2=dbm_to_watts(self.sigma2_dbm),
             xi=xi,
-            geometry=self.geometry(),
         )
 
     def xi_grid(self) -> np.ndarray:
@@ -137,7 +134,7 @@ class Scenario:
 
     def to_schema_dict(self) -> dict:
         """Canonical flat dict of exactly the schema keys (name is metadata)."""
-        out = {
+        return {
             "beta_sd_db": self.beta_sd_db,
             "beta_sr_dhdv_db": self.beta_sr_dhdv_db,
             "beta_rd_dhdv_db": self.beta_rd_dhdv_db,
@@ -152,19 +149,9 @@ class Scenario:
             "xi_min": self.xi_min,
             "xi_max": self.xi_max,
             "xi_step": self.xi_step,
+            "design": self.design.kind,
+            **self.design.schema_fields(),
         }
-        if isinstance(self.design, Equal):
-            out["design"] = "equal"
-            out["theta"] = self.design.theta
-        elif isinstance(self.design, Fixed):
-            out["design"] = "fixed"
-            out["theta"] = [float(t) for t in self.design.thetas]
-        elif isinstance(self.design, UniformRandom):
-            out["design"] = "uniform_random"
-            out["seed"] = self.design.seed
-        else:
-            out["design"] = "optimal_csi"
-        return out
 
     def digest(self) -> str:
         """Hash over the schema fields; changes iff any scenario field changes."""
@@ -192,6 +179,8 @@ def _want(raw: dict, key: str, kinds, required: bool = True, default=None):
     if isinstance(value, bool) or not isinstance(value, kinds):
         names = "/".join(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
         raise ScenarioFormatError(f"expected {names}, got {value!r}", field=key)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioFormatError(f"must be finite, got {value!r}", field=key)
     return value
 
 
@@ -217,10 +206,11 @@ def _build_design(raw: dict, n: int) -> PhaseShiftDesign:
     if kind == "fixed":
         theta = _want(raw, "theta", list)
         if len(theta) != n or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in theta
+            isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
+            for t in theta
         ):
             raise ScenarioFormatError(
-                f"fixed design needs a list of {n} numbers, got {len(theta)} entries",
+                f"fixed design needs a list of {n} finite numbers, got {len(theta)} entries",
                 field="theta",
             )
         return Fixed(np.asarray(theta, dtype=float))

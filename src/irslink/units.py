@@ -8,18 +8,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    import math
-
-    if x <= 0.0:
-        raise ValueError("linear value must be positive for dB conversion")
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(x_dbm: float) -> float:
     """10^((x - 30)/10)."""
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(x_w: float) -> float:
-    return linear_to_db(x_w) + 30.0

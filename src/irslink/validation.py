@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import rng
 from .closedform import (
     GammaParams,
     gain_moments,
@@ -20,6 +21,7 @@ from .closedform import (
     outage_probability,
     outage_scale_sensitivity,
     regularized_upper_gamma,
+    snr_threshold,
     uniform_phase_trace_moments,
     uniform_phase_trace_moments_by_sums,
 )
@@ -190,8 +192,7 @@ def criterion_5(trials=None, seed=None) -> CriterionResult:
         [0.0005, 0.0008, 0.0012, 0.0018, 0.0027, 0.004, 0.006, 0.009,
          0.0135, 0.02, 0.03, 0.045, 0.07, 0.1, 0.15]
     )
-    params = sc.system_parameters(0.0)
-    z = params.sigma2 * (2.0**xi - 1.0) / params.rho
+    z = snr_threshold(sc.system_parameters(0.0), xi)
     designs = {
         "uniform": UniformRandom(_DESIGN_SEED),
         "equal": Equal(QUARTER_TURN),
@@ -374,5 +375,8 @@ CRITERIA = {
 
 
 def run_criteria(numbers=None, trials=None, seed=None):
+    """Run the criteria in order; a bad seed override fails before any of them starts."""
+    if seed is not None:
+        rng.check_seed(seed)
     numbers = sorted(CRITERIA) if numbers is None else list(numbers)
     return [CRITERIA[n](trials=trials, seed=seed) for n in numbers]

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +11,18 @@ from irslink.curves import read_curve_csv
 from test_scenario import make
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*args, cwd=None):
+    # The child imports irslink from this checkout's src/, installed or not.
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "irslink.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -117,6 +125,41 @@ def test_negative_trials_are_input_errors(tmp_path, command):
     assert result.returncode == 2
     assert "trial count" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("rho_dbm", float("nan")), ("rho_dbm", float("inf")), ("sigma2_dbm", float("-inf")),
+     ("beta_sd_db", float("nan")), ("xi_min", float("nan"))],
+)
+def test_non_finite_scenario_is_input_error(tmp_path, key, value):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(make(**{key: value})))  # json writes NaN / Infinity
+    out = tmp_path / "nonfinite.csv"
+    result = run_cli("curve", "--scenario", str(path), "--trials", "0", "--out", str(out))
+    assert result.returncode == 2
+    assert f"{key}: must be finite" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("curve", "--scenario", "fig2c", "--trials", "5", "--seed", "-1"),
+        ("curve", "--scenario", "fig2c", "--trials", "5", "--seed", "18446744073709551616"),
+        ("curve", "--scenario", "fig2c", "--trials", "0", "--seed", "-1"),
+        ("compare", "--scenario", "fig2c", "--trials", "0", "--seed", "-1"),
+        ("validate", "--only", "7", "--seed", "-1"),
+    ],
+    ids=["curve-negative", "curve-2^64", "curve-trials0", "compare-trials0", "validate"],
+)
+def test_out_of_range_seed_is_input_error(tmp_path, args):
+    out = tmp_path / "seeded.csv"
+    result = run_cli(*args, "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "seed must lie in [0, 2^64)" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists() and not result.stdout
 
 
 def test_validate_fast_subset(tmp_path):

@@ -25,14 +25,8 @@ from irslink.scenario import load_scenario
 from irslink.units import db_to_linear, dbm_to_watts
 
 
-GEOMETRY = ArrayGeometry(2, 2, 0.0025, 0.0025, 0.1)
-
-
 def params(beta_sd=1.0, rho=1.0, sigma2=1.0, xi=1.0):
-    return SystemParameters(
-        beta_sd=beta_sd, beta_sr=1.0, beta_rd=1.0, rho=rho, sigma2=sigma2, xi=xi,
-        geometry=GEOMETRY,
-    )
+    return SystemParameters(beta_sd=beta_sd, rho=rho, sigma2=sigma2, xi=xi)
 
 
 def scalar_matrix(value, n):
@@ -54,15 +48,23 @@ def test_threshold_zero_rate():
     assert snr_threshold(params(xi=0.0)) == 0.0
 
 
+def test_threshold_over_a_rate_grid():
+    # One formula for both callers: an array of rates in numpy arithmetic, a
+    # float rate in float arithmetic, so each caller's z keeps its bytes.
+    p = params(rho=3.0, sigma2=0.7, xi=0.0)
+    xi = np.linspace(0.0, 8.0, 33)
+    assert np.array_equal(snr_threshold(p, xi), p.sigma2 * (2.0**xi - 1.0) / p.rho)
+    for x in (0.25, 2.0, 7.75):
+        z = snr_threshold(params(rho=3.0, sigma2=0.7, xi=x))
+        assert type(z) is float and z == 0.7 * (2.0**x - 1.0) / 3.0
+
+
 def test_threshold_link_budget_values():
     p = SystemParameters(
         beta_sd=db_to_linear(-90.0),
-        beta_sr=db_to_linear(-84.0),
-        beta_rd=db_to_linear(-75.0),
         rho=dbm_to_watts(8.0),
         sigma2=dbm_to_watts(-94.0),
         xi=2.0,
-        geometry=GEOMETRY,
     )
     assert snr_threshold(p) == pytest.approx(3.0 * 10 ** (-10.2), rel=1e-12)
 

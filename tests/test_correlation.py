@@ -7,7 +7,7 @@ from irslink.correlation import (
     PSD_RTOL,
     ArrayGeometry,
     CorrelationMatrix,
-    element_position,
+    _all_positions,
     exponential_correlation,
     identity_correlation,
     matrix_sqrt,
@@ -21,19 +21,13 @@ from conftest import WAVELENGTH, square_sinc
 
 
 def test_element_positions():
+    # The layout the sinc model uses: rows of n_h elements, 0-based.
     g = ArrayGeometry(2, 2, 1.0, 1.0, 1.0)
-    assert np.array_equal(element_position(g, 1), [0.0, 0.0, 0.0])
-    assert np.array_equal(element_position(g, 2), [0.0, 1.0, 0.0])
+    assert np.array_equal(_all_positions(g)[0], [0.0, 0.0, 0.0])
+    assert np.array_equal(_all_positions(g)[1], [0.0, 1.0, 0.0])
     g2 = ArrayGeometry(2, 2, 0.5, 0.25, 1.0)
     # hand evaluation of the mod/floor layout for the last element
-    assert np.array_equal(element_position(g2, 4), [0.0, 0.5, 0.25])
-
-
-def test_element_position_range_checked():
-    g = ArrayGeometry(2, 2, 1.0, 1.0, 1.0)
-    for bad in (0, 5, -1):
-        with pytest.raises(DomainError):
-            element_position(g, bad)
+    assert np.array_equal(_all_positions(g2)[3], [0.0, 0.5, 0.25])
 
 
 def test_geometry_validation():
@@ -90,16 +84,16 @@ def test_exponential_domain():
 
 def test_scale_covariance():
     r = square_sinc(2)
-    assert np.array_equal(scale_covariance(r, 1.0, 1.0, 1.0).entries, r.entries)
+    assert np.array_equal(scale_covariance(r, 1.0).entries, r.entries)
     eye = identity_correlation(4)
-    scaled = scale_covariance(eye, 2.5, 2.0, 0.5)
+    scaled = scale_covariance(eye, 2.5)
     assert np.allclose(scaled.entries, 2.5 * np.eye(4))
-    tripled = scale_covariance(r, 3.0, 1.0, 1.0)
+    tripled = scale_covariance(r, 3.0)
     assert np.allclose(tripled.entries, 3.0 * r.entries, rtol=1e-15)
     with pytest.raises(DomainError):
-        scale_covariance(r, 0.0, 1.0, 1.0)
+        scale_covariance(r, 0.0)
     with pytest.raises(DomainError):
-        scale_covariance(r, -1.0, 1.0, 1.0)
+        scale_covariance(r, -1.0)
 
 
 def assert_spectrum_matches_fresh_eigvalsh(r):
@@ -129,7 +123,7 @@ def test_scaled_spectrum_near_psd_boundary():
     r = CorrelationMatrix((q * lam) @ q.T)
     assert r.eig_range[0] < 0.0
     for beta in (1e-14, 3e-3, 7.0, 1e9):
-        scaled = scale_covariance(r, beta, 1.0, 1.0)
+        scaled = scale_covariance(r, beta)
         assert scaled.eig_range == (beta * r.eig_range[0], beta * r.eig_range[1])
         assert_spectrum_matches_fresh_eigvalsh(scaled)
     lam[0] = -2.0 * PSD_RTOL

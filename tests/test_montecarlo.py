@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irslink.closedform import SystemParameters, gain_moments, snr_threshold
-from irslink.correlation import ArrayGeometry, CorrelationMatrix, matrix_sqrt
+from irslink.correlation import CorrelationMatrix, matrix_sqrt
 from irslink.errors import DomainError
 from irslink.montecarlo import (
     ChannelRealization,
@@ -19,20 +19,14 @@ from irslink.montecarlo import (
 )
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, phase_vector
 
-from conftest import WAVELENGTH, square_sinc
-
-GEOMETRY = ArrayGeometry(2, 1, 0.0025, 0.0025, WAVELENGTH)
-
+from conftest import square_sinc
 
 def zeros(n):
     return CorrelationMatrix(np.zeros((n, n)))
 
 
 def direct_params(xi=1.0, beta_sd=1.0):
-    return SystemParameters(
-        beta_sd=beta_sd, beta_sr=1.0, beta_rd=1.0, rho=1.0, sigma2=1.0, xi=xi,
-        geometry=GEOMETRY,
-    )
+    return SystemParameters(beta_sd=beta_sd, rho=1.0, sigma2=1.0, xi=xi)
 
 
 def test_direct_channel_power(heavy_mc):
@@ -233,10 +227,7 @@ def test_sample_moments_direct_only_exponential():
 def test_sample_moments_match_closed_form(heavy_mc):
     """Mean, variance and the four-term second moment at one million trials."""
     r = heavy_mc["r"]
-    p = SystemParameters(
-        beta_sd=heavy_mc["beta_sd"], beta_sr=1.0, beta_rd=1.0, rho=1.0, sigma2=1.0,
-        xi=1.0, geometry=ArrayGeometry(4, 4, 0.0025, 0.0025, WAVELENGTH),
-    )
+    p = SystemParameters(beta_sd=heavy_mc["beta_sd"], rho=1.0, sigma2=1.0, xi=1.0)
     m = sample_gain_moments(p, r, r, Equal(np.pi / 4), heavy_mc["trials"], heavy_mc["seed"])
     assert np.array_equal(
         m.mean, heavy_mc["gains"].mean()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from irslink.closedform import gamma_fit, gamma_fit_equal_phase, gamma_fit_uniform_phase
 from irslink.correlation import CorrelationMatrix, identity_correlation
+from irslink.curves import run_curve
 from irslink.errors import ContractViolationError, DomainError
+from irslink.montecarlo import gain_samples
 from irslink.phaseshift import (
     Equal,
     Fixed,
@@ -13,6 +16,7 @@ from irslink.phaseshift import (
     equal_phase_trace_bound,
     phase_vector,
 )
+from irslink.scenario import DESIGNS, load_scenario
 
 from conftest import square_sinc
 
@@ -60,6 +64,51 @@ def test_uniform_random_seed_validation():
         UniformRandom(-1)
     with pytest.raises(ValueError):
         UniformRandom(2**64)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+def test_bad_seeds_are_domain_errors(seed):
+    with pytest.raises(DomainError):
+        UniformRandom(seed)
+
+
+def test_unknown_design_is_a_domain_error():
+    r = identity_correlation(4)
+    for entry in (lambda d: phase_vector(d, 4), lambda d: gain_samples(1.0, r, r, d, 3, 1)):
+        for design in ("equal", None, Equal):
+            with pytest.raises(DomainError, match="unknown phase-shift design"):
+                entry(design)
+    sc = load_scenario("fig2c").with_design(object())
+    with pytest.raises(DomainError, match="unknown phase-shift design"):
+        run_curve(sc, 0, 1)
+
+
+def test_design_kinds_are_the_schema_names():
+    kinds = [d.kind for d in (Equal(0.5), Fixed(np.zeros(2)), UniformRandom(3), OptimalCsi())]
+    assert kinds == ["equal", "fixed", "uniform_random", "optimal_csi"]
+    assert tuple(kinds) == DESIGNS
+    assert Equal(0.5).schema_fields() == {"theta": 0.5}
+    assert Fixed(np.array([0.0, 0.5])).schema_fields() == {"theta": [0.0, 0.5]}
+    assert UniformRandom(3).schema_fields() == {"seed": 3}
+    assert OptimalCsi().schema_fields() == {}
+
+
+def test_each_design_fits_with_its_own_closed_form():
+    gen = np.random.default_rng(11)
+    r_sr, r_rd = random_psd(gen, 5), random_psd(gen, 5)
+    fixed = Fixed(gen.uniform(-np.pi, np.pi, 5))
+    assert Equal(0.3).gamma_fit(0.4, r_sr, r_rd) == gamma_fit_equal_phase(0.4, r_sr, r_rd)
+    assert fixed.gamma_fit(0.4, r_sr, r_rd) == gamma_fit(0.4, r_sr, r_rd, phase_vector(fixed, 5))
+    assert UniformRandom(8).gamma_fit(0.4, r_sr, r_rd) == gamma_fit_uniform_phase(0.4, r_sr, r_rd)
+    assert OptimalCsi().gamma_fit(0.4, r_sr, r_rd) is None
+
+
+def test_block_phases_are_the_per_draw_phase_vectors():
+    h = np.ones((3, 6), dtype=complex)
+    for design in (Equal(1.0), Fixed(np.linspace(-3.0, 3.0, 6)), UniformRandom(77)):
+        block = np.broadcast_to(design.block_phases(6)(130, h[:, 0], h, h), h.shape)
+        for r in range(3):
+            assert np.array_equal(block[r], phase_vector(design, 6, draw_index=130 + r))
 
 
 def test_optimal_csi_not_materializable():

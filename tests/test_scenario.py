@@ -158,13 +158,82 @@ def test_xi_grid_endpoints():
 def test_xi_grid_size_is_capped():
     at_cap = scenario_from_dict(make(xi_min=0.0, xi_max=float(MAX_GRID_POINTS - 1), xi_step=1.0))
     assert at_cap.xi_grid().size == MAX_GRID_POINTS
-    for bad in (
-        make(xi_max=float(MAX_GRID_POINTS), xi_step=1.0),
-        make(xi_max=float("inf")),
-        make(xi_max=float("nan")),
-    ):
-        with pytest.raises(ScenarioFormatError, match="xi_step"):
-            scenario_from_dict(bad)
+    with pytest.raises(ScenarioFormatError, match="xi_step"):
+        scenario_from_dict(make(xi_max=float(MAX_GRID_POINTS), xi_step=1.0))
+    # A non-finite bound is reported against its own field.
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ScenarioFormatError, match="^xi_max: must be finite"):
+            scenario_from_dict(make(xi_max=bad))
+
+
+# Every numeric schema key with a value of the right kind for BASE or for
+# the design that uses it.  Python's json module parses NaN and Infinity.
+NUMERIC_KEYS = {
+    "beta_sd_db": {},
+    "beta_sr_dhdv_db": {},
+    "beta_rd_dhdv_db": {},
+    "carrier_ghz": {},
+    "n_h": {},
+    "n_v": {},
+    "spacing_over_lambda": {},
+    "rho_dbm": {},
+    "sigma2_dbm": {},
+    "exp_magnitude": {"model": "exponential"},
+    "theta": {},
+    "seed": {"design": "uniform_random", "theta": None},
+    "xi_min": {},
+    "xi_max": {},
+    "xi_step": {},
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
+def test_non_finite_numbers_name_their_field(key, value):
+    raw = make(**NUMERIC_KEYS[key])
+    raw[key] = value
+    with pytest.raises(ScenarioFormatError, match=f"^{key}: "):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_fixed_phase_rejected(value):
+    with pytest.raises(ScenarioFormatError, match="^theta: "):
+        scenario_from_dict(make(design="fixed", theta=[0.0, value, 0.5, 1.0]))
+
+
+# The scenario hash is written into every CSV header: a change to the schema
+# dict that moved it would orphan the provenance of every existing file.
+PINNED_DIGESTS = {
+    "fig2a": "88f72c7cbc2ed52c",
+    "fig2b": "69ae4afff6c9ffd5",
+    "fig2c": "6b091ac8fac8eea4",
+}
+PINNED_DESIGN_DIGESTS = [
+    (make(), "6d73f53170517fe2"),
+    (make(theta=4.0), "6429b134d9bbe598"),
+    (make(design="fixed", theta=[0.0, 0.5, -0.5, 3.0]), "64a0484c114da26a"),
+    (make(design="fixed", theta=[7.0, -4.0, 3.5, -3.2]), "6cb4b9f2117f32cb"),
+    (make(design="uniform_random", theta=None, seed=9), "0a7e4ccfd459cc51"),
+    (make(design="uniform_random", theta=None, seed=2**64 - 1), "2fc5c43a38058957"),
+    (make(design="optimal_csi", theta=None), "dc6c25a08cff5bca"),
+]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_digests_are_pinned(preset):
+    sc = load_scenario(preset)
+    assert sc.digest() == PINNED_DIGESTS[preset]
+    assert scenario_from_dict(sc.to_schema_dict()).digest() == sc.digest()
+
+
+@pytest.mark.parametrize("raw, digest", PINNED_DESIGN_DIGESTS)
+def test_design_digests_are_pinned(raw, digest):
+    sc = scenario_from_dict(raw)
+    assert sc.digest() == digest
+    again = scenario_from_dict(sc.to_schema_dict())
+    assert again.digest() == digest
+    assert again.to_schema_dict() == sc.to_schema_dict()
 
 
 def test_covariances_are_scaled_models():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from irslink.units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
+from irslink.units import db_to_linear, dbm_to_watts
 
 
 def test_spot_values():
@@ -14,19 +14,12 @@ def test_spot_values():
 
 @pytest.mark.parametrize("x_db", [-94.0, -90.0, -84.0, -75.0, 0.0, 8.0, 17.3])
 def test_round_trip(x_db):
-    assert linear_to_db(db_to_linear(x_db)) == pytest.approx(x_db, rel=1e-12, abs=1e-12)
-    assert watts_to_dbm(dbm_to_watts(x_db)) == pytest.approx(x_db, rel=1e-12, abs=1e-12)
-
-
-def test_db_of_nonpositive_rejected():
-    with pytest.raises(ValueError):
-        linear_to_db(0.0)
-    with pytest.raises(ValueError):
-        linear_to_db(-1.0)
+    assert 10.0 * math.log10(db_to_linear(x_db)) == pytest.approx(x_db, rel=1e-12, abs=1e-12)
+    assert 10.0 * math.log10(dbm_to_watts(x_db)) + 30.0 == pytest.approx(x_db, rel=1e-12, abs=1e-12)
 
 
 def test_against_log_identity():
     for x in (1e-12, 1.0, 42.0):
-        assert db_to_linear(linear_to_db(x)) == pytest.approx(x, rel=1e-12)
-    assert linear_to_db(100.0) == pytest.approx(20.0, abs=1e-12)
+        assert db_to_linear(10.0 * math.log10(x)) == pytest.approx(x, rel=1e-12)
+    assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-12)
     assert math.isclose(db_to_linear(3.0), 10**0.3)
