@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from . import __version__
-from .curves import run_compare, run_curve, run_surface, write_compare_csv, write_curve_csv, write_surface_csv
+from .curves import run_compare, run_curve, run_surface, write_compare_csv, write_curve_csv, write_lines, write_surface_csv
 from .errors import IrsLinkError
 from .scenario import MODELS, load_scenario, step_grid
 from .validation import run_criteria
@@ -90,6 +90,8 @@ def _cmd_surface(args) -> int:
 def _cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
+    if not models:
+        raise IrsLinkError(f"--models names no model; choose from {MODELS}")
     unknown = [m for m in models if m not in MODELS]
     if unknown:
         raise IrsLinkError(f"unknown model {unknown[0]!r}; choose from {MODELS}")
@@ -102,11 +104,13 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = sorted({int(tok) for tok in args.only.split(",") if tok.strip()})
         except ValueError:
             raise IrsLinkError(f"--only expects criterion numbers, got {args.only!r}") from None
+        if not numbers:
+            raise IrsLinkError("--only names no criterion; valid numbers are 1..10")
         bad = [n for n in numbers if n not in range(1, 11)]
         if bad:
             raise IrsLinkError(f"no criterion {bad[0]}; valid numbers are 1..10")
@@ -119,8 +123,7 @@ def _cmd_validate(args) -> int:
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(args.out, lines)
     return EXIT_VALIDATION if failed else EXIT_OK
 
 

@@ -7,7 +7,7 @@ the regularized upper incomplete gamma function.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy import special
@@ -27,8 +27,9 @@ class SystemParameters:
     xi: float
 
     def __post_init__(self):
-        if self.beta_sd < 0:
-            raise DomainError(f"direct-link gain must be >= 0, got {self.beta_sd}")
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise DomainError(f"link constants must be finite, got {self}")
+        _check_direct_gain(self.beta_sd)
         if self.rho <= 0 or self.sigma2 <= 0:
             raise DomainError("transmit and noise powers must be positive")
         if self.xi < 0:
@@ -43,9 +44,10 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
+        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
             raise DomainError(
-                f"Gamma parameters must be positive, got shape={self.shape}, scale={self.scale}"
+                "Gamma parameters must be positive and finite, "
+                f"got shape={self.shape}, scale={self.scale}"
             )
 
     @property
@@ -83,18 +85,27 @@ def gain_moments(
 ):
     """Mean and variance of the effective gain for a fixed phase vector.
 
-    mean = beta_sd + t1 and var = beta_sd^2 + 2 beta_sd t1 + t1^2 + 2 t2,
-    where (t1, t2) are the cascade traces.
+    Computed from the cascade traces (t1, t2) as in _moments, with t1_sq = t1^2.
     """
-    if beta_sd < 0:
-        raise DomainError(f"direct-link gain must be >= 0, got {beta_sd}")
     t1, t2 = cascade_traces(r_rd, r_sr, phases)
-    return _moments_from_traces(beta_sd, t1, t2)
+    return _moments(beta_sd, t1, t1 * t1, t2)
 
 
-def _moments_from_traces(beta_sd, t1, t2):
+def _check_direct_gain(beta_sd):
+    if not beta_sd >= 0:
+        raise DomainError(f"direct-link gain must be >= 0, got {beta_sd}")
+
+
+def _moments(beta_sd, t1, t1_sq, t2):
+    """mean = beta_sd + t1 and var = beta_sd^2 + 2 beta_sd t1 + t1_sq + 2 t2.
+
+    t1 is the (expected) cascade trace, t1_sq its (expected) square and t2
+    the (expected) trace of the squared cascade matrix; for a fixed phase
+    vector t1_sq is t1 * t1.
+    """
+    _check_direct_gain(beta_sd)
     mean = beta_sd + t1
-    variance = beta_sd * beta_sd + 2.0 * beta_sd * t1 + t1 * t1 + 2.0 * t2
+    variance = beta_sd * beta_sd + 2.0 * beta_sd * t1 + t1_sq + 2.0 * t2
     return mean, variance
 
 
@@ -135,10 +146,8 @@ def gamma_fit_equal_phase(
     beta_sd: float, r_sr: CorrelationMatrix, r_rd: CorrelationMatrix
 ) -> GammaParams:
     """Gamma parameters when every element applies the same phase shift."""
-    if beta_sd < 0:
-        raise DomainError(f"direct-link gain must be >= 0, got {beta_sd}")
     t1, t2 = equal_phase_traces(r_sr, r_rd)
-    return _fit(*_moments_from_traces(beta_sd, t1, t2))
+    return _fit(*_moments(beta_sd, t1, t1 * t1, t2))
 
 
 @dataclass(frozen=True)
@@ -208,21 +217,8 @@ def gamma_fit_uniform_phase(
     beta_sd: float, r_sr: CorrelationMatrix, r_rd: CorrelationMatrix
 ) -> GammaParams:
     """Gamma parameters averaged over i.i.d. uniform random phase shifts."""
-    if beta_sd < 0:
-        raise DomainError(f"direct-link gain must be >= 0, got {beta_sd}")
     m = uniform_phase_trace_moments(r_sr, r_rd)
-    mean = beta_sd + m.mean_trace
-    if mean <= 0:
-        raise DegenerateScenarioError(
-            "no channel carries power under phase averaging; the Gamma fit is undefined"
-        )
-    variance = (
-        beta_sd * beta_sd
-        + 2.0 * beta_sd * m.mean_trace
-        + m.mean_trace_sq
-        + 2.0 * m.mean_quad_trace
-    )
-    return GammaParams(shape=mean * mean / variance, scale=variance / mean)
+    return _fit(*_moments(beta_sd, m.mean_trace, m.mean_trace_sq, m.mean_quad_trace))
 
 
 def outage_probability(gp: GammaParams, z):
@@ -233,7 +229,7 @@ def outage_probability(gp: GammaParams, z):
     gives a float; an array of thresholds gives an array from one ufunc call.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
+    if not np.all(z >= 0):  # also rejects NaN
         raise DomainError(f"SNR threshold must be >= 0, got {z.min()}")
     p = special.gammainc(gp.shape, z / gp.scale)
     return float(p) if p.ndim == 0 else p
@@ -241,7 +237,7 @@ def outage_probability(gp: GammaParams, z):
 
 def outage_scale_sensitivity(gp: GammaParams, z: float) -> float:
     """d(outage)/d(scale) = -z^k e^(-z/w) / (Gamma(k) w^(k+1)); always negative."""
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"SNR threshold must be positive, got {z}")
     k, w = gp.shape, gp.scale
     return -math.exp(k * math.log(z) - z / w - math.lgamma(k) - (k + 1.0) * math.log(w))

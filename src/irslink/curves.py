@@ -7,7 +7,7 @@ drawn once per curve and compared against every threshold on the grid.
 
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from urllib.parse import quote, unquote
 
 import numpy as np
@@ -43,7 +43,7 @@ class OutageCurve:
 
     def __post_init__(self):
         rows = self.xi.shape[0]
-        for name in ("z", "p_closed_form", "p_mc", "std_err", "k_a", "w_a"):
+        for name in COLUMNS:
             if getattr(self, name).shape != (rows,):
                 raise DomainError(f"column {name} does not match the grid length")
         if rows > 1 and not np.all(np.diff(self.xi) > 0):
@@ -57,17 +57,11 @@ class OutageCurve:
     def __eq__(self, other):
         if not isinstance(other, OutageCurve):
             return NotImplemented
-        meta = (self.scenario_name, self.scenario_hash, self.seed, self.trials, self.tool_version)
-        other_meta = (
-            other.scenario_name,
-            other.scenario_hash,
-            other.seed,
-            other.trials,
-            other.tool_version,
-        )
-        return meta == other_meta and all(
-            np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True)
-            for c in ("xi", "z", "p_closed_form", "p_mc", "std_err", "k_a", "w_a")
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
+            if f.name in COLUMNS
+            else getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
         )
 
 
@@ -121,7 +115,7 @@ def run_surface(ka_grid, wa_grid, z: float) -> np.ndarray:
     # "not all > 0" also rejects NaN, as GammaParams does.
     if ka.size == 0 or wa.size == 0 or not (np.all(ka > 0) and np.all(wa > 0)):
         raise DomainError("shape and scale grids must be positive and non-empty")
-    if z < 0:
+    if not z >= 0:
         raise DomainError(f"threshold must be >= 0, got {z}")
     # The same P = gammainc(k, z/w) as outage_probability, over the whole grid.
     return special.gammainc(ka[:, None], z / wa[None, :])
@@ -149,7 +143,7 @@ def _escape(value: str) -> str:
     )
 
 
-def _write_lines(path, lines) -> None:
+def write_lines(path, lines) -> None:
     """Write the lines to a temporary file beside ``path``, then rename it
     over ``path``: a failed write leaves any previous file untouched."""
     path = os.fspath(path)
@@ -173,10 +167,9 @@ def write_curve_csv(curve: OutageCurve, path) -> None:
         f"seed={curve.seed} trials={curve.trials}",
         ",".join(COLUMNS),
     ]
-    cols = [curve.xi, curve.z, curve.p_closed_form, curve.p_mc, curve.std_err, curve.k_a, curve.w_a]
-    for row in zip(*cols):
+    for row in zip(*(getattr(curve, c) for c in COLUMNS)):
         lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def read_curve_csv(path) -> OutageCurve:
@@ -194,7 +187,7 @@ def read_curve_csv(path) -> OutageCurve:
                         key, value = token.split("=", 1)
                         meta[key] = unquote(value)
                 continue
-            if line.startswith("xi,"):
+            if line.startswith(COLUMNS[0] + ","):
                 continue
             rows.append([float(tok) for tok in line.split(",")])
     data = np.array(rows)
@@ -206,13 +199,7 @@ def read_curve_csv(path) -> OutageCurve:
         seed=int(meta.get("seed", 0)),
         trials=int(meta.get("trials", 0)),
         tool_version=meta.get("tool_version", ""),
-        xi=data[:, 0],
-        z=data[:, 1],
-        p_closed_form=data[:, 2],
-        p_mc=data[:, 3],
-        std_err=data[:, 4],
-        k_a=data[:, 5],
-        w_a=data[:, 6],
+        **{c: data[:, j] for j, c in enumerate(COLUMNS)},
     )
 
 
@@ -226,19 +213,23 @@ def write_surface_csv(ka_grid, wa_grid, values: np.ndarray, z: float, path) -> N
     ]
     for k, row in zip(np.asarray(ka_grid, dtype=float), values):
         lines.append(_fmt(k) + "," + ",".join(_fmt(v) for v in row))
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def write_compare_csv(curves: dict, path) -> None:
-    """Side-by-side curves sharing one grid; one column group per model."""
+    """Side-by-side curves sharing one grid: xi and z, then p_closed_form,
+    p_mc and std_err for each model in turn."""
+    if not curves:
+        raise DomainError("a comparison needs at least one model")
     models = list(curves)
     first = curves[models[0]]
     for curve in curves.values():
         if not np.array_equal(curve.xi, first.xi):
             raise DomainError("compared curves must share the same grid")
-    header = ["xi", "z"]
-    for m in models:
-        header += [f"p_closed_form_{m}", f"p_mc_{m}", f"std_err_{m}"]
+    shared, per_model = COLUMNS[:2], COLUMNS[2:5]
+    header = list(shared) + [f"{c}_{m}" for m in models for c in per_model]
+    cols = [getattr(first, c) for c in shared]
+    cols += [getattr(curves[m], c) for m in models for c in per_model]
     lines = [
         "# irslink model comparison",
         f"# tool_version={__version__}",
@@ -250,10 +241,6 @@ def write_compare_csv(curves: dict, path) -> None:
         for m in models
     ]
     lines.append(",".join(header))
-    for i in range(first.xi.size):
-        row = [_fmt(first.xi[i]), _fmt(first.z[i])]
-        for m in models:
-            c = curves[m]
-            row += [_fmt(c.p_closed_form[i]), _fmt(c.p_mc[i]), _fmt(c.std_err[i])]
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+    for row in zip(*cols):
+        lines.append(",".join(_fmt(v) for v in row))
+    write_lines(path, lines)

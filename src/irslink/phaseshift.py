@@ -26,8 +26,11 @@ TRACE_NEG_TOL = 1e-9
 
 
 def _wrap_angle(theta):
-    """Map angles into [-pi, pi)."""
-    return np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    """Map angles into [-pi, pi); DomainError for a NaN or infinite one."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise DomainError(f"phase angles must be finite, got {theta}")
+    return np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ model matrix is scaled by those products directly.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -31,26 +31,6 @@ from .units import SPEED_OF_LIGHT, db_to_linear, dbm_to_watts
 
 MODELS = ("sinc", "exponential", "uncorrelated")
 DESIGNS = tuple(d.kind for d in (Equal, Fixed, UniformRandom, OptimalCsi))
-
-_SCHEMA_KEYS = (
-    "beta_sd_db",
-    "beta_sr_dhdv_db",
-    "beta_rd_dhdv_db",
-    "carrier_ghz",
-    "n_h",
-    "n_v",
-    "spacing_over_lambda",
-    "rho_dbm",
-    "sigma2_dbm",
-    "model",
-    "exp_magnitude",
-    "design",
-    "theta",
-    "seed",
-    "xi_min",
-    "xi_max",
-    "xi_step",
-)
 
 PRESETS = ("fig2a", "fig2b", "fig2c")
 
@@ -134,24 +114,8 @@ class Scenario:
 
     def to_schema_dict(self) -> dict:
         """Canonical flat dict of exactly the schema keys (name is metadata)."""
-        return {
-            "beta_sd_db": self.beta_sd_db,
-            "beta_sr_dhdv_db": self.beta_sr_dhdv_db,
-            "beta_rd_dhdv_db": self.beta_rd_dhdv_db,
-            "carrier_ghz": self.carrier_ghz,
-            "n_h": self.n_h,
-            "n_v": self.n_v,
-            "spacing_over_lambda": self.spacing_over_lambda,
-            "rho_dbm": self.rho_dbm,
-            "sigma2_dbm": self.sigma2_dbm,
-            "model": self.model,
-            "exp_magnitude": self.exp_magnitude,
-            "xi_min": self.xi_min,
-            "xi_max": self.xi_max,
-            "xi_step": self.xi_step,
-            "design": self.design.kind,
-            **self.design.schema_fields(),
-        }
+        raw = {key: getattr(self, key) for key in _FIELD_KEYS}
+        return {**raw, "design": self.design.kind, **self.design.schema_fields()}
 
     def digest(self) -> str:
         """Hash over the schema fields; changes iff any scenario field changes."""
@@ -168,6 +132,14 @@ class Scenario:
 
     def with_direct_gain_db(self, beta_sd_db: float | None) -> "Scenario":
         return replace(self, beta_sd_db=beta_sd_db)
+
+
+# The dataclass is the schema: every field but the name is a key, and the
+# design adds its own (theta for equal and fixed, seed for uniform_random).
+_FIELD_KEYS = tuple(f.name for f in fields(Scenario) if f.name != "name")
+_SCHEMA_KEYS = _FIELD_KEYS + ("theta", "seed")
+# The required float keys, read in one loop and passed on by name.
+_NUMBERS = tuple(f.name for f in fields(Scenario) if f.type is float and f.name != "exp_magnitude")
 
 
 def _want(raw: dict, key: str, kinds, required: bool = True, default=None):
@@ -246,50 +218,37 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     if n_h < 1 or n_v < 1:
         raise ScenarioFormatError("element counts must be >= 1", field="n_h" if n_h < 1 else "n_v")
 
-    carrier = float(_want(raw, "carrier_ghz", (int, float)))
-    if carrier <= 0:
+    num = {key: float(_want(raw, key, (int, float))) for key in _NUMBERS}
+    if num["carrier_ghz"] <= 0:
         raise ScenarioFormatError("must be positive", field="carrier_ghz")
-    spacing = float(_want(raw, "spacing_over_lambda", (int, float)))
-    if spacing <= 0:
+    if num["spacing_over_lambda"] <= 0:
         raise ScenarioFormatError("must be positive", field="spacing_over_lambda")
 
     model = _want(raw, "model", str)
     exp_magnitude = float(_want(raw, "exp_magnitude", (int, float), required=False, default=0.95))
     _check_model_fields(model, exp_magnitude)
 
-    xi_min = float(_want(raw, "xi_min", (int, float)))
-    xi_max = float(_want(raw, "xi_max", (int, float)))
-    xi_step = float(_want(raw, "xi_step", (int, float)))
-    if xi_min < 0:
+    if num["xi_min"] < 0:
         raise ScenarioFormatError("target rate cannot be negative", field="xi_min")
-    if xi_max < xi_min:
+    if num["xi_max"] < num["xi_min"]:
         raise ScenarioFormatError("xi_max must be >= xi_min", field="xi_max")
-    if xi_step <= 0:
+    if num["xi_step"] <= 0:
         raise ScenarioFormatError("must be positive", field="xi_step")
     try:
-        step_grid(xi_min, xi_max, xi_step)
+        step_grid(num["xi_min"], num["xi_max"], num["xi_step"])
     except DomainError as exc:
         raise ScenarioFormatError(str(exc), field="xi_step") from None
 
-    scenario = Scenario(
+    return Scenario(
         name=name,
         beta_sd_db=beta_sd_db,
-        beta_sr_dhdv_db=float(_want(raw, "beta_sr_dhdv_db", (int, float))),
-        beta_rd_dhdv_db=float(_want(raw, "beta_rd_dhdv_db", (int, float))),
-        carrier_ghz=carrier,
         n_h=n_h,
         n_v=n_v,
-        spacing_over_lambda=spacing,
-        rho_dbm=float(_want(raw, "rho_dbm", (int, float))),
-        sigma2_dbm=float(_want(raw, "sigma2_dbm", (int, float))),
         model=model,
         exp_magnitude=exp_magnitude,
         design=_build_design(raw, n_h * n_v),
-        xi_min=xi_min,
-        xi_max=xi_max,
-        xi_step=xi_step,
+        **num,
     )
-    return scenario
 
 
 def load_scenario(path) -> Scenario:

@@ -1,11 +1,14 @@
 """The acceptance matrix: every release gate as an executable check.
 
-Each criterion returns a CriterionResult; the CLI ``validate`` subcommand and
-the test suite both run these, so the gate is identical everywhere.  MC-based
+Each criterion is a check returning (ok, detail) that ``_criterion`` times,
+holds to its wall-clock limit, turns into a CriterionResult and registers in
+CRITERIA; the CLI ``validate`` subcommand and the test suite both run these,
+so the gate is identical everywhere.  MC-based
 criteria accept trial/seed overrides for quick smoke runs, but the canonical
 gate is the default configuration.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -49,12 +52,32 @@ class CriterionResult:
         return f"[{status}] criterion {self.number}: {self.name} ({self.detail}) [{self.runtime:.1f}s/{self.limit:.0f}s]"
 
 
-def _finish(number, name, start, limit, ok, detail) -> CriterionResult:
-    runtime = time.perf_counter() - start
-    if runtime >= limit:
-        ok = False
-        detail += f"; runtime {runtime:.1f}s exceeded {limit:.0f}s"
-    return CriterionResult(number, name, bool(ok), detail, runtime, limit)
+CRITERIA = {}
+
+
+def _criterion(number: int, name: str, limit: float):
+    """Register a check as criterion ``number`` in CRITERIA.
+
+    The check takes (trials, seed) and returns (ok, detail); the registered
+    criterion times it and returns its CriterionResult, failed also when the
+    check took ``limit`` seconds or more.
+    """
+
+    def register(check):
+        @functools.wraps(check)
+        def criterion(trials=None, seed=None) -> CriterionResult:
+            start = time.perf_counter()
+            ok, detail = check(trials, seed)
+            runtime = time.perf_counter() - start
+            if runtime >= limit:
+                ok = False
+                detail += f"; runtime {runtime:.1f}s exceeded {limit:.0f}s"
+            return CriterionResult(number, name, bool(ok), detail, runtime, limit)
+
+        CRITERIA[number] = criterion
+        return criterion
+
+    return register
 
 
 def _random_psd(gen, n: int) -> CorrelationMatrix:
@@ -80,9 +103,9 @@ def _sinc_square(elements_per_side: int) -> CorrelationMatrix:
     return sinc_correlation(geom)
 
 
-def criterion_1(trials=None, seed=None) -> CriterionResult:
+@_criterion(1, "moment identities", 10.0)
+def criterion_1(trials=None, seed=None):
     """Gamma fit reproduces the matched mean and variance exactly."""
-    start = time.perf_counter()
     worst = 0.0
     for n, beta_sd, r_sr, r_rd, gen in _matrix_pairs():
         for _ in range(10):
@@ -94,12 +117,12 @@ def criterion_1(trials=None, seed=None) -> CriterionResult:
                 abs(gp.mean - mean) / abs(mean),
                 abs(gp.variance - var) / var,
             )
-    return _finish(1, "moment identities", start, 10.0, worst <= 1e-12, f"max rel dev {worst:.2e}")
+    return worst <= 1e-12, f"max rel dev {worst:.2e}"
 
 
-def criterion_2(trials=None, seed=None) -> CriterionResult:
+@_criterion(2, "reduction equivalences", 10.0)
+def criterion_2(trials=None, seed=None):
     """Equal-phase reduction and the dual uniform-phase routes agree exactly."""
-    start = time.perf_counter()
     worst = 0.0
     for n, beta_sd, r_sr, r_rd, gen in _matrix_pairs():
         theta = float(gen.uniform(-np.pi, np.pi))
@@ -115,12 +138,12 @@ def criterion_2(trials=None, seed=None) -> CriterionResult:
         for field in ("mean_trace", "mean_trace_sq", "mean_quad_trace"):
             a, b = getattr(matrix_form, field), getattr(sums, field)
             worst = max(worst, abs(a - b) / max(1e-300, abs(b)))
-    return _finish(2, "reduction equivalences", start, 10.0, worst <= 1e-12, f"max rel dev {worst:.2e}")
+    return worst <= 1e-12, f"max rel dev {worst:.2e}"
 
 
-def criterion_3(trials=None, seed=None) -> CriterionResult:
+@_criterion(3, "phase-expectation oracle", 60.0)
+def criterion_3(trials=None, seed=None):
     """Phase-averaged trace statistics match their Monte-Carlo expectations."""
-    start = time.perf_counter()
     trials = 100_000 if trials is None else trials
     seed = 202 if seed is None else seed
     r = _sinc_square(4)
@@ -142,7 +165,7 @@ def criterion_3(trials=None, seed=None) -> CriterionResult:
         pull = abs(got - want) / se
         ok &= pull <= 3.0
         detail.append(f"{name} pull {pull:.2f}sigma")
-    return _finish(3, "phase-expectation oracle", start, 60.0, ok, ", ".join(detail))
+    return ok, ", ".join(detail)
 
 
 def _mc_curve_gap(scenario, trials, seed):
@@ -153,9 +176,9 @@ def _mc_curve_gap(scenario, trials, seed):
     return float(np.max(gap / bound)), float(np.max(gap))
 
 
-def criterion_4(trials=None, seed=None) -> CriterionResult:
+@_criterion(4, "closed form vs Monte Carlo", 300.0)
+def criterion_4(trials=None, seed=None):
     """Closed form tracks Monte Carlo across the figure-reproduction matrix."""
-    start = time.perf_counter()
     trials = 100_000 if trials is None else trials
     seed = 404 if seed is None else seed
     worst_frac, worst_gap, worst_case = 0.0, 0.0, ""
@@ -169,19 +192,12 @@ def criterion_4(trials=None, seed=None) -> CriterionResult:
                     worst_frac, worst_gap = frac, gap
                     worst_case = f"{sc.name}/{type(design).__name__}"
     ok = worst_frac <= 1.0
-    return _finish(
-        4,
-        "closed form vs Monte Carlo",
-        start,
-        300.0,
-        ok,
-        f"worst gap {worst_gap:.4f} = {worst_frac:.2f}x bound at {worst_case}",
-    )
+    return ok, f"worst gap {worst_gap:.4f} = {worst_frac:.2f}x bound at {worst_case}"
 
 
-def criterion_5(trials=None, seed=None) -> CriterionResult:
+@_criterion(5, "design ordering (blocked direct channel)", 300.0)
+def criterion_5(trials=None, seed=None):
     """Blocked-channel design ordering: uniform > equal > co-phased."""
-    start = time.perf_counter()
     trials = 100_000 if trials is None else trials
     seed = 505 if seed is None else seed
     sc = load_scenario("fig2b")
@@ -230,12 +246,12 @@ def criterion_5(trials=None, seed=None) -> CriterionResult:
             f"pairwise windows ({int(np.sum(w1))}/{int(np.sum(w2))} pts), "
             f"min gaps {m1:.1f}x/{m2:.1f}x requirement"
         )
-    return _finish(5, "design ordering (blocked direct channel)", start, 300.0, ok1 and ok2, detail)
+    return ok1 and ok2, detail
 
 
-def criterion_6(trials=None, seed=None) -> CriterionResult:
+@_criterion(6, "correlation-model ordering", 60.0)
+def criterion_6(trials=None, seed=None):
     """Correlation-model ordering and the direct channel masking it."""
-    start = time.perf_counter()
     blocked = load_scenario("fig2c")
     present = blocked.with_direct_gain_db(-90.0)
     models = ("sinc", "exponential", "uncorrelated")
@@ -254,19 +270,12 @@ def criterion_6(trials=None, seed=None) -> CriterionResult:
     ordering = np.any(window) and bool(np.all(sinc_p[window] <= exp_p[window]))
     ratio = gap_b / gap_p if gap_p > 0 else np.inf
     ok = ordering and ratio >= 5.0
-    return _finish(
-        6,
-        "correlation-model ordering",
-        start,
-        60.0,
-        ok,
-        f"{int(np.sum(window))} window pts, blocked/present gap ratio {ratio:.0f}",
-    )
+    return ok, f"{int(np.sum(window))} window pts, blocked/present gap ratio {ratio:.0f}"
 
 
-def criterion_7(trials=None, seed=None) -> CriterionResult:
+@_criterion(7, "scale-derivative closed form", 5.0)
+def criterion_7(trials=None, seed=None):
     """Closed-form scale derivative against central finite differences."""
-    start = time.perf_counter()
     shapes = np.logspace(np.log10(0.2), np.log10(20.0), 10)
     scales = np.logspace(-1.0, 1.0, 10)
     ratios = np.logspace(-1.0, 1.0, 10)
@@ -285,12 +294,12 @@ def criterion_7(trials=None, seed=None) -> CriterionResult:
                 ) / (2.0 * h)
                 worst = max(worst, abs(closed - fd) / abs(closed))
     ok = worst <= 1e-5 and all_negative
-    return _finish(7, "scale-derivative closed form", start, 5.0, ok, f"max rel dev {worst:.2e}")
+    return ok, f"max rel dev {worst:.2e}"
 
 
-def criterion_8(trials=None, seed=None) -> CriterionResult:
+@_criterion(8, "equal-phase asymptotics", 30.0)
+def criterion_8(trials=None, seed=None):
     """Equal phases dominate and the fit tightens as the surface grows."""
-    start = time.perf_counter()
     gen = np.random.default_rng(808)
     shapes, scale_gaps, bounds_ok = [], [], []
     for side in (4, 8, 12, 16, 20):
@@ -305,20 +314,15 @@ def criterion_8(trials=None, seed=None) -> CriterionResult:
     toward_one = np.all(np.diff(np.abs(shapes - 1.0)) < 0) and np.all(shapes < 1.0)
     gaps_down = np.all(np.diff(scale_gaps) < 0)
     ok = bool(toward_one and gaps_down and all(bounds_ok))
-    return _finish(
-        8,
-        "equal-phase asymptotics",
-        start,
-        30.0,
-        ok,
+    return ok, (
         f"shape {shapes[0]:.3f}->{shapes[-1]:.3f}, scale gap {scale_gaps[0]:.2f}->{scale_gaps[-1]:.2f}, "
-        f"bound {'held' if all(bounds_ok) else 'violated'}",
+        f"bound {'held' if all(bounds_ok) else 'violated'}"
     )
 
 
-def criterion_9(trials=None, seed=None) -> CriterionResult:
+@_criterion(9, "special-function identities", 1.0)
+def criterion_9(trials=None, seed=None):
     """Special-function identities for the regularized upper gamma."""
-    start = time.perf_counter()
     xs = np.linspace(0.0, 50.0, 501)
     worst = 0.0
     for x in xs:
@@ -336,12 +340,12 @@ def criterion_9(trials=None, seed=None) -> CriterionResult:
                 total += term
             refm = math.exp(-x) * total
             worst = max(worst, abs(qm - refm) / refm)
-    return _finish(9, "special-function identities", start, 1.0, worst <= 1e-12, f"max rel dev {worst:.2e}")
+    return worst <= 1e-12, f"max rel dev {worst:.2e}"
 
 
-def criterion_10(trials=None, seed=None) -> CriterionResult:
+@_criterion(10, "outage surface", 5.0)
+def criterion_10(trials=None, seed=None):
     """The outage surface: exact spot value and monotonicity in both axes."""
-    start = time.perf_counter()
     spot = outage_probability(GammaParams(1.0, 2.0), 2.0)
     spot_ok = abs(spot - (1.0 - math.exp(-1.0))) <= 1e-12
     ka = np.arange(0.25, 5.0001, 0.25)
@@ -350,28 +354,9 @@ def criterion_10(trials=None, seed=None) -> CriterionResult:
     down_in_scale = np.all(np.diff(surf, axis=1) < 0)
     down_in_shape = np.all(np.diff(surf, axis=0) < 0)
     ok = bool(spot_ok and down_in_scale and down_in_shape)
-    return _finish(
-        10,
-        "outage surface",
-        start,
-        5.0,
-        ok,
-        f"spot dev {abs(spot - (1.0 - math.exp(-1.0))):.1e}, monotone={down_in_scale and down_in_shape}",
+    return ok, (
+        f"spot dev {abs(spot - (1.0 - math.exp(-1.0))):.1e}, monotone={down_in_scale and down_in_shape}"
     )
-
-
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
 
 
 def run_criteria(numbers=None, trials=None, seed=None):

@@ -51,3 +51,20 @@ def test_criterion_09_special_functions():
 
 def test_criterion_10_outage_surface():
     _run(10)
+
+
+def test_criteria_registry_is_complete():
+    assert sorted(validation.CRITERIA) == list(range(1, 11))
+    for number, criterion in validation.CRITERIA.items():
+        assert criterion.__name__ == f"criterion_{number}"
+        assert criterion.__module__ == "irslink.validation"
+        assert criterion is getattr(validation, f"criterion_{number}")
+
+
+def test_criterion_fails_on_its_runtime_limit(monkeypatch):
+    clock = iter(range(0, 10**6, 1000))
+    monkeypatch.setattr(validation.time, "perf_counter", lambda: float(next(clock)))
+    result = validation.criterion_10()
+    assert result.passed is False
+    assert result.runtime == 1000.0
+    assert result.detail.endswith("exceeded 5s")

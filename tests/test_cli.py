@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import subprocess
@@ -6,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import irslink.curves as curves_module
+from irslink import cli
 from irslink.curves import read_curve_csv
 
+from test_curves import _FullDisk
 from test_scenario import make
 
 
@@ -92,6 +96,14 @@ def test_surface_grid_is_bounded(tmp_path, args):
     assert not out.exists()
 
 
+def test_nan_threshold_is_input_error(tmp_path):
+    out = tmp_path / "surface.csv"
+    result = run_cli("surface", "--z", "nan", "--out", str(out))
+    assert result.returncode == 2
+    assert "threshold must be >= 0" in result.stderr
+    assert not out.exists()
+
+
 def test_curve_grid_is_bounded(tmp_path):
     scenario_path = tmp_path / "fine.json"
     scenario_path.write_text(json.dumps(make(xi_max=8.0, xi_step=1e-6)))
@@ -170,6 +182,36 @@ def test_validate_fast_subset(tmp_path):
     assert len(lines) == 4
     assert all(l.startswith("[PASS]") for l in lines)
     assert report.read_text().count("criterion") == 4
+
+
+def test_validate_report_survives_a_failed_write(tmp_path, monkeypatch, capsys):
+    report = tmp_path / "report.txt"
+    report.write_text("previous\n")
+    monkeypatch.setattr(
+        curves_module, "open", lambda *a, **k: _FullDisk(builtins.open(*a, **k)), raising=False
+    )
+    assert cli.main(["validate", "--only", "10", "--out", str(report)]) == 2
+    assert "No space" in capsys.readouterr().err
+    assert report.read_text() == "previous\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["report.txt"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compare", "--scenario", "fig2c", "--trials", "0", "--models", ","),
+        ("validate", "--only", ","),
+        ("validate", "--only", ""),
+    ],
+    ids=["compare-models", "validate-only", "validate-only-blank"],
+)
+def test_empty_selection_is_input_error(tmp_path, args):
+    out = tmp_path / "empty.csv"
+    result = run_cli(*args, "--out", str(out))
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "names no" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists() and not result.stdout
 
 
 def test_validate_rejects_unknown_criterion():

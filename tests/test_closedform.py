@@ -78,6 +78,13 @@ def test_parameter_validation():
         params(xi=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["beta_sd", "rho", "sigma2", "xi"])
+def test_non_finite_parameters_rejected(key, value):
+    with pytest.raises(DomainError, match="must be finite"):
+        params(**{key: value})
+
+
 # --- Regularized upper incomplete gamma -------------------------------------
 
 
@@ -351,8 +358,39 @@ def test_sensitivity_domain():
         outage_scale_sensitivity(GammaParams(1.0, 1.0), -1.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, np.array([0.5, math.nan]), np.array([-1.0, 2.0])])
+def test_outage_rejects_nan_and_negative_thresholds(z):
+    with pytest.raises(DomainError, match="SNR threshold"):
+        outage_probability(GammaParams(1.0, 1.0), z)
+
+
+def test_sensitivity_rejects_nan_threshold():
+    with pytest.raises(DomainError, match="SNR threshold"):
+        outage_scale_sensitivity(GammaParams(1.0, 1.0), math.nan)
+
+
 def test_gamma_params_validated():
     with pytest.raises(DomainError):
         GammaParams(0.0, 1.0)
     with pytest.raises(DomainError):
         GammaParams(1.0, -2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("which", ["shape", "scale"])
+def test_non_finite_gamma_params_rejected(which, bad):
+    with pytest.raises(DomainError, match="positive and finite"):
+        GammaParams(**{"shape": 1.0, "scale": 1.0, which: bad})
+
+
+@pytest.mark.parametrize("fit", ["fixed", "equal", "uniform"])
+def test_each_fit_rejects_a_negative_or_nan_direct_gain(fit):
+    r = scalar_matrix(0.5, 2)
+    call = {
+        "fixed": lambda b: gamma_fit(b, r, r, np.ones(2)),
+        "equal": lambda b: gamma_fit_equal_phase(b, r, r),
+        "uniform": lambda b: gamma_fit_uniform_phase(b, r, r),
+    }[fit]
+    for bad in (-0.1, math.nan):
+        with pytest.raises(DomainError, match="direct-link gain"):
+            call(bad)

@@ -174,6 +174,15 @@ def test_surface_rejects_bad_grids():
         run_surface([1.0], [np.nan, 1.0], 2.0)
     with pytest.raises(DomainError):
         run_surface([1.0], [1.0], -1.0)
+    with pytest.raises(DomainError):
+        run_surface([1.0], [1.0], np.nan)
+
+
+def test_compare_csv_needs_a_model(tmp_path):
+    path = tmp_path / "cmp.csv"
+    with pytest.raises(DomainError, match="at least one model"):
+        write_compare_csv({}, path)
+    assert not path.exists()
 
 
 def test_compare_blocked_orders_models(tmp_path):

@@ -48,6 +48,21 @@ def test_fixed_length_mismatch():
         phase_vector(Fixed(np.zeros(3)), 4)
 
 
+@pytest.mark.parametrize(
+    "make_design",
+    [
+        Equal,
+        lambda v: Fixed([v, 0.0]),
+        lambda v: Fixed(np.array([0.0, v, 1.0])),
+    ],
+    ids=["equal", "fixed-list", "fixed-array"],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_angles_are_domain_errors(make_design, value):
+    with pytest.raises(DomainError, match="phase angles must be finite"):
+        make_design(value)
+
+
 def test_uniform_random_stream():
     v = phase_vector(UniformRandom(42), 10_000)
     assert np.max(np.abs(np.abs(v) - 1.0)) <= 1e-14
