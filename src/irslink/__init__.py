@@ -43,6 +43,7 @@ from .montecarlo import (
     ChannelRealization,
     McEstimate,
     SampleMoments,
+    channel_blocks,
     cophased_phases,
     effective_gain,
     estimate_outage,

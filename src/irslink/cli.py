@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from . import __version__
-from .curves import run_compare, run_curve, run_surface, write_compare_csv, write_curve_csv, write_lines, write_surface_csv
+from .curves import check_target, run_compare, run_curve, run_surface, write_compare_csv, write_curve_csv, write_lines, write_surface_csv
 from .errors import IrsLinkError
 from .scenario import MODELS, load_scenario, step_grid
 from .validation import run_criteria
@@ -70,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
-    curve = run_curve(scenario, trials=args.trials, seed=args.seed)
     out = args.out or f"{scenario.name}_curve.csv"
+    check_target(out)
+    curve = run_curve(scenario, trials=args.trials, seed=args.seed)
     write_curve_csv(curve, out)
     print(f"wrote {len(curve.xi)} rows to {out}")
     return EXIT_OK
@@ -80,8 +81,9 @@ def _cmd_curve(args) -> int:
 def _cmd_surface(args) -> int:
     ka = step_grid(args.ka_min, args.ka_max, args.ka_step)
     wa = step_grid(args.wa_min, args.wa_max, args.wa_step)
-    values = run_surface(ka, wa, args.z)
     out = args.out or "surface.csv"
+    check_target(out)
+    values = run_surface(ka, wa, args.z)
     write_surface_csv(ka, wa, values, args.z, out)
     print(f"wrote {values.shape[0]}x{values.shape[1]} surface to {out}")
     return EXIT_OK
@@ -95,8 +97,9 @@ def _cmd_compare(args) -> int:
     unknown = [m for m in models if m not in MODELS]
     if unknown:
         raise IrsLinkError(f"unknown model {unknown[0]!r}; choose from {MODELS}")
-    curves = run_compare(scenario, models, trials=args.trials, seed=args.seed)
     out = args.out or f"{scenario.name}_compare.csv"
+    check_target(out)
+    curves = run_compare(scenario, models, trials=args.trials, seed=args.seed)
     write_compare_csv(curves, out)
     print(f"wrote {len(models)} curves to {out}")
     return EXIT_OK
@@ -116,6 +119,8 @@ def _cmd_validate(args) -> int:
             raise IrsLinkError(f"no criterion {bad[0]}; valid numbers are 1..10")
     if args.trials is not None and args.trials <= 0:
         raise IrsLinkError("validate needs a positive trial count")
+    if args.out:
+        check_target(args.out)
     results = run_criteria(numbers, trials=args.trials, seed=args.seed)
     lines = [r.line() for r in results]
     for line in lines:

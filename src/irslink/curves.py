@@ -5,6 +5,7 @@ them once and sweeps only the threshold; likewise the Monte-Carlo gains are
 drawn once per curve and compared against every threshold on the grid.
 """
 
+import errno
 import os
 import secrets
 from dataclasses import dataclass, fields
@@ -143,9 +144,23 @@ def _escape(value: str) -> str:
     )
 
 
+def check_target(path) -> None:
+    """Raise the OSError that ``write_lines(path, ...)`` would meet at its
+    first step when ``path``'s directory is missing or not writable, so a
+    caller can refuse a target before doing the work that fills it."""
+    path = os.fspath(path)
+    head = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(head):
+        code = errno.ENOTDIR if os.path.exists(head) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    if not os.access(head, os.W_OK | os.X_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def write_lines(path, lines) -> None:
     """Write the lines to a temporary file beside ``path``, then rename it
-    over ``path``: a failed write leaves any previous file untouched."""
+    over ``path``: a failed write leaves any previous file untouched.  An
+    OSError about the temporary file is raised again naming ``path``."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
@@ -153,9 +168,11 @@ def write_lines(path, lines) -> None:
         with open(tmp, "x") as fh:
             fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

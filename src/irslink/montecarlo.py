@@ -11,12 +11,12 @@ then 2N for the surface-destination vector, Box-Muller throughout), so
 trials are order-independent units of work and every estimate is a pure
 function of (scenario, design, trials, seed).
 
-Engine: one block kernel serves every caller.  gain_samples runs blocks of
-up to 64 trials: it repositions the stream once per trial and writes that
-trial's uniforms into one row of a buffer; Box-Muller, the projection
-through the two covariance factors (one matrix product each), the design's
-phases for the block and the gain, taken as re^2 + im^2, then run on the
-whole block.
+Engine: one block kernel serves every caller.  channel_blocks draws blocks
+of up to 64 trials: it repositions the stream once per trial and writes that
+trial's uniforms into one row of a buffer; Box-Muller and the projection
+through the two covariance factors (one matrix product each) then run on the
+whole block.  gain_samples iterates those blocks and applies the design's
+phases for the block and the gain, taken as re^2 + im^2.
 The public per-trial operations (sample_channels, cophased_phases,
 effective_gain) are views of the same kernel and the same reductions on a
 single row, so chaining them reproduces gain_samples bit for bit.  A lone
@@ -133,6 +133,30 @@ def _gains(h_sd, h_sr, phases, h_rd):
     return x.real * x.real + x.imag * x.imag
 
 
+def _checked_size(l_sr, l_rd) -> int:
+    n = l_sr.shape[0]
+    if l_sr.shape != (n, n) or l_rd.shape != (n, n):
+        raise DomainError("covariance factors must be square and of equal size")
+    return n
+
+
+def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int, trials: int):
+    """Yield (start, h_sd, h_sr, h_rd) for trials 0..trials-1, in blocks of up to 64 trials.
+
+    Row r of a block is trial start + r: h_sd has one entry per trial, h_sr
+    and h_rd one row of N.  Each row equals sample_channels(..., start + r)
+    bit for bit; l_sr and l_rd are as there.
+    """
+    n = _checked_size(l_sr, l_rd)
+    streams = rng.StreamFamily(seed)
+    for start in range(0, trials, _BLOCK):
+        count = min(_BLOCK, trials - start)
+        u = np.empty((count, 2 + 4 * n))
+        for r in range(count):
+            streams.get(rng.DOMAIN_CHANNEL, start + r).random(out=u[r])
+        yield (start, *_channel_block(beta_sd, l_sr, l_rd, u))
+
+
 def sample_channels(
     beta_sd: float,
     l_sr: np.ndarray,
@@ -146,9 +170,7 @@ def sample_channels(
     correlation.matrix_sqrt); the surface vectors are L @ g with g a standard
     complex Gaussian vector.
     """
-    n = l_sr.shape[0]
-    if l_sr.shape != (n, n) or l_rd.shape != (n, n):
-        raise DomainError("covariance factors must be square and of equal size")
+    n = _checked_size(l_sr, l_rd)
     u = rng.stream(seed, rng.DOMAIN_CHANNEL, trial_index).random(2 + 4 * n)
     h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, u)
     return ChannelRealization(h_sd=complex(h_sd), h_sr=h_sr, h_rd=h_rd)
@@ -187,18 +209,11 @@ def gain_samples(
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     design = checked_design(design)
-    n = r_sr.n
-    l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
-    block_phases = design.block_phases(n)
-    channel_streams = rng.StreamFamily(seed)
+    block_phases = design.block_phases(r_sr.n)
     gains = np.empty(trials)
-    for start in range(0, trials, _BLOCK):
-        count = min(_BLOCK, trials - start)
-        u = np.empty((count, 2 + 4 * n))
-        for r in range(count):
-            channel_streams.get(rng.DOMAIN_CHANNEL, start + r).random(out=u[r])
-        h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, u)
-        gains[start : start + count] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
+    l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
+    for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, l_sr, l_rd, seed, trials):
+        gains[start : start + h_sd.shape[0]] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
     return gains
 
 

@@ -9,7 +9,13 @@ Each design class answers for itself: its schema ``kind`` and
 Gamma fit (``gamma_fit``, None for co-phasing) and, for one simulator run
 over n elements, ``block_phases(n)``: a function that maps a block of trials
 (start, h_sd, h_sr, h_rd), one trial per row, to the phases of draws start,
-start+1, ...
+start+1, ...  ``UniformRandom.phase_draws(n)`` is the one block draw of random
+phases; the simulator and acceptance criterion 3 both use it.
+
+``cascade_matrix`` and ``cascade_traces`` take one phase vector (N,) or a
+stack of them (B, N), one vector per row.  Row b of a stacked call equals the
+one-vector call on row b bit for bit, and a bad row raises the error that
+call would raise.
 """
 
 from dataclasses import dataclass
@@ -105,16 +111,26 @@ class UniformRandom:
     def gamma_fit(self, beta_sd, r_sr, r_rd):
         return closedform.gamma_fit_uniform_phase(beta_sd, r_sr, r_rd)
 
-    def block_phases(self, n: int):
-        streams = rng.StreamFamily(self.seed)  # one per run: its gets reposition, not re-key
+    def phase_draws(self, n: int):
+        """A function (start, count) -> the phases of draws start..start+count-1, one per row.
 
-        def draws(start, h_sd, h_sr, h_rd):
-            thetas = np.empty((h_sr.shape[0], n))
-            for r in range(thetas.shape[0]):
+        Row i equals ``phases(n, start + i)`` bit for bit.  The function keys
+        one StreamFamily and repositions it for every draw, so a caller keeps
+        it for a whole run instead of re-keying a Philox per draw.
+        """
+        streams = rng.StreamFamily(self.seed)
+
+        def draw(start: int, count: int) -> np.ndarray:
+            thetas = np.empty((count, n))
+            for r in range(count):
                 thetas[r] = streams.get(rng.DOMAIN_PHASE, start + r).uniform(-np.pi, np.pi, n)
             return np.exp(1j * thetas)
 
-        return draws
+        return draw
+
+    def block_phases(self, n: int):
+        draw = self.phase_draws(n)
+        return lambda start, h_sd, h_sr, h_rd: draw(start, h_sr.shape[0])
 
 
 @dataclass(frozen=True)
@@ -178,32 +194,60 @@ def cascade_matrix(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     """R_rd P^H R_sr P for diagonal phase matrix P given by its diagonal.
 
     Scales rows/columns of R_sr by the phases (O(N^2)) and applies one
-    matrix product; the phase matrix is never formed densely.
+    matrix product; the phase matrix is never formed densely.  A stack of
+    phase vectors (B, N) gives the (B, N, N) stack of cascade matrices, one
+    matrix product per row.
     """
     n = r_rd.n
     phases = np.asarray(phases, dtype=np.complex128)
-    if r_sr.n != n or phases.shape != (n,):
+    if r_sr.n != n or phases.ndim not in (1, 2) or phases.shape[-1] != n:
         raise DomainError(
             f"dimension mismatch: r_rd {r_rd.n}, r_sr {r_sr.n}, phases {phases.shape}"
         )
-    inner = (np.conj(phases)[:, None] * r_sr.entries) * phases[None, :]
+    inner = (np.conj(phases)[..., :, None] * r_sr.entries) * phases[..., None, :]
     return r_rd.entries @ inner
+
+
+def _real_traces(t_lin: complex, t_quad: complex):
+    """One pair of cascade traces as floats, after the realness and sign checks."""
+    t_lin = real_trace(t_lin, "cascade trace")
+    t_quad = real_trace(t_quad, "squared-cascade trace")
+    if t_lin < -TRACE_NEG_TOL or t_quad < -TRACE_NEG_TOL:
+        raise InternalConsistencyError(
+            f"cascade traces must be nonnegative, got {t_lin:.3e}, {t_quad:.3e}"
+        )
+    return t_lin, t_quad
+
+
+def _fails_real_trace(values: np.ndarray) -> np.ndarray:
+    """Where ``real_trace`` would raise, element by element, in its arithmetic."""
+    return np.abs(values.imag) > TRACE_IMAG_TOL * np.maximum(1.0, np.abs(values.real))
 
 
 def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.ndarray):
     """The two invariants of the cascade matrix that drive every closed form.
 
     Returns (trace, trace of the square); both are provably real and
-    nonnegative for PSD inputs, which is asserted.
+    nonnegative for PSD inputs, which is asserted.  One phase vector gives
+    two floats; a stack (B, N) gives two length-B arrays whose row b equals
+    the one-vector call on phases[b] bit for bit, and the first row that
+    fails a check raises the error that call would raise.
     """
     c = cascade_matrix(r_rd, r_sr, phases)
-    t_lin = real_trace(complex(np.trace(c)), "cascade trace")
-    t_quad = real_trace(complex(np.sum(c * c.T)), "squared-cascade trace")
-    if t_lin < -TRACE_NEG_TOL or t_quad < -TRACE_NEG_TOL:
-        raise InternalConsistencyError(
-            f"cascade traces must be nonnegative, got {t_lin:.3e}, {t_quad:.3e}"
-        )
-    return t_lin, t_quad
+    t_lin = np.trace(c, axis1=-2, axis2=-1)
+    t_quad = (c * np.swapaxes(c, -1, -2)).reshape(c.shape[:-2] + (-1,)).sum(axis=-1)
+    if c.ndim == 2:
+        return _real_traces(complex(t_lin), complex(t_quad))
+    bad = (
+        _fails_real_trace(t_lin)
+        | _fails_real_trace(t_quad)
+        | (t_lin.real < -TRACE_NEG_TOL)
+        | (t_quad.real < -TRACE_NEG_TOL)
+    )
+    if bad.any():
+        first = int(np.argmax(bad))
+        _real_traces(complex(t_lin[first]), complex(t_quad[first]))  # raises that row's error
+    return t_lin.real, t_quad.real
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .scenario import load_scenario
 
 QUARTER_TURN = math.pi / 4.0
 _DESIGN_SEED = 9001  # phase seed of the uniform-random design used in MC criteria
+_TRACE_CHUNK = 1024  # phase draws per stacked trace call in criterion 3: 4 MB per (B, 16, 16) stack
 
 
 @dataclass(frozen=True)
@@ -147,11 +148,12 @@ def criterion_3(trials=None, seed=None):
     trials = 100_000 if trials is None else trials
     seed = 202 if seed is None else seed
     r = _sinc_square(4)
-    design = UniformRandom(seed)
+    draw = UniformRandom(seed).phase_draws(r.n)
     t_lin = np.empty(trials)
     t_quad = np.empty(trials)
-    for i in range(trials):
-        t_lin[i], t_quad[i] = cascade_traces(r, r, phase_vector(design, r.n, draw_index=i))
+    for start in range(0, trials, _TRACE_CHUNK):
+        stop = min(start + _TRACE_CHUNK, trials)
+        t_lin[start:stop], t_quad[start:stop] = cascade_traces(r, r, draw(start, stop - start))
     moments = uniform_phase_trace_moments(r, r)
     checks = [
         ("trace", np.mean(t_lin), np.std(t_lin, ddof=1), moments.mean_trace),
@@ -320,9 +322,14 @@ def criterion_8(trials=None, seed=None):
     )
 
 
+def _rel_dev(got, ref) -> float:
+    return float(np.max(np.abs(got - ref) / np.maximum(ref, 5e-324)))
+
+
 @_criterion(9, "special-function identities", 1.0)
 def criterion_9(trials=None, seed=None):
-    """Special-function identities for the regularized upper gamma."""
+    """Special-function identities for the regularized upper gamma and, through
+    ``outage_probability``, the regularized lower gamma."""
     xs = np.linspace(0.0, 50.0, 501)
     worst = 0.0
     for x in xs:
@@ -340,6 +347,18 @@ def criterion_9(trials=None, seed=None):
                 total += term
             refm = math.exp(-x) * total
             worst = max(worst, abs(qm - refm) / refm)
+    # Lower tail, over the whole grid per shape: P(m, x) = e^-x sum_{j>=m} x^j/j!
+    # (terms past j = 200 are below e^-130 of the sum for x <= 50) and P(1/2, x) = erf(sqrt(x)).
+    terms = np.empty((201, xs.size))
+    terms[0] = 1.0
+    for j in range(1, terms.shape[0]):
+        terms[j] = terms[j - 1] * xs / j
+    tails = np.cumsum(terms[::-1], axis=0)[::-1]  # tails[m] sums j >= m, smallest terms first
+    for m in (1, 2, 3, 5, 10):
+        lower = outage_probability(GammaParams(float(m), 1.0), xs)
+        worst = max(worst, _rel_dev(lower, np.exp(-xs) * tails[m]))
+    lower_half = outage_probability(GammaParams(0.5, 1.0), xs)
+    worst = max(worst, _rel_dev(lower_half, np.array([math.erf(math.sqrt(x)) for x in xs])))
     return worst <= 1e-12, f"max rel dev {worst:.2e}"
 
 

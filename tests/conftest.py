@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irslink.correlation import ArrayGeometry, matrix_sqrt, sinc_correlation
-from irslink.montecarlo import effective_gain, sample_channels
+from irslink.montecarlo import channel_blocks, effective_gain, sample_channels
 from irslink.phaseshift import Equal, phase_vector
 
 WAVELENGTH = 0.1  # 3 GHz carrier, meters
@@ -24,25 +24,33 @@ def sinc16():
 def heavy_mc(sinc16):
     """One million trials of the N=16 planar model with a common quarter-turn phase.
 
-    Drawn through the public per-trial operations so it doubles as the oracle
-    for the closed-form moments, the direct-channel power and the sample
-    covariance of the surface channel.
+    Drawn through the simulator's channel blocks, with the gain recomputed
+    here from its definition, so it doubles as the oracle for the
+    closed-form moments, the direct-channel power and the sample covariance
+    of the surface channel.  A prefix is checked bit for bit against the
+    public per-trial operations.
     """
     beta_sd = 1.0
     trials = 1_000_000
     cov_trials = 100_000
+    prefix = 200  # three full 64-trial blocks and part of a fourth
     seed = 321
     factor = matrix_sqrt(sinc16)
     phases = phase_vector(Equal(np.pi / 4), sinc16.n)
     gains = np.empty(trials)
     hsd_power = 0.0
     cov = np.zeros((sinc16.n, sinc16.n), dtype=complex)
-    for i in range(trials):
+    for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, factor, factor, seed, trials):
+        # |h_sd + sum_n conj(h_sr[n]) phases[n] h_rd[n]|^2, as re^2 + im^2
+        x = h_sd + (np.conj(h_sr) * phases * h_rd).sum(axis=-1)
+        gains[start : start + h_sd.shape[0]] = x.real * x.real + x.imag * x.imag
+        hsd_power += float(np.sum(np.abs(h_sd) ** 2))
+        if start < cov_trials:
+            h = h_sr[: cov_trials - start]
+            cov += h.T @ np.conj(h)
+    for i in range(prefix):
         ch = sample_channels(beta_sd, factor, factor, seed, i)
-        gains[i] = effective_gain(ch, phases)
-        hsd_power += abs(ch.h_sd) ** 2
-        if i < cov_trials:
-            cov += np.outer(ch.h_sr, np.conj(ch.h_sr))
+        assert effective_gain(ch, phases) == gains[i], f"trial {i} differs from the per-trial ops"
     return {
         "r": sinc16,
         "beta_sd": beta_sd,

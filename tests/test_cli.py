@@ -197,6 +197,38 @@ def test_validate_report_survives_a_failed_write(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, work",
+    [
+        (("curve", "--scenario", "fig2a", "--trials", "20000"), "run_curve"),
+        (("compare", "--scenario", "fig2c", "--trials", "20000"), "run_compare"),
+        (("validate", "--only", "3,4"), "run_criteria"),
+        (("surface",), "run_surface"),
+    ],
+    ids=["curve", "compare", "validate", "surface"],
+)
+def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys, args, work):
+    def must_not_run(*a, **k):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli, work, must_not_run)
+    target = tmp_path / "nodir" / "x.csv"
+    assert cli.main([*args, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{target}'" in err
+    (tmp_path / "file").write_text("")
+    assert cli.main([*args, "--out", str(tmp_path / "file" / "x.csv")]) == 2
+    assert "Not a directory" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["file"]
+
+
+def test_missing_out_directory_is_input_error(tmp_path):
+    result = run_cli("curve", "--scenario", "fig2a", "--trials", "20000", "--out", "nodir/x.csv", cwd=tmp_path)
+    assert result.returncode == 2
+    assert "No such file or directory: 'nodir/x.csv'" in result.stderr
+    assert not result.stdout and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("compare", "--scenario", "fig2c", "--trials", "0", "--models", ","),

@@ -9,12 +9,14 @@ import irslink.curves as curves_module
 from irslink.closedform import GammaParams, gamma_fit_uniform_phase, outage_probability
 from irslink.curves import (
     OutageCurve,
+    check_target,
     read_curve_csv,
     run_compare,
     run_curve,
     run_surface,
     write_compare_csv,
     write_curve_csv,
+    write_lines,
     write_surface_csv,
 )
 from irslink.errors import DomainError
@@ -119,6 +121,27 @@ def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch, writer):
     monkeypatch.undo()
     write(path)
     assert path.read_text().startswith("# irslink")
+
+
+def test_write_errors_name_the_target(tmp_path, monkeypatch):
+    target = tmp_path / "nodir" / "x.csv"
+    with pytest.raises(FileNotFoundError) as missing:
+        write_lines(target, ["a"])
+    assert missing.value.filename == str(target)
+    assert ".tmp" not in str(missing.value)
+    with pytest.raises(FileNotFoundError, match="x.csv") as early:
+        check_target(target)
+    assert str(early.value) == str(missing.value)
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src, dst)
+
+    monkeypatch.setattr(curves_module.os, "replace", refuse)
+    path = tmp_path / "out.csv"
+    with pytest.raises(PermissionError) as denied:
+        write_lines(path, ["a"])
+    assert denied.value.filename == str(path) and denied.value.filename2 is None
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_round_trip_with_nan_columns(tmp_path):

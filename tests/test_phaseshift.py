@@ -1,10 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from irslink.closedform import gamma_fit, gamma_fit_equal_phase, gamma_fit_uniform_phase
-from irslink.correlation import CorrelationMatrix, identity_correlation
+from irslink.closedform import (
+    gamma_fit,
+    gamma_fit_equal_phase,
+    gamma_fit_uniform_phase,
+    uniform_phase_trace_moments,
+)
+from irslink.correlation import ArrayGeometry, CorrelationMatrix, identity_correlation, sinc_correlation
 from irslink.curves import run_curve
-from irslink.errors import ContractViolationError, DomainError
+from irslink.errors import ContractViolationError, DomainError, InternalConsistencyError
 from irslink.montecarlo import gain_samples
 from irslink.phaseshift import (
     Equal,
@@ -17,6 +24,7 @@ from irslink.phaseshift import (
     phase_vector,
 )
 from irslink.scenario import DESIGNS, load_scenario
+from irslink.validation import criterion_3
 
 from conftest import square_sinc
 
@@ -124,6 +132,89 @@ def test_block_phases_are_the_per_draw_phase_vectors():
         block = np.broadcast_to(design.block_phases(6)(130, h[:, 0], h, h), h.shape)
         for r in range(3):
             assert np.array_equal(block[r], phase_vector(design, 6, draw_index=130 + r))
+
+
+def test_uniform_block_draws_are_the_per_draw_phase_vectors():
+    design = UniformRandom(77)
+    draw = design.phase_draws(16)
+    # Chunks of 5, 130 and 3 cross the simulator's 64-trial blocks; a later call may start anywhere.
+    rows = np.concatenate([draw(0, 5), draw(5, 130), draw(135, 3)])
+    assert rows.shape == (138, 16)
+    for i in range(138):
+        assert np.array_equal(rows[i], phase_vector(design, 16, draw_index=i))
+    assert np.array_equal(draw(3, 2), rows[3:5])
+    assert np.array_equal(draw(1000, 1)[0], phase_vector(design, 16, draw_index=1000))
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+def test_stacked_traces_equal_per_row_traces(n):
+    gen = np.random.default_rng(n)
+    r_sr, r_rd = random_psd(gen, n), random_psd(gen, n)
+    fixed = np.stack([phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n) for _ in range(7)])
+    for stack in (fixed, UniformRandom(19).phase_draws(n)(40, 70)):
+        t_lin, t_quad = cascade_traces(r_rd, r_sr, stack)
+        assert t_lin.shape == t_quad.shape == (stack.shape[0],)
+        for b, phases in enumerate(stack):
+            assert (t_lin[b], t_quad[b]) == cascade_traces(r_rd, r_sr, phases)
+            # The one-vector route keeps its arithmetic: trace, then a pairwise sum of c * c^T.
+            c = r_rd.entries @ ((np.conj(phases)[:, None] * r_sr.entries) * phases[None, :])
+            assert (t_lin[b], t_quad[b]) == (np.trace(c).real, np.sum(c * c.T).real)
+        assert np.array_equal(cascade_matrix(r_rd, r_sr, stack)[2], cascade_matrix(r_rd, r_sr, stack[2]))
+
+
+def _diagonal(values):
+    """A stand-in for a correlation matrix, unchecked: R = diag(values)."""
+    return SimpleNamespace(n=len(values), entries=np.diag(np.asarray(values, dtype=complex)))
+
+
+@pytest.mark.parametrize(
+    "r_rd, message",
+    [(_diagonal([1.0, 1j]), "cascade trace should be real"), (_diagonal([1.0, -2.0]), "must be nonnegative")],
+    ids=["imaginary", "negative"],
+)
+def test_stacked_traces_raise_the_per_call_error(r_rd, message):
+    # With R_sr = I and R_rd diagonal, tr = sum_i d_i |p_i|^2: rows with p_2 = 0 pass, p_2 = 1 fails.
+    r_sr = identity_correlation(2)
+    good, bad = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+    with pytest.raises(InternalConsistencyError, match=message) as per_call:
+        cascade_traces(r_rd, r_sr, bad)
+    with pytest.raises(InternalConsistencyError) as stacked:
+        cascade_traces(r_rd, r_sr, np.stack([good, good, bad, good]))
+    assert str(stacked.value) == str(per_call.value)
+    assert cascade_traces(r_rd, r_sr, np.stack([good, good]))[0].tolist() == [1.0, 1.0]
+
+
+def test_stacked_traces_report_the_first_bad_row():
+    r_sr = identity_correlation(2)
+    r_rd = _diagonal([1.0, -2.0 + 1j])
+    rows = np.array([[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]])  # tr = 1, 0.5 + 0.25j, -1 + 1j
+    with pytest.raises(InternalConsistencyError) as per_call:
+        cascade_traces(r_rd, r_sr, rows[1])
+    with pytest.raises(InternalConsistencyError) as stacked:
+        cascade_traces(r_rd, r_sr, rows)
+    assert str(stacked.value) == str(per_call.value)
+
+
+@pytest.mark.parametrize("seed", [202, 317])
+def test_criterion_3_matches_a_per_call_loop(seed):
+    """The chunked gate gives the detail of the per-draw loop it replaced."""
+    trials = 3000
+    r = sinc_correlation(ArrayGeometry(4, 4, 0.1 / 40.0, 0.1 / 40.0, 0.1))
+    design = UniformRandom(seed)
+    t_lin, t_quad = np.empty(trials), np.empty(trials)
+    for i in range(trials):
+        t_lin[i], t_quad[i] = cascade_traces(r, r, phase_vector(design, r.n, draw_index=i))
+    moments = uniform_phase_trace_moments(r, r)
+    checks = [
+        ("trace", np.mean(t_lin), np.std(t_lin, ddof=1), moments.mean_trace),
+        ("trace^2", np.mean(t_lin**2), np.std(t_lin**2, ddof=1), moments.mean_trace_sq),
+        ("quad trace", np.mean(t_quad), np.std(t_quad, ddof=1), moments.mean_quad_trace),
+    ]
+    pulls = [abs(got - want) / (sd / np.sqrt(trials)) for _, got, sd, want in checks]
+    detail = ", ".join(f"{name} pull {pull:.2f}sigma" for (name, *_), pull in zip(checks, pulls))
+    result = criterion_3(trials=trials, seed=seed)
+    assert result.detail == detail
+    assert result.passed == all(p <= 3.0 for p in pulls)
 
 
 def test_optimal_csi_not_materializable():
