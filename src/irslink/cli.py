@@ -10,7 +10,7 @@ from . import __version__
 from .curves import check_target, run_compare, run_curve, run_surface, write_compare_csv, write_curve_csv, write_lines, write_surface_csv
 from .errors import IrsLinkError
 from .scenario import MODELS, load_scenario, step_grid
-from .validation import run_criteria
+from .validation import CRITERIA, run_criteria
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument(
         "--only",
         default=None,
-        help="comma-separated criterion numbers (default: all ten)",
+        help=f"comma-separated criterion numbers out of {','.join(map(str, sorted(CRITERIA)))} (default: all)",
     )
     return parser
 
@@ -108,15 +108,16 @@ def _cmd_compare(args) -> int:
 def _cmd_validate(args) -> int:
     numbers = None
     if args.only is not None:
+        valid = ",".join(map(str, sorted(CRITERIA)))
         try:
             numbers = sorted({int(tok) for tok in args.only.split(",") if tok.strip()})
         except ValueError:
             raise IrsLinkError(f"--only expects criterion numbers, got {args.only!r}") from None
         if not numbers:
-            raise IrsLinkError("--only names no criterion; valid numbers are 1..10")
-        bad = [n for n in numbers if n not in range(1, 11)]
+            raise IrsLinkError(f"--only names no criterion; valid numbers are {valid}")
+        bad = [n for n in numbers if n not in CRITERIA]
         if bad:
-            raise IrsLinkError(f"no criterion {bad[0]}; valid numbers are 1..10")
+            raise IrsLinkError(f"no criterion {bad[0]}; valid numbers are {valid}")
     if args.trials is not None and args.trials <= 0:
         raise IrsLinkError("validate needs a positive trial count")
     if args.out:

@@ -181,11 +181,8 @@ def uniform_phase_trace_moments(
     eta = nu * nu + float(np.sum(np.abs(a) ** 2)) - diag_sq
     b = r_rd.entries * np.diag(r_sr.entries)[None, :]
     c = r_sr.entries * np.diag(r_rd.entries)[None, :]
-    delta = (
-        real_trace(complex(np.sum(b * b.T)), "phase-averaged quad trace")
-        + real_trace(complex(np.sum(c * c.T)), "phase-averaged quad trace")
-        - diag_sq
-    )
+    quad = real_trace(np.array([np.sum(b * b.T), np.sum(c * c.T)]), "phase-averaged quad trace")
+    delta = quad[0] + quad[1] - diag_sq
     return UniformPhaseMoments(nu, eta, delta)
 
 

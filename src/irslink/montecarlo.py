@@ -168,10 +168,10 @@ def sample_channels(
 
     l_sr and l_rd are square-root factors of the covariance matrices (from
     correlation.matrix_sqrt); the surface vectors are L @ g with g a standard
-    complex Gaussian vector.
+    complex Gaussian vector.  trial_index must lie in [0, 2^128) (DomainError).
     """
     n = _checked_size(l_sr, l_rd)
-    u = rng.stream(seed, rng.DOMAIN_CHANNEL, trial_index).random(2 + 4 * n)
+    u = rng.StreamFamily(seed).get(rng.DOMAIN_CHANNEL, rng.check_index(trial_index)).random(2 + 4 * n)
     h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, u)
     return ChannelRealization(h_sd=complex(h_sd), h_sr=h_sr, h_rd=h_rd)
 
@@ -247,6 +247,23 @@ class SampleMoments:
     se_variance: float
     se_second_moment: float
 
+    @classmethod
+    def of(cls, gains: np.ndarray) -> "SampleMoments":
+        """Unbiased sample mean/variance of the gains plus their raw second moment."""
+        trials = gains.shape[0]
+        if trials < 2:
+            raise DomainError(f"need at least two trials for moments, got {trials}")
+        mean = float(np.mean(gains))
+        variance = float(np.var(gains, ddof=1))
+        second = float(np.mean(gains**2))
+        centered = gains - mean
+        m4 = float(np.mean(centered**4))
+        se_mean = float(np.sqrt(variance / trials))
+        # Asymptotic standard error of the sample variance.
+        se_variance = float(np.sqrt(max(m4 - variance**2, 0.0) / trials))
+        se_second = float(np.std(gains**2, ddof=1) / np.sqrt(trials))
+        return cls(trials, mean, variance, second, se_mean, se_variance, se_second)
+
 
 def sample_gain_moments(
     params: SystemParameters,
@@ -256,17 +273,5 @@ def sample_gain_moments(
     trials: int,
     seed: int,
 ) -> SampleMoments:
-    """Unbiased sample mean/variance of the gain plus its raw second moment."""
-    if trials < 2:
-        raise DomainError(f"need at least two trials for moments, got {trials}")
-    gains = gain_samples(params.beta_sd, r_sr, r_rd, design, trials, seed)
-    mean = float(np.mean(gains))
-    variance = float(np.var(gains, ddof=1))
-    second = float(np.mean(gains**2))
-    centered = gains - mean
-    m4 = float(np.mean(centered**4))
-    se_mean = float(np.sqrt(variance / trials))
-    # Asymptotic standard error of the sample variance.
-    se_variance = float(np.sqrt(max(m4 - variance**2, 0.0) / trials))
-    se_second = float(np.std(gains**2, ddof=1) / np.sqrt(trials))
-    return SampleMoments(trials, mean, variance, second, se_mean, se_variance, se_second)
+    """SampleMoments of the gains of trials 0..trials-1."""
+    return SampleMoments.of(gain_samples(params.beta_sd, r_sr, r_rd, design, trials, seed))

@@ -4,13 +4,14 @@ A design describes how the diagonal unit-modulus phase matrix of the
 reflecting surface is produced.  The surface matrix itself is never stored
 densely; only its diagonal (the phase vector) is materialized.
 
-Each design class answers for itself: its schema ``kind`` and
-``schema_fields``, its phase vector for draw i (``phases``), its closed-form
-Gamma fit (``gamma_fit``, None for co-phasing) and, for one simulator run
-over n elements, ``block_phases(n)``: a function that maps a block of trials
-(start, h_sd, h_sr, h_rd), one trial per row, to the phases of draws start,
-start+1, ...  ``UniformRandom.phase_draws(n)`` is the one block draw of random
-phases; the simulator and acceptance criterion 3 both use it.
+Each design class answers for itself: its schema ``kind`` and keys, which
+``from_schema(want, n)`` reads for n elements through a scenario's key reader
+``want(key, kinds)`` and ``schema_fields`` writes back, its phase vector for draw i
+(``phases``), its closed-form Gamma fit (``gamma_fit``, None for co-phasing)
+and, for one simulator run over n elements, ``block_phases(n)``: a function
+that maps a block of trials (start, h_sd, h_sr, h_rd), one trial per row, to
+the phases of draws start, start+1, ...  ``UniformRandom.phase_draws(n)`` is
+the one block draw of random phases; the simulator and criterion 3 use it.
 
 ``cascade_matrix`` and ``cascade_traces`` take one phase vector (N,) or a
 stack of them (B, N), one vector per row.  Row b of a stacked call equals the
@@ -18,6 +19,7 @@ one-vector call on row b bit for bit, and a bad row raises the error that
 call would raise.
 """
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import closedform, rng
 from .correlation import CorrelationMatrix
-from .errors import ContractViolationError, DomainError, InternalConsistencyError
+from .errors import ContractViolationError, DomainError, InternalConsistencyError, ScenarioFormatError
 
 TRACE_IMAG_TOL = 1e-9
 TRACE_NEG_TOL = 1e-9
@@ -39,24 +41,13 @@ def _wrap_angle(theta):
     return np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
 
 
-@dataclass(frozen=True)
-class Equal:
-    """One common phase shift on every element."""
+class _Design:
+    """Defaults the designs share: the keys' values as schema fields, one phase vector for all trials."""
 
-    theta: float
-    kind: ClassVar[str] = "equal"
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(_wrap_angle(self.theta)))
+    schema_keys: ClassVar[tuple] = ()
 
     def schema_fields(self) -> dict:
-        return {"theta": self.theta}
-
-    def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
-        return np.full(n, np.exp(1j * self.theta))
-
-    def gamma_fit(self, beta_sd, r_sr, r_rd):
-        return closedform.gamma_fit_equal_phase(beta_sd, r_sr, r_rd)
+        return {key: getattr(self, key) for key in self.schema_keys}
 
     def block_phases(self, n: int):
         phases = self.phases(n)
@@ -64,16 +55,48 @@ class Equal:
 
 
 @dataclass(frozen=True)
-class Fixed:
+class Equal(_Design):
+    """One common phase shift on every element."""
+
+    theta: float
+    kind: ClassVar[str] = "equal"
+    schema_keys: ClassVar[tuple] = ("theta",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta", float(_wrap_angle(self.theta)))
+
+    @classmethod
+    def from_schema(cls, want, n: int) -> "Equal":
+        return cls(float(want("theta", (int, float))))
+
+    def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
+        return np.full(n, np.exp(1j * self.theta))
+
+    def gamma_fit(self, beta_sd, r_sr, r_rd):
+        return closedform.gamma_fit_equal_phase(beta_sd, r_sr, r_rd)
+
+
+@dataclass(frozen=True)
+class Fixed(_Design):
     """An arbitrary per-element phase vector."""
 
     thetas: np.ndarray
     kind: ClassVar[str] = "fixed"
+    schema_keys: ClassVar[tuple] = ("theta",)
 
     def __post_init__(self):
         t = _wrap_angle(np.atleast_1d(self.thetas))
         t.setflags(write=False)
         object.__setattr__(self, "thetas", t)
+
+    @classmethod
+    def from_schema(cls, want, n: int) -> "Fixed":
+        theta = want("theta", list)
+        if len(theta) == n and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t) for t in theta
+        ):
+            return cls(np.asarray(theta, dtype=float))
+        raise ScenarioFormatError(f"fixed design needs a list of {n} finite numbers, got {len(theta)} entries", field="theta")
 
     def schema_fields(self) -> dict:
         return {"theta": [float(t) for t in self.thetas]}
@@ -86,26 +109,28 @@ class Fixed:
     def gamma_fit(self, beta_sd, r_sr, r_rd):
         return closedform.gamma_fit(beta_sd, r_sr, r_rd, self.phases(r_sr.n))
 
-    def block_phases(self, n: int):
-        phases = self.phases(n)
-        return lambda start, h_sd, h_sr, h_rd: phases
-
 
 @dataclass(frozen=True)
-class UniformRandom:
+class UniformRandom(_Design):
     """Independent phases redrawn uniformly on [-pi, pi) per trial; draw i depends on (seed, i) only."""
 
     seed: int
     kind: ClassVar[str] = "uniform_random"
+    schema_keys: ClassVar[tuple] = ("seed",)
 
     def __post_init__(self):
         object.__setattr__(self, "seed", rng.check_seed(self.seed))
 
-    def schema_fields(self) -> dict:
-        return {"seed": self.seed}
+    @classmethod
+    def from_schema(cls, want, n: int) -> "UniformRandom":
+        seed = want("seed", int)
+        try:
+            return cls(seed)
+        except DomainError as exc:
+            raise ScenarioFormatError(str(exc), field="seed") from None
 
     def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
-        gen = rng.stream(self.seed, rng.DOMAIN_PHASE, draw_index)
+        gen = rng.StreamFamily(self.seed).get(rng.DOMAIN_PHASE, rng.check_index(draw_index))
         return np.exp(1j * gen.uniform(-np.pi, np.pi, n))
 
     def gamma_fit(self, beta_sd, r_sr, r_rd):
@@ -115,8 +140,7 @@ class UniformRandom:
         """A function (start, count) -> the phases of draws start..start+count-1, one per row.
 
         Row i equals ``phases(n, start + i)`` bit for bit.  The function keys
-        one StreamFamily and repositions it for every draw, so a caller keeps
-        it for a whole run instead of re-keying a Philox per draw.
+        one StreamFamily for a whole run and repositions it for every draw.
         """
         streams = rng.StreamFamily(self.seed)
 
@@ -134,13 +158,14 @@ class UniformRandom:
 
 
 @dataclass(frozen=True)
-class OptimalCsi:
+class OptimalCsi(_Design):
     """Per-realization co-phasing with perfect channel knowledge; no closed form."""
 
     kind: ClassVar[str] = "optimal_csi"
 
-    def schema_fields(self) -> dict:
-        return {}
+    @classmethod
+    def from_schema(cls, want, n: int) -> "OptimalCsi":
+        return cls()
 
     def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
         raise ContractViolationError(
@@ -180,14 +205,13 @@ def phase_vector(design: PhaseShiftDesign, n: int, draw_index: int = 0) -> np.nd
     return checked_design(design).phases(n, draw_index)
 
 
-def real_trace(value: complex, what: str = "trace") -> float:
-    """Drop a tiny imaginary residue; anything larger means a real bug."""
-    scale = max(1.0, abs(value.real))
-    if abs(value.imag) > TRACE_IMAG_TOL * scale:
-        raise InternalConsistencyError(
-            f"{what} should be real, got imaginary part {value.imag:.3e}"
-        )
-    return float(value.real)
+def real_trace(value, what: str = "trace"):
+    """Drop a tiny imaginary residue; more means a bug.  One trace gives a float, an array an array."""
+    value = np.asarray(value)
+    bad = np.abs(value.imag) > TRACE_IMAG_TOL * np.fmax(1.0, np.abs(value.real))
+    if bad.any():
+        raise InternalConsistencyError(f"{what} should be real, got imaginary part {value[bad][0].imag:.3e}")
+    return value.real if value.ndim else float(value.real)
 
 
 def cascade_matrix(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.ndarray) -> np.ndarray:
@@ -208,20 +232,16 @@ def cascade_matrix(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     return r_rd.entries @ inner
 
 
-def _real_traces(t_lin: complex, t_quad: complex):
-    """One pair of cascade traces as floats, after the realness and sign checks."""
+def _checked_traces(t_lin: np.ndarray, t_quad: np.ndarray):
     t_lin = real_trace(t_lin, "cascade trace")
     t_quad = real_trace(t_quad, "squared-cascade trace")
-    if t_lin < -TRACE_NEG_TOL or t_quad < -TRACE_NEG_TOL:
+    negative = (t_lin < -TRACE_NEG_TOL) | (t_quad < -TRACE_NEG_TOL)
+    if negative.any():
+        b = int(np.argmax(negative))
         raise InternalConsistencyError(
-            f"cascade traces must be nonnegative, got {t_lin:.3e}, {t_quad:.3e}"
+            f"cascade traces must be nonnegative, got {t_lin[b]:.3e}, {t_quad[b]:.3e}"
         )
     return t_lin, t_quad
-
-
-def _fails_real_trace(values: np.ndarray) -> np.ndarray:
-    """Where ``real_trace`` would raise, element by element, in its arithmetic."""
-    return np.abs(values.imag) > TRACE_IMAG_TOL * np.maximum(1.0, np.abs(values.real))
 
 
 def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.ndarray):
@@ -233,21 +253,19 @@ def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     the one-vector call on phases[b] bit for bit, and the first row that
     fails a check raises the error that call would raise.
     """
-    c = cascade_matrix(r_rd, r_sr, phases)
+    phases = np.asarray(phases, dtype=np.complex128)
+    c = cascade_matrix(r_rd, r_sr, phases[None] if phases.ndim == 1 else phases)
     t_lin = np.trace(c, axis1=-2, axis2=-1)
-    t_quad = (c * np.swapaxes(c, -1, -2)).reshape(c.shape[:-2] + (-1,)).sum(axis=-1)
-    if c.ndim == 2:
-        return _real_traces(complex(t_lin), complex(t_quad))
-    bad = (
-        _fails_real_trace(t_lin)
-        | _fails_real_trace(t_quad)
-        | (t_lin.real < -TRACE_NEG_TOL)
-        | (t_quad.real < -TRACE_NEG_TOL)
-    )
-    if bad.any():
-        first = int(np.argmax(bad))
-        _real_traces(complex(t_lin[first]), complex(t_quad[first]))  # raises that row's error
-    return t_lin.real, t_quad.real
+    t_quad = (c * np.swapaxes(c, -1, -2)).reshape(c.shape[0], -1).sum(axis=-1)
+    try:
+        t_lin, t_quad = _checked_traces(t_lin, t_quad)
+    except InternalConsistencyError:
+        for b in range(c.shape[0]):
+            _checked_traces(t_lin[b : b + 1], t_quad[b : b + 1])  # the first bad row raises its own error
+        raise
+    if phases.ndim == 1:
+        return float(t_lin[0]), float(t_quad[0])
+    return t_lin, t_quad
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ user seed, with the 256-bit counter partitioned as
 
     counter = (domain << 192) | (stream_index << 64)
 
-so stream ``i`` of a given domain owns 2^64 counter blocks that no other
-(domain, index) pair can touch.  Results therefore depend only on
-(seed, domain, index), never on evaluation order, chunking, or thread count.
+so stream ``i`` in [0, 2^128) of a domain owns 2^64 counter blocks that no
+other (domain, index) pair can touch (``check_index``); ``StreamFamily`` keys
+every stream.  Results depend only on (seed, domain, index), never on
+evaluation order, chunking, or thread count.
 
 Standard normals are produced by the basic Box-Muller transform on the
 stream's uniforms; this mapping is part of the reproducibility contract and
@@ -23,17 +24,23 @@ from .errors import DomainError
 DOMAIN_CHANNEL = 0
 DOMAIN_PHASE = 1
 
-_MAX_SEED = 2**64
 _WORD = 0xFFFFFFFFFFFFFFFF
-_COUNTER_MASK = (1 << 256) - 1
+
+
+def _checked_int(value, what: str, bits: int) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= int(value) < 2**bits:
+        raise DomainError(f"{what} must lie in [0, 2^{bits}), got {value}")
+    return int(value)
 
 
 def check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < _MAX_SEED:
-        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
-    return int(seed)
+    return _checked_int(seed, "seed", 64)
+
+
+def check_index(index) -> int:
+    return _checked_int(index, "stream index", 128)
 
 
 class StreamFamily:
@@ -69,17 +76,6 @@ class StreamFamily:
         words[3] = (counter >> 192) & _WORD
         self._bg.state = self._state
         return self._gen
-
-
-def stream(seed: int, domain: int, index: int) -> np.random.Generator:
-    """Standalone generator for stream ``index`` of ``domain`` under ``seed``.
-
-    Keyed and positioned at construction: the same values as
-    ``StreamFamily(seed).get(domain, index)``, at the cost of one Philox.
-    """
-    seed = check_seed(seed)
-    counter = ((domain << 192) | (int(index) << 64)) & _COUNTER_MASK
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -26,11 +27,12 @@ from .correlation import (
     sinc_correlation,
 )
 from .errors import DomainError, ScenarioFormatError
-from .phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom
+from .phaseshift import PhaseShiftDesign
 from .units import SPEED_OF_LIGHT, db_to_linear, dbm_to_watts
 
 MODELS = ("sinc", "exponential", "uncorrelated")
-DESIGNS = tuple(d.kind for d in (Equal, Fixed, UniformRandom, OptimalCsi))
+_DESIGN_CLASSES = {cls.kind: cls for cls in get_args(PhaseShiftDesign)}
+DESIGNS = tuple(_DESIGN_CLASSES)
 
 PRESETS = ("fig2a", "fig2b", "fig2c")
 
@@ -134,10 +136,11 @@ class Scenario:
         return replace(self, beta_sd_db=beta_sd_db)
 
 
-# The dataclass is the schema: every field but the name is a key, and the
-# design adds its own (theta for equal and fixed, seed for uniform_random).
+# The dataclass is the schema: every field but the name is a key, and each
+# design class adds its own schema_keys.
 _FIELD_KEYS = tuple(f.name for f in fields(Scenario) if f.name != "name")
-_SCHEMA_KEYS = _FIELD_KEYS + ("theta", "seed")
+_DESIGN_KEYS = tuple(dict.fromkeys(key for cls in _DESIGN_CLASSES.values() for key in cls.schema_keys))
+_SCHEMA_KEYS = _FIELD_KEYS + _DESIGN_KEYS
 # The required float keys, read in one loop and passed on by name.
 _NUMBERS = tuple(f.name for f in fields(Scenario) if f.type is float and f.name != "exp_magnitude")
 
@@ -166,37 +169,15 @@ def _check_model_fields(model: str, exp_magnitude: float):
 
 
 def _build_design(raw: dict, n: int) -> PhaseShiftDesign:
+    """The design class named by ``design`` reads its own keys; another design's key is rejected."""
     kind = _want(raw, "design", str)
-    if kind not in DESIGNS:
+    if kind not in _DESIGN_CLASSES:
         raise ScenarioFormatError(f"must be one of {DESIGNS}, got {kind!r}", field="design")
-    if kind in ("equal", "fixed"):
-        if "seed" in raw:
-            raise ScenarioFormatError(f"not used by design {kind!r}", field="seed")
-    if kind == "equal":
-        theta = _want(raw, "theta", (int, float))
-        return Equal(float(theta))
-    if kind == "fixed":
-        theta = _want(raw, "theta", list)
-        if len(theta) != n or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
-            for t in theta
-        ):
-            raise ScenarioFormatError(
-                f"fixed design needs a list of {n} finite numbers, got {len(theta)} entries",
-                field="theta",
-            )
-        return Fixed(np.asarray(theta, dtype=float))
-    if "theta" in raw:
-        raise ScenarioFormatError(f"not used by design {kind!r}", field="theta")
-    if kind == "uniform_random":
-        seed = _want(raw, "seed", int)
-        try:
-            return UniformRandom(seed)
-        except ValueError as exc:
-            raise ScenarioFormatError(str(exc), field="seed") from None
-    if "seed" in raw:
-        raise ScenarioFormatError("not used by design 'optimal_csi'", field="seed")
-    return OptimalCsi()
+    cls = _DESIGN_CLASSES[kind]
+    for key in _DESIGN_KEYS:
+        if key in raw and key not in cls.schema_keys:
+            raise ScenarioFormatError(f"not used by design {kind!r}", field=key)
+    return cls.from_schema(lambda key, kinds: _want(raw, key, kinds), n)
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import irslink.curves as curves_module
-from irslink import cli
+from irslink import cli, validation
 from irslink.curves import read_curve_csv
 
 from test_curves import _FullDisk
@@ -249,6 +249,20 @@ def test_empty_selection_is_input_error(tmp_path, args):
 def test_validate_rejects_unknown_criterion():
     result = run_cli("validate", "--only", "99")
     assert result.returncode == 2
+
+
+def test_validate_only_reads_the_criteria_registry(monkeypatch, capsys):
+    def stub(trials=None, seed=None):
+        return validation.CriterionResult(11, "stub", True, "ran", 0.0, 1.0)
+
+    monkeypatch.setitem(validation.CRITERIA, 11, stub)
+    assert cli.main(["validate", "--only", "11"]) == 0
+    assert "[PASS] criterion 11: stub (ran)" in capsys.readouterr().out
+    assert cli.main(["validate", "--only", "12"]) == 2
+    assert "no criterion 12; valid numbers are 1,2,3,4,5,6,7,8,9,10,11" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["validate", "--help"])
+    assert "1,2,3,4,5,6,7,8,9,10,11" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ["--version"])

@@ -9,6 +9,7 @@ from irslink.errors import DomainError
 from irslink.montecarlo import (
     ChannelRealization,
     McEstimate,
+    SampleMoments,
     cophased_phases,
     effective_gain,
     estimate_outage,
@@ -227,11 +228,8 @@ def test_sample_moments_direct_only_exponential():
 def test_sample_moments_match_closed_form(heavy_mc):
     """Mean, variance and the four-term second moment at one million trials."""
     r = heavy_mc["r"]
-    p = SystemParameters(beta_sd=heavy_mc["beta_sd"], rho=1.0, sigma2=1.0, xi=1.0)
-    m = sample_gain_moments(p, r, r, Equal(np.pi / 4), heavy_mc["trials"], heavy_mc["seed"])
-    assert np.array_equal(
-        m.mean, heavy_mc["gains"].mean()
-    ), "fixture and op must draw identical trials"
+    m = SampleMoments.of(heavy_mc["gains"])
+    assert m.trials == heavy_mc["trials"]
     mean, var = gain_moments(heavy_mc["beta_sd"], r, r, heavy_mc["phases"])
     assert abs(m.mean - mean) <= 3 * m.se_mean
     assert abs(m.variance - var) <= 3 * m.se_variance
@@ -257,6 +255,8 @@ def test_invalid_trial_counts():
         gain_samples(0.5, r, r, Equal(0.0), 0, seed=1)
     with pytest.raises(DomainError):
         sample_gain_moments(direct_params(), r, r, Equal(0.0), 1, seed=1)
+    with pytest.raises(DomainError):
+        SampleMoments.of(np.ones(1))
 
 
 def test_channel_realization_validation():

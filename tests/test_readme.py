@@ -1,8 +1,10 @@
 """The README documents the scenario schema and the curve columns as the code has them."""
 
+import pkgutil
 import re
 from pathlib import Path
 
+import irslink
 from irslink.curves import COLUMNS
 from irslink.scenario import _SCHEMA_KEYS
 
@@ -23,3 +25,9 @@ def test_schema_table_lists_the_schema_keys():
 def test_csv_column_line_is_the_columns():
     lines = re.findall(r"`(\w+(?:,\w+)+)`", _section("CSV artifacts"))
     assert lines == [",".join(COLUMNS)]
+
+
+def test_layout_table_lists_every_module():
+    rows = re.findall(r"^\| `(irslink\.\w+)`", _section("Layout"), re.MULTILINE)
+    modules = [f"irslink.{m.name}" for m in pkgutil.iter_modules(irslink.__path__)]
+    assert sorted(rows) == sorted(modules)

@@ -1,0 +1,63 @@
+import numpy as np
+import pytest
+
+from irslink import rng
+from irslink.correlation import identity_correlation, matrix_sqrt
+from irslink.errors import DomainError
+from irslink.montecarlo import sample_channels
+from irslink.phaseshift import UniformRandom, phase_vector
+
+SEEDS = [0, 1, 2**64 - 1]
+INDICES = [0, 1, 63, 64, 2**64 - 1, 2**64, 2**128 - 1]
+
+
+def reference(seed, domain, index):
+    """A freshly keyed Philox at the stream's counter block: the layout the package promises."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=(domain << 192) | (index << 64)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("domain", [rng.DOMAIN_CHANNEL, rng.DOMAIN_PHASE])
+def test_family_streams_are_the_keyed_philox_streams(seed, domain):
+    streams = rng.StreamFamily(seed)
+    for index in INDICES:
+        assert np.array_equal(streams.get(domain, index).random(10), reference(seed, domain, index).random(10))
+
+
+def test_a_second_get_repositions_the_generator():
+    streams = rng.StreamFamily(7)
+    first = streams.get(rng.DOMAIN_PHASE, 3).random(6)
+    streams.get(rng.DOMAIN_PHASE, 4).random(5)  # leaves the generator mid-stream
+    assert np.array_equal(streams.get(rng.DOMAIN_PHASE, 3).random(6), first)
+    assert np.array_equal(streams.get(rng.DOMAIN_CHANNEL, 3).random(6), reference(7, rng.DOMAIN_CHANNEL, 3).random(6))
+
+
+def test_box_muller_maps_each_row_as_a_1d_call():
+    u = np.random.default_rng(3).random((5, 12))
+    rows = rng.box_muller(u)
+    assert rows.shape == u.shape
+    for r in range(5):
+        assert np.array_equal(rows[r], rng.box_muller(u[r]))
+
+
+def test_index_2_128_would_be_the_next_domain():
+    assert np.array_equal(reference(5, rng.DOMAIN_CHANNEL, 2**128).random(4), reference(5, rng.DOMAIN_PHASE, 0).random(4))
+
+
+@pytest.mark.parametrize("index", [-1, -3, 2**128, 2**130, 1.0, True])
+def test_per_call_streams_reject_an_index_outside_the_domain(index):
+    factor = matrix_sqrt(identity_correlation(2))
+    with pytest.raises(DomainError, match="stream index"):
+        sample_channels(0.5, factor, factor, 5, index)
+    with pytest.raises(DomainError, match="stream index"):
+        phase_vector(UniformRandom(1), 3, draw_index=index)
+
+
+def test_largest_index_is_a_stream():
+    factor = matrix_sqrt(identity_correlation(2))
+    last = 2**128 - 1
+    assert np.array_equal(
+        phase_vector(UniformRandom(1), 3, draw_index=last),
+        np.exp(1j * reference(1, rng.DOMAIN_PHASE, last).uniform(-np.pi, np.pi, 3)),
+    )
+    assert sample_channels(0.5, factor, factor, 5, last).n == 2

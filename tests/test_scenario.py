@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
+from typing import get_args
 
 import numpy as np
 import pytest
 
 from irslink.errors import ScenarioFormatError
-from irslink.phaseshift import Equal, Fixed, OptimalCsi, UniformRandom
+from irslink.phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom
 from irslink.scenario import MAX_GRID_POINTS, PRESETS, load_scenario, scenario_from_dict
 
 BASE = {
@@ -234,6 +236,32 @@ def test_design_digests_are_pinned(raw, digest):
     again = scenario_from_dict(sc.to_schema_dict())
     assert again.digest() == digest
     assert again.to_schema_dict() == sc.to_schema_dict()
+
+
+# One instance of every design; a design missing here fails the round trip below.
+DESIGN_EXAMPLES = {
+    Equal: Equal(-1.25),
+    Fixed: Fixed(np.array([0.0, 0.5, -0.5, 3.0])),
+    UniformRandom: UniformRandom(2**64 - 1),
+    OptimalCsi: OptimalCsi(),
+}
+
+
+@pytest.mark.parametrize("cls", get_args(PhaseShiftDesign), ids=lambda cls: cls.kind)
+def test_every_design_reads_back_what_it_writes(cls):
+    sc = scenario_from_dict(make()).with_design(DESIGN_EXAMPLES[cls])
+    schema = sc.to_schema_dict()
+    again = scenario_from_dict(schema)
+    assert type(again.design) is cls
+    assert all(np.array_equal(getattr(again.design, f.name), getattr(sc.design, f.name)) for f in fields(cls))
+    assert again.digest() == sc.digest()
+    # Every other design's key is rejected by name, with this design's kind.
+    for other in DESIGN_EXAMPLES.values():
+        for key, value in other.schema_fields().items():
+            if key not in schema:
+                with pytest.raises(ScenarioFormatError, match=f"^{key}: not used by design '{cls.kind}'$") as err:
+                    scenario_from_dict({**schema, key: value})
+                assert err.value.field == key
 
 
 def test_covariances_are_scaled_models():
