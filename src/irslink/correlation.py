@@ -55,8 +55,8 @@ class CorrelationMatrix:
     eig_range: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _checked_entries(self.entries)
-        eigs = np.linalg.eigvalsh(m)
+        m, real = _checked_entries(np.array(self.entries, dtype=np.complex128))
+        eigs = np.linalg.eigvalsh(m.real if real else m)
         lo, hi = float(eigs[0]), float(eigs[-1])
         lam_max = max(hi, 0.0)
         if lo < -PSD_RTOL * lam_max:
@@ -74,18 +74,23 @@ class CorrelationMatrix:
         return bool(np.max(np.abs(np.diag(self.entries) - 1.0)) <= UNIT_DIAGONAL_ATOL)
 
 
-def _checked_entries(entries) -> np.ndarray:
-    """A read-only complex copy of a square, finite, Hermitian matrix."""
-    m = np.asarray(entries, dtype=np.complex128)
+def _checked_entries(m: np.ndarray) -> tuple:
+    """(m made read-only, whether it is real) for a square, finite, Hermitian complex128 m.
+
+    m must be a fresh array no caller holds.  A matrix whose imaginary part
+    is exactly zero is tested in real arithmetic: |x + 0i| = |x|, so the
+    Hermitian test sees the same numbers as the complex one.
+    """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"correlation matrix must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DomainError("correlation matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(m))):
+    real = not m.imag.any()
+    a = m.real if real else m
+    if np.max(np.abs(a - a.conj().T)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(a))):
         raise DomainError("correlation matrix is not Hermitian")
-    m = m.copy()
     m.setflags(write=False)
-    return m
+    return m, real
 
 
 def _all_positions(geometry: ArrayGeometry) -> np.ndarray:
@@ -136,7 +141,7 @@ def scale_covariance(r: CorrelationMatrix, beta: float) -> CorrelationMatrix:
     if beta <= 0:
         raise DomainError(f"large-scale gain must be positive, got {beta}")
     scaled = object.__new__(CorrelationMatrix)
-    object.__setattr__(scaled, "entries", _checked_entries(beta * r.entries))
+    object.__setattr__(scaled, "entries", _checked_entries(beta * r.entries)[0])
     object.__setattr__(scaled, "eig_range", (beta * r.eig_range[0], beta * r.eig_range[1]))
     return scaled
 

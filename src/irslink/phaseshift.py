@@ -19,7 +19,6 @@ one-vector call on row b bit for bit, and a bad row raises the error that
 call would raise.
 """
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -35,7 +34,10 @@ TRACE_NEG_TOL = 1e-9
 
 def _wrap_angle(theta):
     """Map angles into [-pi, pi); DomainError for a NaN or infinite one."""
-    theta = np.asarray(theta, dtype=float)
+    try:
+        theta = np.asarray(theta, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise DomainError("phase angles must be finite, got an integer beyond the float range") from None
     if not np.isfinite(theta).all():
         raise DomainError(f"phase angles must be finite, got {theta}")
     return np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
@@ -92,10 +94,11 @@ class Fixed(_Design):
     @classmethod
     def from_schema(cls, want, n: int) -> "Fixed":
         theta = want("theta", list)
-        if len(theta) == n and all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t) for t in theta
-        ):
-            return cls(np.asarray(theta, dtype=float))
+        if len(theta) == n and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in theta):
+            try:
+                return cls(theta)
+            except DomainError:  # a non-finite angle
+                pass
         raise ScenarioFormatError(f"fixed design needs a list of {n} finite numbers, got {len(theta)} entries", field="theta")
 
     def schema_fields(self) -> dict:

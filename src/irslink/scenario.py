@@ -39,6 +39,14 @@ PRESETS = ("fig2a", "fig2b", "fig2c")
 # Largest sweep grid accepted; every preset and CLI default is far below it.
 MAX_GRID_POINTS = 100_000
 
+# Largest surface accepted, n_h * n_v = 64 x 64.  One N x N complex128 matrix
+# takes 16 N^2 bytes, 268 MB at the cap; a curve holds several (the model,
+# two scaled covariances and their factors, cascade products), and the sinc
+# model builds an N x N x 3 float distance array on top, so a run at the cap
+# needs a few GB and O(N^3) eigendecompositions.  Every preset and benchmark
+# scenario has N <= 400.
+MAX_ELEMENTS = 4096
+
 
 def step_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo, lo + step, ... up to hi (kept when within 1e-9 steps of the grid).
@@ -156,6 +164,11 @@ def _want(raw: dict, key: str, kinds, required: bool = True, default=None):
         raise ScenarioFormatError(f"expected {names}, got {value!r}", field=key)
     if isinstance(value, float) and not math.isfinite(value):
         raise ScenarioFormatError(f"must be finite, got {value!r}", field=key)
+    if isinstance(value, int) and isinstance(0.0, kinds):
+        try:
+            float(value)
+        except OverflowError:
+            raise ScenarioFormatError("integer too large for a float", field=key) from None
     return value
 
 
@@ -198,6 +211,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     n_v = _want(raw, "n_v", int)
     if n_h < 1 or n_v < 1:
         raise ScenarioFormatError("element counts must be >= 1", field="n_h" if n_h < 1 else "n_v")
+    if n_h * n_v > MAX_ELEMENTS:
+        raise ScenarioFormatError(f"n_h * n_v exceeds the cap of {MAX_ELEMENTS} elements", field="n_h")
 
     num = {key: float(_want(raw, key, (int, float))) for key in _NUMBERS}
     if num["carrier_ghz"] <= 0:
@@ -247,6 +262,6 @@ def load_scenario(path) -> Scenario:
         )
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond int's digit limit
         raise ScenarioFormatError(f"invalid JSON in {path!r}: {exc}") from None
     return scenario_from_dict(raw, name=name)

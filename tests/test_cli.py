@@ -155,6 +155,32 @@ def test_non_finite_scenario_is_input_error(tmp_path, key, value):
 
 
 @pytest.mark.parametrize(
+    "overrides, digits, message",
+    [
+        ({"rho_dbm": 10**400}, 0, "rho_dbm: integer too large for a float"),
+        ({"beta_sd_db": -(10**400)}, 0, "beta_sd_db: integer too large for a float"),
+        ({"theta": 10**400}, 0, "theta: integer too large for a float"),
+        ({"design": "fixed", "theta": [0, 10**400, 0, 0]}, 0, "theta: fixed design needs a list of 4 finite numbers"),
+        ({"n_h": 10**400}, 0, "n_h: n_h * n_v exceeds the cap"),
+        ({}, 5000, "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["rho_dbm", "beta_sd_db", "equal-theta", "fixed-theta", "n_h", "5000-digits"],
+)
+def test_huge_integer_scenario_is_input_error(tmp_path, overrides, digits, message):
+    path = tmp_path / "huge.json"
+    text = json.dumps(make(**overrides))
+    if digits:  # beyond the digit limit of Python's int parser, so json.dumps cannot write it
+        text = text.replace('"rho_dbm": 8.0', '"rho_dbm": ' + "9" * digits)
+    path.write_text(text)
+    out = tmp_path / "huge.csv"
+    result = run_cli("curve", "--scenario", str(path), "--trials", "0", "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists() and not result.stdout
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("curve", "--scenario", "fig2c", "--trials", "5", "--seed", "-1"),

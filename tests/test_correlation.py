@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from irslink.correlation import (
+    HERMITIAN_ATOL,
     PSD_RTOL,
     ArrayGeometry,
     CorrelationMatrix,
     _all_positions,
+    _checked_entries,
     exponential_correlation,
     identity_correlation,
     matrix_sqrt,
@@ -172,3 +174,66 @@ def test_complex_hermitian_accepted():
 def test_zero_matrix_is_valid_scaled_covariance():
     r = CorrelationMatrix(np.zeros((3, 3)))
     assert np.array_equal(matrix_sqrt(r), np.zeros((3, 3)))
+
+
+# Real-valued matrices are checked by the real solver; the complex one is the reference.
+@pytest.mark.parametrize("side", [4, 8, 14, 20])
+@pytest.mark.parametrize("model", ["sinc", "exponential", "identity"])
+def test_real_route_matches_complex_eigvalsh(model, side):
+    n = side * side
+    r = {
+        "sinc": lambda: square_sinc(side),
+        "exponential": lambda: exponential_correlation(n, 0.95),
+        "identity": lambda: identity_correlation(n),
+    }[model]()
+    assert _checked_entries(r.entries.copy())[1]
+    assert_spectrum_matches_fresh_eigvalsh(r)
+
+
+def _unit_phases(n, seed):
+    return np.exp(1j * np.random.default_rng(seed).uniform(-np.pi, np.pi, n))
+
+
+def test_complex_hermitian_takes_complex_route():
+    r = square_sinc(8)
+    d = _unit_phases(r.n, 5)
+    rotated = d[:, None] * r.entries * d.conj()[None, :]  # D R D^H, same spectrum
+    assert not _checked_entries(rotated.copy())[1]
+    c = CorrelationMatrix(rotated)
+    assert_spectrum_matches_fresh_eigvalsh(c)
+    tol = 1e-12 * r.eig_range[1]
+    assert abs(c.eig_range[0] - r.eig_range[0]) <= tol and abs(c.eig_range[1] - r.eig_range[1]) <= tol
+    d2 = _unit_phases(2, 6)
+    with pytest.raises(NotPositiveSemidefiniteError):
+        CorrelationMatrix(d2[:, None] * np.array([[1.0, 2.0], [2.0, 1.0]]) * d2.conj()[None, :])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[1.0, 0.5], [0.5 + 2 * HERMITIAN_ATOL, 1.0]]),
+        np.array([[1.0, 0.3 + 0.2j], [0.3 + 0.2j, 1.0]]),  # real part symmetric
+        np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j + 2 * HERMITIAN_ATOL, 1.0]]),
+    ],
+    ids=["real-at-tolerance", "complex", "complex-at-tolerance"],
+)
+def test_non_hermitian_rejected_by_either_route(m):
+    with pytest.raises(DomainError, match="^correlation matrix is not Hermitian$"):
+        CorrelationMatrix(m)
+    m[1, 0] = np.conj(m[0, 1]) + 0.5 * HERMITIAN_ATOL  # within the tolerance
+    CorrelationMatrix(m)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_entries_are_a_private_read_only_copy(dtype):
+    x = np.array(square_sinc(3).entries.real, dtype=dtype)
+    r = CorrelationMatrix(x)
+    assert r.entries.dtype == np.complex128 and not r.entries.flags.writeable
+    assert np.array_equal(r.entries, np.asarray(x, np.complex128))
+    assert r.entries.tobytes() == np.asarray(x, np.complex128).tobytes()
+    x[0, 1] = x[1, 0] = 0.25
+    assert r.entries[0, 1] != 0.25
+    for beta in (1e-9, 7.0):
+        scaled = scale_covariance(r, beta)
+        assert scaled.entries.tobytes() == (beta * r.entries).tobytes()
+        assert not scaled.entries.flags.writeable

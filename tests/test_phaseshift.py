@@ -71,6 +71,12 @@ def test_non_finite_angles_are_domain_errors(make_design, value):
         make_design(value)
 
 
+@pytest.mark.parametrize("make_design", [Equal, lambda v: Fixed([v, 0.0])], ids=["equal", "fixed-list"])
+def test_huge_integer_angles_are_domain_errors(make_design):
+    with pytest.raises(DomainError, match="phase angles must be finite"):
+        make_design(-(10**400))
+
+
 def test_uniform_random_stream():
     v = phase_vector(UniformRandom(42), 10_000)
     assert np.max(np.abs(np.abs(v) - 1.0)) <= 1e-14

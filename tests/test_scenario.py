@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 from typing import get_args
 
@@ -7,7 +8,7 @@ import pytest
 
 from irslink.errors import ScenarioFormatError
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom
-from irslink.scenario import MAX_GRID_POINTS, PRESETS, load_scenario, scenario_from_dict
+from irslink.scenario import MAX_ELEMENTS, MAX_GRID_POINTS, PRESETS, load_scenario, scenario_from_dict
 
 BASE = {
     "beta_sd_db": -90.0,
@@ -202,6 +203,36 @@ def test_non_finite_numbers_name_their_field(key, value):
 def test_non_finite_fixed_phase_rejected(value):
     with pytest.raises(ScenarioFormatError, match="^theta: "):
         scenario_from_dict(make(design="fixed", theta=[0.0, value, 0.5, 1.0]))
+
+
+# Python's json parses an integer of up to 4300 digits; one beyond the float
+# range must not escape as OverflowError.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["+10^400", "-10^400"])
+@pytest.mark.parametrize("key", sorted(set(NUMERIC_KEYS) - {"n_h", "n_v"}))
+def test_huge_integers_name_their_field(key, value):
+    raw = make(**NUMERIC_KEYS[key])
+    raw[key] = value
+    with pytest.raises(ScenarioFormatError, match=f"^{key}: "):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["+10^400", "-10^400"])
+def test_huge_fixed_phase_rejected(value):
+    with pytest.raises(ScenarioFormatError, match="^theta: "):
+        scenario_from_dict(make(design="fixed", theta=[0.0, value, 0.5, 1.0]))
+
+
+def test_element_count_is_capped():
+    side = math.isqrt(MAX_ELEMENTS)
+    assert scenario_from_dict(make(n_h=side, n_v=MAX_ELEMENTS // side)).n == MAX_ELEMENTS
+    for n_h, n_v in ((side, MAX_ELEMENTS // side + 1), (MAX_ELEMENTS + 1, 1), (1, MAX_ELEMENTS + 1), (HUGE, 1), (1, HUGE)):
+        with pytest.raises(ScenarioFormatError, match="^n_h: n_h \\* n_v exceeds the cap"):
+            scenario_from_dict(make(n_h=n_h, n_v=n_v))
+    # The presets stay far below the cap.
+    assert all(10 * load_scenario(p).n <= MAX_ELEMENTS for p in PRESETS)
 
 
 # The scenario hash is written into every CSV header: a change to the schema
