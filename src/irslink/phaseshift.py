@@ -143,14 +143,17 @@ class UniformRandom(_Design):
         """A function (start, count) -> the phases of draws start..start+count-1, one per row.
 
         Row i equals ``phases(n, start + i)`` bit for bit.  The function keys
-        one StreamFamily for a whole run and repositions it for every draw.
+        one StreamFamily for a whole run and repositions it for every draw;
+        a range that leaves [0, 2^128) raises DomainError.
         """
-        streams = rng.StreamFamily(self.seed)
+        get = rng.StreamFamily(self.seed).get
 
         def draw(start: int, count: int) -> np.ndarray:
+            start = rng.check_index(start)
+            rng.check_index(start + max(count, 1) - 1)  # the last draw
             thetas = np.empty((count, n))
             for r in range(count):
-                thetas[r] = streams.get(rng.DOMAIN_PHASE, start + r).uniform(-np.pi, np.pi, n)
+                thetas[r] = get(rng.DOMAIN_PHASE, start + r).uniform(-np.pi, np.pi, n)
             return np.exp(1j * thetas)
 
         return draw
@@ -289,21 +292,22 @@ def equal_phase_trace_bound(
     """Check that equal phases maximize the cascade trace for the planar model.
 
     Valid for the model where both covariances are proportional to the same
-    real symmetric matrix; the margin of sample design d is
-    scale * (tr under equal phases - Re tr under d).
+    real symmetric matrix R; the margin of sample design d is
+    scale * (tr under equal phases - Re tr under d).  With S = R∘R and
+    phases p = c + is, Re tr(R P^H R P) = c^T S c + s^T S s, so the margins
+    of all designs take one real matrix product.  An Equal design's common
+    phase cancels identically: its margin is an exact zero.
     """
     if np.max(np.abs(r.entries.imag)) > TRACE_IMAG_TOL:
         raise DomainError("trace bound is only claimed for real symmetric models")
-    t_equal = float(np.sum(r.entries.real * r.entries.real.T))
-    margins = np.empty(len(designs))
-    for i, design in enumerate(designs):
-        if isinstance(design, Equal):
-            # The common phase cancels identically; no need to round-trip it.
-            margins[i] = 0.0
-            continue
-        phases = phase_vector(design, r.n)
-        inner = (np.conj(phases)[:, None] * r.entries) * phases[None, :]
-        t_d = complex(np.sum(r.entries * inner.T)).real
-        margins[i] = scale * (t_equal - t_d)
+    real = r.entries.real
+    t_equal = float(np.sum(real * real.T))
+    margins = np.zeros(len(designs))
+    rows = [i for i, design in enumerate(designs) if not isinstance(design, Equal)]
+    if rows:
+        phases = np.stack([phase_vector(designs[i], r.n) for i in rows])
+        parts = np.concatenate((phases.real, phases.imag))  # c rows, then s rows
+        quad = np.einsum("dn,dn->d", parts @ (real * real), parts)
+        margins[rows] = scale * (t_equal - (quad[: len(rows)] + quad[len(rows) :]))
     margins.setflags(write=False)
     return TraceBoundReport(margins=margins, slack=slack)

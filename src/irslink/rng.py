@@ -54,26 +54,29 @@ class StreamFamily:
 
     def __init__(self, seed: int):
         seed = check_seed(seed)
-        key = np.array([seed & _WORD, (seed >> 64) & _WORD], dtype=np.uint64)
-        self._bg = np.random.Philox(key=key)
+        key = [seed & _WORD, (seed >> 64) & _WORD]
+        self._bg = np.random.Philox(key=np.array(key, dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
         # One state record, reused by every get: only the counter words change.
-        self._counter = np.zeros(4, dtype=np.uint64)
+        # Plain ints, not uint64 arrays: the Philox state setter reads 14
+        # entries one by one, and an array entry is a numpy scalar each time.
+        self._counter = [0, 0, 0, 0]  # word 0 stays 0: the counter is a multiple of 2^64
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": self._counter, "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
 
     def get(self, domain: int, index: int) -> np.random.Generator:
-        counter = (domain << 192) | (int(index) << 64)
-        words = self._counter  # word 0 stays 0: the counter is a multiple of 2^64
-        words[1] = (counter >> 64) & _WORD
-        words[2] = (counter >> 128) & _WORD
-        words[3] = (counter >> 192) & _WORD
+        """The generator at stream ``index`` of ``domain``; index in [0, 2^128), as ``check_index`` admits."""
+        index = int(index)
+        words = self._counter
+        words[1] = index & _WORD
+        words[2] = index >> 64
+        words[3] = domain
         self._bg.state = self._state
         return self._gen
 

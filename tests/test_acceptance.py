@@ -63,8 +63,20 @@ def test_criteria_registry_is_complete():
 
 def test_criterion_fails_on_its_runtime_limit(monkeypatch):
     clock = iter(range(0, 10**6, 1000))
+    cpu_clock = iter(range(0, 10**6, 3))
     monkeypatch.setattr(validation.time, "perf_counter", lambda: float(next(clock)))
+    monkeypatch.setattr(validation.time, "process_time", lambda: float(next(cpu_clock)))
     result = validation.criterion_10()
     assert result.passed is False
     assert result.runtime == 1000.0
+    assert result.cpu == 3.0  # reported, but the limit holds wall time only
     assert result.detail.endswith("exceeded 5s")
+    assert result.line().endswith("[1000.0s/5s, cpu 3.0s]")
+
+
+def test_criterion_cpu_time_is_not_held_to_the_limit(monkeypatch):
+    cpu_clock = iter(range(0, 10**6, 1000))
+    monkeypatch.setattr(validation.time, "process_time", lambda: float(next(cpu_clock)))
+    result = validation.criterion_10()
+    assert result.passed is True
+    assert result.cpu == 1000.0 and result.runtime < result.limit

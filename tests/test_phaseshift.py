@@ -9,7 +9,13 @@ from irslink.closedform import (
     gamma_fit_uniform_phase,
     uniform_phase_trace_moments,
 )
-from irslink.correlation import ArrayGeometry, CorrelationMatrix, identity_correlation, sinc_correlation
+from irslink.correlation import (
+    ArrayGeometry,
+    CorrelationMatrix,
+    exponential_correlation,
+    identity_correlation,
+    sinc_correlation,
+)
 from irslink.curves import run_curve
 from irslink.errors import ContractViolationError, DomainError, InternalConsistencyError
 from irslink.montecarlo import gain_samples
@@ -150,6 +156,17 @@ def test_uniform_block_draws_are_the_per_draw_phase_vectors():
         assert np.array_equal(rows[i], phase_vector(design, 16, draw_index=i))
     assert np.array_equal(draw(3, 2), rows[3:5])
     assert np.array_equal(draw(1000, 1)[0], phase_vector(design, 16, draw_index=1000))
+
+
+def test_uniform_block_draws_stay_in_the_phase_domain():
+    design = UniformRandom(77)
+    draw = design.phase_draws(4)
+    last = 2**128 - 1
+    assert np.array_equal(draw(last, 1)[0], phase_vector(design, 4, draw_index=last))
+    # Draw 2^128 would be draw 0 of the next domain; index -1 lies before the domain.
+    for start, count in ((last, 2), (-1, 2), (-1, 0), (2**128, 0)):
+        with pytest.raises(DomainError, match=r"stream index must lie in \[0, 2\^128\)"):
+            draw(start, count)
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64])
@@ -294,6 +311,46 @@ def test_trace_bound_sinc_model():
 def test_trace_bound_equal_vs_equal_is_exact():
     report = equal_phase_trace_bound(square_sinc(3), 1.0, [Equal(0.9), Equal(-2.2)])
     assert np.array_equal(report.margins, np.zeros(2))
+
+
+def _per_design_margin(r, scale, design):
+    """The margin traced as the complex N x N product it is defined by: the oracle of the one-GEMM form."""
+    t_equal = float(np.sum(r.entries.real * r.entries.real.T))
+    phases = phase_vector(design, r.n)
+    inner = (np.conj(phases)[:, None] * r.entries) * phases[None, :]
+    return scale * (t_equal - complex(np.sum(r.entries * inner.T)).real), t_equal
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        *(square_sinc(side) for side in (4, 8, 14, 20)),
+        exponential_correlation(30, 0.8),
+        identity_correlation(9),
+    ],
+    ids=["sinc16", "sinc64", "sinc196", "sinc400", "exponential30", "identity9"],
+)
+def test_trace_bound_matches_the_per_design_complex_trace(r):
+    gen = np.random.default_rng(r.n)
+    designs = []
+    for i in range(12):
+        kind = i % 3
+        if kind == 0:
+            designs.append(Equal(float(gen.uniform(-np.pi, np.pi))))
+        elif kind == 1:
+            designs.append(Fixed(gen.uniform(-np.pi, np.pi, r.n)))
+        else:
+            designs.append(UniformRandom(int(gen.integers(2**63))))
+    scale = 2.5
+    margins = equal_phase_trace_bound(r, scale, designs).margins
+    for design, margin in zip(designs, margins):
+        if isinstance(design, Equal):
+            assert margin == 0.0 and not np.signbit(margin)
+            continue
+        want, t_equal = _per_design_margin(r, scale, design)
+        assert abs(margin - want) <= 1e-12 * scale * t_equal
+    with pytest.raises(ContractViolationError):
+        equal_phase_trace_bound(r, scale, [*designs, OptimalCsi()])
 
 
 def test_trace_bound_requires_real_model():

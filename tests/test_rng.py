@@ -32,6 +32,27 @@ def test_a_second_get_repositions_the_generator():
     assert np.array_equal(streams.get(rng.DOMAIN_CHANNEL, 3).random(6), reference(7, rng.DOMAIN_CHANNEL, 3).random(6))
 
 
+@pytest.mark.parametrize(
+    "index", [np.int64(0), np.int64(5), np.int64(2**63 - 1), np.uint64(7), np.uint64(2**63), np.uint64(2**64 - 1)]
+)
+def test_numpy_integer_indices_position_like_python_ints(index):
+    streams = rng.StreamFamily(11)
+    for domain in (rng.DOMAIN_CHANNEL, rng.DOMAIN_PHASE):
+        assert np.array_equal(streams.get(domain, index).random(6), reference(11, domain, int(index)).random(6))
+
+
+def test_interleaved_families_keep_their_own_state():
+    a, b = rng.StreamFamily(3), rng.StreamFamily(2**64 - 1)
+    for index in (0, 9, 2**64 - 1, 2**64, 2**128 - 1):
+        other = 2**128 - 1 - index
+        gen_a = a.get(rng.DOMAIN_PHASE, index)
+        gen_b = b.get(rng.DOMAIN_CHANNEL, other)
+        assert np.array_equal(gen_a.random(5), reference(3, rng.DOMAIN_PHASE, index).random(5))
+        assert np.array_equal(gen_b.random(5), reference(2**64 - 1, rng.DOMAIN_CHANNEL, other).random(5))
+        # Repositioning b did not move a: a goes on along its own stream.
+        assert np.array_equal(gen_a.random(3), reference(3, rng.DOMAIN_PHASE, index).random(8)[5:])
+
+
 def test_box_muller_maps_each_row_as_a_1d_call():
     u = np.random.default_rng(3).random((5, 12))
     rows = rng.box_muller(u)
