@@ -17,7 +17,6 @@ from .closedform import (
     gamma_fit_uniform_phase,
     outage_probability,
     outage_scale_sensitivity,
-    regularized_upper_gamma,
     snr_threshold,
     uniform_phase_trace_moments,
 )

@@ -9,6 +9,7 @@ import sys
 from . import __version__
 from .curves import check_target, run_compare, run_curve, run_surface, write_compare_csv, write_curve_csv, write_lines, write_surface_csv
 from .errors import IrsLinkError
+from .montecarlo import engine_threads
 from .scenario import MODELS, load_scenario, step_grid
 from .validation import CRITERIA, run_criteria
 
@@ -123,7 +124,7 @@ def _cmd_validate(args) -> int:
     if args.out:
         check_target(args.out)
     results = run_criteria(numbers, trials=args.trials, seed=args.seed)
-    lines = [r.line() for r in results]
+    lines = [engine_threads().line()] + [r.line() for r in results]
     for line in lines:
         print(line)
     failed = [r for r in results if not r.passed]

@@ -8,8 +8,12 @@ Reproducibility contract: trial ``i`` draws all of its Gaussians from the
 counter-based stream (seed, channel domain, i) in a fixed layout
 (2 normals for the direct channel, then 2N for the source-surface vector,
 then 2N for the surface-destination vector, Box-Muller throughout), so
-trials are order-independent units of work and every estimate is a pure
-function of (scenario, design, trials, seed).
+trials are order-independent units of work.  Gains, and every estimate made
+from them, are a pure function of (scenario, design, trials, seed) for a
+given BLAS build and BLAS thread count: the complex ``eigh`` behind
+``matrix_sqrt`` and the projection's matrix product both round differently
+with the OpenBLAS thread count.  They do not depend on the engine's worker
+count.
 
 Engine: one block kernel serves every caller.  channel_blocks draws blocks
 of up to 64 trials: it repositions the stream once per trial and writes that
@@ -24,12 +28,26 @@ trial is projected as two identical rows, because numpy hands a one-row
 product to the BLAS matrix-vector routine, which rounds differently from the
 matrix-product one.
 
+Threads: gain_samples splits the trials into W contiguous ranges of whole
+blocks; the calling thread runs the first and pool threads the others, so
+every block is the same kernel call as on one thread.  Each range keys its
+own streams and phase function and writes only its own slice of the gains.
+The Philox fill, the Box-Muller ufuncs and the matrix products release the
+GIL, so the ranges overlap.  W (engine_threads) is the usable cores over the
+OpenBLAS thread count, at least 1 and at most the number of blocks, and 1
+when that count cannot be read: a worker beside a BLAS whose threads already
+fill the cores slows the run.
+
 Against version 0.1.0, which projected with one matrix-vector product per
 trial and took the gain as a complex modulus squared, gains differ in the
 last bits.  The draws do not, and an outage count can change only where a
 gain lies within a few ulps of its threshold.
 """
 
+import ctypes
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,10 +165,15 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
     and h_rd one row of N.  Each row equals sample_channels(..., start + r)
     bit for bit; l_sr and l_rd are as there.
     """
+    return _blocks(beta_sd, l_sr, l_rd, seed, 0, trials)
+
+
+def _blocks(beta_sd, l_sr, l_rd, seed, first, stop):
+    """channel_blocks for trials first..stop-1, where first is a multiple of 64."""
     n = _checked_size(l_sr, l_rd)
     streams = rng.StreamFamily(seed)
-    for start in range(0, trials, _BLOCK):
-        count = min(_BLOCK, trials - start)
+    for start in range(first, stop, _BLOCK):
+        count = min(_BLOCK, stop - start)
         u = np.empty((count, 2 + 4 * n))
         for r in range(count):
             streams.get(rng.DOMAIN_CHANNEL, start + r).random(out=u[r])
@@ -193,6 +216,55 @@ def cophased_phases(ch: ChannelRealization) -> np.ndarray:
     return OptimalCsi.cophase(ch.h_sd, ch.h_sr, ch.h_rd)
 
 
+@dataclass(frozen=True)
+class EngineThreads:
+    """How gain_samples runs: its worker threads, the OpenBLAS thread count read (None: unreadable), the usable cores."""
+
+    workers: int
+    blas_threads: int | None
+    cores: int
+
+    def line(self) -> str:
+        blas = "unreadable" if self.blas_threads is None else self.blas_threads
+        return f"MC engine: {self.workers} worker(s), BLAS threads {blas}, usable cores {self.cores}"
+
+
+_BLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def _blas_threads() -> int | None:
+    """The largest thread count of the loaded OpenBLAS libraries, through their own getters; None if none reads."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:  # no procfs: not Linux
+        return None
+    counts = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        getter = next((getattr(lib, name) for name in _BLAS_GETTERS if hasattr(lib, name)), None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            counts.append(getter())
+    return max(counts) if counts and min(counts) >= 1 else None
+
+
+@functools.cache
+def engine_threads() -> EngineThreads:
+    """The engine's thread plan, read once per process: W = usable cores // BLAS threads, or 1 if unreadable."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = _blas_threads()
+    return EngineThreads(1 if blas is None else max(1, cores // blas), blas, cores)
+
+
 def gain_samples(
     beta_sd: float,
     r_sr: CorrelationMatrix,
@@ -204,16 +276,32 @@ def gain_samples(
     """Effective gains of trials 0..trials-1; the raw material of every estimate.
 
     Equal to chaining sample_channels / phase resolution / effective_gain per
-    trial, bit for bit; the work runs in blocks of trials.
+    trial, bit for bit; the work runs in blocks of trials, spread over
+    engine_threads().workers threads in contiguous ranges of whole blocks.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     design = checked_design(design)
-    block_phases = design.block_phases(r_sr.n)
     gains = np.empty(trials)
     l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
-    for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, l_sr, l_rd, seed, trials):
-        gains[start : start + h_sd.shape[0]] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
+
+    def run(first, stop):
+        # A phase function per range: UniformRandom's closes over one StreamFamily.
+        block_phases = design.block_phases(r_sr.n)
+        for start, h_sd, h_sr, h_rd in _blocks(beta_sd, l_sr, l_rd, seed, first, stop):
+            gains[start : start + h_sd.shape[0]] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
+
+    blocks = -(-trials // _BLOCK)
+    workers = min(engine_threads().workers, blocks)
+    bounds = [min(trials, _BLOCK * (blocks * w // workers)) for w in range(workers + 1)]
+    # The pool starts threads only on submit, so W = 1 starts none.  Leaving
+    # the with block waits for every range: none still writes into gains
+    # when this returns or raises.
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        rest = [pool.submit(run, first, stop) for first, stop in zip(bounds[1:-1], bounds[2:])]
+        run(bounds[0], bounds[1])
+        for future in rest:
+            future.result()
     return gains
 
 

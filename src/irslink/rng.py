@@ -7,8 +7,12 @@ user seed, with the 256-bit counter partitioned as
 
 so stream ``i`` in [0, 2^128) of a domain owns 2^64 counter blocks that no
 other (domain, index) pair can touch (``check_index``); ``StreamFamily`` keys
-every stream.  Results depend only on (seed, domain, index), never on
-evaluation order, chunking, or thread count.
+every stream.  Draws depend only on (seed, domain, index), never on
+evaluation order, chunking, or the thread that makes them.  Gains built
+from them also pass through BLAS and LAPACK, whose rounding changes with the
+OpenBLAS thread count: they are a pure function of (scenario, design,
+trials, seed) for a given BLAS build and BLAS thread count, and do not
+depend on how many worker threads the simulator runs.
 
 Standard normals are produced by the basic Box-Muller transform on the
 stream's uniforms; this mapping is part of the reproducibility contract and

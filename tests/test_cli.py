@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +209,10 @@ def test_validate_fast_subset(tmp_path):
     assert len(lines) == 4
     assert all(l.startswith("[PASS]") for l in lines)
     assert report.read_text().count("criterion") == 4
+    # the engine's thread plan comes first, on screen and in the report
+    engine = result.stdout.splitlines()[0]
+    assert re.fullmatch(r"MC engine: \d+ worker\(s\), BLAS threads (\d+|unreadable), usable cores \d+", engine)
+    assert report.read_text().splitlines()[0] == engine
 
 
 def test_validate_report_survives_a_failed_write(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,18 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from irslink import montecarlo
 from irslink.closedform import SystemParameters, gain_moments, snr_threshold
 from irslink.correlation import CorrelationMatrix, matrix_sqrt
 from irslink.errors import DomainError
 from irslink.montecarlo import (
     ChannelRealization,
+    EngineThreads,
     McEstimate,
     SampleMoments,
     cophased_phases,
@@ -182,6 +187,128 @@ def test_per_trial_ops_match_partial_blocks(side):
                 else:
                     phases = phase_vector(design, r.n, draw_index=i)
                 assert effective_gain(ch, phases) == gains[i]
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Force gain_samples onto w worker threads; records each range it runs as (first, stop, thread)."""
+    ranges = []
+    blocks = montecarlo._blocks
+
+    def recorded(beta_sd, l_sr, l_rd, seed, first, stop):
+        ranges.append((first, stop, threading.get_ident()))
+        return blocks(beta_sd, l_sr, l_rd, seed, first, stop)
+
+    monkeypatch.setattr(montecarlo, "_blocks", recorded)
+
+    def force(w):
+        monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
+        ranges.clear()
+        return ranges
+
+    return force
+
+
+@pytest.mark.parametrize("side", [1, 4, 8])  # N = 1, 16, 64
+def test_worker_count_does_not_change_gains(side, workers):
+    r = square_sinc(side)
+    for design in _all_designs(r.n):
+        for trials in (1, 63, 64, 65, 129, 1000):
+            workers(1)
+            serial = gain_samples(0.5, r, r, design, trials, seed=21).tobytes()
+            for w in (2, 3):
+                ranges = workers(w)
+                assert gain_samples(0.5, r, r, design, trials, seed=21).tobytes() == serial
+                ranges.sort()
+                assert len(ranges) == min(w, -(-trials // 64))
+                assert ranges[0][0] == 0 and ranges[-1][1] == trials
+                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+                assert all(first % 64 == 0 and first < stop for first, stop, _ in ranges)
+                # the calling thread runs the first range, pool threads the others
+                on_caller = [thread == threading.get_ident() for _, _, thread in ranges]
+                assert on_caller == [True] + [False] * (len(ranges) - 1)
+
+
+def test_many_workers_under_fast_thread_switching(workers):
+    """More workers than cores, switching threads every microsecond: a lost or misplaced write would show."""
+    r = square_sinc(4)
+    workers(1)
+    serial = gain_samples(0.5, r, r, UniformRandom(3), 3000, seed=5)
+    workers(6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = gain_samples(0.5, r, r, UniformRandom(3), 3000, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(pooled, serial)
+
+
+class _RangeFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["calling thread", "pool thread"])
+def test_range_failure_waits_for_every_range(failing, workers, monkeypatch):
+    """A range's exception reaches the caller, and only once no other range is still writing."""
+    caller = threading.current_thread()
+    gains = montecarlo._gains
+    lock = threading.Lock()
+    active, finished = [0], []
+
+    def failing_gains(h_sd, h_sr, phases, h_rd):
+        in_caller = threading.current_thread() is caller
+        if in_caller == (failing == "calling thread"):
+            raise _RangeFailed(failing)
+        with lock:
+            active[0] += 1
+        time.sleep(0.01)  # the other ranges are still at work when the failure happens
+        out = gains(h_sd, h_sr, phases, h_rd)
+        with lock:
+            active[0] -= 1
+            finished.append(in_caller)
+        return out
+
+    monkeypatch.setattr(montecarlo, "_gains", failing_gains)
+    workers(3)
+    r = square_sinc(2)
+    with pytest.raises(_RangeFailed, match=failing):
+        gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
+    assert active[0] == 0
+    # every range that did not fail ran all of its three blocks
+    assert len(finished) == (6 if failing == "calling thread" else 3)
+
+
+def test_engine_threads_rule(monkeypatch):
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    plan = montecarlo.engine_threads.__wrapped__
+    for blas, want in ((1, 4), (2, 2), (3, 1), (8, 1), (None, 1)):
+        monkeypatch.setattr(montecarlo, "_blas_threads", lambda blas=blas: blas)
+        assert plan() == EngineThreads(want, blas, 4)
+    assert plan().line() == "MC engine: 1 worker(s), BLAS threads unreadable, usable cores 4"
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity")  # as on platforms without it
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: 1)
+    assert plan() == EngineThreads(3, 1, 3)
+    monkeypatch.undo()
+    real = montecarlo.engine_threads()
+    assert real.workers >= 1 and real.cores >= 1
+    assert real is montecarlo.engine_threads()  # read once
+
+
+def test_unreadable_blas_getter_gives_none(monkeypatch):
+    class NoGetters:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL", NoGetters)
+    assert montecarlo._blas_threads() is None
+
+    def no_procfs(*args, **kwargs):
+        raise FileNotFoundError("no such file")
+
+    monkeypatch.setattr(montecarlo, "open", no_procfs, raising=False)
+    assert montecarlo._blas_threads() is None
 
 
 def test_outage_counts_match_strict_inequality():
