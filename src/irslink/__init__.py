@@ -40,16 +40,13 @@ from .errors import (
 )
 from .montecarlo import (
     ChannelRealization,
-    McEstimate,
     SampleMoments,
     channel_blocks,
     cophased_phases,
     effective_gain,
-    estimate_outage,
     gain_samples,
-    outage_counts,
+    outage_rates,
     sample_channels,
-    sample_gain_moments,
 )
 from .phaseshift import (
     Equal,

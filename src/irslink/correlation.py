@@ -11,7 +11,6 @@ import numpy as np
 from .errors import DomainError, NotPositiveSemidefiniteError
 
 HERMITIAN_ATOL = 1e-12
-UNIT_DIAGONAL_ATOL = 1e-12
 PSD_RTOL = 1e-9
 
 
@@ -69,9 +68,6 @@ class CorrelationMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def has_unit_diagonal(self) -> bool:
-        return bool(np.max(np.abs(np.diag(self.entries) - 1.0)) <= UNIT_DIAGONAL_ATOL)
 
 
 def _checked_entries(m: np.ndarray) -> tuple:

@@ -17,7 +17,7 @@ from scipy import special
 from . import __version__, rng
 from .closedform import outage_probability, snr_threshold
 from .errors import DomainError
-from .montecarlo import McEstimate, gain_samples, outage_counts
+from .montecarlo import gain_samples, outage_rates
 from .phaseshift import checked_design
 from .scenario import Scenario
 
@@ -68,8 +68,7 @@ class OutageCurve:
 
 def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
     """Closed-form outage over the scenario grid, with MC validation if trials > 0."""
-    if trials < 0:
-        raise DomainError(f"trial count must be >= 0, got {trials}")
+    trials = rng.check_trials(trials)
     seed = rng.check_seed(seed)
     xi = scenario.xi_grid()
     z = snr_threshold(scenario.system_parameters(scenario.xi_min), xi)
@@ -88,7 +87,7 @@ def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
 
     if trials > 0:
         gains = gain_samples(scenario.beta_sd, r_sr, r_rd, scenario.design, trials, seed)
-        p_mc, std_err = McEstimate.rates(trials, outage_counts(gains, z))
+        p_mc, std_err = outage_rates(gains, z)
     else:
         p_mc = np.full(xi.shape, np.nan)
         std_err = np.full(xi.shape, np.nan)
@@ -190,31 +189,31 @@ def write_curve_csv(curve: OutageCurve, path) -> None:
 
 
 def read_curve_csv(path) -> OutageCurve:
-    meta = {}
-    name = ""
-    rows = []
+    """The curve written to ``path``; DomainError naming the file if it is malformed."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        lines = [line.strip() for line in fh]
+    meta = {}
+    rows = []
+    try:
+        for line in lines:
             if line.startswith("#"):
                 for token in line[1:].split():
                     if "=" in token:
                         key, value = token.split("=", 1)
                         meta[key] = unquote(value)
-                continue
-            if line.startswith(COLUMNS[0] + ","):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    data = np.array(rows)
+            elif line and not line.startswith(COLUMNS[0] + ","):
+                rows.append([float(tok) for tok in line.split(",")])
+        seed, trials = int(meta.get("seed", 0)), int(meta.get("trials", 0))
+        data = np.array(rows)
+    except ValueError as exc:  # a non-numeric cell or header value, or ragged rows
+        raise DomainError(f"curve file {path} is malformed: {exc}") from None
     if data.ndim != 2 or data.shape[1] != len(COLUMNS):
         raise DomainError(f"curve file {path} does not have {len(COLUMNS)} columns")
     return OutageCurve(
         scenario_name=meta.get("scenario", ""),
         scenario_hash=meta.get("scenario_hash", ""),
-        seed=int(meta.get("seed", 0)),
-        trials=int(meta.get("trials", 0)),
+        seed=seed,
+        trials=trials,
         tool_version=meta.get("tool_version", ""),
         **{c: data[:, j] for j, c in enumerate(COLUMNS)},
     )

@@ -20,13 +20,12 @@ of up to 64 trials: it repositions the stream once per trial and writes that
 trial's uniforms into one row of a buffer; Box-Muller and the projection
 through the two covariance factors (one matrix product each) then run on the
 whole block.  gain_samples iterates those blocks and applies the design's
-phases for the block and the gain, taken as re^2 + im^2.
-The public per-trial operations (sample_channels, cophased_phases,
-effective_gain) are views of the same kernel and the same reductions on a
-single row, so chaining them reproduces gain_samples bit for bit.  A lone
-trial is projected as two identical rows, because numpy hands a one-row
+phases for the block and the gain, taken as re^2 + im^2.  The per-trial
+operations are one-row views of these routes: sample_channels is a block of
+one trial, which fills two identical rows because numpy hands a one-row
 product to the BLAS matrix-vector routine, which rounds differently from the
-matrix-product one.
+matrix-product one; effective_gain and cophased_phases are the block
+reductions on one row.  Chaining them reproduces gain_samples bit for bit.
 
 Threads: gain_samples splits the trials into W contiguous ranges of whole
 blocks; the calling thread runs the first and pool threads the others, so
@@ -37,11 +36,6 @@ GIL, so the ranges overlap.  W (engine_threads) is the usable cores over the
 OpenBLAS thread count, at least 1 and at most the number of blocks, and 1
 when that count cannot be read: a worker beside a BLAS whose threads already
 fill the cores slows the run.
-
-Against version 0.1.0, which projected with one matrix-vector product per
-trial and took the gain as a complex modulus squared, gains differ in the
-last bits.  The draws do not, and an outage count can change only where a
-gain lies within a few ulps of its threshold.
 """
 
 import ctypes
@@ -53,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .closedform import SystemParameters, snr_threshold
 from .correlation import CorrelationMatrix, matrix_sqrt
 from .errors import DomainError
 from .phaseshift import OptimalCsi, PhaseShiftDesign, checked_design
@@ -82,63 +75,33 @@ class ChannelRealization:
         return self.h_sr.shape[0]
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """Empirical outage estimate with its binomial standard error."""
+def outage_rates(gains: np.ndarray, z):
+    """(p_hat, std_err) of outage at each threshold of z, from the gains of one run.
 
-    trials: int
-    failures: int
-    p_hat: float
-    std_err: float
-
-    @staticmethod
-    def rates(trials: int, failures):
-        """(p_hat, std_err) for a failure count or an array of them."""
-        p = failures / trials
-        return p, np.sqrt(p * (1.0 - p) / trials)
-
-    @classmethod
-    def from_counts(cls, trials: int, failures: int) -> "McEstimate":
-        p, se = cls.rates(trials, failures)
-        return cls(trials, failures, float(p), float(se))
-
-
-def outage_counts(gains: np.ndarray, z) -> np.ndarray:
-    """Number of gains strictly below each threshold of z, for the whole grid at once.
-
-    Sorting once and bisecting on the left gives the exact count of gain < z,
-    the capacity-below-target definition of a failure.
+    A failure is gain < z, the capacity-below-target definition; sorting the
+    gains once and bisecting on the left counts the failures of the whole
+    grid at once.  std_err is the binomial standard error sqrt(p(1-p)/trials).
     """
-    return np.searchsorted(np.sort(gains), z, side="left")
+    trials = gains.shape[0]
+    p = np.searchsorted(np.sort(gains), z, side="left") / trials
+    return p, np.sqrt(p * (1.0 - p) / trials)
 
 
 _BLOCK = 64  # trials per kernel call; bounds the uniform buffer at 64 x (2+4N) doubles
 
 
 def _channel_block(beta_sd, l_sr, l_rd, u):
-    """Channels from uniforms along the last axis: a 2-D u holds one trial per row.
+    """Channels of a block of trials from its uniforms u, one trial per row.
 
-    h_sd takes u's leading shape, h_sr and h_rd add N on the last axis, and
-    each trial depends on its own row of uniforms alone.
+    h_sd has one entry per row, h_sr and h_rd one row of N; each trial
+    depends on its own row of uniforms alone.
     """
     n = l_sr.shape[0]
     g = rng.box_muller(u)
-    h_sd = np.sqrt(beta_sd / 2.0) * (g[..., 0] + 1j * g[..., 1])
-    g_sr = (g[..., 2 : 2 + n] + 1j * g[..., 2 + n : 2 + 2 * n]) / np.sqrt(2.0)
-    g_rd = (g[..., 2 + 2 * n : 2 + 3 * n] + 1j * g[..., 2 + 3 * n :]) / np.sqrt(2.0)
-    return h_sd, _project(g_sr, l_sr), _project(g_rd, l_rd)
-
-
-def _project(g, factor):
-    """factor @ g for every trial (row) of g, as one matrix product.
-
-    A lone trial goes through as two identical rows: numpy hands a one-row
-    product to the matrix-vector routine, which rounds differently from the
-    matrix-product routine that every larger block uses.
-    """
-    if g.ndim == 2 and g.shape[0] > 1:
-        return g @ factor.T
-    return (np.concatenate((g, g)).reshape(2, -1) @ factor.T)[0].reshape(g.shape)
+    h_sd = np.sqrt(beta_sd / 2.0) * (g[:, 0] + 1j * g[:, 1])
+    g_sr = (g[:, 2 : 2 + n] + 1j * g[:, 2 + n : 2 + 2 * n]) / np.sqrt(2.0)
+    g_rd = (g[:, 2 + 2 * n : 2 + 3 * n] + 1j * g[:, 2 + 3 * n :]) / np.sqrt(2.0)
+    return h_sd, g_sr @ l_sr.T, g_rd @ l_rd.T
 
 
 def _gains(h_sd, h_sr, phases, h_rd):
@@ -149,13 +112,6 @@ def _gains(h_sd, h_sr, phases, h_rd):
     """
     x = h_sd + (np.conj(h_sr) * phases * h_rd).sum(axis=-1)
     return x.real * x.real + x.imag * x.imag
-
-
-def _checked_size(l_sr, l_rd) -> int:
-    n = l_sr.shape[0]
-    if l_sr.shape != (n, n) or l_rd.shape != (n, n):
-        raise DomainError("covariance factors must be square and of equal size")
-    return n
 
 
 def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int, trials: int):
@@ -169,15 +125,24 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
 
 
 def _blocks(beta_sd, l_sr, l_rd, seed, first, stop):
-    """channel_blocks for trials first..stop-1, where first is a multiple of 64."""
-    n = _checked_size(l_sr, l_rd)
+    """channel_blocks for trials first..stop-1, in blocks of up to 64 from first.
+
+    A block of one trial fills two identical rows of the buffer and yields
+    the first: the kernel's matrix products then always have two rows or more.
+    """
+    n = l_sr.shape[0]
+    if l_sr.shape != (n, n) or l_rd.shape != (n, n):
+        raise DomainError("covariance factors must be square and of equal size")
     streams = rng.StreamFamily(seed)
     for start in range(first, stop, _BLOCK):
         count = min(_BLOCK, stop - start)
-        u = np.empty((count, 2 + 4 * n))
+        u = np.empty((max(count, 2), 2 + 4 * n))
         for r in range(count):
             streams.get(rng.DOMAIN_CHANNEL, start + r).random(out=u[r])
-        yield (start, *_channel_block(beta_sd, l_sr, l_rd, u))
+        if count == 1:
+            u[1] = u[0]
+        h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, u)
+        yield start, h_sd[:count], h_sr[:count], h_rd[:count]
 
 
 def sample_channels(
@@ -187,16 +152,15 @@ def sample_channels(
     seed: int,
     trial_index: int,
 ) -> ChannelRealization:
-    """Draw the channel realization of one trial.
+    """Draw the channel realization of one trial: row 0 of its one-trial block.
 
     l_sr and l_rd are square-root factors of the covariance matrices (from
     correlation.matrix_sqrt); the surface vectors are L @ g with g a standard
     complex Gaussian vector.  trial_index must lie in [0, 2^128) (DomainError).
     """
-    n = _checked_size(l_sr, l_rd)
-    u = rng.StreamFamily(seed).get(rng.DOMAIN_CHANNEL, rng.check_index(trial_index)).random(2 + 4 * n)
-    h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, u)
-    return ChannelRealization(h_sd=complex(h_sd), h_sr=h_sr, h_rd=h_rd)
+    i = rng.check_index(trial_index)
+    _, h_sd, h_sr, h_rd = next(_blocks(beta_sd, l_sr, l_rd, seed, i, i + 1))
+    return ChannelRealization(h_sd=complex(h_sd[0]), h_sr=h_sr[0], h_rd=h_rd[0])
 
 
 def effective_gain(ch: ChannelRealization, phases: np.ndarray) -> float:
@@ -279,8 +243,7 @@ def gain_samples(
     trial, bit for bit; the work runs in blocks of trials, spread over
     engine_threads().workers threads in contiguous ranges of whole blocks.
     """
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
+    trials = rng.check_trials(trials, least=1)
     design = checked_design(design)
     gains = np.empty(trials)
     l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
@@ -303,24 +266,6 @@ def gain_samples(
         for future in rest:
             future.result()
     return gains
-
-
-def estimate_outage(
-    params: SystemParameters,
-    r_sr: CorrelationMatrix,
-    r_rd: CorrelationMatrix,
-    design: PhaseShiftDesign,
-    trials: int,
-    seed: int,
-) -> McEstimate:
-    """Empirical outage: the fraction of trials whose gain falls below threshold.
-
-    Failure counting uses the strict inequality gain < z, matching the
-    capacity-below-target definition.
-    """
-    z = snr_threshold(params)
-    gains = gain_samples(params.beta_sd, r_sr, r_rd, design, trials, seed)
-    return McEstimate.from_counts(trials, int(outage_counts(gains, z)))
 
 
 @dataclass(frozen=True)
@@ -351,15 +296,3 @@ class SampleMoments:
         se_variance = float(np.sqrt(max(m4 - variance**2, 0.0) / trials))
         se_second = float(np.std(gains**2, ddof=1) / np.sqrt(trials))
         return cls(trials, mean, variance, second, se_mean, se_variance, se_second)
-
-
-def sample_gain_moments(
-    params: SystemParameters,
-    r_sr: CorrelationMatrix,
-    r_rd: CorrelationMatrix,
-    design: PhaseShiftDesign,
-    trials: int,
-    seed: int,
-) -> SampleMoments:
-    """SampleMoments of the gains of trials 0..trials-1."""
-    return SampleMoments.of(gain_samples(params.beta_sd, r_sr, r_rd, design, trials, seed))

@@ -11,7 +11,8 @@ Each design class answers for itself: its schema ``kind`` and keys, which
 and, for one simulator run over n elements, ``block_phases(n)``: a function
 that maps a block of trials (start, h_sd, h_sr, h_rd), one trial per row, to
 the phases of draws start, start+1, ...  ``UniformRandom.phase_draws(n)`` is
-the one block draw of random phases; the simulator and criterion 3 use it.
+the one draw of random phases: the simulator, criterion 3 and, one draw at a
+time, ``UniformRandom.phases`` use it.
 
 ``cascade_matrix`` and ``cascade_traces`` take one phase vector (N,) or a
 stack of them (B, N), one vector per row.  Row b of a stacked call equals the
@@ -133,8 +134,7 @@ class UniformRandom(_Design):
             raise ScenarioFormatError(str(exc), field="seed") from None
 
     def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
-        gen = rng.StreamFamily(self.seed).get(rng.DOMAIN_PHASE, rng.check_index(draw_index))
-        return np.exp(1j * gen.uniform(-np.pi, np.pi, n))
+        return self.phase_draws(n)(draw_index, 1)[0]
 
     def gamma_fit(self, beta_sd, r_sr, r_rd):
         return closedform.gamma_fit_uniform_phase(beta_sd, r_sr, r_rd)
@@ -142,7 +142,7 @@ class UniformRandom(_Design):
     def phase_draws(self, n: int):
         """A function (start, count) -> the phases of draws start..start+count-1, one per row.
 
-        Row i equals ``phases(n, start + i)`` bit for bit.  The function keys
+        ``phases(n, i)`` is row 0 of ``draw(i, 1)``.  The function keys
         one StreamFamily for a whole run and repositions it for every draw;
         a range that leaves [0, 2^128) raises DomainError.
         """

@@ -47,6 +47,14 @@ def check_index(index) -> int:
     return _checked_int(index, "stream index", 128)
 
 
+def check_trials(trials, least: int = 0) -> int:
+    """A trial count of at least ``least`` as an int; trials 0..trials-1 are stream indices, so fewer than 2^128."""
+    trials = _checked_int(trials, "trial count", 128)
+    if trials < least:
+        raise DomainError(f"trial count must be at least {least}, got {trials}")
+    return trials
+
+
 class StreamFamily:
     """All streams of one seed, sharing a single reusable bit generator.
 

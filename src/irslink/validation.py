@@ -30,7 +30,7 @@ from .closedform import (
 )
 from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
-from .montecarlo import McEstimate, gain_samples, outage_counts
+from .montecarlo import gain_samples, outage_rates
 from .phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, cascade_traces, equal_phase_trace_bound, phase_vector
 from .scenario import load_scenario
 
@@ -226,7 +226,7 @@ def criterion_5(trials=None, seed=None):
     p, se = {}, {}
     for name, design in designs.items():
         gains = gain_samples(sc.beta_sd, r_sr, r_rd, design, trials, seed)
-        p[name], se[name] = McEstimate.rates(trials, outage_counts(gains, z))
+        p[name], se[name] = outage_rates(gains, z)
 
     def in_window(name):
         return (p[name] > 0.05) & (p[name] < 0.95)
@@ -386,7 +386,9 @@ def criterion_10(trials=None, seed=None):
 
 
 def run_criteria(numbers=None, trials=None, seed=None):
-    """Run the criteria in order; a bad seed override fails before any of them starts."""
+    """Run the criteria in order; a bad trial or seed override fails before any of them starts."""
+    if trials is not None:
+        rng.check_trials(trials, least=1)
     if seed is not None:
         rng.check_seed(seed)
     numbers = sorted(CRITERIA) if numbers is None else list(numbers)

@@ -4,7 +4,10 @@ Each test runs one criterion from irslink.validation (the same code the
 ``irslink validate`` subcommand executes) and prints its pass/fail line.
 """
 
+import pytest
+
 from irslink import validation
+from irslink.errors import DomainError
 
 
 def _run(number):
@@ -80,3 +83,10 @@ def test_criterion_cpu_time_is_not_held_to_the_limit(monkeypatch):
     result = validation.criterion_10()
     assert result.passed is True
     assert result.cpu == 1000.0 and result.runtime < result.limit
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True])
+def test_bad_trial_override_fails_before_any_criterion(trials):
+    # with no trials, criterion 4 would compare the closed form against NaN and pass
+    with pytest.raises(DomainError, match="trial count"):
+        validation.run_criteria([4], trials=trials)

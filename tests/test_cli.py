@@ -131,7 +131,7 @@ def test_compare_rejects_unknown_model():
     assert "bogus" in result.stderr
 
 
-@pytest.mark.parametrize("command", ["curve", "compare"])
+@pytest.mark.parametrize("command", ["curve", "compare", "validate"])
 def test_negative_trials_are_input_errors(tmp_path, command):
     out = tmp_path / "negative.csv"
     result = run_cli(command, "--scenario", "fig2c", "--trials", "-5", "--out", str(out))

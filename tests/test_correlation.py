@@ -43,9 +43,8 @@ def test_geometry_validation():
 
 def test_sinc_diagonal_is_exactly_one():
     r = square_sinc(4)
-    assert np.array_equal(np.diag(r.entries.real), np.ones(16))
+    assert np.array_equal(np.diag(r.entries), np.ones(16))  # imaginary parts exactly zero too
     assert np.trace(r.entries).real == 16.0
-    assert r.has_unit_diagonal()
 
 
 def test_sinc_half_wavelength_neighbors_decorrelate():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import irslink.curves as curves_module
-from irslink.closedform import GammaParams, gamma_fit_uniform_phase, outage_probability
+from irslink.closedform import GammaParams, gamma_fit_uniform_phase, outage_probability, snr_threshold
 from irslink.curves import (
     OutageCurve,
     check_target,
@@ -20,6 +20,7 @@ from irslink.curves import (
     write_surface_csv,
 )
 from irslink.errors import DomainError
+from irslink.montecarlo import gain_samples, outage_rates
 from irslink.scenario import load_scenario, scenario_from_dict
 
 from test_scenario import make
@@ -244,14 +245,42 @@ def test_uncorrelated_model_is_phase_invariant():
 
 def test_mc_columns_reuse_gain_draws():
     """Per-threshold estimates come from one shared set of trials."""
-    from irslink.montecarlo import estimate_outage
-
     sc = small_scenario(design="uniform_random", theta=None, seed=4, xi_step=0.25)
     curve = run_curve(sc, trials=2_000, seed=6)
     r_sr, r_rd = sc.covariances()
     for idx in (0, len(curve.xi) // 2, len(curve.xi) - 1):
-        est = estimate_outage(
-            sc.system_parameters(float(curve.xi[idx])), r_sr, r_rd, sc.design, 2_000, 6
-        )
-        assert est.p_hat == curve.p_mc[idx]
-        assert est.std_err == curve.std_err[idx]
+        gains = gain_samples(sc.beta_sd, r_sr, r_rd, sc.design, 2_000, 6)
+        p_hat, std_err = outage_rates(gains, snr_threshold(sc.system_parameters(float(curve.xi[idx]))))
+        assert p_hat == curve.p_mc[idx]
+        assert std_err == curve.std_err[idx]
+
+
+@pytest.mark.parametrize("trials", [0.0, True, 2.5, np.float64(64.0), -1])
+def test_trial_count_must_be_a_nonnegative_integer(trials):
+    with pytest.raises(DomainError, match="trial count"):
+        run_curve(small_scenario(), trials=trials, seed=1)
+
+
+def test_csv_round_trip_of_a_numpy_trial_count(tmp_path):
+    curve = run_curve(small_scenario(), trials=np.int64(64), seed=5)
+    assert type(curve.trials) is int and curve.trials == 64
+    assert curve == run_curve(small_scenario(), trials=64, seed=5)
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, path)
+    assert " trials=64\n" in path.read_text()
+    assert read_curve_csv(path) == curve
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [(" seed=5 ", " seed=five "), (" trials=0\n", " trials=0.0\n"), ("\n0,", "\nzero,"), ("\n0,", "\n0,0,")],
+    ids=["seed", "trials", "cell", "ragged-row"],
+)
+def test_malformed_curve_file_is_a_domain_error_naming_it(tmp_path, old, new):
+    path = tmp_path / "curve.csv"
+    write_curve_csv(run_curve(small_scenario(), trials=0, seed=5), path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(DomainError, match="curve.csv"):
+        read_curve_csv(path)

@@ -6,26 +6,25 @@ import time
 import numpy as np
 import pytest
 
-from irslink import montecarlo
+from irslink import montecarlo, rng
 from irslink.closedform import SystemParameters, gain_moments, snr_threshold
 from irslink.correlation import CorrelationMatrix, matrix_sqrt
 from irslink.errors import DomainError
 from irslink.montecarlo import (
     ChannelRealization,
     EngineThreads,
-    McEstimate,
     SampleMoments,
+    channel_blocks,
     cophased_phases,
     effective_gain,
-    estimate_outage,
     gain_samples,
-    outage_counts,
+    outage_rates,
     sample_channels,
-    sample_gain_moments,
 )
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, phase_vector
 
 from conftest import square_sinc
+from test_rng import reference
 
 def zeros(n):
     return CorrelationMatrix(np.zeros((n, n)))
@@ -65,6 +64,46 @@ def test_sample_channels_deterministic_per_trial():
     assert np.array_equal(a.h_rd, b.h_rd)
     c = sample_channels(1.0, factor, factor, 42, 8)
     assert not np.allclose(a.h_sr, c.h_sr)
+
+
+def _written_out_channels(beta_sd, l_sr, l_rd, seed, index):
+    """The channels of trial ``index``, from a freshly keyed Philox with the draw layout written out."""
+    n = l_sr.shape[0]
+    u = reference(seed, rng.DOMAIN_CHANNEL, index).random(2 + 4 * n)
+    # Box-Muller: radii from the first half of the uniforms, angles from the
+    # second; cosines are normals 0..2N, sines the rest.
+    pairs = 1 + 2 * n
+    radius = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
+    angle = 2.0 * np.pi * u[pairs:]
+    normals = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+    h_sd = np.sqrt(beta_sd / 2.0) * (normals[0] + 1j * normals[1])
+    # h_sr from the next 2N normals, h_rd from the last 2N: real parts, then imaginary parts.
+    g_sr = (normals[2 : 2 + n] + 1j * normals[2 + n : 2 + 2 * n]) / np.sqrt(2.0)
+    g_rd = (normals[2 + 2 * n : 2 + 3 * n] + 1j * normals[2 + 3 * n :]) / np.sqrt(2.0)
+    # Each projected as a two-row product, never through the matrix-vector routine.
+    h_sr = (np.stack((g_sr, g_sr)) @ l_sr.T)[0]
+    h_rd = (np.stack((g_rd, g_rd)) @ l_rd.T)[0]
+    return complex(h_sd), h_sr, h_rd
+
+
+def _same_bits(got, want):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("side", [1, 2, 8])  # N = 1, 4, 64
+def test_channel_draw_layout_is_pinned(side):
+    """sample_channels and the block rows equal the written-out layout, bit for bit."""
+    factor = matrix_sqrt(square_sinc(side))
+    for index in (0, 63, 64, 2**128 - 1):
+        ch = sample_channels(0.5, factor, factor, 13, index)
+        want = _written_out_channels(0.5, factor, factor, 13, index)
+        assert _same_bits((ch.h_sd, ch.h_sr, ch.h_rd), want), f"trial {index}"
+    blocks = list(channel_blocks(0.5, factor, factor, 13, 65))
+    assert [block[0] for block in blocks] == [0, 64]  # trial 64 is a trailing block of one
+    h_sd, h_sr, h_rd = (np.concatenate([block[k] for block in blocks]) for k in (1, 2, 3))
+    for i in (0, 63, 64):
+        want = _written_out_channels(0.5, factor, factor, 13, i)
+        assert _same_bits((complex(h_sd[i]), h_sr[i], h_rd[i]), want), f"block row {i}"
 
 
 def test_effective_gain_single_element_modulus_invariance():
@@ -127,18 +166,19 @@ def test_cophasing_dominates_every_fixed_design():
 
 def test_estimate_outage_direct_only_matches_exponential_law():
     p = direct_params(xi=1.0)
-    est = estimate_outage(p, zeros(2), zeros(2), Equal(0.0), 100_000, seed=3)
-    exact = 1.0 - math.exp(-snr_threshold(p))
-    assert abs(est.p_hat - exact) <= 3 * est.std_err
-    assert est.trials == 100_000
-    assert est.failures == round(est.p_hat * est.trials)
+    z = snr_threshold(p)
+    gains = gain_samples(p.beta_sd, zeros(2), zeros(2), Equal(0.0), 100_000, seed=3)
+    p_hat, std_err = outage_rates(gains, z)
+    exact = 1.0 - math.exp(-z)
+    assert abs(p_hat - exact) <= 3 * std_err
+    assert round(p_hat * 100_000) == np.count_nonzero(gains < z)
 
 
 def test_estimate_outage_bit_identical_reruns():
     p = direct_params(xi=0.5)
     r = square_sinc(2)
-    a = estimate_outage(p, r, r, UniformRandom(4), 5_000, seed=11)
-    b = estimate_outage(p, r, r, UniformRandom(4), 5_000, seed=11)
+    a = outage_rates(gain_samples(p.beta_sd, r, r, UniformRandom(4), 5_000, seed=11), snr_threshold(p))
+    b = outage_rates(gain_samples(p.beta_sd, r, r, UniformRandom(4), 5_000, seed=11), snr_threshold(p))
     assert a == b
 
 
@@ -314,8 +354,10 @@ def test_unreadable_blas_getter_gives_none(monkeypatch):
 def test_outage_counts_match_strict_inequality():
     gains = np.array([0.5, 2.0, 1.0, 1.0, 3.0])
     z = np.array([0.0, 0.5, 1.0, 1.5, 3.0, 4.0])
-    assert outage_counts(gains, z).tolist() == [int(np.count_nonzero(gains < zv)) for zv in z]
-    assert outage_counts(gains, 1.0) == 1
+    p_hat, std_err = outage_rates(gains, z)
+    assert p_hat.tolist() == [np.count_nonzero(gains < zv) / 5 for zv in z]
+    assert std_err.tolist() == [math.sqrt(p * (1.0 - p) / 5) for p in p_hat]
+    assert outage_rates(gains, 1.0)[0] == 1 / 5
 
 
 def test_trials_are_order_independent_units():
@@ -335,19 +377,18 @@ def test_uniform_design_worse_than_equal_when_blocked():
     params = sc.system_parameters(0.002)
     z = snr_threshold(params)
     trials = 20_000
-    estimates = {}
+    p_hat, std_err = {}, {}
     for name, design in [("equal", Equal(np.pi / 4)), ("uniform", UniformRandom(6))]:
         gains = gain_samples(0.0, r_sr, r_rd, design, trials, seed=14)
-        failures = int(np.count_nonzero(gains < z))
-        estimates[name] = McEstimate.from_counts(trials, failures)
-    gap = estimates["uniform"].p_hat - estimates["equal"].p_hat
-    combined = math.hypot(estimates["uniform"].std_err, estimates["equal"].std_err)
+        p_hat[name], std_err[name] = outage_rates(gains, z)
+    gap = p_hat["uniform"] - p_hat["equal"]
+    combined = math.hypot(std_err["uniform"], std_err["equal"])
     assert gap > 4 * combined
 
 
 def test_sample_moments_direct_only_exponential():
     p = direct_params()
-    m = sample_gain_moments(p, zeros(2), zeros(2), Equal(0.0), 100_000, seed=8)
+    m = SampleMoments.of(gain_samples(p.beta_sd, zeros(2), zeros(2), Equal(0.0), 100_000, seed=8))
     assert abs(m.mean - 1.0) <= 3 * m.se_mean
     assert abs(m.variance - 1.0) <= 3 * m.se_variance
 
@@ -370,10 +411,9 @@ def test_sample_moments_match_closed_form(heavy_mc):
 
 
 def test_mc_estimate_bounds():
-    est = McEstimate.from_counts(100, 0)
-    assert est.p_hat == 0.0 and est.std_err == 0.0
-    est = McEstimate.from_counts(100, 100)
-    assert est.p_hat == 1.0 and est.std_err == 0.0
+    gains = np.ones(100)
+    assert outage_rates(gains, 0.5) == (0.0, 0.0)  # every trial passes
+    assert outage_rates(gains, 2.0) == (1.0, 0.0)  # every trial fails
 
 
 def test_invalid_trial_counts():
@@ -381,9 +421,23 @@ def test_invalid_trial_counts():
     with pytest.raises(DomainError):
         gain_samples(0.5, r, r, Equal(0.0), 0, seed=1)
     with pytest.raises(DomainError):
-        sample_gain_moments(direct_params(), r, r, Equal(0.0), 1, seed=1)
+        SampleMoments.of(gain_samples(0.5, r, r, Equal(0.0), 1, seed=1))
     with pytest.raises(DomainError):
         SampleMoments.of(np.ones(1))
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, np.float64(64.0), -1, 2**128])
+def test_trial_count_must_be_a_nonnegative_integer(trials):
+    r = square_sinc(2)
+    with pytest.raises(DomainError, match="trial count"):
+        gain_samples(0.5, r, r, Equal(0.0), trials, seed=1)
+
+
+def test_numpy_integer_trial_count_runs_as_int():
+    r = square_sinc(2)
+    want = gain_samples(0.5, r, r, UniformRandom(2), 65, seed=1)
+    for trials in (np.int64(65), np.uint32(65)):
+        assert gain_samples(0.5, r, r, UniformRandom(2), trials, seed=1).tobytes() == want.tobytes()
 
 
 def test_channel_realization_validation():

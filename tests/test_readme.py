@@ -31,3 +31,10 @@ def test_layout_table_lists_every_module():
     rows = re.findall(r"^\| `(irslink\.\w+)`", _section("Layout"), re.MULTILINE)
     modules = [f"irslink.{m.name}" for m in pkgutil.iter_modules(irslink.__path__)]
     assert sorted(rows) == sorted(modules)
+
+
+def test_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", _section("Library example"), re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md (Library example)", "exec"), {})
+    assert capsys.readouterr().out.strip()
