@@ -10,14 +10,12 @@ __version__ = "0.1.0"
 
 from .closedform import (
     GammaParams,
-    SystemParameters,
     gain_moments,
     gamma_fit,
     gamma_fit_equal_phase,
     gamma_fit_uniform_phase,
     outage_probability,
     outage_scale_sensitivity,
-    snr_threshold,
     uniform_phase_trace_moments,
 )
 from .correlation import (
@@ -40,7 +38,6 @@ from .errors import (
 )
 from .montecarlo import (
     ChannelRealization,
-    SampleMoments,
     channel_blocks,
     cophased_phases,
     effective_gain,

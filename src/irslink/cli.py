@@ -18,14 +18,12 @@ EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 
 
-def _add_common(parser, scenario_required=True):
-    parser.add_argument(
-        "--scenario",
-        required=scenario_required,
-        help="scenario JSON file or preset name (fig2a, fig2b, fig2c)",
-    )
-    parser.add_argument("--trials", type=int, default=100_000, help="Monte-Carlo trials (0 = closed form only)")
-    parser.add_argument("--seed", type=int, default=1, help="Monte-Carlo channel seed")
+def _add_run(parser, scenario=True, trials=100_000, seed=1):
+    """--scenario (when the subcommand reads one), --trials, --seed and --out."""
+    if scenario:
+        parser.add_argument("--scenario", required=True, help="scenario JSON file or preset name (fig2a, fig2b, fig2c)")
+    parser.add_argument("--trials", type=int, default=trials, help="Monte-Carlo trials (0 = closed form only)")
+    parser.add_argument("--seed", type=int, default=seed, help="Monte-Carlo channel seed")
     parser.add_argument("--out", default=None, help="output CSV path")
 
 
@@ -38,10 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_curve = sub.add_parser("curve", help="sweep outage probability over the target rate")
-    _add_common(p_curve)
+    _add_run(p_curve)
 
     p_surface = sub.add_parser("surface", help="outage over a (shape, scale) grid at fixed threshold")
-    _add_common(p_surface, scenario_required=False)
+    p_surface.add_argument("--out", default=None, help="output CSV path")
     p_surface.add_argument("--z", type=float, default=2.0, help="SNR threshold (linear)")
     p_surface.add_argument("--ka-min", type=float, default=0.25)
     p_surface.add_argument("--ka-max", type=float, default=5.0)
@@ -51,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surface.add_argument("--wa-step", type=float, default=0.25)
 
     p_compare = sub.add_parser("compare", help="one curve per correlation model")
-    _add_common(p_compare)
+    _add_run(p_compare)
     p_compare.add_argument(
         "--models",
         default=",".join(MODELS),
@@ -59,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_validate = sub.add_parser("validate", help="run the acceptance matrix and print pass/fail lines")
-    _add_common(p_validate, scenario_required=False)
-    p_validate.set_defaults(trials=None, seed=None)
+    # None keeps each criterion's own trial count and seed.
+    _add_run(p_validate, scenario=False, trials=None, seed=None)
     p_validate.add_argument(
         "--only",
         default=None,

@@ -7,7 +7,7 @@ the regularized upper incomplete gamma function.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -15,25 +15,6 @@ from scipy import special
 from .correlation import CorrelationMatrix
 from .errors import DegenerateScenarioError, DomainError
 from .phaseshift import cascade_traces, real_trace
-
-
-@dataclass(frozen=True)
-class SystemParameters:
-    """Scalar link constants in linear units; the indirect-link gains live in the covariances."""
-
-    beta_sd: float
-    rho: float
-    sigma2: float
-    xi: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in astuple(self)):
-            raise DomainError(f"link constants must be finite, got {self}")
-        _check_direct_gain(self.beta_sd)
-        if self.rho <= 0 or self.sigma2 <= 0:
-            raise DomainError("transmit and noise powers must be positive")
-        if self.xi < 0:
-            raise DomainError(f"target rate must be >= 0, got {self.xi}")
 
 
 @dataclass(frozen=True)
@@ -59,15 +40,6 @@ class GammaParams:
         return self.shape * self.scale * self.scale
 
 
-def snr_threshold(params: SystemParameters, xi=None):
-    """z = sigma2 (2^xi - 1) / rho: the gain below which the target rate fails.
-
-    At params.xi, or at xi: a float rate in float arithmetic, an array of rates in numpy's.
-    """
-    xi = params.xi if xi is None else xi
-    return params.sigma2 * (2.0**xi - 1.0) / params.rho
-
-
 def regularized_upper_gamma(a: float, x: float) -> float:
     """Q(a, x) = Gamma(a, x) / Gamma(a) in [0, 1]."""
     if a <= 0:
@@ -91,11 +63,6 @@ def gain_moments(
     return _moments(beta_sd, t1, t1 * t1, t2)
 
 
-def _check_direct_gain(beta_sd):
-    if not beta_sd >= 0:
-        raise DomainError(f"direct-link gain must be >= 0, got {beta_sd}")
-
-
 def _moments(beta_sd, t1, t1_sq, t2):
     """mean = beta_sd + t1 and var = beta_sd^2 + 2 beta_sd t1 + t1_sq + 2 t2.
 
@@ -103,7 +70,8 @@ def _moments(beta_sd, t1, t1_sq, t2):
     the (expected) trace of the squared cascade matrix; for a fixed phase
     vector t1_sq is t1 * t1.
     """
-    _check_direct_gain(beta_sd)
+    if not beta_sd >= 0:
+        raise DomainError(f"direct-link gain must be >= 0, got {beta_sd}")
     mean = beta_sd + t1
     variance = beta_sd * beta_sd + 2.0 * beta_sd * t1 + t1_sq + 2.0 * t2
     return mean, variance

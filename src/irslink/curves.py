@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from . import __version__, rng
-from .closedform import outage_probability, snr_threshold
+from .closedform import outage_probability
 from .errors import DomainError
 from .montecarlo import gain_samples, outage_rates
 from .phaseshift import checked_design
@@ -71,7 +71,7 @@ def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
     trials = rng.check_trials(trials)
     seed = rng.check_seed(seed)
     xi = scenario.xi_grid()
-    z = snr_threshold(scenario.system_parameters(scenario.xi_min), xi)
+    z = scenario.snr_threshold(xi)
 
     r_sr, r_rd = scenario.covariances()
     # None for per-realization co-phasing, which has no closed form.

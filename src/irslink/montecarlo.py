@@ -266,33 +266,3 @@ def gain_samples(
         for future in rest:
             future.result()
     return gains
-
-
-@dataclass(frozen=True)
-class SampleMoments:
-    """Sample moments of the effective gain, with standard errors as diagnostics."""
-
-    trials: int
-    mean: float
-    variance: float
-    second_moment: float
-    se_mean: float
-    se_variance: float
-    se_second_moment: float
-
-    @classmethod
-    def of(cls, gains: np.ndarray) -> "SampleMoments":
-        """Unbiased sample mean/variance of the gains plus their raw second moment."""
-        trials = gains.shape[0]
-        if trials < 2:
-            raise DomainError(f"need at least two trials for moments, got {trials}")
-        mean = float(np.mean(gains))
-        variance = float(np.var(gains, ddof=1))
-        second = float(np.mean(gains**2))
-        centered = gains - mean
-        m4 = float(np.mean(centered**4))
-        se_mean = float(np.sqrt(variance / trials))
-        # Asymptotic standard error of the sample variance.
-        se_variance = float(np.sqrt(max(m4 - variance**2, 0.0) / trials))
-        se_second = float(np.std(gains**2, ddof=1) / np.sqrt(trials))
-        return cls(trials, mean, variance, second, se_mean, se_variance, se_second)

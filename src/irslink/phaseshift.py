@@ -31,6 +31,7 @@ from .errors import ContractViolationError, DomainError, InternalConsistencyErro
 
 TRACE_IMAG_TOL = 1e-9
 TRACE_NEG_TOL = 1e-9
+TRACE_BOUND_SLACK = 1e-10  # a trace-bound margin may fall this far below zero
 
 
 def _wrap_angle(theta):
@@ -279,16 +280,13 @@ class TraceBoundReport:
     """Per-design margins of the equal-phase trace dominance check."""
 
     margins: np.ndarray
-    slack: float
 
     @property
     def passed(self) -> bool:
-        return bool(np.all(self.margins >= -self.slack))
+        return bool(np.all(self.margins >= -TRACE_BOUND_SLACK))
 
 
-def equal_phase_trace_bound(
-    r: CorrelationMatrix, scale: float, designs, slack: float = 1e-10
-) -> TraceBoundReport:
+def equal_phase_trace_bound(r: CorrelationMatrix, scale: float, designs) -> TraceBoundReport:
     """Check that equal phases maximize the cascade trace for the planar model.
 
     Valid for the model where both covariances are proportional to the same
@@ -310,4 +308,4 @@ def equal_phase_trace_bound(
         quad = np.einsum("dn,dn->d", parts @ (real * real), parts)
         margins[rows] = scale * (t_equal - (quad[: len(rows)] + quad[len(rows) :]))
     margins.setflags(write=False)
-    return TraceBoundReport(margins=margins, slack=slack)
+    return TraceBoundReport(margins=margins)

@@ -17,7 +17,6 @@ from typing import get_args
 
 import numpy as np
 
-from .closedform import SystemParameters
 from .correlation import (
     ArrayGeometry,
     CorrelationMatrix,
@@ -111,13 +110,12 @@ class Scenario:
         r_rd = scale_covariance(r, db_to_linear(self.beta_rd_dhdv_db))
         return r_sr, r_rd
 
-    def system_parameters(self, xi: float) -> SystemParameters:
-        return SystemParameters(
-            beta_sd=self.beta_sd,
-            rho=dbm_to_watts(self.rho_dbm),
-            sigma2=dbm_to_watts(self.sigma2_dbm),
-            xi=xi,
-        )
+    def snr_threshold(self, xi):
+        """z = sigma2 (2^xi - 1) / rho: the gain below which the target rate fails.
+
+        A float rate gives a float in float arithmetic, an array of rates an array in numpy's.
+        """
+        return dbm_to_watts(self.sigma2_dbm) * (2.0**xi - 1.0) / dbm_to_watts(self.rho_dbm)
 
     def xi_grid(self) -> np.ndarray:
         return step_grid(self.xi_min, self.xi_max, self.xi_step)
@@ -132,16 +130,9 @@ class Scenario:
         canonical = json.dumps(self.to_schema_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    def with_model(self, model: str, exp_magnitude: float | None = None) -> "Scenario":
-        mag = self.exp_magnitude if exp_magnitude is None else exp_magnitude
-        _check_model_fields(model, mag)
-        return replace(self, model=model, exp_magnitude=mag, name=f"{self.name}[{model}]")
-
-    def with_design(self, design: PhaseShiftDesign) -> "Scenario":
-        return replace(self, design=design)
-
-    def with_direct_gain_db(self, beta_sd_db: float | None) -> "Scenario":
-        return replace(self, beta_sd_db=beta_sd_db)
+    def with_model(self, model: str) -> "Scenario":
+        _check_model_fields(model, self.exp_magnitude)
+        return replace(self, model=model, name=f"{self.name}[{model}]")
 
 
 # The dataclass is the schema: every field but the name is a key, and each
@@ -151,6 +142,14 @@ _DESIGN_KEYS = tuple(dict.fromkeys(key for cls in _DESIGN_CLASSES.values() for k
 _SCHEMA_KEYS = _FIELD_KEYS + _DESIGN_KEYS
 # The required float keys, read in one loop and passed on by name.
 _NUMBERS = tuple(f.name for f in fields(Scenario) if f.type is float and f.name != "exp_magnitude")
+# The dB/dBm levels, each with the converter the link budget reads it through.
+_LEVELS = {
+    "beta_sd_db": db_to_linear,
+    "beta_sr_dhdv_db": db_to_linear,
+    "beta_rd_dhdv_db": db_to_linear,
+    "rho_dbm": dbm_to_watts,
+    "sigma2_dbm": dbm_to_watts,
+}
 
 
 def _want(raw: dict, key: str, kinds, required: bool = True, default=None):
@@ -170,6 +169,17 @@ def _want(raw: dict, key: str, kinds, required: bool = True, default=None):
         except OverflowError:
             raise ScenarioFormatError("integer too large for a float", field=key) from None
     return value
+
+
+def _check_level(key: str, value: float):
+    """The level must map to a finite linear value > 0.  Float ** raises
+    OverflowError above the float range and gives 0.0 below it."""
+    try:
+        linear = _LEVELS[key](value)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ScenarioFormatError(f"{value} converts to {linear}; it must convert to a finite value > 0", field=key)
 
 
 def _check_model_fields(model: str, exp_magnitude: float):
@@ -215,6 +225,9 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioFormatError(f"n_h * n_v exceeds the cap of {MAX_ELEMENTS} elements", field="n_h")
 
     num = {key: float(_want(raw, key, (int, float))) for key in _NUMBERS}
+    for key, value in {**num, "beta_sd_db": beta_sd_db}.items():
+        if key in _LEVELS and value is not None:
+            _check_level(key, value)
     if num["carrier_ghz"] <= 0:
         raise ScenarioFormatError("must be positive", field="carrier_ghz")
     if num["spacing_over_lambda"] <= 0:

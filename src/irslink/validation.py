@@ -24,7 +24,6 @@ from .closedform import (
     outage_probability,
     outage_scale_sensitivity,
     regularized_upper_gamma,
-    snr_threshold,
     uniform_phase_trace_moments,
     uniform_phase_trace_moments_by_sums,
 )
@@ -196,7 +195,7 @@ def criterion_4(trials=None, seed=None):
         for side in (8, 14):
             sc = replace(base, n_h=side, n_v=side, name=f"{preset}-{side*side}")
             for design in (Equal(QUARTER_TURN), UniformRandom(_DESIGN_SEED)):
-                frac, gap = _mc_curve_gap(sc.with_design(design), trials, seed)
+                frac, gap = _mc_curve_gap(replace(sc, design=design), trials, seed)
                 if frac > worst_frac:
                     worst_frac, worst_gap = frac, gap
                     worst_case = f"{sc.name}/{type(design).__name__}"
@@ -217,7 +216,7 @@ def criterion_5(trials=None, seed=None):
         [0.0005, 0.0008, 0.0012, 0.0018, 0.0027, 0.004, 0.006, 0.009,
          0.0135, 0.02, 0.03, 0.045, 0.07, 0.1, 0.15]
     )
-    z = snr_threshold(sc.system_parameters(0.0), xi)
+    z = sc.snr_threshold(xi)
     designs = {
         "uniform": UniformRandom(_DESIGN_SEED),
         "equal": Equal(QUARTER_TURN),
@@ -262,7 +261,7 @@ def criterion_5(trials=None, seed=None):
 def criterion_6(trials=None, seed=None):
     """Correlation-model ordering and the direct channel masking it."""
     blocked = load_scenario("fig2c")
-    present = blocked.with_direct_gain_db(-90.0)
+    present = replace(blocked, beta_sd_db=-90.0)
     models = ("sinc", "exponential", "uncorrelated")
 
     def curves_and_gap(sc):

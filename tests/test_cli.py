@@ -131,10 +131,12 @@ def test_compare_rejects_unknown_model():
     assert "bogus" in result.stderr
 
 
-@pytest.mark.parametrize("command", ["curve", "compare", "validate"])
+@pytest.mark.parametrize(
+    "command", [("curve", "--scenario", "fig2c"), ("compare", "--scenario", "fig2c"), ("validate",)], ids=lambda c: c[0]
+)
 def test_negative_trials_are_input_errors(tmp_path, command):
     out = tmp_path / "negative.csv"
-    result = run_cli(command, "--scenario", "fig2c", "--trials", "-5", "--out", str(out))
+    result = run_cli(*command, "--trials", "-5", "--out", str(out))
     assert result.returncode == 2
     assert "trial count" in result.stderr
     assert not out.exists()
@@ -153,6 +155,35 @@ def test_non_finite_scenario_is_input_error(tmp_path, key, value):
     assert result.returncode == 2
     assert f"{key}: must be finite" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["beta_sd_db", "beta_sr_dhdv_db", "rho_dbm"])
+def test_level_beyond_the_float_range_is_input_error(tmp_path, key):
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(make(**{key: 5000.0})))
+    out = tmp_path / "loud.csv"
+    result = run_cli("curve", "--scenario", str(path), "--trials", "0", "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert f"error: {key}: 5000.0 converts to inf" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists() and not result.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("surface", "--scenario", "fig2a"),
+        ("surface", "--trials", "-7"),
+        ("surface", "--seed", "-3"),
+        ("validate", "--scenario", "fig2a"),
+    ],
+    ids=["surface-scenario", "surface-trials", "surface-seed", "validate-scenario"],
+)
+def test_options_the_subcommand_does_not_read_are_usage_errors(capsys, args):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(list(args))
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

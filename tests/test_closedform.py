@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from irslink.closedform import (
     GammaParams,
-    SystemParameters,
     equal_phase_traces,
     gain_moments,
     gamma_fit,
@@ -14,19 +14,16 @@ from irslink.closedform import (
     outage_probability,
     outage_scale_sensitivity,
     regularized_upper_gamma,
-    snr_threshold,
     uniform_phase_trace_moments,
     uniform_phase_trace_moments_by_sums,
 )
 from irslink.correlation import ArrayGeometry, CorrelationMatrix
-from irslink.errors import DegenerateScenarioError, DomainError
+from irslink.errors import DegenerateScenarioError, DomainError, ScenarioFormatError
 from irslink.phaseshift import Equal, Fixed, UniformRandom, cascade_traces, phase_vector
-from irslink.scenario import load_scenario
-from irslink.units import db_to_linear, dbm_to_watts
+from irslink.scenario import load_scenario, scenario_from_dict
+from irslink.units import dbm_to_watts
 
-
-def params(beta_sd=1.0, rho=1.0, sigma2=1.0, xi=1.0):
-    return SystemParameters(beta_sd=beta_sd, rho=rho, sigma2=sigma2, xi=xi)
+from test_scenario import make
 
 
 def scalar_matrix(value, n):
@@ -41,48 +38,39 @@ def zeros(n):
 
 
 def test_threshold_unit_case():
-    assert snr_threshold(params(rho=2.0, sigma2=2.0, xi=1.0)) == 1.0
+    assert replace(load_scenario("fig2a"), rho_dbm=33.0, sigma2_dbm=33.0).snr_threshold(1.0) == 1.0
 
 
 def test_threshold_zero_rate():
-    assert snr_threshold(params(xi=0.0)) == 0.0
+    assert load_scenario("fig2a").snr_threshold(0.0) == 0.0
 
 
 def test_threshold_over_a_rate_grid():
     # One formula for both callers: an array of rates in numpy arithmetic, a
     # float rate in float arithmetic, so each caller's z keeps its bytes.
-    p = params(rho=3.0, sigma2=0.7, xi=0.0)
+    sc = replace(load_scenario("fig2a"), rho_dbm=34.0, sigma2_dbm=28.5)
+    rho, sigma2 = dbm_to_watts(34.0), dbm_to_watts(28.5)
     xi = np.linspace(0.0, 8.0, 33)
-    assert np.array_equal(snr_threshold(p, xi), p.sigma2 * (2.0**xi - 1.0) / p.rho)
+    assert np.array_equal(sc.snr_threshold(xi), sigma2 * (2.0**xi - 1.0) / rho)
     for x in (0.25, 2.0, 7.75):
-        z = snr_threshold(params(rho=3.0, sigma2=0.7, xi=x))
-        assert type(z) is float and z == 0.7 * (2.0**x - 1.0) / 3.0
+        z = sc.snr_threshold(x)
+        assert type(z) is float and z == sigma2 * (2.0**x - 1.0) / rho
 
 
 def test_threshold_link_budget_values():
-    p = SystemParameters(
-        beta_sd=db_to_linear(-90.0),
-        rho=dbm_to_watts(8.0),
-        sigma2=dbm_to_watts(-94.0),
-        xi=2.0,
-    )
-    assert snr_threshold(p) == pytest.approx(3.0 * 10 ** (-10.2), rel=1e-12)
+    sc = load_scenario("fig2a")  # rho 8 dBm, sigma2 -94 dBm
+    assert sc.snr_threshold(2.0) == pytest.approx(3.0 * 10 ** (-10.2), rel=1e-12)
 
 
-def test_parameter_validation():
-    with pytest.raises(DomainError):
-        params(beta_sd=-0.1)
-    with pytest.raises(DomainError):
-        params(rho=0.0)
-    with pytest.raises(DomainError):
-        params(xi=-1.0)
+# The link constants enter through the scenario schema, which names the key.
+SCHEMA_KEY = {"beta_sd": "beta_sd_db", "rho": "rho_dbm", "sigma2": "sigma2_dbm", "xi": "xi_min"}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", ["beta_sd", "rho", "sigma2", "xi"])
 def test_non_finite_parameters_rejected(key, value):
-    with pytest.raises(DomainError, match="must be finite"):
-        params(**{key: value})
+    with pytest.raises(ScenarioFormatError, match=f"^{SCHEMA_KEY[key]}: must be finite"):
+        scenario_from_dict(make(**{SCHEMA_KEY[key]: value}))
 
 
 # --- Regularized upper incomplete gamma -------------------------------------
@@ -144,7 +132,7 @@ def test_moments_uncorrelated_scalar_matrices():
 
 
 def test_moments_match_monte_carlo(heavy_mc):
-    """Sample mean/variance of one million trials agree with the closed form."""
+    """Sample mean, variance and raw second moment of one million trials agree with the closed form."""
     mean, var = gain_moments(
         heavy_mc["beta_sd"], heavy_mc["r"], heavy_mc["r"], heavy_mc["phases"]
     )
@@ -157,6 +145,12 @@ def test_moments_match_monte_carlo(heavy_mc):
     se_var = math.sqrt(max(m4 - sample_var**2, 0.0) / n)
     assert abs(sample_mean - mean) <= 3 * se_mean
     assert abs(sample_var - var) <= 3 * se_var
+    # The raw second moment against the four-term expansion.
+    t1, t2 = cascade_traces(heavy_mc["r"], heavy_mc["r"], heavy_mc["phases"])
+    beta = heavy_mc["beta_sd"]
+    second = 2 * beta**2 + 4 * beta * t1 + 2 * t1**2 + 2 * t2
+    se_second = np.std(gains**2, ddof=1) / math.sqrt(n)
+    assert abs(np.mean(gains**2) - second) <= 3 * se_second
 
 
 def test_gamma_fit_direct_only_is_exponential():

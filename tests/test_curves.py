@@ -1,12 +1,13 @@
 import builtins
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import irslink.curves as curves_module
-from irslink.closedform import GammaParams, gamma_fit_uniform_phase, outage_probability, snr_threshold
+from irslink.closedform import GammaParams, gamma_fit_uniform_phase, outage_probability
 from irslink.curves import (
     OutageCurve,
     check_target,
@@ -224,7 +225,7 @@ def test_compare_blocked_orders_models(tmp_path):
 
 def test_compare_direct_channel_masks_correlation():
     blocked = load_scenario("fig2c")
-    present = blocked.with_direct_gain_db(-90.0)
+    present = replace(blocked, beta_sd_db=-90.0)
     models = ("sinc", "exponential", "uncorrelated")
 
     def max_gap(sc):
@@ -250,7 +251,7 @@ def test_mc_columns_reuse_gain_draws():
     r_sr, r_rd = sc.covariances()
     for idx in (0, len(curve.xi) // 2, len(curve.xi) - 1):
         gains = gain_samples(sc.beta_sd, r_sr, r_rd, sc.design, 2_000, 6)
-        p_hat, std_err = outage_rates(gains, snr_threshold(sc.system_parameters(float(curve.xi[idx]))))
+        p_hat, std_err = outage_rates(gains, sc.snr_threshold(float(curve.xi[idx])))
         assert p_hat == curve.p_mc[idx]
         assert std_err == curve.std_err[idx]
 

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from irslink import montecarlo, rng
-from irslink.closedform import SystemParameters, gain_moments, snr_threshold
 from irslink.correlation import CorrelationMatrix, matrix_sqrt
 from irslink.errors import DomainError
 from irslink.montecarlo import (
     ChannelRealization,
     EngineThreads,
-    SampleMoments,
     channel_blocks,
     cophased_phases,
     effective_gain,
@@ -28,10 +26,6 @@ from test_rng import reference
 
 def zeros(n):
     return CorrelationMatrix(np.zeros((n, n)))
-
-
-def direct_params(xi=1.0, beta_sd=1.0):
-    return SystemParameters(beta_sd=beta_sd, rho=1.0, sigma2=1.0, xi=xi)
 
 
 def test_direct_channel_power(heavy_mc):
@@ -165,9 +159,8 @@ def test_cophasing_dominates_every_fixed_design():
 
 
 def test_estimate_outage_direct_only_matches_exponential_law():
-    p = direct_params(xi=1.0)
-    z = snr_threshold(p)
-    gains = gain_samples(p.beta_sd, zeros(2), zeros(2), Equal(0.0), 100_000, seed=3)
+    z = 2.0**1.0 - 1.0  # rho = sigma2 = 1, xi = 1
+    gains = gain_samples(1.0, zeros(2), zeros(2), Equal(0.0), 100_000, seed=3)
     p_hat, std_err = outage_rates(gains, z)
     exact = 1.0 - math.exp(-z)
     assert abs(p_hat - exact) <= 3 * std_err
@@ -175,10 +168,10 @@ def test_estimate_outage_direct_only_matches_exponential_law():
 
 
 def test_estimate_outage_bit_identical_reruns():
-    p = direct_params(xi=0.5)
+    z = 2.0**0.5 - 1.0  # rho = sigma2 = 1, xi = 0.5
     r = square_sinc(2)
-    a = outage_rates(gain_samples(p.beta_sd, r, r, UniformRandom(4), 5_000, seed=11), snr_threshold(p))
-    b = outage_rates(gain_samples(p.beta_sd, r, r, UniformRandom(4), 5_000, seed=11), snr_threshold(p))
+    a = outage_rates(gain_samples(1.0, r, r, UniformRandom(4), 5_000, seed=11), z)
+    b = outage_rates(gain_samples(1.0, r, r, UniformRandom(4), 5_000, seed=11), z)
     assert a == b
 
 
@@ -374,8 +367,7 @@ def test_uniform_design_worse_than_equal_when_blocked():
 
     sc = replace(load_scenario("fig2b"), n_h=8, n_v=8)
     r_sr, r_rd = sc.covariances()
-    params = sc.system_parameters(0.002)
-    z = snr_threshold(params)
+    z = sc.snr_threshold(0.002)
     trials = 20_000
     p_hat, std_err = {}, {}
     for name, design in [("equal", Equal(np.pi / 4)), ("uniform", UniformRandom(6))]:
@@ -387,27 +379,13 @@ def test_uniform_design_worse_than_equal_when_blocked():
 
 
 def test_sample_moments_direct_only_exponential():
-    p = direct_params()
-    m = SampleMoments.of(gain_samples(p.beta_sd, zeros(2), zeros(2), Equal(0.0), 100_000, seed=8))
-    assert abs(m.mean - 1.0) <= 3 * m.se_mean
-    assert abs(m.variance - 1.0) <= 3 * m.se_variance
-
-
-def test_sample_moments_match_closed_form(heavy_mc):
-    """Mean, variance and the four-term second moment at one million trials."""
-    r = heavy_mc["r"]
-    m = SampleMoments.of(heavy_mc["gains"])
-    assert m.trials == heavy_mc["trials"]
-    mean, var = gain_moments(heavy_mc["beta_sd"], r, r, heavy_mc["phases"])
-    assert abs(m.mean - mean) <= 3 * m.se_mean
-    assert abs(m.variance - var) <= 3 * m.se_variance
-    # raw second moment against the four-term expansion
-    from irslink.phaseshift import cascade_traces
-
-    t1, t2 = cascade_traces(r, r, heavy_mc["phases"])
-    beta = heavy_mc["beta_sd"]
-    second = 2 * beta**2 + 4 * beta * t1 + 2 * t1**2 + 2 * t2
-    assert abs(m.second_moment - second) <= 3 * m.se_second_moment
+    # |h_sd|^2 with beta_sd = 1 is Exp(1): mean 1, variance 1.
+    gains = gain_samples(1.0, zeros(2), zeros(2), Equal(0.0), 100_000, seed=8)
+    n = gains.size
+    mean, var = gains.mean(), gains.var(ddof=1)
+    se_var = math.sqrt(max(np.mean((gains - mean) ** 4) - var**2, 0.0) / n)
+    assert abs(mean - 1.0) <= 3 * math.sqrt(var / n)
+    assert abs(var - 1.0) <= 3 * se_var
 
 
 def test_mc_estimate_bounds():
@@ -420,10 +398,6 @@ def test_invalid_trial_counts():
     r = square_sinc(2)
     with pytest.raises(DomainError):
         gain_samples(0.5, r, r, Equal(0.0), 0, seed=1)
-    with pytest.raises(DomainError):
-        SampleMoments.of(gain_samples(0.5, r, r, Equal(0.0), 1, seed=1))
-    with pytest.raises(DomainError):
-        SampleMoments.of(np.ones(1))
 
 
 @pytest.mark.parametrize("trials", [True, 2.5, np.float64(64.0), -1, 2**128])

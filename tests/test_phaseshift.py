@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -113,7 +114,7 @@ def test_unknown_design_is_a_domain_error():
         for design in ("equal", None, Equal):
             with pytest.raises(DomainError, match="unknown phase-shift design"):
                 entry(design)
-    sc = load_scenario("fig2c").with_design(object())
+    sc = replace(load_scenario("fig2c"), design=object())
     with pytest.raises(DomainError, match="unknown phase-shift design"):
         run_curve(sc, 0, 1)
 

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import get_args
 
 import numpy as np
@@ -49,9 +49,7 @@ def test_fig2a_preset_carries_link_budget():
     assert sc.beta_sd == pytest.approx(1e-9, rel=1e-12)
     assert isinstance(sc.design, Equal)
     assert sc.design.theta == pytest.approx(np.pi / 4)
-    params = sc.system_parameters(2.0)
-    z = params.sigma2 * (2.0**2 - 1.0) / params.rho
-    assert z == pytest.approx(3.0 * 10 ** (-10.2), rel=1e-12)
+    assert sc.snr_threshold(2.0) == pytest.approx(3.0 * 10 ** (-10.2), rel=1e-12)
 
 
 def test_fig2b_preset_blocks_direct_channel():
@@ -88,6 +86,8 @@ def test_wrong_types_are_reported_per_field():
         scenario_from_dict(make(xi_step=0.0))
     with pytest.raises(ScenarioFormatError, match="xi_max"):
         scenario_from_dict(make(xi_max=-1.0))
+    with pytest.raises(ScenarioFormatError, match="xi_min"):
+        scenario_from_dict(make(xi_min=-1.0))
 
 
 def test_design_variants_parse():
@@ -225,6 +225,26 @@ def test_huge_fixed_phase_rejected(value):
         scenario_from_dict(make(design="fixed", theta=[0.0, value, 0.5, 1.0]))
 
 
+# The dB/dBm levels.  At +5000 the linear value overflows the float range
+# (float ** raises OverflowError); at -5000 it underflows to 0.0, which for
+# beta_sd_db would silently read as the blocked direct link.
+LEVEL_KEYS = ("beta_sd_db", "beta_sr_dhdv_db", "beta_rd_dhdv_db", "rho_dbm", "sigma2_dbm")
+
+
+@pytest.mark.parametrize("value", [5000.0, -5000.0], ids=["+5000", "-5000"])
+@pytest.mark.parametrize("key", LEVEL_KEYS)
+def test_levels_beyond_the_float_range_name_their_field(key, value):
+    with pytest.raises(ScenarioFormatError, match=f"^{key}: ") as err:
+        scenario_from_dict(make(**{key: value}))
+    assert err.value.field == key
+
+
+@pytest.mark.parametrize("value", [3000.0, -3000.0], ids=["+3000", "-3000"])
+@pytest.mark.parametrize("key", LEVEL_KEYS)
+def test_levels_inside_the_float_range_are_accepted(key, value):
+    assert getattr(scenario_from_dict(make(**{key: value})), key) == value
+
+
 def test_element_count_is_capped():
     side = math.isqrt(MAX_ELEMENTS)
     assert scenario_from_dict(make(n_h=side, n_v=MAX_ELEMENTS // side)).n == MAX_ELEMENTS
@@ -280,7 +300,7 @@ DESIGN_EXAMPLES = {
 
 @pytest.mark.parametrize("cls", get_args(PhaseShiftDesign), ids=lambda cls: cls.kind)
 def test_every_design_reads_back_what_it_writes(cls):
-    sc = scenario_from_dict(make()).with_design(DESIGN_EXAMPLES[cls])
+    sc = replace(scenario_from_dict(make()), design=DESIGN_EXAMPLES[cls])
     schema = sc.to_schema_dict()
     again = scenario_from_dict(schema)
     assert type(again.design) is cls
