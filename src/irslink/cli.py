@@ -18,12 +18,11 @@ EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 
 
-def _add_run(parser, scenario=True, trials=100_000, seed=1):
-    """--scenario (when the subcommand reads one), --trials, --seed and --out."""
-    if scenario:
-        parser.add_argument("--scenario", required=True, help="scenario JSON file or preset name (fig2a, fig2b, fig2c)")
-    parser.add_argument("--trials", type=int, default=trials, help="Monte-Carlo trials (0 = closed form only)")
-    parser.add_argument("--seed", type=int, default=seed, help="Monte-Carlo channel seed")
+def _add_run(parser):
+    """--scenario, --trials, --seed and --out of a subcommand that writes curves."""
+    parser.add_argument("--scenario", required=True, help="scenario JSON file or preset name (fig2a, fig2b, fig2c)")
+    parser.add_argument("--trials", type=int, default=100_000, help="Monte-Carlo trials (0 = closed form only)")
+    parser.add_argument("--seed", type=int, default=1, help="Monte-Carlo channel seed")
     parser.add_argument("--out", default=None, help="output CSV path")
 
 
@@ -58,7 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="run the acceptance matrix and print pass/fail lines")
     # None keeps each criterion's own trial count and seed.
-    _add_run(p_validate, scenario=False, trials=None, seed=None)
+    p_validate.add_argument(
+        "--trials", type=int, default=None, help="Monte-Carlo trials of every MC criterion, at least 1 (default: each criterion's own)"
+    )
+    p_validate.add_argument("--seed", type=int, default=None, help="seed of every MC criterion (default: each criterion's own)")
+    p_validate.add_argument("--out", default=None, help="also write the report lines (engine plan, one line per criterion) to this text file")
     p_validate.add_argument(
         "--only",
         default=None,

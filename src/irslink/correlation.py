@@ -98,14 +98,29 @@ def _all_positions(geometry: ArrayGeometry) -> np.ndarray:
     )
 
 
+def _distances(geometry: ArrayGeometry) -> np.ndarray:
+    """||u_n - u_m|| between the elements placed by _all_positions, an N x N array.
+
+    Each distance is sqrt(dz^2 + dy^2) of one vertical and one horizontal
+    offset, so the offsets of each axis are squared once and summed into an
+    (n_v, n_h, n_v, n_h) array, which reads as N x N; no N x N x 3 array of
+    position differences is formed.
+    """
+    h = np.arange(geometry.n_h) * geometry.d_h
+    v = np.arange(geometry.n_v) * geometry.d_v
+    dy = h[:, None] - h[None, :]
+    dz = v[:, None] - v[None, :]
+    dist = np.sqrt((dz * dz)[:, None, :, None] + (dy * dy)[None, :, None, :])
+    return dist.reshape(geometry.n, geometry.n)
+
+
 def sinc_correlation(geometry: ArrayGeometry) -> CorrelationMatrix:
     """Isotropic-scattering correlation of a planar array.
 
     Entry (n, m) is sinc(2 ||u_n - u_m|| / wavelength) with
     sinc(x) = sin(pi x)/(pi x) and sinc(0) = 1.
     """
-    pos = _all_positions(geometry)
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    dist = _distances(geometry)
     # np.sinc is the normalized sinc and is exact at 0, so no 0/0 guard needed.
     return CorrelationMatrix(np.sinc(2.0 * dist / geometry.wavelength))
 

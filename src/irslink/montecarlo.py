@@ -27,15 +27,17 @@ product to the BLAS matrix-vector routine, which rounds differently from the
 matrix-product one; effective_gain and cophased_phases are the block
 reductions on one row.  Chaining them reproduces gain_samples bit for bit.
 
-Threads: gain_samples splits the trials into W contiguous ranges of whole
-blocks; the calling thread runs the first and pool threads the others, so
-every block is the same kernel call as on one thread.  Each range keys its
+Threads: run_ranges splits [0, total) into W contiguous ranges of whole
+units; the calling thread runs the first and pool threads the others.  Two
+callers share it.  gain_samples runs ranges of whole 64-trial blocks, so
+every block is the same kernel call as on one thread; each range keys its
 own streams and phase function and writes only its own slice of the gains.
-The Philox fill, the Box-Muller ufuncs and the matrix products release the
-GIL, so the ranges overlap.  W (engine_threads) is the usable cores over the
-OpenBLAS thread count, at least 1 and at most the number of blocks, and 1
-when that count cannot be read: a worker beside a BLAS whose threads already
-fill the cores slows the run.
+Criterion 3 of the acceptance gate runs ranges of whole 256-draw trace
+stacks the same way.  The Philox fill, the Box-Muller ufuncs and the matrix
+products release the GIL, so the ranges overlap.  W (engine_threads) is the
+usable cores over the OpenBLAS thread count, at least 1 and at most the
+number of units, and 1 when that count cannot be read: a worker beside a
+BLAS whose threads already fill the cores slows the run.
 """
 
 import ctypes
@@ -254,15 +256,27 @@ def gain_samples(
         for start, h_sd, h_sr, h_rd in _blocks(beta_sd, l_sr, l_rd, seed, first, stop):
             gains[start : start + h_sd.shape[0]] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
 
-    blocks = -(-trials // _BLOCK)
-    workers = min(engine_threads().workers, blocks)
-    bounds = [min(trials, _BLOCK * (blocks * w // workers)) for w in range(workers + 1)]
+    run_ranges(trials, _BLOCK, run)
+    return gains
+
+
+def run_ranges(total: int, unit: int, run) -> None:
+    """Call run(first, stop) on W contiguous ranges of whole units that cover [0, total) once.
+
+    Each range starts on a multiple of ``unit`` and each but the last stops
+    on one; W is engine_threads().workers, at most the number of units and
+    at least 1.  The calling thread runs the first range and pool threads the others.
+    Returns once every range has finished; the first failure, in range
+    order, is raised after that, so no range still runs when this returns
+    or raises.
+    """
+    units = -(-total // unit)
+    workers = max(1, min(engine_threads().workers, units))
+    bounds = [min(total, unit * (units * w // workers)) for w in range(workers + 1)]
     # The pool starts threads only on submit, so W = 1 starts none.  Leaving
-    # the with block waits for every range: none still writes into gains
-    # when this returns or raises.
+    # the with block waits for every range.
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         rest = [pool.submit(run, first, stop) for first, stop in zip(bounds[1:-1], bounds[2:])]
         run(bounds[0], bounds[1])
         for future in rest:
             future.result()
-    return gains

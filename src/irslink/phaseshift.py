@@ -12,7 +12,9 @@ and, for one simulator run over n elements, ``block_phases(n)``: a function
 that maps a block of trials (start, h_sd, h_sr, h_rd), one trial per row, to
 the phases of draws start, start+1, ...  ``UniformRandom.phase_draws(n)`` is
 the one draw of random phases: the simulator, criterion 3 and, one draw at a
-time, ``UniformRandom.phases`` use it.
+time, ``UniformRandom.phases`` use it.  It fills each draw's angles with the
+stream's ``random()`` uniforms u and maps the whole stack to (2 pi * u) - pi
+in two rounded steps, which is exactly ``Generator.uniform(-pi, pi, n)``.
 
 ``cascade_matrix`` and ``cascade_traces`` take one phase vector (N,) or a
 stack of them (B, N), one vector per row.  Row b of a stacked call equals the
@@ -117,7 +119,13 @@ class Fixed(_Design):
 
 @dataclass(frozen=True)
 class UniformRandom(_Design):
-    """Independent phases redrawn uniformly on [-pi, pi) per trial; draw i depends on (seed, i) only."""
+    """Independent phases redrawn uniformly on [-pi, pi) per trial; draw i depends on (seed, i) only.
+
+    Draw i takes n uniforms u in [0, 1) from phase stream i of the seed and
+    sets theta = (2 pi * u) - pi, each operation rounded on its own: the
+    values of numpy's ``Generator.uniform(-pi, pi, n)`` on that stream, bit
+    for bit, without the cost of its per-call argument handling.
+    """
 
     seed: int
     kind: ClassVar[str] = "uniform_random"
@@ -154,7 +162,12 @@ class UniformRandom(_Design):
             rng.check_index(start + max(count, 1) - 1)  # the last draw
             thetas = np.empty((count, n))
             for r in range(count):
-                thetas[r] = get(rng.DOMAIN_PHASE, start + r).uniform(-np.pi, np.pi, n)
+                get(rng.DOMAIN_PHASE, start + r).random(out=thetas[r])
+            # Generator.uniform(-pi, pi) is low + range*u with range = 2 pi
+            # exactly, rounded twice; two ufunc passes round the same way and
+            # cannot be fused into one multiply-add.
+            thetas *= 2.0 * np.pi
+            thetas -= np.pi
             return np.exp(1j * thetas)
 
         return draw

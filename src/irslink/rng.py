@@ -16,7 +16,10 @@ depend on how many worker threads the simulator runs.
 
 Standard normals are produced by the basic Box-Muller transform on the
 stream's uniforms; this mapping is part of the reproducibility contract and
-must not be changed without revalidating every pinned-seed test.
+must not be changed without revalidating every pinned-seed test.  So is the
+phase-draw mapping of ``phaseshift.UniformRandom.phase_draws``: the
+stream's uniforms u become the angles (2 pi * u) - pi, each operation
+rounded on its own, which is ``Generator.uniform(-pi, pi)`` bit for bit.
 """
 
 import numpy as np

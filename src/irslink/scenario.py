@@ -41,7 +41,7 @@ MAX_GRID_POINTS = 100_000
 # Largest surface accepted, n_h * n_v = 64 x 64.  One N x N complex128 matrix
 # takes 16 N^2 bytes, 268 MB at the cap; a curve holds several (the model,
 # two scaled covariances and their factors, cascade products), and the sinc
-# model builds an N x N x 3 float distance array on top, so a run at the cap
+# model builds an N x N float distance array on top, so a run at the cap
 # needs a few GB and O(N^3) eigendecompositions.  Every preset and benchmark
 # scenario has N <= 400.
 MAX_ELEMENTS = 4096
@@ -248,7 +248,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
     except DomainError as exc:
         raise ScenarioFormatError(str(exc), field="xi_step") from None
 
-    return Scenario(
+    scenario = Scenario(
         name=name,
         beta_sd_db=beta_sd_db,
         n_h=n_h,
@@ -258,6 +258,25 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         design=_build_design(raw, n_h * n_v),
         **num,
     )
+    _check_threshold(scenario)
+    return scenario
+
+
+def _check_threshold(scenario: Scenario):
+    """The SNR threshold must be finite over the rate grid, computed as a curve computes it.
+
+    It grows with the rate, so xi_max decides.  The error names sigma2_dbm
+    when sigma2/rho alone overflows, and xi_max otherwise.
+    """
+    with np.errstate(over="ignore"):
+        z = scenario.snr_threshold(scenario.xi_grid())
+    if not np.isfinite(z).all():
+        ratio = dbm_to_watts(scenario.sigma2_dbm) / dbm_to_watts(scenario.rho_dbm)
+        raise ScenarioFormatError(
+            f"the SNR threshold sigma2 (2^xi - 1) / rho overflows at xi_max = {scenario.xi_max}; "
+            "lower xi_max or the ratio sigma2/rho",
+            field="xi_max" if math.isfinite(ratio) else "sigma2_dbm",
+        )
 
 
 def load_scenario(path) -> Scenario:

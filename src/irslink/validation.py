@@ -29,14 +29,15 @@ from .closedform import (
 )
 from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
-from .montecarlo import gain_samples, outage_rates
+from .montecarlo import gain_samples, outage_rates, run_ranges
 from .phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, cascade_traces, equal_phase_trace_bound, phase_vector
 from .scenario import load_scenario
 
 QUARTER_TURN = math.pi / 4.0
 _DESIGN_SEED = 9001  # phase seed of the uniform-random design used in MC criteria
-# Phase draws per stacked trace call in criterion 3: a (256, 16, 16) complex
-# stack is 1 MB, so each elementwise pass over it stays in a 2 MB L2 cache.
+# Phase draws per stacked trace call in criterion 3, and the unit of its
+# thread ranges: a (256, 16, 16) complex stack is 1 MB, so each elementwise
+# pass over it stays in a 2 MB L2 cache.
 _TRACE_CHUNK = 256
 
 
@@ -148,18 +149,33 @@ def criterion_2(trials=None, seed=None):
     return worst <= 1e-12, f"max rel dev {worst:.2e}"
 
 
+def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
+    """(t_lin, t_quad): the cascade traces of R under UniformRandom(seed) draws 0..trials-1.
+
+    The draws run in stacks of _TRACE_CHUNK on the engine's thread ranges;
+    each range keys its own draws and writes only its own slices.
+    """
+    design = UniformRandom(seed)
+    t_lin = np.empty(trials)
+    t_quad = np.empty(trials)
+
+    def run(first, stop):
+        draw = design.phase_draws(r.n)
+        for start in range(first, stop, _TRACE_CHUNK):
+            end = min(start + _TRACE_CHUNK, stop)
+            t_lin[start:end], t_quad[start:end] = cascade_traces(r, r, draw(start, end - start))
+
+    run_ranges(trials, _TRACE_CHUNK, run)
+    return t_lin, t_quad
+
+
 @_criterion(3, "phase-expectation oracle", 60.0)
 def criterion_3(trials=None, seed=None):
     """Phase-averaged trace statistics match their Monte-Carlo expectations."""
     trials = 100_000 if trials is None else trials
     seed = 202 if seed is None else seed
     r = _sinc_square(4)
-    draw = UniformRandom(seed).phase_draws(r.n)
-    t_lin = np.empty(trials)
-    t_quad = np.empty(trials)
-    for start in range(0, trials, _TRACE_CHUNK):
-        stop = min(start + _TRACE_CHUNK, trials)
-        t_lin[start:stop], t_quad[start:stop] = cascade_traces(r, r, draw(start, stop - start))
+    t_lin, t_quad = _phase_traces(r, seed, trials)
     moments = uniform_phase_trace_moments(r, r)
     checks = [
         ("trace", np.mean(t_lin), np.std(t_lin, ddof=1), moments.mean_trace),

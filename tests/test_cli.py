@@ -13,7 +13,7 @@ from irslink import cli, validation
 from irslink.curves import read_curve_csv
 
 from test_curves import _FullDisk
-from test_scenario import make
+from test_scenario import THRESHOLD_OVERFLOWS, make
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -167,6 +167,34 @@ def test_level_beyond_the_float_range_is_input_error(tmp_path, key):
     assert f"error: {key}: 5000.0 converts to inf" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists() and not result.stdout
+
+
+@pytest.mark.parametrize("overrides, field", THRESHOLD_OVERFLOWS, ids=["ratio", "xi_max", "product"])
+def test_infinite_threshold_is_input_error(tmp_path, overrides, field):
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(make(**overrides)))
+    out = tmp_path / "loud.csv"
+    result = run_cli("curve", "--scenario", str(path), "--trials", "0", "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert f"error: {field}: the SNR threshold" in result.stderr
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    assert not out.exists() and not result.stdout
+
+
+def _help(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_validate_help_describes_its_own_options(capsys):
+    # validate --trials 0 is an input error, and validate --out writes the text report.
+    out = _help(capsys, "validate")
+    assert "0 = closed form only" not in out and "CSV" not in out
+    assert "--trials TRIALS Monte-Carlo trials of every MC criterion, at least 1" in out
+    assert "--out OUT also write the report lines" in out
+    out = _help(capsys, "curve")
+    assert "(0 = closed form only)" in out and "output CSV path" in out
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from irslink.correlation import (
     CorrelationMatrix,
     _all_positions,
     _checked_entries,
+    _distances,
     exponential_correlation,
     identity_correlation,
     matrix_sqrt,
@@ -30,6 +31,20 @@ def test_element_positions():
     g2 = ArrayGeometry(2, 2, 0.5, 0.25, 1.0)
     # hand evaluation of the mod/floor layout for the last element
     assert np.array_equal(_all_positions(g2)[3], [0.0, 0.5, 0.25])
+
+
+# Odd sizes up to 33 and two even ones: 324 geometries, 1 to 1089 elements.
+_SIDES = [1, 2] + list(range(3, 34, 2))
+
+
+def test_distances_equal_the_norm_of_the_position_differences():
+    """The per-axis build gives the 3-D norm of the position differences, bit for bit."""
+    for n_h in _SIDES:
+        for n_v in _SIDES:
+            g = ArrayGeometry(n_h, n_v, 0.0125, 0.0071, 0.1)
+            pos = _all_positions(g)
+            want = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+            assert _distances(g).tobytes() == want.tobytes(), (n_h, n_v)
 
 
 def test_geometry_validation():

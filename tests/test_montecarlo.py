@@ -262,6 +262,30 @@ def test_worker_count_does_not_change_gains(side, workers):
                 assert on_caller == [True] + [False] * (len(ranges) - 1)
 
 
+@pytest.mark.parametrize(
+    "total, unit, w",
+    [(1000, 64, 3), (1000, 256, 2), (10, 64, 3), (1, 256, 2), (130, 64, 8), (512, 256, 5), (64, 64, 1)],
+    ids=["unit-does-not-divide", "unit-does-not-divide-256", "total-below-unit", "one", "w-above-units", "w-above-units-exact", "serial"],
+)
+def test_run_ranges_covers_the_total_once(total, unit, w, monkeypatch):
+    monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
+    lock = threading.Lock()
+    ranges, hits = [], np.zeros(total, dtype=int)
+
+    def run(first, stop):
+        with lock:
+            ranges.append((first, stop, threading.get_ident()))
+            hits[first:stop] += 1
+
+    montecarlo.run_ranges(total, unit, run)
+    assert np.all(hits == 1)
+    units = -(-total // unit)
+    assert len(ranges) == min(w, units)
+    ranges.sort()
+    assert all(first % unit == 0 and first < stop for first, stop, _ in ranges)
+    assert [thread == threading.get_ident() for _, _, thread in ranges] == [True] + [False] * (len(ranges) - 1)
+
+
 def test_many_workers_under_fast_thread_switching(workers):
     """More workers than cores, switching threads every microsecond: a lost or misplaced write would show."""
     r = square_sinc(4)

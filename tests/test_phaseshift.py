@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from irslink import montecarlo, validation
 from irslink.closedform import (
     gamma_fit,
     gamma_fit_equal_phase,
@@ -19,7 +20,7 @@ from irslink.correlation import (
 )
 from irslink.curves import run_curve
 from irslink.errors import ContractViolationError, DomainError, InternalConsistencyError
-from irslink.montecarlo import gain_samples
+from irslink.montecarlo import EngineThreads, gain_samples
 from irslink.phaseshift import (
     Equal,
     Fixed,
@@ -239,6 +240,17 @@ def test_criterion_3_matches_a_per_call_loop(seed):
     result = criterion_3(trials=trials, seed=seed)
     assert result.detail == detail
     assert result.passed == all(p <= 3.0 for p in pulls)
+
+
+@pytest.mark.parametrize("trials", [255, 257, 3000])  # 1, 2 and 12 stacks of 256 draws
+def test_criterion_3_does_not_depend_on_the_worker_count(trials, monkeypatch):
+    r = sinc_correlation(ArrayGeometry(4, 4, 0.1 / 40.0, 0.1 / 40.0, 0.1))
+    outcomes = []
+    for w in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "engine_threads", lambda w=w: EngineThreads(w, 1, w))
+        t_lin, t_quad = validation._phase_traces(r, 202, trials)
+        outcomes.append((t_lin.tobytes(), t_quad.tobytes(), criterion_3(trials=trials, seed=202).detail))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 def test_optimal_csi_not_materializable():

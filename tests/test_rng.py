@@ -82,3 +82,24 @@ def test_largest_index_is_a_stream():
         np.exp(1j * reference(1, rng.DOMAIN_PHASE, last).uniform(-np.pi, np.pi, 3)),
     )
     assert sample_channels(0.5, factor, factor, 5, last).n == 2
+
+
+# Draws 0..2599 and windows around the index where the counter's stream
+# index spills into its next word, and up to the last index of the domain.
+PHASE_WINDOWS = [(0, 2600), (2**64 - 32, 64), (2**128 - 64, 64)]
+
+
+@pytest.mark.parametrize("n", [1, 16, 64, 196])
+def test_phase_draws_are_the_streams_uniform_draws(n):
+    """Each draw is numpy's uniform(-pi, pi, n) on its phase stream, bit for bit.
+
+    A platform whose numpy fused the uniform's low + range*u into one
+    multiply-add would round differently, and fail here.
+    """
+    seed = 2**64 - 1 - n
+    draw = UniformRandom(seed).phase_draws(n)
+    for start, count in PHASE_WINDOWS:
+        rows = draw(start, count)
+        for r in range(count):
+            want = np.exp(1j * reference(seed, rng.DOMAIN_PHASE, start + r).uniform(-np.pi, np.pi, n))
+            assert rows[r].tobytes() == want.tobytes()

@@ -159,10 +159,13 @@ def test_xi_grid_endpoints():
 
 
 def test_xi_grid_size_is_capped():
-    at_cap = scenario_from_dict(make(xi_min=0.0, xi_max=float(MAX_GRID_POINTS - 1), xi_step=1.0))
+    # A step of 2^-10 keeps the grid exact in binary and xi_max below 98,
+    # where the SNR threshold 2^xi - 1 is still finite.
+    step = 2.0**-10
+    at_cap = scenario_from_dict(make(xi_min=0.0, xi_max=(MAX_GRID_POINTS - 1) * step, xi_step=step))
     assert at_cap.xi_grid().size == MAX_GRID_POINTS
     with pytest.raises(ScenarioFormatError, match="xi_step"):
-        scenario_from_dict(make(xi_max=float(MAX_GRID_POINTS), xi_step=1.0))
+        scenario_from_dict(make(xi_max=MAX_GRID_POINTS * step, xi_step=step))
     # A non-finite bound is reported against its own field.
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ScenarioFormatError, match="^xi_max: must be finite"):
@@ -243,6 +246,28 @@ def test_levels_beyond_the_float_range_name_their_field(key, value):
 @pytest.mark.parametrize("key", LEVEL_KEYS)
 def test_levels_inside_the_float_range_are_accepted(key, value):
     assert getattr(scenario_from_dict(make(**{key: value})), key) == value
+
+
+# Levels and rates each inside their range whose SNR threshold
+# sigma2 (2^xi - 1) / rho overflows: sigma2/rho alone is 10^600 in the first.
+THRESHOLD_OVERFLOWS = [
+    ({"sigma2_dbm": 3000.0, "rho_dbm": -3000.0}, "sigma2_dbm"),
+    ({"xi_max": 2000.0}, "xi_max"),
+    ({"sigma2_dbm": 3000.0, "xi_max": 40.0}, "xi_max"),
+]
+
+
+@pytest.mark.parametrize("overrides, field", THRESHOLD_OVERFLOWS, ids=["ratio", "xi_max", "product"])
+def test_an_infinite_threshold_names_its_field(overrides, field):
+    with pytest.raises(ScenarioFormatError, match=f"^{field}: the SNR threshold") as err:
+        scenario_from_dict(make(**overrides))
+    assert err.value.field == field
+
+
+def test_a_threshold_near_the_float_range_is_accepted():
+    sc = scenario_from_dict(make(xi_max=1000.0, xi_step=250.0))
+    assert np.isfinite(sc.snr_threshold(sc.xi_grid())).all()
+    assert math.isfinite(sc.snr_threshold(sc.xi_max))
 
 
 def test_element_count_is_capped():
