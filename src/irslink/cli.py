@@ -10,7 +10,7 @@ from . import __version__
 from .curves import check_target, run_compare, run_curve, run_surface, write_compare_csv, write_curve_csv, write_lines, write_surface_csv
 from .errors import IrsLinkError
 from .montecarlo import engine_threads
-from .scenario import MODELS, load_scenario, step_grid
+from .scenario import MODELS, PRESETS, load_scenario, step_grid
 from .validation import CRITERIA, run_criteria
 
 EXIT_OK = 0
@@ -20,7 +20,7 @@ EXIT_INPUT = 2
 
 def _add_run(parser):
     """--scenario, --trials, --seed and --out of a subcommand that writes curves."""
-    parser.add_argument("--scenario", required=True, help="scenario JSON file or preset name (fig2a, fig2b, fig2c)")
+    parser.add_argument("--scenario", required=True, help=f"scenario JSON file or preset name ({', '.join(PRESETS)})")
     parser.add_argument("--trials", type=int, default=100_000, help="Monte-Carlo trials (0 = closed form only)")
     parser.add_argument("--seed", type=int, default=1, help="Monte-Carlo channel seed")
     parser.add_argument("--out", default=None, help="output CSV path")
@@ -35,9 +35,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_curve = sub.add_parser("curve", help="sweep outage probability over the target rate")
+    p_curve.set_defaults(run=_cmd_curve)
     _add_run(p_curve)
 
     p_surface = sub.add_parser("surface", help="outage over a (shape, scale) grid at fixed threshold")
+    p_surface.set_defaults(run=_cmd_surface)
     p_surface.add_argument("--out", default=None, help="output CSV path")
     p_surface.add_argument("--z", type=float, default=2.0, help="SNR threshold (linear)")
     p_surface.add_argument("--ka-min", type=float, default=0.25)
@@ -48,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surface.add_argument("--wa-step", type=float, default=0.25)
 
     p_compare = sub.add_parser("compare", help="one curve per correlation model")
+    p_compare.set_defaults(run=_cmd_compare)
     _add_run(p_compare)
     p_compare.add_argument(
         "--models",
@@ -56,9 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_validate = sub.add_parser("validate", help="run the acceptance matrix and print pass/fail lines")
+    p_validate.set_defaults(run=_cmd_validate)
     # None keeps each criterion's own trial count and seed.
     p_validate.add_argument(
-        "--trials", type=int, default=None, help="Monte-Carlo trials of every MC criterion, at least 1 (default: each criterion's own)"
+        "--trials", type=int, default=None, help="Monte-Carlo trials of every MC criterion, at least 2 (default: each criterion's own)"
     )
     p_validate.add_argument("--seed", type=int, default=None, help="seed of every MC criterion (default: each criterion's own)")
     p_validate.add_argument("--out", default=None, help="also write the report lines (engine plan, one line per criterion) to this text file")
@@ -99,6 +103,9 @@ def _cmd_compare(args) -> int:
     unknown = [m for m in models if m not in MODELS]
     if unknown:
         raise IrsLinkError(f"unknown model {unknown[0]!r}; choose from {MODELS}")
+    repeated = [m for i, m in enumerate(models) if m in models[:i]]
+    if repeated:
+        raise IrsLinkError(f"--models names {repeated[0]!r} more than once")
     out = args.out or f"{scenario.name}_compare.csv"
     check_target(out)
     curves = run_compare(scenario, models, trials=args.trials, seed=args.seed)
@@ -135,14 +142,8 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "curve": _cmd_curve,
-        "surface": _cmd_surface,
-        "compare": _cmd_compare,
-        "validate": _cmd_validate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (IrsLinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -40,15 +40,6 @@ class GammaParams:
         return self.shape * self.scale * self.scale
 
 
-def regularized_upper_gamma(a: float, x: float) -> float:
-    """Q(a, x) = Gamma(a, x) / Gamma(a) in [0, 1]."""
-    if a <= 0:
-        raise DomainError(f"shape must be positive, got {a}")
-    if x < 0:
-        raise DomainError(f"argument must be >= 0, got {x}")
-    return float(special.gammaincc(a, x))
-
-
 def gain_moments(
     beta_sd: float,
     r_sr: CorrelationMatrix,

@@ -6,6 +6,7 @@ drawn once per curve and compared against every threshold on the grid.
 """
 
 import errno
+import math
 import os
 import secrets
 from dataclasses import dataclass, fields
@@ -19,15 +20,14 @@ from .closedform import outage_probability
 from .errors import DomainError
 from .montecarlo import gain_samples, outage_rates
 from .phaseshift import checked_design
-from .scenario import Scenario
+from .scenario import MAX_GRID_POINTS, Scenario
 
 _FLOAT_FMT = "%.17g"  # lossless float64 round trip
-COLUMNS = ("xi", "z", "p_closed_form", "p_mc", "std_err", "k_a", "w_a")
 
 
 @dataclass(frozen=True, eq=False)
 class OutageCurve:
-    """One sweep of outage probability over the target rate."""
+    """One sweep of outage probability over the target rate; its array fields, in order, are the CSV columns."""
 
     scenario_name: str
     scenario_hash: str
@@ -64,6 +64,9 @@ class OutageCurve:
             else getattr(self, f.name) == getattr(other, f.name)
             for f in fields(self)
         )
+
+
+COLUMNS = tuple(f.name for f in fields(OutageCurve) if f.type is np.ndarray)
 
 
 def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
@@ -115,8 +118,10 @@ def run_surface(ka_grid, wa_grid, z: float) -> np.ndarray:
     # "not all > 0" also rejects NaN, as GammaParams does.
     if ka.size == 0 or wa.size == 0 or not (np.all(ka > 0) and np.all(wa > 0)):
         raise DomainError("shape and scale grids must be positive and non-empty")
-    if not z >= 0:
-        raise DomainError(f"threshold must be >= 0, got {z}")
+    if not 0 <= z < math.inf:
+        raise DomainError(f"threshold must be >= 0 and finite, got {z}")
+    if ka.size * wa.size > MAX_GRID_POINTS:
+        raise DomainError(f"surface grid of {ka.size} x {wa.size} points exceeds the cap of {MAX_GRID_POINTS}")
     # The same P = gammainc(k, z/w) as outage_probability, over the whole grid.
     return special.gammainc(ka[:, None], z / wa[None, :])
 

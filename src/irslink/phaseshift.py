@@ -288,37 +288,23 @@ def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     return t_lin, t_quad
 
 
-@dataclass(frozen=True)
-class TraceBoundReport:
-    """Per-design margins of the equal-phase trace dominance check."""
-
-    margins: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.all(self.margins >= -TRACE_BOUND_SLACK))
-
-
-def equal_phase_trace_bound(r: CorrelationMatrix, scale: float, designs) -> TraceBoundReport:
-    """Check that equal phases maximize the cascade trace for the planar model.
+def equal_phase_trace_bound(r: CorrelationMatrix, phases: np.ndarray) -> np.ndarray:
+    """Margins by which equal phases out-trace each row of a phase stack (B, N).
 
     Valid for the model where both covariances are proportional to the same
-    real symmetric matrix R; the margin of sample design d is
-    scale * (tr under equal phases - Re tr under d).  With S = R∘R and
-    phases p = c + is, Re tr(R P^H R P) = c^T S c + s^T S s, so the margins
-    of all designs take one real matrix product.  An Equal design's common
-    phase cancels identically: its margin is an exact zero.
+    real symmetric matrix R; the margin of row b is tr under equal phases -
+    Re tr under phases[b], and the bound holds when no margin falls below
+    -TRACE_BOUND_SLACK.  With S = R∘R and phases p = c + is,
+    Re tr(R P^H R P) = c^T S c + s^T S s, so the margins of the whole stack
+    take one real matrix product.
     """
     if np.max(np.abs(r.entries.imag)) > TRACE_IMAG_TOL:
         raise DomainError("trace bound is only claimed for real symmetric models")
+    phases = np.asarray(phases, dtype=np.complex128)
+    if phases.ndim != 2 or phases.shape[1] != r.n:
+        raise DomainError(f"dimension mismatch: r {r.n}, phases {phases.shape}")
     real = r.entries.real
     t_equal = float(np.sum(real * real.T))
-    margins = np.zeros(len(designs))
-    rows = [i for i, design in enumerate(designs) if not isinstance(design, Equal)]
-    if rows:
-        phases = np.stack([phase_vector(designs[i], r.n) for i in rows])
-        parts = np.concatenate((phases.real, phases.imag))  # c rows, then s rows
-        quad = np.einsum("dn,dn->d", parts @ (real * real), parts)
-        margins[rows] = scale * (t_equal - (quad[: len(rows)] + quad[len(rows) :]))
-    margins.setflags(write=False)
-    return TraceBoundReport(margins=margins)
+    parts = np.concatenate((phases.real, phases.imag))  # c rows, then s rows
+    quad = np.einsum("dn,dn->d", parts @ (real * real), parts)
+    return t_equal - (quad[: len(phases)] + quad[len(phases) :])

@@ -29,11 +29,18 @@ from .errors import DomainError, ScenarioFormatError
 from .phaseshift import PhaseShiftDesign
 from .units import SPEED_OF_LIGHT, db_to_linear, dbm_to_watts
 
-MODELS = ("sinc", "exponential", "uncorrelated")
+# Each model name with the builder of its unscaled (unit-diagonal) matrix for a scenario.
+_MODEL_BUILDERS = {
+    "sinc": lambda sc: sinc_correlation(sc.geometry()),
+    "exponential": lambda sc: exponential_correlation(sc.n, sc.exp_magnitude),
+    "uncorrelated": lambda sc: identity_correlation(sc.n),
+}
+MODELS = tuple(_MODEL_BUILDERS)
 _DESIGN_CLASSES = {cls.kind: cls for cls in get_args(PhaseShiftDesign)}
 DESIGNS = tuple(_DESIGN_CLASSES)
 
-PRESETS = ("fig2a", "fig2b", "fig2c")
+_PRESET_DIR = resources.files("irslink").joinpath("presets")
+PRESETS = tuple(sorted(p.name.removesuffix(".json") for p in _PRESET_DIR.iterdir() if p.name.endswith(".json")))
 
 # Largest sweep grid accepted; every preset and CLI default is far below it.
 MAX_GRID_POINTS = 100_000
@@ -96,12 +103,9 @@ class Scenario:
         return ArrayGeometry(self.n_h, self.n_v, d, d, wavelength)
 
     def correlation_model(self) -> CorrelationMatrix:
-        """The unscaled (unit-diagonal) model matrix."""
-        if self.model == "sinc":
-            return sinc_correlation(self.geometry())
-        if self.model == "exponential":
-            return exponential_correlation(self.n, self.exp_magnitude)
-        return identity_correlation(self.n)
+        """The unscaled (unit-diagonal) model matrix; ScenarioFormatError for an unknown model."""
+        _check_model_fields(self.model, self.exp_magnitude)
+        return _MODEL_BUILDERS[self.model](self)
 
     def covariances(self):
         """(r_sr, r_rd), the model matrix scaled by the configured products."""
@@ -152,11 +156,9 @@ _LEVELS = {
 }
 
 
-def _want(raw: dict, key: str, kinds, required: bool = True, default=None):
+def _want(raw: dict, key: str, kinds):
     if key not in raw:
-        if required:
-            raise ScenarioFormatError("required key is missing", field=key)
-        return default
+        raise ScenarioFormatError("required key is missing", field=key)
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, kinds):
         names = "/".join(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
@@ -234,7 +236,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioFormatError("must be positive", field="spacing_over_lambda")
 
     model = _want(raw, "model", str)
-    exp_magnitude = float(_want(raw, "exp_magnitude", (int, float), required=False, default=0.95))
+    exp_magnitude = float(_want(raw, "exp_magnitude", (int, float))) if "exp_magnitude" in raw else 0.95
     _check_model_fields(model, exp_magnitude)
 
     if num["xi_min"] < 0:
@@ -287,7 +289,7 @@ def load_scenario(path) -> Scenario:
         text = p.read_text()
     elif str(path) in PRESETS:
         name = str(path)
-        text = resources.files("irslink").joinpath("presets", f"{name}.json").read_text()
+        text = _PRESET_DIR.joinpath(f"{name}.json").read_text()
     else:
         raise ScenarioFormatError(
             f"{path!r} is neither an existing file nor a preset {PRESETS}"

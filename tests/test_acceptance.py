@@ -85,8 +85,9 @@ def test_criterion_cpu_time_is_not_held_to_the_limit(monkeypatch):
     assert result.cpu == 1000.0 and result.runtime < result.limit
 
 
-@pytest.mark.parametrize("trials", [0, -1, 2.5, True])
+@pytest.mark.parametrize("trials", [0, 1, -1, 2.5, True])
 def test_bad_trial_override_fails_before_any_criterion(trials):
-    # with no trials, criterion 4 would compare the closed form against NaN and pass
+    # with no trials, criterion 4 would compare the closed form against NaN and pass;
+    # with one, criterion 3 would take a sample deviation of one draw
     with pytest.raises(DomainError, match="trial count"):
         validation.run_criteria([4], trials=trials)

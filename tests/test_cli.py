@@ -105,6 +105,27 @@ def test_nan_threshold_is_input_error(tmp_path):
     assert not out.exists()
 
 
+def test_infinite_surface_threshold_is_input_error(tmp_path):
+    out = tmp_path / "surface.csv"
+    result = run_cli("surface", "--z", "inf", "--out", str(out))
+    assert result.returncode == 2
+    assert "threshold must be >= 0 and finite, got inf" in result.stderr
+    assert not out.exists()
+
+
+def test_surface_cell_count_is_bounded(tmp_path, monkeypatch, capsys):
+    # Two axes of 95 001 points each, both under the per-axis cap: 9.0e9 cells
+    # (72 GB) are refused before the surface is allocated.  gammainc is
+    # stubbed, so a tree without the cap fails here instead of allocating.
+    out = tmp_path / "surface.csv"
+    evaluated = []
+    monkeypatch.setattr(curves_module.special, "gammainc", lambda *a: evaluated.append(a))
+    code = cli.main(["surface", "--ka-step", "5e-5", "--wa-step", "5e-5", "--out", str(out)])
+    assert code == 2
+    assert "exceeds the cap of 100000" in capsys.readouterr().err
+    assert not evaluated and not out.exists()
+
+
 def test_curve_grid_is_bounded(tmp_path):
     scenario_path = tmp_path / "fine.json"
     scenario_path.write_text(json.dumps(make(xi_max=8.0, xi_step=1e-6)))
@@ -123,6 +144,14 @@ def test_compare_subcommand(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "p_closed_form_sinc" in out.read_text()
+
+
+def test_compare_rejects_a_repeated_model(tmp_path):
+    out = tmp_path / "cmp.csv"
+    result = run_cli("compare", "--scenario", "fig2c", "--models", "sinc,exponential,sinc", "--trials", "0", "--out", str(out))
+    assert result.returncode == 2
+    assert "'sinc' more than once" in result.stderr
+    assert not out.exists() and not result.stdout
 
 
 def test_compare_rejects_unknown_model():
@@ -191,7 +220,7 @@ def test_validate_help_describes_its_own_options(capsys):
     # validate --trials 0 is an input error, and validate --out writes the text report.
     out = _help(capsys, "validate")
     assert "0 = closed form only" not in out and "CSV" not in out
-    assert "--trials TRIALS Monte-Carlo trials of every MC criterion, at least 1" in out
+    assert "--trials TRIALS Monte-Carlo trials of every MC criterion, at least 2" in out
     assert "--out OUT also write the report lines" in out
     out = _help(capsys, "curve")
     assert "(0 = closed form only)" in out and "output CSV path" in out
@@ -272,6 +301,16 @@ def test_validate_fast_subset(tmp_path):
     engine = result.stdout.splitlines()[0]
     assert re.fullmatch(r"MC engine: \d+ worker\(s\), BLAS threads (\d+|unreadable), usable cores \d+", engine)
     assert report.read_text().splitlines()[0] == engine
+
+
+def test_validate_needs_two_trials(tmp_path):
+    # Criterion 3's sample deviations need two draws; one trial is refused before any criterion runs.
+    report = tmp_path / "report.txt"
+    result = run_cli("validate", "--only", "3", "--trials", "1", "--out", str(report))
+    assert result.returncode == 2
+    assert "trial count must be at least 2, got 1" in result.stderr
+    assert "Warning" not in result.stderr and not result.stdout
+    assert not report.exists()
 
 
 def test_validate_report_survives_a_failed_write(tmp_path, monkeypatch, capsys):

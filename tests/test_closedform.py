@@ -13,7 +13,6 @@ from irslink.closedform import (
     gamma_fit_uniform_phase,
     outage_probability,
     outage_scale_sensitivity,
-    regularized_upper_gamma,
     uniform_phase_trace_moments,
     uniform_phase_trace_moments_by_sums,
 )
@@ -71,46 +70,6 @@ SCHEMA_KEY = {"beta_sd": "beta_sd_db", "rho": "rho_dbm", "sigma2": "sigma2_dbm",
 def test_non_finite_parameters_rejected(key, value):
     with pytest.raises(ScenarioFormatError, match=f"^{SCHEMA_KEY[key]}: must be finite"):
         scenario_from_dict(make(**{SCHEMA_KEY[key]: value}))
-
-
-# --- Regularized upper incomplete gamma -------------------------------------
-
-
-def test_upper_gamma_at_zero():
-    for a in (1e-3, 0.5, 1.0, 7.0, 1e4):
-        assert regularized_upper_gamma(a, 0.0) == 1.0
-
-
-def test_upper_gamma_exponential_case():
-    assert regularized_upper_gamma(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-13)
-
-
-def test_upper_gamma_integer_shape():
-    # finite Poisson sum for integer shape
-    assert regularized_upper_gamma(3.0, 2.0) == pytest.approx(5.0 * math.exp(-2.0), rel=1e-13)
-
-
-def test_upper_gamma_domain():
-    with pytest.raises(DomainError):
-        regularized_upper_gamma(0.0, 1.0)
-    with pytest.raises(DomainError):
-        regularized_upper_gamma(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        regularized_upper_gamma(1.0, -0.5)
-
-
-def test_upper_gamma_against_arbitrary_precision():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    shapes = [1e-3, 1e-2, 0.1, 0.5, 1.0, 3.7, 17.0, 210.0, 4321.0, 1e4]
-    worst = 0.0
-    for a in shapes:
-        for x in [0.0, 1e-6, 0.08, 1.0, 9.5, 77.0, 1.1e3, 1e4, 0.5 * a, a, 1.7 * a]:
-            ref = float(mp.gammainc(mp.mpf(a), mp.mpf(x), mp.inf, regularized=True))
-            got = regularized_upper_gamma(a, x)
-            if ref > 1e-300:
-                worst = max(worst, abs(got - ref) / ref)
-    assert worst <= 1e-12
 
 
 # --- Moments and Gamma fits ---------------------------------------------------
@@ -302,6 +261,21 @@ def test_outage_exponential_point():
     assert outage_probability(GammaParams(1.0, 2.0), 2.0) == pytest.approx(
         1.0 - math.exp(-1.0), rel=1e-13
     )
+
+
+def test_outage_against_arbitrary_precision():
+    # The regularized lower gamma P(a, x) that outage_probability evaluates, at scale 1.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    shapes = [1e-3, 1e-2, 0.1, 0.5, 1.0, 3.7, 17.0, 210.0, 4321.0, 1e4]
+    worst = 0.0
+    for a in shapes:
+        for x in [0.0, 1e-6, 0.08, 1.0, 9.5, 77.0, 1.1e3, 1e4, 0.5 * a, a, 1.7 * a]:
+            ref = float(mp.gammainc(mp.mpf(a), 0, mp.mpf(x), regularized=True))
+            got = outage_probability(GammaParams(a, 1.0), x)
+            if ref > 1e-300:
+                worst = max(worst, abs(got - ref) / ref)
+    assert worst <= 1e-12
 
 
 def test_outage_half_integer_erfc_identity():

@@ -22,6 +22,7 @@ from irslink.curves import run_curve
 from irslink.errors import ContractViolationError, DomainError, InternalConsistencyError
 from irslink.montecarlo import EngineThreads, gain_samples
 from irslink.phaseshift import (
+    TRACE_BOUND_SLACK,
     Equal,
     Fixed,
     OptimalCsi,
@@ -303,35 +304,27 @@ def test_cascade_dimension_mismatch():
         cascade_matrix(r3, r3, np.ones(4))
 
 
+def _fixed_stack(gen, n, rows):
+    return np.stack([phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n) for _ in range(rows)])
+
+
 def test_trace_bound_identity_model():
-    gen = np.random.default_rng(5)
-    designs = [Fixed(gen.uniform(-np.pi, np.pi, 6)) for _ in range(20)]
-    report = equal_phase_trace_bound(identity_correlation(6), 1.0, designs)
+    margins = equal_phase_trace_bound(identity_correlation(6), _fixed_stack(np.random.default_rng(5), 6, 20))
     # the identity model is phase-invariant, margins vanish to rounding
-    assert np.max(np.abs(report.margins)) <= 1e-12
-    assert report.passed
+    assert margins.shape == (20,)
+    assert np.max(np.abs(margins)) <= 1e-12
 
 
 def test_trace_bound_sinc_model():
-    gen = np.random.default_rng(17)
-    r = square_sinc(4)
-    designs = [Fixed(gen.uniform(-np.pi, np.pi, 16)) for _ in range(100)]
-    report = equal_phase_trace_bound(r, 1.0, designs)
-    assert report.passed
-    assert np.all(report.margins >= -1e-10)
+    margins = equal_phase_trace_bound(square_sinc(4), _fixed_stack(np.random.default_rng(17), 16, 100))
+    assert np.all(margins >= -TRACE_BOUND_SLACK)
 
 
-def test_trace_bound_equal_vs_equal_is_exact():
-    report = equal_phase_trace_bound(square_sinc(3), 1.0, [Equal(0.9), Equal(-2.2)])
-    assert np.array_equal(report.margins, np.zeros(2))
-
-
-def _per_design_margin(r, scale, design):
+def _row_margin(r, phases):
     """The margin traced as the complex N x N product it is defined by: the oracle of the one-GEMM form."""
     t_equal = float(np.sum(r.entries.real * r.entries.real.T))
-    phases = phase_vector(design, r.n)
     inner = (np.conj(phases)[:, None] * r.entries) * phases[None, :]
-    return scale * (t_equal - complex(np.sum(r.entries * inner.T)).real), t_equal
+    return t_equal - complex(np.sum(r.entries * inner.T)).real, t_equal
 
 
 @pytest.mark.parametrize(
@@ -344,6 +337,7 @@ def _per_design_margin(r, scale, design):
     ids=["sinc16", "sinc64", "sinc196", "sinc400", "exponential30", "identity9"],
 )
 def test_trace_bound_matches_the_per_design_complex_trace(r):
+    # Rows of Equal, Fixed and UniformRandom phases in turn; equal-phase rows meet the same oracle.
     gen = np.random.default_rng(r.n)
     designs = []
     for i in range(12):
@@ -354,19 +348,21 @@ def test_trace_bound_matches_the_per_design_complex_trace(r):
             designs.append(Fixed(gen.uniform(-np.pi, np.pi, r.n)))
         else:
             designs.append(UniformRandom(int(gen.integers(2**63))))
-    scale = 2.5
-    margins = equal_phase_trace_bound(r, scale, designs).margins
-    for design, margin in zip(designs, margins):
-        if isinstance(design, Equal):
-            assert margin == 0.0 and not np.signbit(margin)
-            continue
-        want, t_equal = _per_design_margin(r, scale, design)
-        assert abs(margin - want) <= 1e-12 * scale * t_equal
-    with pytest.raises(ContractViolationError):
-        equal_phase_trace_bound(r, scale, [*designs, OptimalCsi()])
+    phases = np.stack([phase_vector(design, r.n) for design in designs])
+    margins = equal_phase_trace_bound(r, phases)
+    for row, margin in zip(phases, margins):
+        want, t_equal = _row_margin(r, row)
+        assert abs(margin - want) <= 1e-12 * t_equal
 
 
 def test_trace_bound_requires_real_model():
     m = np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.0]])
     with pytest.raises(DomainError):
-        equal_phase_trace_bound(CorrelationMatrix(m), 1.0, [Equal(0.0)])
+        equal_phase_trace_bound(CorrelationMatrix(m), np.ones((1, 2)))
+
+
+def test_trace_bound_requires_a_matching_stack():
+    r = identity_correlation(3)
+    for phases in (np.ones(3), np.ones((2, 4))):
+        with pytest.raises(DomainError):
+            equal_phase_trace_bound(r, phases)

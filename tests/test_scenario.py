@@ -1,11 +1,13 @@
 import json
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 from typing import get_args
 
 import numpy as np
 import pytest
 
+import irslink
 from irslink.errors import ScenarioFormatError
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom
 from irslink.scenario import MAX_ELEMENTS, MAX_GRID_POINTS, PRESETS, load_scenario, scenario_from_dict
@@ -338,6 +340,19 @@ def test_every_design_reads_back_what_it_writes(cls):
                 with pytest.raises(ScenarioFormatError, match=f"^{key}: not used by design '{cls.kind}'$") as err:
                     scenario_from_dict({**schema, key: value})
                 assert err.value.field == key
+
+
+def test_presets_are_the_bundled_files():
+    bundled = sorted(p.stem for p in (Path(irslink.__file__).parent / "presets").glob("*.json"))
+    assert list(PRESETS) == bundled
+
+
+@pytest.mark.parametrize("build", ["correlation_model", "covariances"])
+def test_unknown_model_on_a_replaced_scenario_is_rejected(build):
+    sc = replace(load_scenario("fig2a"), model="sincc")
+    with pytest.raises(ScenarioFormatError, match="^model: must be one of") as err:
+        getattr(sc, build)()
+    assert err.value.field == "model"
 
 
 def test_covariances_are_scaled_models():
