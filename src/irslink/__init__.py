@@ -15,7 +15,6 @@ from .closedform import (
     gamma_fit_equal_phase,
     gamma_fit_uniform_phase,
     outage_probability,
-    outage_scale_sensitivity,
     uniform_phase_trace_moments,
 )
 from .correlation import (
@@ -53,7 +52,6 @@ from .phaseshift import (
     UniformRandom,
     cascade_matrix,
     cascade_traces,
-    equal_phase_trace_bound,
     phase_vector,
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict

@@ -3,7 +3,8 @@
 The effective channel gain X = |h_sd + h_sr^H P h_rd|^2 is matched to a
 Gamma(shape, scale) variable preserving its first two moments, after which
 the outage probability at SNR threshold z is 1 - Q(shape, z/scale) with Q
-the regularized upper incomplete gamma function.
+the regularized upper incomplete gamma function.  The oracles that check
+these expressions live with the acceptance gate, in ``validation``.
 """
 
 import math
@@ -128,9 +129,9 @@ def uniform_phase_trace_moments(
 ) -> UniformPhaseMoments:
     """Closed-form phase averages via Hadamard-product identities.
 
-    uniform_phase_trace_moments_by_sums is the independent index-sum oracle
-    for these expressions; acceptance criterion 2 and the test suite require
-    the two routes to agree to 1e-12 relative.
+    validation.uniform_phase_trace_moments_by_sums is the independent
+    index-sum oracle for these expressions; acceptance criterion 2 and the
+    test suite require the two routes to agree to 1e-12 relative.
     """
     if r_sr.n != r_rd.n:
         raise DomainError(f"dimension mismatch: r_sr {r_sr.n}, r_rd {r_rd.n}")
@@ -143,30 +144,6 @@ def uniform_phase_trace_moments(
     quad = real_trace(np.array([np.sum(b * b.T), np.sum(c * c.T)]), "phase-averaged quad trace")
     delta = quad[0] + quad[1] - diag_sq
     return UniformPhaseMoments(nu, eta, delta)
-
-
-def uniform_phase_trace_moments_by_sums(
-    r_sr: CorrelationMatrix, r_rd: CorrelationMatrix
-) -> UniformPhaseMoments:
-    """The same phase averages from first principles, as explicit index sums.
-
-    Deliberately naive O(N^2) loops; serves as the independent oracle for
-    the matrix expressions.
-    """
-    rs, rd = r_sr.entries, r_rd.entries
-    n = r_sr.n
-    nu = sum((rs[i, i] * rd[i, i]).real for i in range(n))
-    eta = -sum((rd[i, i].real ** 2) * (rs[i, i].real ** 2) for i in range(n))
-    for i in range(n):
-        for m in range(n):
-            eta += (rd[i, i] * rs[i, i] * rd[m, m] * rs[m, m]).real
-            eta += (rd[i, m] * rs[m, i] * rd[m, i] * rs[i, m]).real
-    delta = -sum((rd[i, i].real ** 2) * (rs[i, i].real ** 2) for i in range(n))
-    for i in range(n):
-        for m in range(n):
-            delta += (rd[i, m] * rs[m, m] * rd[m, i] * rs[i, i]).real
-            delta += (rd[i, i] * rs[i, m] * rd[m, m] * rs[m, i]).real
-    return UniformPhaseMoments(float(nu), float(eta), float(delta))
 
 
 def gamma_fit_uniform_phase(
@@ -184,16 +161,14 @@ def outage_probability(gp: GammaParams, z):
     tail keeps full precision instead of cancelling against 1.  A scalar z
     gives a float; an array of thresholds gives an array from one ufunc call.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.all(z >= 0):  # also rejects NaN
-        raise DomainError(f"SNR threshold must be >= 0, got {z.min()}")
+    z = checked_threshold(z)
     p = special.gammainc(gp.shape, z / gp.scale)
     return float(p) if p.ndim == 0 else p
 
 
-def outage_scale_sensitivity(gp: GammaParams, z: float) -> float:
-    """d(outage)/d(scale) = -z^k e^(-z/w) / (Gamma(k) w^(k+1)); always negative."""
-    if not z > 0:
-        raise DomainError(f"SNR threshold must be positive, got {z}")
-    k, w = gp.shape, gp.scale
-    return -math.exp(k * math.log(z) - z / w - math.lgamma(k) - (k + 1.0) * math.log(w))
+def checked_threshold(z) -> np.ndarray:
+    """SNR thresholds z as a float array; DomainError unless each is >= 0 (NaN is not)."""
+    z = np.asarray(z, dtype=float)
+    if not np.all(z >= 0):  # also rejects NaN
+        raise DomainError(f"SNR threshold must be >= 0, got {z.min()}")
+    return z

@@ -89,22 +89,14 @@ def _checked_entries(m: np.ndarray) -> tuple:
     return m, real
 
 
-def _all_positions(geometry: ArrayGeometry) -> np.ndarray:
-    """Element i (0-based, rows first) sits at [0, (i mod n_h) d_h, floor(i / n_h) d_v] meters."""
-    i = np.arange(geometry.n)
-    return np.stack(
-        [np.zeros(geometry.n), (i % geometry.n_h) * geometry.d_h, (i // geometry.n_h) * geometry.d_v],
-        axis=1,
-    )
-
-
 def _distances(geometry: ArrayGeometry) -> np.ndarray:
-    """||u_n - u_m|| between the elements placed by _all_positions, an N x N array.
+    """||u_n - u_m|| between the surface elements, an N x N array.
 
-    Each distance is sqrt(dz^2 + dy^2) of one vertical and one horizontal
-    offset, so the offsets of each axis are squared once and summed into an
-    (n_v, n_h, n_v, n_h) array, which reads as N x N; no N x N x 3 array of
-    position differences is formed.
+    Element i (0-based, rows first) sits at u_i = [0, (i mod n_h) d_h,
+    floor(i / n_h) d_v] meters.  Each distance is sqrt(dz^2 + dy^2) of one
+    vertical and one horizontal offset, so the offsets of each axis are
+    squared once and summed into an (n_v, n_h, n_v, n_h) array, which reads
+    as N x N; no N x N x 3 array of position differences is formed.
     """
     h = np.arange(geometry.n_h) * geometry.d_h
     v = np.arange(geometry.n_v) * geometry.d_v

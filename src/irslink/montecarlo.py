@@ -15,12 +15,13 @@ given BLAS build and BLAS thread count: the complex ``eigh`` behind
 with the OpenBLAS thread count.  They do not depend on the engine's worker
 count.
 
-Engine: one block kernel serves every caller.  channel_blocks draws blocks
-of up to 64 trials: it repositions the stream once per trial and writes that
-trial's uniforms into one row of a buffer; Box-Muller and the projection
-through the two covariance factors (one matrix product each) then run on the
-whole block.  gain_samples iterates those blocks and applies the design's
-phases for the block and the gain, taken as re^2 + im^2.  The per-trial
+Engine: one block kernel serves every caller.  channel_blocks draws trials
+first..stop-1 in blocks of up to 64: it repositions the stream once per
+trial and writes that trial's uniforms into one row of a buffer; Box-Muller
+and the projection through the two covariance factors (one matrix product
+each) then run on the whole block.  gain_samples
+iterates those blocks and applies the design's phases for the block and the
+gain, taken as re^2 + im^2.  The per-trial
 operations are one-row views of these routes: sample_channels is a block of
 one trial, which fills two identical rows because numpy hands a one-row
 product to the BLAS matrix-vector routine, which rounds differently from the
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .closedform import checked_threshold
 from .correlation import CorrelationMatrix, matrix_sqrt
 from .errors import DomainError
 from .phaseshift import OptimalCsi, PhaseShiftDesign, checked_design
@@ -84,7 +86,8 @@ def outage_rates(gains: np.ndarray, z):
     gains once and bisecting on the left counts the failures of the whole
     grid at once.  std_err is the binomial standard error sqrt(p(1-p)/trials).
     """
-    trials = gains.shape[0]
+    z = checked_threshold(z)
+    trials = rng.check_trials(gains.shape[0], least=1)
     p = np.searchsorted(np.sort(gains), z, side="left") / trials
     return p, np.sqrt(p * (1.0 - p) / trials)
 
@@ -116,21 +119,14 @@ def _gains(h_sd, h_sr, phases, h_rd):
     return x.real * x.real + x.imag * x.imag
 
 
-def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int, trials: int):
-    """Yield (start, h_sd, h_sr, h_rd) for trials 0..trials-1, in blocks of up to 64 trials.
+def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int, first: int, stop: int):
+    """Yield (start, h_sd, h_sr, h_rd) for trials first..stop-1, in blocks of up to 64 from first.
 
     Row r of a block is trial start + r: h_sd has one entry per trial, h_sr
     and h_rd one row of N.  Each row equals sample_channels(..., start + r)
-    bit for bit; l_sr and l_rd are as there.
-    """
-    return _blocks(beta_sd, l_sr, l_rd, seed, 0, trials)
-
-
-def _blocks(beta_sd, l_sr, l_rd, seed, first, stop):
-    """channel_blocks for trials first..stop-1, in blocks of up to 64 from first.
-
-    A block of one trial fills two identical rows of the buffer and yields
-    the first: the kernel's matrix products then always have two rows or more.
+    bit for bit; l_sr and l_rd are as there.  A block of one trial fills two
+    identical rows of the buffer and yields the first: the kernel's matrix
+    products then always have two rows or more.
     """
     n = l_sr.shape[0]
     if l_sr.shape != (n, n) or l_rd.shape != (n, n):
@@ -161,7 +157,7 @@ def sample_channels(
     complex Gaussian vector.  trial_index must lie in [0, 2^128) (DomainError).
     """
     i = rng.check_index(trial_index)
-    _, h_sd, h_sr, h_rd = next(_blocks(beta_sd, l_sr, l_rd, seed, i, i + 1))
+    _, h_sd, h_sr, h_rd = next(channel_blocks(beta_sd, l_sr, l_rd, seed, i, i + 1))
     return ChannelRealization(h_sd=complex(h_sd[0]), h_sr=h_sr[0], h_rd=h_rd[0])
 
 
@@ -253,7 +249,7 @@ def gain_samples(
     def run(first, stop):
         # A phase function per range: UniformRandom's closes over one StreamFamily.
         block_phases = design.block_phases(r_sr.n)
-        for start, h_sd, h_sr, h_rd in _blocks(beta_sd, l_sr, l_rd, seed, first, stop):
+        for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, l_sr, l_rd, seed, first, stop):
             gains[start : start + h_sd.shape[0]] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
 
     run_ranges(trials, _BLOCK, run)

@@ -33,7 +33,6 @@ from .errors import ContractViolationError, DomainError, InternalConsistencyErro
 
 TRACE_IMAG_TOL = 1e-9
 TRACE_NEG_TOL = 1e-9
-TRACE_BOUND_SLACK = 1e-10  # a trace-bound margin may fall this far below zero
 
 
 def _wrap_angle(theta):
@@ -276,7 +275,8 @@ def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     phases = np.asarray(phases, dtype=np.complex128)
     c = cascade_matrix(r_rd, r_sr, phases[None] if phases.ndim == 1 else phases)
     t_lin = np.trace(c, axis1=-2, axis2=-1)
-    t_quad = (c * np.swapaxes(c, -1, -2)).reshape(c.shape[0], -1).sum(axis=-1)
+    # An explicit row size: numpy cannot infer -1 for an empty stack (B = 0).
+    t_quad = (c * np.swapaxes(c, -1, -2)).reshape(c.shape[0], r_rd.n * r_rd.n).sum(axis=-1)
     try:
         t_lin, t_quad = _checked_traces(t_lin, t_quad)
     except InternalConsistencyError:
@@ -286,25 +286,3 @@ def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     if phases.ndim == 1:
         return float(t_lin[0]), float(t_quad[0])
     return t_lin, t_quad
-
-
-def equal_phase_trace_bound(r: CorrelationMatrix, phases: np.ndarray) -> np.ndarray:
-    """Margins by which equal phases out-trace each row of a phase stack (B, N).
-
-    Valid for the model where both covariances are proportional to the same
-    real symmetric matrix R; the margin of row b is tr under equal phases -
-    Re tr under phases[b], and the bound holds when no margin falls below
-    -TRACE_BOUND_SLACK.  With S = R∘R and phases p = c + is,
-    Re tr(R P^H R P) = c^T S c + s^T S s, so the margins of the whole stack
-    take one real matrix product.
-    """
-    if np.max(np.abs(r.entries.imag)) > TRACE_IMAG_TOL:
-        raise DomainError("trace bound is only claimed for real symmetric models")
-    phases = np.asarray(phases, dtype=np.complex128)
-    if phases.ndim != 2 or phases.shape[1] != r.n:
-        raise DomainError(f"dimension mismatch: r {r.n}, phases {phases.shape}")
-    real = r.entries.real
-    t_equal = float(np.sum(real * real.T))
-    parts = np.concatenate((phases.real, phases.imag))  # c rows, then s rows
-    quad = np.einsum("dn,dn->d", parts @ (real * real), parts)
-    return t_equal - (quad[: len(phases)] + quad[len(phases) :])

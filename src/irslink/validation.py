@@ -3,9 +3,11 @@
 Each criterion is a check returning (ok, detail) that ``_criterion`` times,
 holds to its wall-clock limit, turns into a CriterionResult and registers in
 CRITERIA; the CLI ``validate`` subcommand and the test suite both run these,
-so the gate is identical everywhere.  MC-based
-criteria accept trial/seed overrides for quick smoke runs, but the canonical
-gate is the default configuration.
+so the gate is identical everywhere.  MC-based criteria accept trial/seed
+overrides for quick smoke runs, but the canonical gate is the default
+configuration.  The oracles only the gate needs sit beside the criterion
+that runs each: the index-sum phase averages (2), the scale derivative (7)
+and the equal-phase trace bound (8); ``import irslink`` does not load them.
 """
 
 import functools
@@ -19,18 +21,18 @@ from scipy import special
 from . import rng
 from .closedform import (
     GammaParams,
+    UniformPhaseMoments,
     gain_moments,
     gamma_fit,
     gamma_fit_equal_phase,
     outage_probability,
-    outage_scale_sensitivity,
     uniform_phase_trace_moments,
-    uniform_phase_trace_moments_by_sums,
 )
 from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
+from .errors import DomainError
 from .montecarlo import gain_samples, outage_rates, run_ranges
-from .phaseshift import TRACE_BOUND_SLACK, Equal, Fixed, OptimalCsi, UniformRandom, cascade_traces, equal_phase_trace_bound, phase_vector
+from .phaseshift import TRACE_IMAG_TOL, Equal, Fixed, OptimalCsi, UniformRandom, cascade_traces, phase_vector
 from .scenario import MODELS, load_scenario
 
 QUARTER_TURN = math.pi / 4.0
@@ -39,6 +41,7 @@ _DESIGN_SEED = 9001  # phase seed of the uniform-random design used in MC criter
 # thread ranges: a (256, 16, 16) complex stack is 1 MB, so each elementwise
 # pass over it stays in a 2 MB L2 cache.
 _TRACE_CHUNK = 256
+TRACE_BOUND_SLACK = 1e-10  # a trace-bound margin may fall this far below zero
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,30 @@ def criterion_1(trials=None, seed=None):
                 abs(gp.variance - var) / var,
             )
     return worst <= 1e-12, f"max rel dev {worst:.2e}"
+
+
+def uniform_phase_trace_moments_by_sums(
+    r_sr: CorrelationMatrix, r_rd: CorrelationMatrix
+) -> UniformPhaseMoments:
+    """The same phase averages from first principles, as explicit index sums.
+
+    Deliberately naive O(N^2) loops; serves as the independent oracle for
+    the matrix expressions.
+    """
+    rs, rd = r_sr.entries, r_rd.entries
+    n = r_sr.n
+    nu = sum((rs[i, i] * rd[i, i]).real for i in range(n))
+    eta = -sum((rd[i, i].real ** 2) * (rs[i, i].real ** 2) for i in range(n))
+    for i in range(n):
+        for m in range(n):
+            eta += (rd[i, i] * rs[i, i] * rd[m, m] * rs[m, m]).real
+            eta += (rd[i, m] * rs[m, i] * rd[m, i] * rs[i, m]).real
+    delta = -sum((rd[i, i].real ** 2) * (rs[i, i].real ** 2) for i in range(n))
+    for i in range(n):
+        for m in range(n):
+            delta += (rd[i, m] * rs[m, m] * rd[m, i] * rs[i, i]).real
+            delta += (rd[i, i] * rs[i, m] * rd[m, m] * rs[m, i]).real
+    return UniformPhaseMoments(float(nu), float(eta), float(delta))
 
 
 @_criterion(2, "reduction equivalences", 10.0)
@@ -295,6 +322,14 @@ def criterion_6(trials=None, seed=None):
     return ok, f"{int(np.sum(window))} window pts, blocked/present gap ratio {ratio:.0f}"
 
 
+def outage_scale_sensitivity(gp: GammaParams, z: float) -> float:
+    """d(outage)/d(scale) = -z^k e^(-z/w) / (Gamma(k) w^(k+1)); always negative."""
+    if not z > 0:
+        raise DomainError(f"SNR threshold must be positive, got {z}")
+    k, w = gp.shape, gp.scale
+    return -math.exp(k * math.log(z) - z / w - math.lgamma(k) - (k + 1.0) * math.log(w))
+
+
 @_criterion(7, "scale-derivative closed form", 5.0)
 def criterion_7(trials=None, seed=None):
     """Closed-form scale derivative against central finite differences."""
@@ -317,6 +352,28 @@ def criterion_7(trials=None, seed=None):
                 worst = max(worst, abs(closed - fd) / abs(closed))
     ok = worst <= 1e-5 and all_negative
     return ok, f"max rel dev {worst:.2e}"
+
+
+def equal_phase_trace_bound(r: CorrelationMatrix, phases: np.ndarray) -> np.ndarray:
+    """Margins by which equal phases out-trace each row of a phase stack (B, N).
+
+    Valid for the model where both covariances are proportional to the same
+    real symmetric matrix R; the margin of row b is tr under equal phases -
+    Re tr under phases[b], and the bound holds when no margin falls below
+    -TRACE_BOUND_SLACK.  With S = R∘R and phases p = c + is,
+    Re tr(R P^H R P) = c^T S c + s^T S s, so the margins of the whole stack
+    take one real matrix product.
+    """
+    if np.max(np.abs(r.entries.imag)) > TRACE_IMAG_TOL:
+        raise DomainError("trace bound is only claimed for real symmetric models")
+    phases = np.asarray(phases, dtype=np.complex128)
+    if phases.ndim != 2 or phases.shape[1] != r.n:
+        raise DomainError(f"dimension mismatch: r {r.n}, phases {phases.shape}")
+    real = r.entries.real
+    t_equal = float(np.sum(real * real.T))
+    parts = np.concatenate((phases.real, phases.imag))  # c rows, then s rows
+    quad = np.einsum("dn,dn->d", parts @ (real * real), parts)
+    return t_equal - (quad[: len(phases)] + quad[len(phases) :])
 
 
 @_criterion(8, "equal-phase asymptotics", 30.0)

@@ -40,7 +40,7 @@ def heavy_mc(sinc16):
     gains = np.empty(trials)
     hsd_power = 0.0
     cov = np.zeros((sinc16.n, sinc16.n), dtype=complex)
-    for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, factor, factor, seed, trials):
+    for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, factor, factor, seed, 0, trials):
         # |h_sd + sum_n conj(h_sr[n]) phases[n] h_rd[n]|^2, as re^2 + im^2
         x = h_sd + (np.conj(h_sr) * phases * h_rd).sum(axis=-1)
         gains[start : start + h_sd.shape[0]] = x.real * x.real + x.imag * x.imag

@@ -4,8 +4,15 @@ Each test runs one criterion from irslink.validation (the same code the
 ``irslink validate`` subcommand executes) and prints its pass/fail line.
 """
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import irslink
 from irslink import validation
 from irslink.errors import DomainError
 
@@ -91,3 +98,20 @@ def test_bad_trial_override_fails_before_any_criterion(trials):
     # with one, criterion 3 would take a sample deviation of one draw
     with pytest.raises(DomainError, match="trial count"):
         validation.run_criteria([4], trials=trials)
+
+
+def test_the_package_does_not_load_or_export_the_gate():
+    """``import irslink`` runs no gate code, and no public name is one the gate module defines."""
+    src = str(Path(irslink.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, irslink; print('irslink.validation' in sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert child.stdout.strip() == "False"
+    tree = ast.parse(Path(validation.__file__).read_text())
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+    moved = {"uniform_phase_trace_moments_by_sums", "outage_scale_sensitivity", "equal_phase_trace_bound", "TRACE_BOUND_SLACK"}
+    assert moved <= defined
+    assert defined.isdisjoint(irslink.__all__)

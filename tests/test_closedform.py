@@ -12,15 +12,14 @@ from irslink.closedform import (
     gamma_fit_equal_phase,
     gamma_fit_uniform_phase,
     outage_probability,
-    outage_scale_sensitivity,
     uniform_phase_trace_moments,
-    uniform_phase_trace_moments_by_sums,
 )
 from irslink.correlation import ArrayGeometry, CorrelationMatrix
 from irslink.errors import DegenerateScenarioError, DomainError, ScenarioFormatError
 from irslink.phaseshift import Equal, Fixed, UniformRandom, cascade_traces, phase_vector
 from irslink.scenario import load_scenario, scenario_from_dict
 from irslink.units import dbm_to_watts
+from irslink.validation import outage_scale_sensitivity, uniform_phase_trace_moments_by_sums
 
 from test_scenario import make
 

@@ -8,7 +8,6 @@ from irslink.correlation import (
     PSD_RTOL,
     ArrayGeometry,
     CorrelationMatrix,
-    _all_positions,
     _checked_entries,
     _distances,
     exponential_correlation,
@@ -21,6 +20,15 @@ from irslink.errors import DomainError, NotPositiveSemidefiniteError
 from irslink.scenario import MODELS, PRESETS, load_scenario
 
 from conftest import WAVELENGTH, square_sinc
+
+
+def _all_positions(geometry: ArrayGeometry) -> np.ndarray:
+    """Element i (0-based, rows first) sits at [0, (i mod n_h) d_h, floor(i / n_h) d_v] meters."""
+    i = np.arange(geometry.n)
+    return np.stack(
+        [np.zeros(geometry.n), (i % geometry.n_h) * geometry.d_h, (i // geometry.n_h) * geometry.d_v],
+        axis=1,
+    )
 
 
 def test_element_positions():

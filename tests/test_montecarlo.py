@@ -92,7 +92,7 @@ def test_channel_draw_layout_is_pinned(side):
         ch = sample_channels(0.5, factor, factor, 13, index)
         want = _written_out_channels(0.5, factor, factor, 13, index)
         assert _same_bits((ch.h_sd, ch.h_sr, ch.h_rd), want), f"trial {index}"
-    blocks = list(channel_blocks(0.5, factor, factor, 13, 65))
+    blocks = list(channel_blocks(0.5, factor, factor, 13, 0, 65))
     assert [block[0] for block in blocks] == [0, 64]  # trial 64 is a trailing block of one
     h_sd, h_sr, h_rd = (np.concatenate([block[k] for block in blocks]) for k in (1, 2, 3))
     for i in (0, 63, 64):
@@ -226,13 +226,13 @@ def test_per_trial_ops_match_partial_blocks(side):
 def workers(monkeypatch):
     """Force gain_samples onto w worker threads; records each range it runs as (first, stop, thread)."""
     ranges = []
-    blocks = montecarlo._blocks
+    blocks = montecarlo.channel_blocks
 
     def recorded(beta_sd, l_sr, l_rd, seed, first, stop):
         ranges.append((first, stop, threading.get_ident()))
         return blocks(beta_sd, l_sr, l_rd, seed, first, stop)
 
-    monkeypatch.setattr(montecarlo, "_blocks", recorded)
+    monkeypatch.setattr(montecarlo, "channel_blocks", recorded)
 
     def force(w):
         monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
@@ -416,6 +416,17 @@ def test_mc_estimate_bounds():
     gains = np.ones(100)
     assert outage_rates(gains, 0.5) == (0.0, 0.0)  # every trial passes
     assert outage_rates(gains, 2.0) == (1.0, 0.0)  # every trial fails
+
+
+@pytest.mark.parametrize("z", [math.nan, -1.0, np.array([0.5, math.nan]), np.array([-1.0, 2.0])])
+def test_outage_rates_reject_nan_and_negative_thresholds(z):
+    with pytest.raises(DomainError, match="SNR threshold"):
+        outage_rates(np.ones(100), z)
+
+
+def test_outage_rates_reject_an_empty_run():
+    with pytest.raises(DomainError, match="trial count must be at least 1"):
+        outage_rates(np.array([]), 1.0)
 
 
 def test_invalid_trial_counts():

@@ -22,18 +22,16 @@ from irslink.curves import run_curve
 from irslink.errors import ContractViolationError, DomainError, InternalConsistencyError
 from irslink.montecarlo import EngineThreads, gain_samples
 from irslink.phaseshift import (
-    TRACE_BOUND_SLACK,
     Equal,
     Fixed,
     OptimalCsi,
     UniformRandom,
     cascade_matrix,
     cascade_traces,
-    equal_phase_trace_bound,
     phase_vector,
 )
 from irslink.scenario import DESIGNS, load_scenario
-from irslink.validation import criterion_3
+from irslink.validation import TRACE_BOUND_SLACK, criterion_3, equal_phase_trace_bound
 
 from conftest import square_sinc
 
@@ -186,6 +184,14 @@ def test_stacked_traces_equal_per_row_traces(n):
             c = r_rd.entries @ ((np.conj(phases)[:, None] * r_sr.entries) * phases[None, :])
             assert (t_lin[b], t_quad[b]) == (np.trace(c).real, np.sum(c * c.T).real)
         assert np.array_equal(cascade_matrix(r_rd, r_sr, stack)[2], cascade_matrix(r_rd, r_sr, stack[2]))
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_an_empty_stack_gives_empty_traces(n):
+    r = random_psd(np.random.default_rng(n), n)
+    for stack in (np.empty((0, n)), UniformRandom(19).phase_draws(n)(40, 0)):
+        t_lin, t_quad = cascade_traces(r, r, stack)
+        assert t_lin.shape == t_quad.shape == (0,)
 
 
 def _diagonal(values):
