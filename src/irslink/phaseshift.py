@@ -251,7 +251,7 @@ def cascade_matrix(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     return r_rd.entries @ inner
 
 
-def _checked_traces(t_lin: np.ndarray, t_quad: np.ndarray):
+def _real_nonnegative(t_lin: np.ndarray, t_quad: np.ndarray):
     t_lin = real_trace(t_lin, "cascade trace")
     t_quad = real_trace(t_quad, "squared-cascade trace")
     negative = (t_lin < -TRACE_NEG_TOL) | (t_quad < -TRACE_NEG_TOL)
@@ -261,6 +261,20 @@ def _checked_traces(t_lin: np.ndarray, t_quad: np.ndarray):
             f"cascade traces must be nonnegative, got {t_lin[b]:.3e}, {t_quad[b]:.3e}"
         )
     return t_lin, t_quad
+
+
+def _checked_traces(t_lin: np.ndarray, t_quad: np.ndarray):
+    """The real parts of a stack's traces (B,), each checked real and nonnegative.
+
+    The first row that fails a check raises the error its one-vector
+    ``cascade_traces`` call would raise.
+    """
+    try:
+        return _real_nonnegative(t_lin, t_quad)
+    except InternalConsistencyError:
+        for b in range(t_lin.shape[0]):
+            _real_nonnegative(t_lin[b : b + 1], t_quad[b : b + 1])
+        raise
 
 
 def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.ndarray):
@@ -277,12 +291,7 @@ def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     t_lin = np.trace(c, axis1=-2, axis2=-1)
     # An explicit row size: numpy cannot infer -1 for an empty stack (B = 0).
     t_quad = (c * np.swapaxes(c, -1, -2)).reshape(c.shape[0], r_rd.n * r_rd.n).sum(axis=-1)
-    try:
-        t_lin, t_quad = _checked_traces(t_lin, t_quad)
-    except InternalConsistencyError:
-        for b in range(c.shape[0]):
-            _checked_traces(t_lin[b : b + 1], t_quad[b : b + 1])  # the first bad row raises its own error
-        raise
+    t_lin, t_quad = _checked_traces(t_lin, t_quad)
     if phases.ndim == 1:
         return float(t_lin[0]), float(t_quad[0])
     return t_lin, t_quad

@@ -58,11 +58,14 @@ def step_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo, lo + step, ... up to hi (kept when within 1e-9 steps of the grid).
 
     Rejects non-finite bounds, a non-positive step, hi < lo and grids of
-    more than MAX_GRID_POINTS points.
+    more than MAX_GRID_POINTS points, also those whose count overflows.
     """
     if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
         raise DomainError(f"grid needs finite lo <= hi and step > 0, got {lo}, {hi}, {step}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise DomainError(f"grid from {lo} to {hi} in steps of {step} overflows its point count (cap {MAX_GRID_POINTS})")
+    count = int(math.floor(steps + 1e-9)) + 1
     if count > MAX_GRID_POINTS:
         raise DomainError(f"grid of {count} points exceeds the cap of {MAX_GRID_POINTS}")
     return lo + step * np.arange(count)

@@ -8,6 +8,10 @@ overrides for quick smoke runs, but the canonical gate is the default
 configuration.  The oracles only the gate needs sit beside the criterion
 that runs each: the index-sum phase averages (2), the scale derivative (7)
 and the equal-phase trace bound (8); ``import irslink`` does not load them.
+Criterion 3 traces its phase draws by a route of its own as well: one
+matrix product per stack of draws against an (N, N^2) kernel, which grows
+as N^3 and so suits its N = 16 only; it agrees with the stacked
+``cascade_traces`` to rounding and makes the same checks.
 """
 
 import functools
@@ -22,6 +26,7 @@ from . import rng
 from .closedform import (
     GammaParams,
     UniformPhaseMoments,
+    _fit,
     gain_moments,
     gamma_fit,
     gamma_fit_equal_phase,
@@ -32,14 +37,15 @@ from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
 from .errors import DomainError
 from .montecarlo import gain_samples, outage_rates, run_ranges
-from .phaseshift import TRACE_IMAG_TOL, Equal, Fixed, OptimalCsi, UniformRandom, cascade_traces, phase_vector
+from .phaseshift import TRACE_IMAG_TOL, Equal, Fixed, OptimalCsi, UniformRandom, _checked_traces, _wrap_angle, cascade_traces, phase_vector
 from .scenario import MODELS, load_scenario
 
 QUARTER_TURN = math.pi / 4.0
 _DESIGN_SEED = 9001  # phase seed of the uniform-random design used in MC criteria
-# Phase draws per stacked trace call in criterion 3, and the unit of its
-# thread ranges: a (256, 16, 16) complex stack is 1 MB, so each elementwise
-# pass over it stays in a 2 MB L2 cache.
+# Phase draws per stack in criterion 3, and the unit of its thread ranges.
+# A stack's cascade matrices take 1 MB at N = 16.  In a warm process,
+# stacks of 256 and 512 cost the same per draw; what moves the cost of a
+# stack is whether the allocator must page its arrays in afresh.
 _TRACE_CHUNK = 256
 TRACE_BOUND_SLACK = 1e-10  # a trace-bound margin may fall this far below zero
 
@@ -122,7 +128,7 @@ def criterion_1(trials=None, seed=None):
         for _ in range(10):
             phases = phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n)
             mean, var = gain_moments(beta_sd, r_sr, r_rd, phases)
-            gp = gamma_fit(beta_sd, r_sr, r_rd, phases)
+            gp = _fit(mean, var)  # what gamma_fit returns, without tracing the vector again
             worst = max(
                 worst,
                 abs(gp.mean - mean) / abs(mean),
@@ -175,6 +181,32 @@ def criterion_2(trials=None, seed=None):
     return worst <= 1e-12, f"max rel dev {worst:.2e}"
 
 
+def _trace_kernel(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix) -> np.ndarray:
+    """K (N, N^2) with row j = R_rd[:, j] ⊗ R_sr[j, :].
+
+    Row b of conj(P) @ K is then R_rd conj(D_b) R_sr, flattened row-major,
+    for the phases p_b = P[b] on the diagonal of D_b.  It takes 16 N^3
+    bytes: 64 KB at N = 16, 1 GB at N = 400.
+    """
+    n = r_rd.n
+    return (r_rd.entries.T[:, :, None] * r_sr.entries[:, None, :]).reshape(n, n * n)
+
+
+def _kernel_traces(kernel: np.ndarray, phases: np.ndarray):
+    """``cascade_traces(r_rd, r_sr, phases)`` of a stack (B, N), from K = _trace_kernel(r_rd, r_sr).
+
+    One matrix product gives every row's R_rd conj(D_b) R_sr, and scaling
+    its columns by p_b gives the cascade matrix C_b; the traces agree with
+    the stacked ``cascade_traces`` to rounding and pass the same checks, the
+    first bad row raising its one-vector error.
+    """
+    b, n = phases.shape
+    c = (np.conj(phases) @ kernel).reshape(b, n, n)
+    c *= phases[:, None, :]
+    quad = (c * c.swapaxes(1, 2)).reshape(b, n * n)
+    return _checked_traces(np.trace(c, axis1=1, axis2=2), quad.sum(axis=1))
+
+
 def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
     """(t_lin, t_quad): the cascade traces of R under UniformRandom(seed) draws 0..trials-1.
 
@@ -182,6 +214,7 @@ def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
     each range keys its own draws and writes only its own slices.
     """
     design = UniformRandom(seed)
+    kernel = _trace_kernel(r, r)
     t_lin = np.empty(trials)
     t_quad = np.empty(trials)
 
@@ -189,7 +222,7 @@ def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
         draw = design.phase_draws(r.n)
         for start in range(first, stop, _TRACE_CHUNK):
             end = min(start + _TRACE_CHUNK, stop)
-            t_lin[start:end], t_quad[start:end] = cascade_traces(r, r, draw(start, end - start))
+            t_lin[start:end], t_quad[start:end] = _kernel_traces(kernel, draw(start, end - start))
 
     run_ranges(trials, _TRACE_CHUNK, run)
     return t_lin, t_quad
@@ -340,16 +373,15 @@ def criterion_7(trials=None, seed=None):
     all_negative = True
     for k in shapes:
         for w in scales:
-            for r in ratios:
-                z = r * w
-                closed = outage_scale_sensitivity(GammaParams(k, w), z)
-                all_negative &= closed < 0
-                h = 1e-6 * w
-                fd = (
-                    outage_probability(GammaParams(k, w + h), z)
-                    - outage_probability(GammaParams(k, w - h), z)
-                ) / (2.0 * h)
-                worst = max(worst, abs(closed - fd) / abs(closed))
+            z = ratios * w
+            closed = np.array([outage_scale_sensitivity(GammaParams(k, w), zi) for zi in z])
+            all_negative &= bool(np.all(closed < 0))
+            h = 1e-6 * w
+            fd = (
+                outage_probability(GammaParams(k, w + h), z)
+                - outage_probability(GammaParams(k, w - h), z)
+            ) / (2.0 * h)
+            worst = max(worst, float(np.max(np.abs(closed - fd) / np.abs(closed))))
     ok = worst <= 1e-5 and all_negative
     return ok, f"max rel dev {worst:.2e}"
 
@@ -387,9 +419,8 @@ def criterion_8(trials=None, seed=None):
         t1, _ = cascade_traces(r, r, phase_vector(Equal(0.0), r.n))
         shapes.append(gp.shape)
         scale_gaps.append(abs(gp.scale - t1) / t1)
-        margins = equal_phase_trace_bound(
-            r, np.stack([phase_vector(Fixed(gen.uniform(-np.pi, np.pi, r.n)), r.n) for _ in range(100)])
-        )
+        # 100 Fixed designs' phase vectors: the draws of 100 calls in one, mapped as Fixed.phases maps them.
+        margins = equal_phase_trace_bound(r, np.exp(1j * _wrap_angle(gen.uniform(-np.pi, np.pi, (100, r.n)))))
         bounds_ok.append(bool(np.all(margins >= -TRACE_BOUND_SLACK)))
     shapes = np.array(shapes)
     toward_one = np.all(np.diff(np.abs(shapes - 1.0)) < 0) and np.all(shapes < 1.0)

@@ -87,13 +87,14 @@ def test_surface_subcommand(tmp_path):
         ("surface", "--wa-min", "0.25", "--wa-max", "1e9", "--wa-step", "1"),
         ("surface", "--ka-step", "0"),
         ("surface", "--ka-max", "inf"),
+        ("surface", "--ka-max", "1e308", "--ka-step", "1e-308"),  # a point count that overflows to inf
     ],
 )
 def test_surface_grid_is_bounded(tmp_path, args):
     out = tmp_path / "surface.csv"
     result = run_cli(*args, "--out", str(out))
     assert result.returncode == 2
-    assert "grid" in result.stderr
+    assert "grid" in result.stderr and "Traceback" not in result.stderr
     assert not out.exists()
 
 
@@ -134,6 +135,17 @@ def test_curve_grid_is_bounded(tmp_path):
     assert result.returncode == 2
     assert "xi_step" in result.stderr and "cap" in result.stderr
     assert not out.exists()
+
+
+def test_overflowing_curve_grid_is_input_error(tmp_path):
+    scenario_path = tmp_path / "overflow.json"
+    scenario_path.write_text(json.dumps(make(xi_max=8.0, xi_step=1e-308)))
+    out = tmp_path / "overflow.csv"
+    result = run_cli("curve", "--scenario", str(scenario_path), "--trials", "0", "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert "error: xi_step: grid from 0.0 to 8.0 in steps of 1e-308 overflows its point count" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists() and not result.stdout
 
 
 def test_compare_subcommand(tmp_path):

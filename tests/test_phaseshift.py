@@ -210,10 +210,13 @@ def test_stacked_traces_raise_the_per_call_error(r_rd, message):
     good, bad = np.array([1.0, 0.0]), np.array([1.0, 1.0])
     with pytest.raises(InternalConsistencyError, match=message) as per_call:
         cascade_traces(r_rd, r_sr, bad)
-    with pytest.raises(InternalConsistencyError) as stacked:
-        cascade_traces(r_rd, r_sr, np.stack([good, good, bad, good]))
-    assert str(stacked.value) == str(per_call.value)
-    assert cascade_traces(r_rd, r_sr, np.stack([good, good]))[0].tolist() == [1.0, 1.0]
+    kernel = validation._trace_kernel(r_rd, r_sr)
+    # The stacked call and criterion 3's one-product route raise the same error.
+    for stacked_traces in (lambda stack: cascade_traces(r_rd, r_sr, stack), lambda stack: validation._kernel_traces(kernel, stack)):
+        with pytest.raises(InternalConsistencyError) as stacked:
+            stacked_traces(np.stack([good, good, bad, good]))
+        assert str(stacked.value) == str(per_call.value)
+        assert stacked_traces(np.stack([good, good]))[0].tolist() == [1.0, 1.0]
 
 
 def test_stacked_traces_report_the_first_bad_row():
@@ -225,6 +228,9 @@ def test_stacked_traces_report_the_first_bad_row():
     with pytest.raises(InternalConsistencyError) as stacked:
         cascade_traces(r_rd, r_sr, rows)
     assert str(stacked.value) == str(per_call.value)
+    with pytest.raises(InternalConsistencyError) as kernel_route:
+        validation._kernel_traces(validation._trace_kernel(r_rd, r_sr), rows)
+    assert str(kernel_route.value) == str(per_call.value)
 
 
 @pytest.mark.parametrize("seed", [202, 317])
@@ -258,6 +264,37 @@ def test_criterion_3_does_not_depend_on_the_worker_count(trials, monkeypatch):
         t_lin, t_quad = validation._phase_traces(r, 202, trials)
         outcomes.append((t_lin.tobytes(), t_quad.tobytes(), criterion_3(trials=trials, seed=202).detail))
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+def _assert_close_per_stack(got, want):
+    """Each trace within 1e-12 of the largest |trace| of its 256-draw stack."""
+    for start in range(0, want.shape[0], 256):
+        rows = slice(start, start + 256)
+        assert np.max(np.abs(got[rows] - want[rows])) <= 1e-12 * np.max(np.abs(want[rows]))
+
+
+@pytest.mark.parametrize("seed", [202, 317])
+def test_criterion_3_route_matches_stacked_cascade_traces(seed):
+    trials = 10_000
+    r = sinc_correlation(ArrayGeometry(4, 4, 0.1 / 40.0, 0.1 / 40.0, 0.1))
+    t_lin, t_quad = validation._phase_traces(r, seed, trials)
+    draw = UniformRandom(seed).phase_draws(r.n)
+    want = [cascade_traces(r, r, draw(start, min(256, trials - start))) for start in range(0, trials, 256)]
+    _assert_close_per_stack(t_lin, np.concatenate([w[0] for w in want]))
+    _assert_close_per_stack(t_quad, np.concatenate([w[1] for w in want]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_kernel_traces_match_stacked_cascade_traces(n):
+    gen = np.random.default_rng(40 + n)
+    r_sr, r_rd = random_psd(gen, n), random_psd(gen, n)
+    kernel = validation._trace_kernel(r_rd, r_sr)
+    assert kernel.shape == (n, n * n)
+    fixed = np.stack([phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n) for _ in range(7)])
+    for stack in (fixed, UniformRandom(19).phase_draws(n)(40, 256), UniformRandom(19).phase_draws(n)(0, 70)):
+        for got, want in zip(validation._kernel_traces(kernel, stack), cascade_traces(r_rd, r_sr, stack)):
+            assert got.shape == want.shape == (stack.shape[0],)
+            _assert_close_per_stack(got, want)
 
 
 def test_optimal_csi_not_materializable():

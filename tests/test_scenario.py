@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import irslink
-from irslink.errors import ScenarioFormatError
+from irslink.errors import DomainError, ScenarioFormatError
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom
-from irslink.scenario import MAX_ELEMENTS, MAX_GRID_POINTS, PRESETS, load_scenario, scenario_from_dict
+from irslink.scenario import MAX_ELEMENTS, MAX_GRID_POINTS, PRESETS, load_scenario, scenario_from_dict, step_grid
 
 BASE = {
     "beta_sd_db": -90.0,
@@ -160,6 +160,13 @@ def test_xi_grid_endpoints():
     assert np.all(np.diff(grid) > 0)
 
 
+@pytest.mark.parametrize("lo, hi, step", [(0.25, 1e308, 1e-308), (-1e308, 1e308, 1.0)], ids=["tiny-step", "wide-span"])
+def test_step_grid_refuses_an_overflowing_count(lo, hi, step):
+    # The quotient (hi - lo) / step is inf, which int() would raise OverflowError on.
+    with pytest.raises(DomainError, match="overflows its point count"):
+        step_grid(lo, hi, step)
+
+
 def test_xi_grid_size_is_capped():
     # A step of 2^-10 keeps the grid exact in binary and xi_max below 98,
     # where the SNR threshold 2^xi - 1 is still finite.
@@ -168,6 +175,9 @@ def test_xi_grid_size_is_capped():
     assert at_cap.xi_grid().size == MAX_GRID_POINTS
     with pytest.raises(ScenarioFormatError, match="xi_step"):
         scenario_from_dict(make(xi_max=MAX_GRID_POINTS * step, xi_step=step))
+    # A point count that overflows to inf is refused too, against xi_step.
+    with pytest.raises(ScenarioFormatError, match="^xi_step: grid .* overflows its point count"):
+        scenario_from_dict(make(xi_max=8.0, xi_step=1e-308))
     # A non-finite bound is reported against its own field.
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ScenarioFormatError, match="^xi_max: must be finite"):
