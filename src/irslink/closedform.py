@@ -96,9 +96,11 @@ def equal_phase_traces(r_sr: CorrelationMatrix, r_rd: CorrelationMatrix):
     """
     if r_sr.n != r_rd.n:
         raise DomainError(f"dimension mismatch: r_sr {r_sr.n}, r_rd {r_rd.n}")
-    t1 = real_trace(complex(np.sum(r_rd.entries * r_sr.entries.T)), "equal-phase trace")
+    # One N x N buffer holds each elementwise product before its sum.
+    buf = np.multiply(r_rd.entries, r_sr.entries.T)
+    t1 = real_trace(complex(np.sum(buf)), "equal-phase trace")
     prod = r_rd.entries @ r_sr.entries
-    t2 = real_trace(complex(np.sum(prod * prod.T)), "equal-phase squared trace")
+    t2 = real_trace(complex(np.sum(np.multiply(prod, prod.T, out=buf))), "equal-phase squared trace")
     return t1, t2
 
 
@@ -138,10 +140,16 @@ def uniform_phase_trace_moments(
     a = r_rd.entries * r_sr.entries  # Hadamard product
     diag_sq = np.sum(np.real(np.diag(a)) ** 2)
     nu = real_trace(complex(np.trace(a)), "phase-averaged trace")
-    eta = nu * nu + float(np.sum(np.abs(a) ** 2)) - diag_sq
-    b = r_rd.entries * np.diag(r_sr.entries)[None, :]
-    c = r_sr.entries * np.diag(r_rd.entries)[None, :]
-    quad = real_trace(np.array([np.sum(b * b.T), np.sum(c * c.T)]), "phase-averaged quad trace")
+    mag = np.abs(a)
+    eta = nu * nu + float(np.sum(np.square(mag, out=mag))) - diag_sq
+    # b = R_rd diag(R_sr) and c = R_sr diag(R_rd), each built in a's buffer
+    # once a is spent, and each b * b^T in one second buffer.
+    prod = np.empty_like(a)
+    sums = []
+    for x, y in ((r_rd, r_sr), (r_sr, r_rd)):
+        b = np.multiply(x.entries, np.diag(y.entries)[None, :], out=a)
+        sums.append(np.sum(np.multiply(b, b.T, out=prod)))
+    quad = real_trace(np.array(sums), "phase-averaged quad trace")
     delta = quad[0] + quad[1] - diag_sq
     return UniformPhaseMoments(nu, eta, delta)
 

@@ -4,14 +4,29 @@ Builds the planar-array sinc correlation model, the exponential comparison
 model, and the uncorrelated identity, and factors them for channel sampling.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NotPositiveSemidefiniteError
 
 HERMITIAN_ATOL = 1e-12
 PSD_RTOL = 1e-9
+
+
+def _check_count(name: str, value) -> None:
+    """DomainError unless value is an integer (int or numpy integer, not bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_size(name: str, value) -> None:
+    """DomainError unless value is a real number (not bool) with 0 < value < inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise DomainError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,10 +44,10 @@ class ArrayGeometry:
     wavelength: float
 
     def __post_init__(self):
-        if self.n_h < 1 or self.n_v < 1:
-            raise DomainError(f"element counts must be >= 1, got {self.n_h} x {self.n_v}")
-        if self.d_h <= 0 or self.d_v <= 0 or self.wavelength <= 0:
-            raise DomainError("element size and wavelength must be positive")
+        for name in ("n_h", "n_v"):
+            _check_count(name, getattr(self, name))
+        for name in ("d_h", "d_v", "wavelength"):
+            _check_size(name, getattr(self, name))
 
     @property
     def n(self) -> int:
@@ -45,48 +60,73 @@ class CorrelationMatrix:
 
     Entries are dimensionless correlation coefficients for a just-built
     model matrix (unit diagonal), or carry linear power units after
-    scale_covariance.  eig_range holds the (smallest, largest) eigenvalue
-    behind the PSD verdict: computed here, or scaled from the model matrix
-    by scale_covariance.
+    scale_covariance; they are stored as a private read-only complex128 copy.
+    A matrix is checked once, where it is built: square, non-empty, finite,
+    Hermitian (max|R - R^H| <= HERMITIAN_ATOL max(1, max|R|)) and PSD.
+    Besides eig_range, the (smallest, largest) eigenvalue behind the PSD
+    verdict, it keeps the two numbers of the Hermitian test:
+    hermitian_residual = max|R - R^H| and max_abs = max|R|.
+    scale_covariance derives beta*R's verdict from these three instead of
+    checking the scaled matrix again.
     """
 
     entries: np.ndarray
     eig_range: tuple = field(init=False, repr=False, compare=False)
+    hermitian_residual: float = field(init=False, repr=False, compare=False)
+    max_abs: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m, real = _checked_entries(np.array(self.entries, dtype=np.complex128))
-        eigs = np.linalg.eigvalsh(m.real if real else m)
+        a, residual, largest = _checked_entries(self.entries)
+        eigs = np.linalg.eigvalsh(a)
         lo, hi = float(eigs[0]), float(eigs[-1])
         lam_max = max(hi, 0.0)
         if lo < -PSD_RTOL * lam_max:
             raise NotPositiveSemidefiniteError(
                 f"smallest eigenvalue {lo:.3e} below PSD tolerance {-PSD_RTOL * lam_max:.3e}"
             )
+        m = np.array(self.entries, dtype=np.complex128)
+        m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "eig_range", (lo, hi))
+        object.__setattr__(self, "hermitian_residual", residual)
+        object.__setattr__(self, "max_abs", largest)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
 
-def _checked_entries(m: np.ndarray) -> tuple:
-    """(m made read-only, whether it is real) for a square, finite, Hermitian complex128 m.
+def _checked_entries(entries) -> tuple:
+    """(a, max|a - a^H|, max|a|) for a square, non-empty, finite, Hermitian matrix.
 
-    m must be a fresh array no caller holds.  A matrix whose imaginary part
-    is exactly zero is tested in real arithmetic: |x + 0i| = |x|, so the
-    Hermitian test sees the same numbers as the complex one.
+    a is the array the checks read, and the one to decompose: float64 input
+    as given, a complex matrix whose imaginary part is exactly zero as its
+    real part (|x + 0i| = |x|, so the test sees the same numbers as the
+    complex one), any other complex matrix as complex128.  The matrix is
+    finite iff max|a| is.  Nothing is written to the input.
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"correlation matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    a = np.asarray(entries)
+    if a.dtype != np.float64 and a.dtype != np.complex128:  # ints, float32, lists of numbers
+        a = a.astype(np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DomainError(f"correlation matrix must be square and non-empty, got shape {a.shape}")
+    real = a.dtype == np.float64 or not a.imag.any()
+    if real:
+        a = a.real
+        largest = max(float(a.max()), -float(a.min()))  # NaN if any entry is NaN
+    else:
+        largest = float(np.max(np.abs(a)))
+    if not math.isfinite(largest):
         raise DomainError("correlation matrix has non-finite entries")
-    real = not m.imag.any()
-    a = m.real if real else m
-    if np.max(np.abs(a - a.conj().T)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(a))):
+    if real:
+        # fl(x - y) = -fl(y - x), so a - a^T is exactly antisymmetric and its
+        # largest entry is its largest magnitude.
+        residual = float((a - a.T).max())
+    else:
+        residual = float(np.max(np.abs(a - a.conj().T)))
+    if residual > HERMITIAN_ATOL * max(1.0, largest):
         raise DomainError("correlation matrix is not Hermitian")
-    m.setflags(write=False)
-    return m, real
+    return a, residual, largest
 
 
 def _distances(geometry: ArrayGeometry) -> np.ndarray:
@@ -112,40 +152,63 @@ def sinc_correlation(geometry: ArrayGeometry) -> CorrelationMatrix:
     Entry (n, m) is sinc(2 ||u_n - u_m|| / wavelength) with
     sinc(x) = sin(pi x)/(pi x) and sinc(0) = 1.
     """
-    dist = _distances(geometry)
-    # np.sinc is the normalized sinc and is exact at 0, so no 0/0 guard needed.
-    return CorrelationMatrix(np.sinc(2.0 * dist / geometry.wavelength))
+    x = _distances(geometry)
+    x *= 2.0
+    x /= geometry.wavelength
+    # np.sinc(x)'s own steps, in place: sin(y)/y with y = pi x, and y = eps where
+    # x is 0, so that sin(eps)/eps = 1 exactly.
+    x *= np.pi
+    x[x == 0] = np.finfo(np.float64).eps
+    y = np.sin(x)
+    y /= x
+    return CorrelationMatrix(y)
 
 
 def exponential_correlation(n: int, magnitude: float) -> CorrelationMatrix:
     """Kac-Murdock-Szego model: entry (n, m) = magnitude^|n-m|."""
+    _check_count("n", n)
     if not 0.0 <= magnitude < 1.0:
         raise DomainError(f"correlation magnitude must lie in [0, 1), got {magnitude}")
-    if n < 1:
-        raise DomainError(f"element count must be >= 1, got {n}")
-    i = np.arange(n)
-    return CorrelationMatrix(magnitude ** np.abs(i[:, None] - i[None, :]))
+    powers = magnitude ** np.arange(n)
+    # Row i is the length-n window of [m^(n-1), ..., m^1, m^0, m^1, ..., m^(n-1)]
+    # that starts at n-1-i: each power is taken once and copied by |i - j|.
+    both = np.concatenate([powers[:0:-1], powers])
+    return CorrelationMatrix(np.ascontiguousarray(sliding_window_view(both, n)[::-1]))
 
 
 def identity_correlation(n: int) -> CorrelationMatrix:
     """Spatially uncorrelated fading."""
-    if n < 1:
-        raise DomainError(f"element count must be >= 1, got {n}")
+    _check_count("n", n)
     return CorrelationMatrix(np.eye(n))
 
 
 def scale_covariance(r: CorrelationMatrix, beta: float) -> CorrelationMatrix:
     """Fold the large-scale gain (times the element area) into the matrix: beta*R.
 
-    The PSD test lam_min >= -PSD_RTOL*lam_max is invariant under a positive
-    factor, so the scaled matrix inherits r's verdict and its eigenvalue
-    range scaled by beta instead of decomposing the matrix again.
+    Only beta is checked (0 < beta < inf); beta*R's verdict follows from r's
+    without a second pass over the matrix.  The PSD test
+    lam_min >= -PSD_RTOL*lam_max is invariant under a positive factor, so
+    eig_range is r's times beta.  beta*R is finite iff beta*max|R| is, and
+    Hermitian iff beta*max|R - R^H| <= HERMITIAN_ATOL max(1, beta*max|R|),
+    the test on the scaled matrix written with r's stored numbers; a real
+    factor keeps an exactly Hermitian R (residual 0) exactly Hermitian.
     """
-    if beta <= 0:
-        raise DomainError(f"large-scale gain must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"large-scale gain must be positive and finite, got {beta}")
+    beta = float(beta)
+    largest = beta * r.max_abs
+    if largest == math.inf:
+        raise DomainError(f"large-scale gain {beta!r} overflows the correlation matrix entries")
+    residual = beta * r.hermitian_residual
+    if residual > HERMITIAN_ATOL * max(1.0, largest):
+        raise DomainError(f"correlation matrix scaled by the large-scale gain {beta!r} is not Hermitian")
+    entries = beta * r.entries
+    entries.setflags(write=False)
     scaled = object.__new__(CorrelationMatrix)
-    object.__setattr__(scaled, "entries", _checked_entries(beta * r.entries)[0])
+    object.__setattr__(scaled, "entries", entries)
     object.__setattr__(scaled, "eig_range", (beta * r.eig_range[0], beta * r.eig_range[1]))
+    object.__setattr__(scaled, "hermitian_residual", residual)
+    object.__setattr__(scaled, "max_abs", largest)
     return scaled
 
 

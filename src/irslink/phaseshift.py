@@ -241,6 +241,11 @@ def cascade_matrix(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     phase vectors (B, N) gives the (B, N, N) stack of cascade matrices, one
     matrix product per row.
     """
+    return _cascade(r_rd, r_sr, phases)[0]
+
+
+def _cascade(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.ndarray):
+    """(cascade_matrix, a spent buffer of its shape and dtype that the caller may overwrite)."""
     n = r_rd.n
     phases = np.asarray(phases, dtype=np.complex128)
     if r_sr.n != n or phases.ndim not in (1, 2) or phases.shape[-1] != n:
@@ -248,7 +253,7 @@ def cascade_matrix(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
             f"dimension mismatch: r_rd {r_rd.n}, r_sr {r_sr.n}, phases {phases.shape}"
         )
     inner = (np.conj(phases)[..., :, None] * r_sr.entries) * phases[..., None, :]
-    return r_rd.entries @ inner
+    return r_rd.entries @ inner, inner
 
 
 def _real_nonnegative(t_lin: np.ndarray, t_quad: np.ndarray):
@@ -287,10 +292,10 @@ def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     fails a check raises the error that call would raise.
     """
     phases = np.asarray(phases, dtype=np.complex128)
-    c = cascade_matrix(r_rd, r_sr, phases[None] if phases.ndim == 1 else phases)
+    c, spare = _cascade(r_rd, r_sr, phases[None] if phases.ndim == 1 else phases)
     t_lin = np.trace(c, axis1=-2, axis2=-1)
     # An explicit row size: numpy cannot infer -1 for an empty stack (B = 0).
-    t_quad = (c * np.swapaxes(c, -1, -2)).reshape(c.shape[0], r_rd.n * r_rd.n).sum(axis=-1)
+    t_quad = np.multiply(c, np.swapaxes(c, -1, -2), out=spare).reshape(c.shape[0], r_rd.n * r_rd.n).sum(axis=-1)
     t_lin, t_quad = _checked_traces(t_lin, t_quad)
     if phases.ndim == 1:
         return float(t_lin[0]), float(t_quad[0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_real_route_matches_complex_eigvalsh(model, side):
         "exponential": lambda: exponential_correlation(n, 0.95),
         "identity": lambda: identity_correlation(n),
     }[model]()
-    assert _checked_entries(r.entries.copy())[1]
+    assert _checked_entries(r.entries)[0].dtype == np.float64
     assert_spectrum_matches_fresh_eigvalsh(r)
 
 
@@ -220,7 +221,7 @@ def test_complex_hermitian_takes_complex_route():
     r = square_sinc(8)
     d = _unit_phases(r.n, 5)
     rotated = d[:, None] * r.entries * d.conj()[None, :]  # D R D^H, same spectrum
-    assert not _checked_entries(rotated.copy())[1]
+    assert _checked_entries(rotated)[0].dtype == np.complex128
     c = CorrelationMatrix(rotated)
     assert_spectrum_matches_fresh_eigvalsh(c)
     tol = 1e-12 * r.eig_range[1]
@@ -259,3 +260,108 @@ def test_entries_are_a_private_read_only_copy(dtype):
         scaled = scale_covariance(r, beta)
         assert scaled.entries.tobytes() == (beta * r.entries).tobytes()
         assert not scaled.entries.flags.writeable
+
+
+def test_empty_matrix_rejected_at_the_shape_check():
+    for empty in (np.empty((0, 0)), np.empty((0, 0), dtype=complex), []):
+        with pytest.raises(DomainError, match="must be square and non-empty"):
+            CorrelationMatrix(empty)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: exponential_correlation(2.5, 0.5), "n"),
+        (lambda: exponential_correlation(True, 0.5), "n"),
+        (lambda: exponential_correlation(0, 0.5), "n"),
+        (lambda: exponential_correlation("3", 0.5), "n"),
+        (lambda: identity_correlation(2.5), "n"),
+        (lambda: identity_correlation(np.float64(3.0)), "n"),
+        (lambda: identity_correlation(-1), "n"),
+        (lambda: ArrayGeometry(2.5, 2, 1.0, 1.0, 1.0), "n_h"),
+        (lambda: ArrayGeometry(2, False, 1.0, 1.0, 1.0), "n_v"),
+        (lambda: ArrayGeometry(2, 0, 1.0, 1.0, 1.0), "n_v"),
+        (lambda: ArrayGeometry(2, 2, _NAN, 1.0, 1.0), "d_h"),
+        (lambda: ArrayGeometry(2, 2, 1.0, _INF, 1.0), "d_v"),
+        (lambda: ArrayGeometry(2, 2, 1.0, 1.0, -1.0), "wavelength"),
+        (lambda: ArrayGeometry(2, 2, 1.0, 1.0, True), "wavelength"),
+        (lambda: ArrayGeometry(2, 2, "1", 1.0, 1.0), "d_h"),
+    ],
+)
+def test_bad_counts_and_sizes_rejected_by_name(build, name):
+    with pytest.raises(DomainError, match=f"^{name} must be "):
+        build()
+
+
+def test_numpy_counts_and_integer_sizes_accepted():
+    assert identity_correlation(np.int64(3)).n == 3
+    assert exponential_correlation(np.int32(4), 0.5).n == 4
+    assert ArrayGeometry(np.int64(2), 3, 1, np.float32(0.5), 2).n == 6
+
+
+@pytest.mark.parametrize("beta", [_NAN, _INF, -_INF, 0.0, -1.0])
+def test_scale_covariance_names_a_bad_gain_without_warnings(beta):
+    r = square_sinc(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^large-scale gain must be positive and finite, got {beta}$"):
+            scale_covariance(r, beta)
+
+
+# Matrices accepted near the Hermitian tolerance, as in
+# test_non_hermitian_rejected_by_either_route.  With max|R| < 1 the scaled test
+# max(1, beta max|R|) is stricter for beta > 1; the last two overflow at large beta.
+_NEAR_TOLERANCE = {
+    "real-within": np.array([[1.0, 0.5], [0.5 + 0.5 * HERMITIAN_ATOL, 1.0]]),
+    "complex-within": np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j + 0.5 * HERMITIAN_ATOL, 1.0]]),
+    "small-real": np.array([[0.5, 0.25], [0.25 + 0.8 * HERMITIAN_ATOL, 0.5]]),
+    "small-complex": np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j + 0.8 * HERMITIAN_ATOL, 0.5]]),
+    "huge-real": 1e300 * np.array([[1.0, 0.5], [0.5, 1.0]]),
+    "huge-complex": 1e300 * np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.0]]),
+}
+
+
+def _accepts(check) -> bool:
+    try:
+        check()
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("beta", [1e-14, 3e-3, 1.5, 7.0, 1e9])
+@pytest.mark.parametrize("name", sorted(_NEAR_TOLERANCE))
+def test_scaled_verdict_is_the_check_of_the_scaled_matrix(name, beta):
+    r = CorrelationMatrix(_NEAR_TOLERANCE[name])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fresh = _accepts(lambda: _checked_entries(beta * r.entries))
+    assert _accepts(lambda: scale_covariance(r, beta)) == fresh
+
+
+def test_scaled_verdicts_cover_both_outcomes():
+    verdicts = {
+        (name, beta): _accepts(lambda: scale_covariance(CorrelationMatrix(m), beta))
+        for name, m in _NEAR_TOLERANCE.items()
+        for beta in (1e-14, 3e-3, 1.5, 7.0, 1e9)
+    }
+    assert not verdicts["small-real", 1.5] and verdicts["small-real", 3e-3]
+    assert not verdicts["small-complex", 7.0] and verdicts["real-within", 1e9]
+    assert not verdicts["huge-real", 1e9] and verdicts["huge-real", 1.5]
+    with pytest.raises(DomainError, match="^correlation matrix scaled by the large-scale gain 1.5 is not Hermitian$"):
+        scale_covariance(CorrelationMatrix(_NEAR_TOLERANCE["small-real"]), 1.5)
+    with pytest.raises(DomainError, match="^large-scale gain 1000000000.0 overflows"):
+        scale_covariance(CorrelationMatrix(_NEAR_TOLERANCE["huge-complex"]), 1e9)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_hermitian_numbers_are_kept_and_scaled(model):
+    r = load_scenario("fig2b").with_model(model).correlation_model()
+    assert r.hermitian_residual == 0.0  # the built-in models are exactly symmetric
+    assert r.max_abs == float(np.max(np.abs(r.entries)))
+    s = scale_covariance(r, 3e-9)
+    assert (s.hermitian_residual, s.max_abs) == (0.0, 3e-9 * r.max_abs)
+    c = CorrelationMatrix(_NEAR_TOLERANCE["complex-within"])
+    assert c.hermitian_residual == float(np.max(np.abs(c.entries - c.entries.conj().T))) > 0.0
