@@ -195,11 +195,11 @@ def write_curve_csv(curve: OutageCurve, path) -> None:
 
 def read_curve_csv(path) -> OutageCurve:
     """The curve written to ``path``; DomainError naming the file if it is malformed."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh]
     meta = {}
     rows = []
     try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh]
         for line in lines:
             if line.startswith("#"):
                 for token in line[1:].split():
@@ -210,7 +210,7 @@ def read_curve_csv(path) -> OutageCurve:
                 rows.append([float(tok) for tok in line.split(",")])
         seed, trials = int(meta.get("seed", 0)), int(meta.get("trials", 0))
         data = np.array(rows)
-    except ValueError as exc:  # a non-numeric cell or header value, or ragged rows
+    except ValueError as exc:  # text that is not UTF-8, a non-numeric cell or header value, or ragged rows
         raise DomainError(f"curve file {path} is malformed: {exc}") from None
     if data.ndim != 2 or data.shape[1] != len(COLUMNS):
         raise DomainError(f"curve file {path} does not have {len(COLUMNS)} columns")

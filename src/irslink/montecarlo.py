@@ -124,13 +124,16 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
 
     Row r of a block is trial start + r: h_sd has one entry per trial, h_sr
     and h_rd one row of N.  Each row equals sample_channels(..., start + r)
-    bit for bit; l_sr and l_rd are as there.  A block of one trial fills two
-    identical rows of the buffer and yields the first: the kernel's matrix
-    products then always have two rows or more.
+    bit for bit; l_sr and l_rd are as there, and beta_sd must lie in
+    [0, inf) (DomainError).  A block of one trial fills two identical
+    rows of the buffer and yields the first: the kernel's matrix products
+    then always have two rows or more.
     """
     n = l_sr.shape[0]
     if l_sr.shape != (n, n) or l_rd.shape != (n, n):
         raise DomainError("covariance factors must be square and of equal size")
+    if not 0.0 <= beta_sd < np.inf:
+        raise DomainError(f"direct-link gain beta_sd must be nonnegative and finite, got {beta_sd}")
     streams = rng.StreamFamily(seed)
     for start in range(first, stop, _BLOCK):
         count = min(_BLOCK, stop - start)

@@ -15,11 +15,6 @@ the one draw of random phases: the simulator, criterion 3 and, one draw at a
 time, ``UniformRandom.phases`` use it.  It fills each draw's angles with the
 stream's ``random()`` uniforms u and maps the whole stack to (2 pi * u) - pi
 in two rounded steps, which is exactly ``Generator.uniform(-pi, pi, n)``.
-
-``cascade_matrix`` and ``cascade_traces`` take one phase vector (N,) or a
-stack of them (B, N), one vector per row.  Row b of a stacked call equals the
-one-vector call on row b bit for bit, and a bad row raises the error that
-call would raise.
 """
 
 from dataclasses import dataclass
@@ -224,48 +219,39 @@ def phase_vector(design: PhaseShiftDesign, n: int, draw_index: int = 0) -> np.nd
     return checked_design(design).phases(n, draw_index)
 
 
+def _not_real(value) -> np.ndarray:
+    """Where an imaginary part exceeds TRACE_IMAG_TOL of max(1, |real part|)."""
+    return np.abs(value.imag) > TRACE_IMAG_TOL * np.fmax(1.0, np.abs(value.real))
+
+
 def real_trace(value, what: str = "trace"):
     """Drop a tiny imaginary residue; more means a bug.  One trace gives a float, an array an array."""
     value = np.asarray(value)
-    bad = np.abs(value.imag) > TRACE_IMAG_TOL * np.fmax(1.0, np.abs(value.real))
+    bad = _not_real(value)
     if bad.any():
         raise InternalConsistencyError(f"{what} should be real, got imaginary part {value[bad][0].imag:.3e}")
     return value.real if value.ndim else float(value.real)
 
 
 def cascade_matrix(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.ndarray) -> np.ndarray:
-    """R_rd P^H R_sr P for diagonal phase matrix P given by its diagonal.
+    """R_rd P^H R_sr P for diagonal phase matrix P given by its diagonal, one phase vector (N,).
 
     Scales rows/columns of R_sr by the phases (O(N^2)) and applies one
-    matrix product; the phase matrix is never formed densely.  A stack of
-    phase vectors (B, N) gives the (B, N, N) stack of cascade matrices, one
-    matrix product per row.
+    matrix product; the phase matrix is never formed densely.
     """
     return _cascade(r_rd, r_sr, phases)[0]
 
 
 def _cascade(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.ndarray):
-    """(cascade_matrix, a spent buffer of its shape and dtype that the caller may overwrite)."""
+    """(cascade_matrix, a spent N x N buffer that the caller may overwrite)."""
     n = r_rd.n
     phases = np.asarray(phases, dtype=np.complex128)
-    if r_sr.n != n or phases.ndim not in (1, 2) or phases.shape[-1] != n:
+    if r_sr.n != n or phases.shape != (n,):
         raise DomainError(
             f"dimension mismatch: r_rd {r_rd.n}, r_sr {r_sr.n}, phases {phases.shape}"
         )
-    inner = (np.conj(phases)[..., :, None] * r_sr.entries) * phases[..., None, :]
+    inner = (np.conj(phases)[:, None] * r_sr.entries) * phases[None, :]
     return r_rd.entries @ inner, inner
-
-
-def _real_nonnegative(t_lin: np.ndarray, t_quad: np.ndarray):
-    t_lin = real_trace(t_lin, "cascade trace")
-    t_quad = real_trace(t_quad, "squared-cascade trace")
-    negative = (t_lin < -TRACE_NEG_TOL) | (t_quad < -TRACE_NEG_TOL)
-    if negative.any():
-        b = int(np.argmax(negative))
-        raise InternalConsistencyError(
-            f"cascade traces must be nonnegative, got {t_lin[b]:.3e}, {t_quad[b]:.3e}"
-        )
-    return t_lin, t_quad
 
 
 def _checked_traces(t_lin: np.ndarray, t_quad: np.ndarray):
@@ -274,29 +260,24 @@ def _checked_traces(t_lin: np.ndarray, t_quad: np.ndarray):
     The first row that fails a check raises the error its one-vector
     ``cascade_traces`` call would raise.
     """
-    try:
-        return _real_nonnegative(t_lin, t_quad)
-    except InternalConsistencyError:
-        for b in range(t_lin.shape[0]):
-            _real_nonnegative(t_lin[b : b + 1], t_quad[b : b + 1])
-        raise
+    bad = _not_real(t_lin) | _not_real(t_quad) | (t_lin.real < -TRACE_NEG_TOL) | (t_quad.real < -TRACE_NEG_TOL)
+    if bad.any():
+        b = int(np.argmax(bad))
+        real_trace(t_lin[b], "cascade trace")
+        real_trace(t_quad[b], "squared-cascade trace")
+        raise InternalConsistencyError(
+            f"cascade traces must be nonnegative, got {t_lin[b].real:.3e}, {t_quad[b].real:.3e}"
+        )
+    return t_lin.real, t_quad.real
 
 
 def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.ndarray):
     """The two invariants of the cascade matrix that drive every closed form.
 
-    Returns (trace, trace of the square); both are provably real and
-    nonnegative for PSD inputs, which is asserted.  One phase vector gives
-    two floats; a stack (B, N) gives two length-B arrays whose row b equals
-    the one-vector call on phases[b] bit for bit, and the first row that
-    fails a check raises the error that call would raise.
+    Returns (trace, trace of the square) of one phase vector (N,) as two
+    floats; both are provably real and nonnegative for PSD inputs, which is
+    asserted.
     """
-    phases = np.asarray(phases, dtype=np.complex128)
-    c, spare = _cascade(r_rd, r_sr, phases[None] if phases.ndim == 1 else phases)
-    t_lin = np.trace(c, axis1=-2, axis2=-1)
-    # An explicit row size: numpy cannot infer -1 for an empty stack (B = 0).
-    t_quad = np.multiply(c, np.swapaxes(c, -1, -2), out=spare).reshape(c.shape[0], r_rd.n * r_rd.n).sum(axis=-1)
-    t_lin, t_quad = _checked_traces(t_lin, t_quad)
-    if phases.ndim == 1:
-        return float(t_lin[0]), float(t_quad[0])
-    return t_lin, t_quad
+    c, spare = _cascade(r_rd, r_sr, phases)
+    t_lin, t_quad = _checked_traces(np.trace(c)[None], np.multiply(c, c.T, out=spare).sum()[None])
+    return float(t_lin[0]), float(t_quad[0])

@@ -289,16 +289,15 @@ def load_scenario(path) -> Scenario:
     p = Path(path)
     if p.exists():
         name = p.stem
-        text = p.read_text()
     elif str(path) in PRESETS:
         name = str(path)
-        text = _PRESET_DIR.joinpath(f"{name}.json").read_text()
+        p = _PRESET_DIR.joinpath(f"{name}.json")
     else:
         raise ScenarioFormatError(
             f"{path!r} is neither an existing file nor a preset {PRESETS}"
         )
     try:
-        raw = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer beyond int's digit limit
+        raw = json.loads(p.read_text())
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a JSONDecodeError, an int beyond the digit limit, or too deep
         raise ScenarioFormatError(f"invalid JSON in {path!r}: {exc}") from None
     return scenario_from_dict(raw, name=name)

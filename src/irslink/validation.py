@@ -10,8 +10,8 @@ that runs each: the index-sum phase averages (2), the scale derivative (7)
 and the equal-phase trace bound (8); ``import irslink`` does not load them.
 Criterion 3 traces its phase draws by a route of its own as well: one
 matrix product per stack of draws against an (N, N^2) kernel, which grows
-as N^3 and so suits its N = 16 only; it agrees with the stacked
-``cascade_traces`` to rounding and makes the same checks.
+as N^3 and so suits its N = 16 only; it agrees with ``cascade_traces``
+of each draw to rounding and makes the same checks.
 """
 
 import functools
@@ -193,12 +193,12 @@ def _trace_kernel(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix) -> np.ndarra
 
 
 def _kernel_traces(kernel: np.ndarray, phases: np.ndarray):
-    """``cascade_traces(r_rd, r_sr, phases)`` of a stack (B, N), from K = _trace_kernel(r_rd, r_sr).
+    """``cascade_traces(r_rd, r_sr, p_b)`` of each row p_b of a stack (B, N), from K = _trace_kernel(r_rd, r_sr).
 
     One matrix product gives every row's R_rd conj(D_b) R_sr, and scaling
     its columns by p_b gives the cascade matrix C_b; the traces agree with
-    the stacked ``cascade_traces`` to rounding and pass the same checks, the
-    first bad row raising its one-vector error.
+    the one-vector ``cascade_traces`` of each row to rounding and pass the
+    same checks, the first bad row raising its one-vector error.
     """
     b, n = phases.shape
     c = (np.conj(phases) @ kernel).reshape(b, n, n)

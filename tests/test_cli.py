@@ -67,6 +67,17 @@ def test_invalid_scenario_is_input_error(tmp_path):
     assert "rho_dbm" in result.stderr
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{\x00", b"[" * 200_000], ids=["not-utf8", "deep-nesting"])
+def test_undecodable_scenario_is_input_error(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "bad.csv"
+    result = run_cli("curve", "--scenario", str(bad), "--trials", "0", "--out", str(out))
+    assert result.returncode == 2
+    assert "invalid JSON" in result.stderr and "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate").returncode == 2
 

@@ -274,14 +274,15 @@ def test_csv_round_trip_of_a_numpy_trial_count(tmp_path):
 
 @pytest.mark.parametrize(
     "old, new",
-    [(" seed=5 ", " seed=five "), (" trials=0\n", " trials=0.0\n"), ("\n0,", "\nzero,"), ("\n0,", "\n0,0,")],
-    ids=["seed", "trials", "cell", "ragged-row"],
+    [(b" seed=5 ", b" seed=five "), (b" trials=0\n", b" trials=0.0\n"), (b"\n0,", b"\nzero,"), (b"\n0,", b"\n0,0,"),
+     (b"\n0,", b"\n\xff0,")],
+    ids=["seed", "trials", "cell", "ragged-row", "not-utf8"],
 )
 def test_malformed_curve_file_is_a_domain_error_naming_it(tmp_path, old, new):
     path = tmp_path / "curve.csv"
     write_curve_csv(run_curve(small_scenario(), trials=0, seed=5), path)
-    text = path.read_text()
-    assert old in text
-    path.write_text(text.replace(old, new, 1))
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
     with pytest.raises(DomainError, match="curve.csv"):
         read_curve_csv(path)

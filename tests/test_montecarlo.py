@@ -449,6 +449,17 @@ def test_numpy_integer_trial_count_runs_as_int():
         assert gain_samples(0.5, r, r, UniformRandom(2), trials, seed=1).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("beta_sd", [-1.0, math.nan, math.inf])
+def test_bad_direct_link_gain_is_a_domain_error(beta_sd):
+    r = square_sinc(2)
+    factor = matrix_sqrt(r)
+    message = f"^direct-link gain beta_sd must be nonnegative and finite, got {beta_sd}$"
+    with pytest.raises(DomainError, match=message):
+        gain_samples(beta_sd, r, r, Equal(0.0), 100, seed=1)
+    with pytest.raises(DomainError, match=message):
+        sample_channels(beta_sd, factor, factor, 1, 0)
+
+
 def test_channel_realization_validation():
     with pytest.raises(DomainError):
         ChannelRealization(h_sd=0j, h_sr=np.ones(3, dtype=complex), h_rd=np.ones(2, dtype=complex))

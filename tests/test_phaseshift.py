@@ -171,27 +171,21 @@ def test_uniform_block_draws_stay_in_the_phase_domain():
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64])
-def test_stacked_traces_equal_per_row_traces(n):
+def test_one_vector_traces_keep_their_arithmetic(n):
     gen = np.random.default_rng(n)
     r_sr, r_rd = random_psd(gen, n), random_psd(gen, n)
     fixed = np.stack([phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n) for _ in range(7)])
-    for stack in (fixed, UniformRandom(19).phase_draws(n)(40, 70)):
-        t_lin, t_quad = cascade_traces(r_rd, r_sr, stack)
-        assert t_lin.shape == t_quad.shape == (stack.shape[0],)
-        for b, phases in enumerate(stack):
-            assert (t_lin[b], t_quad[b]) == cascade_traces(r_rd, r_sr, phases)
-            # The one-vector route keeps its arithmetic: trace, then a pairwise sum of c * c^T.
-            c = r_rd.entries @ ((np.conj(phases)[:, None] * r_sr.entries) * phases[None, :])
-            assert (t_lin[b], t_quad[b]) == (np.trace(c).real, np.sum(c * c.T).real)
-        assert np.array_equal(cascade_matrix(r_rd, r_sr, stack)[2], cascade_matrix(r_rd, r_sr, stack[2]))
+    for phases in np.concatenate([fixed, UniformRandom(19).phase_draws(n)(40, 70)]):
+        # One matrix product, the trace, then a pairwise sum of c * c^T.
+        c = r_rd.entries @ ((np.conj(phases)[:, None] * r_sr.entries) * phases[None, :])
+        assert np.array_equal(cascade_matrix(r_rd, r_sr, phases), c)
+        assert cascade_traces(r_rd, r_sr, phases) == (np.trace(c).real, np.sum(c * c.T).real)
 
 
-@pytest.mark.parametrize("n", [1, 4, 16])
-def test_an_empty_stack_gives_empty_traces(n):
-    r = random_psd(np.random.default_rng(n), n)
-    for stack in (np.empty((0, n)), UniformRandom(19).phase_draws(n)(40, 0)):
-        t_lin, t_quad = cascade_traces(r, r, stack)
-        assert t_lin.shape == t_quad.shape == (0,)
+def _per_row_traces(r_rd, r_sr, stack):
+    """(t_lin, t_quad) of a phase stack (B, N) from one-vector cascade_traces on each row."""
+    rows = [cascade_traces(r_rd, r_sr, phases) for phases in stack]
+    return np.array([t for t, _ in rows]), np.array([q for _, q in rows])
 
 
 def _diagonal(values):
@@ -211,23 +205,35 @@ def test_stacked_traces_raise_the_per_call_error(r_rd, message):
     with pytest.raises(InternalConsistencyError, match=message) as per_call:
         cascade_traces(r_rd, r_sr, bad)
     kernel = validation._trace_kernel(r_rd, r_sr)
-    # The stacked call and criterion 3's one-product route raise the same error.
-    for stacked_traces in (lambda stack: cascade_traces(r_rd, r_sr, stack), lambda stack: validation._kernel_traces(kernel, stack)):
-        with pytest.raises(InternalConsistencyError) as stacked:
-            stacked_traces(np.stack([good, good, bad, good]))
-        assert str(stacked.value) == str(per_call.value)
-        assert stacked_traces(np.stack([good, good]))[0].tolist() == [1.0, 1.0]
-
-
-def test_stacked_traces_report_the_first_bad_row():
-    r_sr = identity_correlation(2)
-    r_rd = _diagonal([1.0, -2.0 + 1j])
-    rows = np.array([[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]])  # tr = 1, 0.5 + 0.25j, -1 + 1j
-    with pytest.raises(InternalConsistencyError) as per_call:
-        cascade_traces(r_rd, r_sr, rows[1])
+    # Criterion 3's one-product route raises the error of the first bad row's one-vector call.
     with pytest.raises(InternalConsistencyError) as stacked:
-        cascade_traces(r_rd, r_sr, rows)
+        validation._kernel_traces(kernel, np.stack([good, good, bad, good]))
     assert str(stacked.value) == str(per_call.value)
+    t_lin = validation._kernel_traces(kernel, np.stack([good, good]))[0]
+    assert t_lin.tolist() == _per_row_traces(r_rd, r_sr, [good, good])[0].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "diagonal, rows, message",
+    [  # row 1 is the first bad row
+        # tr = 1, 0.5 + 0.25j, -1 + 1j: two imaginary rows, the second also negative.
+        ([1.0, -2.0 + 1j], [[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]], "cascade trace should be real"),
+        # tr = 1, -1, 1 + 1j: a negative row before an imaginary one.
+        ([1.0, -2.0, 1j], [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], "must be nonnegative"),
+        # tr = 1, 1 + 1j, -1: an imaginary row before a negative one.
+        ([1.0, -2.0, 1j], [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], "cascade trace should be real"),
+    ],
+    ids=["imaginary-then-both", "negative-then-imaginary", "imaginary-then-negative"],
+)
+def test_stacked_traces_report_the_first_bad_row(diagonal, rows, message):
+    r_sr = identity_correlation(len(diagonal))
+    r_rd = _diagonal(diagonal)
+    rows = np.array(rows)
+    with pytest.raises(InternalConsistencyError, match=message) as per_call:
+        cascade_traces(r_rd, r_sr, rows[1])
+    with pytest.raises(InternalConsistencyError) as per_row:
+        _per_row_traces(r_rd, r_sr, rows)
+    assert str(per_row.value) == str(per_call.value)
     with pytest.raises(InternalConsistencyError) as kernel_route:
         validation._kernel_traces(validation._trace_kernel(r_rd, r_sr), rows)
     assert str(kernel_route.value) == str(per_call.value)
@@ -278,10 +284,9 @@ def test_criterion_3_route_matches_stacked_cascade_traces(seed):
     trials = 10_000
     r = sinc_correlation(ArrayGeometry(4, 4, 0.1 / 40.0, 0.1 / 40.0, 0.1))
     t_lin, t_quad = validation._phase_traces(r, seed, trials)
-    draw = UniformRandom(seed).phase_draws(r.n)
-    want = [cascade_traces(r, r, draw(start, min(256, trials - start))) for start in range(0, trials, 256)]
-    _assert_close_per_stack(t_lin, np.concatenate([w[0] for w in want]))
-    _assert_close_per_stack(t_quad, np.concatenate([w[1] for w in want]))
+    want_lin, want_quad = _per_row_traces(r, r, UniformRandom(seed).phase_draws(r.n)(0, trials))
+    _assert_close_per_stack(t_lin, want_lin)
+    _assert_close_per_stack(t_quad, want_quad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
@@ -292,7 +297,7 @@ def test_kernel_traces_match_stacked_cascade_traces(n):
     assert kernel.shape == (n, n * n)
     fixed = np.stack([phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n) for _ in range(7)])
     for stack in (fixed, UniformRandom(19).phase_draws(n)(40, 256), UniformRandom(19).phase_draws(n)(0, 70)):
-        for got, want in zip(validation._kernel_traces(kernel, stack), cascade_traces(r_rd, r_sr, stack)):
+        for got, want in zip(validation._kernel_traces(kernel, stack), _per_row_traces(r_rd, r_sr, stack)):
             assert got.shape == want.shape == (stack.shape[0],)
             _assert_close_per_stack(got, want)
 
@@ -345,6 +350,12 @@ def test_cascade_dimension_mismatch():
         cascade_matrix(r3, r4, np.ones(3))
     with pytest.raises(DomainError):
         cascade_matrix(r3, r3, np.ones(4))
+    # One phase vector per call: a stack of them (B, N) is rejected too.
+    for stack in (np.ones((2, 3)), np.ones((1, 3)), np.ones((0, 3))):
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            cascade_matrix(r3, r3, stack)
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            cascade_traces(r3, r3, stack)
 
 
 def _fixed_stack(gen, n, rows):

@@ -377,8 +377,11 @@ def test_nonexistent_path_is_an_input_error():
         load_scenario("no_such_preset")
 
 
-def test_invalid_json_reported(tmp_path):
+@pytest.mark.parametrize(
+    "content", [b"{not json", b"\xff\xfe{\x00", b"[" * 200_000], ids=["syntax", "not-utf8", "deep-nesting"]
+)
+def test_invalid_json_reported(tmp_path, content):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     with pytest.raises(ScenarioFormatError, match="invalid JSON"):
         load_scenario(path)
