@@ -19,9 +19,17 @@ Engine: one block kernel serves every caller.  channel_blocks draws trials
 first..stop-1 in blocks of up to 64: it repositions the stream once per
 trial and writes that trial's uniforms into one row of a buffer; Box-Muller
 and the projection through the two covariance factors (one matrix product
-each) then run on the whole block.  gain_samples
-iterates those blocks and applies the design's phases for the block and the
-gain, taken as re^2 + im^2.  The per-trial
+each, over all N columns) then run on the whole block.  Box-Muller computes
+only the live normals, those that some factor column reads: normals 0 and 1,
+and the two normals of g[k] iff column k of its factor has a nonzero entry
+(matrix_sqrt's clipped eigenvalues give all-zero columns).  The dead ones
+cost no cosine or sine and stay 0.0 in a buffer zeroed once per range.
+Gains keep every bit: a dead normal meets only exact-zero factor entries, so
+its products are zeros whatever its value, and a zero term can change only
+the sign of a partial sum that is exactly zero; a channel entry that is
+exactly zero may flip its sign, which the gain's squares erase.
+gain_samples iterates those blocks and applies the design's phases for the
+block and the gain, taken as re^2 + im^2.  The per-trial
 operations are one-row views of these routes: sample_channels is a block of
 one trial, which fills two identical rows because numpy hands a one-row
 product to the BLAS matrix-vector routine, which rounds differently from the
@@ -95,18 +103,40 @@ def outage_rates(gains: np.ndarray, z):
 _BLOCK = 64  # trials per kernel call; bounds the uniform buffer at 64 x (2+4N) doubles
 
 
-def _channel_block(beta_sd, l_sr, l_rd, u):
-    """Channels of a block of trials from its uniforms u, one trial per row.
+def _channel_block(beta_sd, l_sr, l_rd, g):
+    """Channels of a block of trials from its normals g, one trial per row.
 
     h_sd has one entry per row, h_sr and h_rd one row of N; each trial
-    depends on its own row of uniforms alone.
+    depends on its own row of normals alone.
     """
     n = l_sr.shape[0]
-    g = rng.box_muller(u)
     h_sd = np.sqrt(beta_sd / 2.0) * (g[:, 0] + 1j * g[:, 1])
     g_sr = (g[:, 2 : 2 + n] + 1j * g[:, 2 + n : 2 + 2 * n]) / np.sqrt(2.0)
     g_rd = (g[:, 2 + 2 * n : 2 + 3 * n] + 1j * g[:, 2 + 3 * n :]) / np.sqrt(2.0)
     return h_sd, g_sr @ l_sr.T, g_rd @ l_rd.T
+
+
+def _live_normals(l_sr, l_rd):
+    """(start, stop) runs of the normals in a trial's draw layout that its channels read.
+
+    Normals 0 and 1 (h_sd) always; the real and imaginary normals of g_sr[k]
+    iff column k of l_sr has a nonzero entry, and likewise for g_rd[k] and
+    l_rd.  matrix_sqrt's clipped eigenvalues give all-zero columns, and eigh
+    sorts them first, so each rank-deficient factor adds two runs at most.
+    """
+    sr, rd = l_sr.any(axis=0), l_rd.any(axis=0)  # -0.0 counts as zero
+    # Padded with a dead normal at each end, so the runs' edges alternate start, stop.
+    live = np.concatenate(([False, True, True], sr, sr, rd, rd, [False]))
+    edges = np.flatnonzero(live[1:] != live[:-1]).tolist()
+    return tuple(zip(edges[::2], edges[1::2]))
+
+
+def _trial_array(trials: int) -> np.ndarray:
+    """An empty array of one float per trial; DomainError naming the count if it cannot be allocated."""
+    try:
+        return np.empty(trials)
+    except (MemoryError, ValueError):  # ValueError: more entries than numpy can index
+        raise DomainError(f"trial count {trials} is too large: its per-trial results cannot be allocated") from None
 
 
 def _gains(h_sd, h_sr, phases, h_rd):
@@ -134,15 +164,18 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
         raise DomainError("covariance factors must be square and of equal size")
     if not 0.0 <= beta_sd < np.inf:
         raise DomainError(f"direct-link gain beta_sd must be nonnegative and finite, got {beta_sd}")
+    live = _live_normals(l_sr, l_rd)
     streams = rng.StreamFamily(seed)
+    u = np.empty((max(min(_BLOCK, stop - first), 2), 2 + 4 * n))
+    g = np.zeros(u.shape)  # box_muller leaves the dead normals 0.0 in every block
     for start in range(first, stop, _BLOCK):
         count = min(_BLOCK, stop - start)
-        u = np.empty((max(count, 2), 2 + 4 * n))
+        rows = max(count, 2)
         for r in range(count):
             streams.get(rng.DOMAIN_CHANNEL, start + r).random(out=u[r])
         if count == 1:
             u[1] = u[0]
-        h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, u)
+        h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, rng.box_muller(u[:rows], live, g[:rows]))
         yield start, h_sd[:count], h_sr[:count], h_rd[:count]
 
 
@@ -246,7 +279,7 @@ def gain_samples(
     """
     trials = rng.check_trials(trials, least=1)
     design = checked_design(design)
-    gains = np.empty(trials)
+    gains = _trial_array(trials)
     l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
 
     def run(first, stop):

@@ -20,6 +20,12 @@ must not be changed without revalidating every pinned-seed test.  So is the
 phase-draw mapping of ``phaseshift.UniformRandom.phase_draws``: the
 stream's uniforms u become the angles (2 pi * u) - pi, each operation
 rounded on its own, which is ``Generator.uniform(-pi, pi)`` bit for bit.
+
+A caller may ask ``box_muller`` for some runs of normals only: those it
+computes keep the full transform's bits and the rest are 0.0.  The channel
+kernel asks only for the normals that some covariance-factor column reads.
+A dead normal would only multiply exact zeros, so gains keep their bits,
+and a channel entry that is exactly zero may flip only its sign.
 """
 
 import numpy as np
@@ -96,19 +102,39 @@ class StreamFamily:
         return self._gen
 
 
-def box_muller(u: np.ndarray) -> np.ndarray:
+def box_muller(u: np.ndarray, live=None, out=None) -> np.ndarray:
     """N(0,1) variates from uniforms along the last axis, which has even length.
 
     The first half of each row gives the radii, the second half the angles;
     the cosine branch fills the first half of the output, the sine branch the
     second.  Every row of a 2-D buffer maps exactly as a 1-D call would.
+
+    ``live`` lists (start, stop) runs of output positions, all of them when
+    None.  The cosine and sine are evaluated only on those runs, and every
+    normal computed there has the bits of the full transform; the others are
+    0.0.  ``out`` defaults to a zeroed array, and one given must hold 0.0
+    outside the runs, as a buffer written only by calls with the same runs
+    does.  The channel kernel leaves out the normals that only meet
+    all-zero factor columns: their products are zeros either way, so gains
+    keep their bits and an exactly-zero channel entry may flip only its sign.
     """
     pairs = u.shape[-1] // 2
+    if live is None:
+        live = ((0, 2 * pairs),)
+    if out is None:
+        out = np.zeros(u.shape)
     radius = np.log1p(-u[..., :pairs])  # 1-u in (0,1], no log(0)
     radius *= -2.0
     np.sqrt(radius, out=radius)
     angle = 2.0 * np.pi * u[..., pairs:]
-    out = np.empty(u.shape)
-    np.multiply(radius, np.cos(angle), out=out[..., :pairs])
-    np.multiply(radius, np.sin(angle), out=out[..., pairs:])
+    for start, stop in live:
+        if start < pairs:  # cosine branch
+            end = min(stop, pairs)
+            np.cos(angle[..., start:end], out=out[..., start:end])
+        if stop > pairs:  # sine branch
+            begin = max(start, pairs)
+            np.sin(angle[..., begin - pairs : stop - pairs], out=out[..., begin:stop])
+    # cos * radius equals radius * cos bit for bit, and a dead 0.0 stays 0.0.
+    out[..., :pairs] *= radius
+    out[..., pairs:] *= radius
     return out

@@ -36,7 +36,7 @@ from .closedform import (
 from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
 from .errors import DomainError
-from .montecarlo import gain_samples, outage_rates, run_ranges
+from .montecarlo import _trial_array, gain_samples, outage_rates, run_ranges
 from .phaseshift import TRACE_IMAG_TOL, Equal, Fixed, OptimalCsi, UniformRandom, _checked_traces, _wrap_angle, cascade_traces, phase_vector
 from .scenario import MODELS, load_scenario
 
@@ -215,8 +215,8 @@ def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
     """
     design = UniformRandom(seed)
     kernel = _trace_kernel(r, r)
-    t_lin = np.empty(trials)
-    t_quad = np.empty(trials)
+    t_lin = _trial_array(trials)
+    t_quad = _trial_array(trials)
 
     def run(first, stop):
         draw = design.phase_draws(r.n)

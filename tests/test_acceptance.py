@@ -100,6 +100,12 @@ def test_bad_trial_override_fails_before_any_criterion(trials):
         validation.run_criteria([4], trials=trials)
 
 
+def test_criterion_3_refuses_a_trial_count_it_cannot_allocate():
+    # 10^14 draws' traces would take 728 TiB each; the allocation fails at once
+    with pytest.raises(DomainError, match="^trial count 100000000000000 is too large"):
+        validation.run_criteria([3], trials=10**14)
+
+
 def test_the_package_does_not_load_or_export_the_gate():
     """``import irslink`` runs no gate code, and no public name is one the gate module defines."""
     src = str(Path(irslink.__file__).resolve().parents[1])

@@ -336,6 +336,19 @@ def test_validate_needs_two_trials(tmp_path):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [("curve", "--scenario", "fig2a"), ("validate", "--only", "3")], ids=lambda c: c[0]
+)
+def test_a_trial_count_that_cannot_be_allocated_is_input_error(tmp_path, command):
+    # 10^14 trials' results would take 728 TiB: refused at the allocation, without touching memory.
+    out = tmp_path / "out.txt"
+    result = run_cli(*command, "--trials", "100000000000000", "--out", str(out))
+    assert result.returncode == 2
+    assert "trial count 100000000000000 is too large" in result.stderr
+    assert "Traceback" not in result.stderr and not result.stdout
+    assert not out.exists()
+
+
 def test_validate_report_survives_a_failed_write(tmp_path, monkeypatch, capsys):
     report = tmp_path / "report.txt"
     report.write_text("previous\n")

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from irslink import montecarlo, rng
+from irslink import load_scenario, montecarlo, rng
 from irslink.correlation import CorrelationMatrix, matrix_sqrt
 from irslink.errors import DomainError
 from irslink.montecarlo import (
@@ -262,6 +262,118 @@ def test_worker_count_does_not_change_gains(side, workers):
                 assert on_caller == [True] + [False] * (len(ranges) - 1)
 
 
+def _scattered_dead_factor(seed, dead, negative):
+    """A 16 x 16 factor whose columns ``dead`` are 0.0 and ``negative`` are -0.0."""
+    gen = np.random.default_rng(seed)
+    factor = gen.standard_normal((16, 16)) + 1j * gen.standard_normal((16, 16))
+    factor[:, dead] = 0.0
+    factor[:, negative] = -0.0
+    return factor
+
+
+def _sinc_factors(side):
+    # Two spacings, so the two factors have different numbers of dead columns.
+    return matrix_sqrt(square_sinc(side, 1 / 40)), matrix_sqrt(square_sinc(side, 1 / 20))
+
+
+# (l_sr, l_rd) pairs with dead columns: matrix_sqrt of the sinc model (a
+# prefix, by eigh's ascending order), synthetic factors with dead columns at
+# scattered positions, and all-zero factors.
+DEAD_FACTORS = {
+    "sinc-8x8": lambda: _sinc_factors(8),
+    "sinc-14x14": lambda: _sinc_factors(14),
+    "scattered": lambda: (_scattered_dead_factor(8, [1, 4, 5, 9], [15]), _scattered_dead_factor(9, [0, 7, 12], [8])),
+    "all-dead": lambda: (np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("kind", DEAD_FACTORS)
+def test_dead_columns_keep_every_gain_bit(kind, workers, monkeypatch):
+    """Gains through factors with dead columns equal the written-out layout's, bit for bit, on 1-3 workers."""
+    l_sr, l_rd = DEAD_FACTORS[kind]()
+    n = l_sr.shape[0]
+    assert sum(stop - start for start, stop in montecarlo._live_normals(l_sr, l_rd)) < 2 + 4 * n
+    r_sr, r_rd = zeros(n), CorrelationMatrix(np.eye(n))  # stand-ins whose factors are replaced below
+    monkeypatch.setattr(montecarlo, "matrix_sqrt", lambda r: l_sr if r is r_sr else l_rd)
+    for design in _all_designs(n):
+        want = np.empty(65)
+        for i in range(65):
+            h_sd, h_sr, h_rd = _written_out_channels(0.5, l_sr, l_rd, 23, i)
+            if isinstance(design, OptimalCsi):
+                phases = OptimalCsi.cophase(h_sd, h_sr, h_rd)
+            else:
+                phases = phase_vector(design, n, draw_index=i)
+            x = h_sd + (np.conj(h_sr) * phases * h_rd).sum()
+            want[i] = x.real * x.real + x.imag * x.imag
+            if kind == "all-dead":
+                assert want[i] == h_sd.real * h_sd.real + h_sd.imag * h_sd.imag  # |h_sd|^2
+            # A channel entry may differ from the written-out one only in the sign of an exact zero.
+            ch = sample_channels(0.5, l_sr, l_rd, 23, i)
+            assert ch.h_sd == h_sd and np.array_equal(ch.h_sr, h_sr) and np.array_equal(ch.h_rd, h_rd)
+        for w in (1, 2, 3):
+            workers(w)
+            for trials in (1, 65):
+                got = gain_samples(0.5, r_sr, r_rd, design, trials, seed=23)
+                assert got.tobytes() == want[:trials].tobytes(), f"{type(design).__name__}, W={w}, trials={trials}"
+
+
+@pytest.mark.parametrize("kind", DEAD_FACTORS)
+def test_dead_normals_are_zero_and_live_ones_are_box_mullers(kind, monkeypatch):
+    """In every block, a dead normal is +0.0 and a live one has the full transform's bits."""
+    l_sr, l_rd = DEAD_FACTORS[kind]()
+    n = l_sr.shape[0]
+    live = np.zeros(2 + 4 * n, dtype=bool)
+    for start, stop in montecarlo._live_normals(l_sr, l_rd):
+        live[start:stop] = True
+    assert live[:2].all() and not live.all()
+    for offset, factor in ((2, l_sr), (2 + 2 * n, l_rd)):  # g[k]'s real and imaginary normal read column k
+        read = np.any(factor != 0, axis=0)
+        assert np.array_equal(live[offset : offset + n], read) and np.array_equal(live[offset + n : offset + 2 * n], read)
+    blocks = []
+    box_muller = rng.box_muller
+
+    def recorded(u, *args):
+        g = box_muller(u, *args)
+        blocks.append((u.copy(), g.copy()))
+        return g
+
+    monkeypatch.setattr(rng, "box_muller", recorded)
+    for _ in channel_blocks(0.5, l_sr, l_rd, 31, 0, 129):  # blocks of 64, 64 and a trailing one
+        pass
+    assert [u.shape[0] for u, _ in blocks] == [64, 64, 2]
+    for u, g in blocks:
+        assert not g[:, ~live].any() and not np.signbit(g[:, ~live]).any()
+        assert g[:, live].tobytes() == box_muller(u)[:, live].tobytes()
+
+
+@pytest.mark.parametrize("model", ["exponential", "uncorrelated", "sinc"])
+def test_a_full_rank_factor_keeps_one_run_per_branch(model, monkeypatch):
+    """fig2a's full-rank factors take one cosine and one sine call per block; the sinc factor three of each."""
+    scenario = load_scenario("fig2a").with_model(model)
+    l_sr, l_rd = (matrix_sqrt(r) for r in scenario.covariances())
+    live = montecarlo._live_normals(l_sr, l_rd)
+    calls = []
+
+    def counted(name):
+        ufunc = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return ufunc(*args, **kwargs)
+
+        return call
+
+    for name in ("cos", "sin"):
+        monkeypatch.setattr(np, name, counted(name))
+    next(channel_blocks(scenario.beta_sd, l_sr, l_rd, 1, 0, 64))
+    if model == "sinc":
+        assert len(live) == 5
+        assert calls.count("cos") == calls.count("sin") == 3
+    else:
+        assert live == ((0, 2 + 4 * 196),)
+        assert calls == ["cos", "sin"]
+
+
 @pytest.mark.parametrize(
     "total, unit, w",
     [(1000, 64, 3), (1000, 256, 2), (10, 64, 3), (1, 256, 2), (130, 64, 8), (512, 256, 5), (64, 64, 1)],
@@ -439,6 +551,15 @@ def test_invalid_trial_counts():
 def test_trial_count_must_be_a_nonnegative_integer(trials):
     r = square_sinc(2)
     with pytest.raises(DomainError, match="trial count"):
+        gain_samples(0.5, r, r, Equal(0.0), trials, seed=1)
+
+
+# Counts no memory can hold, refused before a byte is touched: 10^14 trials
+# take 728 TiB, and numpy cannot even index 2^100 entries.
+@pytest.mark.parametrize("trials", [10**14, 2**100])
+def test_a_trial_count_that_cannot_be_allocated_is_a_domain_error(trials):
+    r = square_sinc(2)
+    with pytest.raises(DomainError, match=f"^trial count {trials} is too large"):
         gain_samples(0.5, r, r, Equal(0.0), trials, seed=1)
 
 
