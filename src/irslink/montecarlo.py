@@ -16,8 +16,9 @@ with the OpenBLAS thread count.  They do not depend on the engine's worker
 count.
 
 Engine: one block kernel serves every caller.  channel_blocks draws trials
-first..stop-1 in blocks of up to 64: it repositions the stream once per
-trial and writes that trial's uniforms into one row of a buffer; Box-Muller
+first..stop-1 in blocks of up to 64: rng.StreamFamily.fill writes each
+trial's uniforms into one row of a buffer (by its loop engine, as a block
+is short of the vector engine's rows); Box-Muller
 and the projection through the two covariance factors (one matrix product
 each, over all N columns) then run on the whole block.  Box-Muller computes
 only the live normals, those that some factor column reads: normals 0 and 1,
@@ -171,8 +172,7 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
     for start in range(first, stop, _BLOCK):
         count = min(_BLOCK, stop - start)
         rows = max(count, 2)
-        for r in range(count):
-            streams.get(rng.DOMAIN_CHANNEL, start + r).random(out=u[r])
+        streams.fill(rng.DOMAIN_CHANNEL, start, u[:count])
         if count == 1:
             u[1] = u[0]
         h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, rng.box_muller(u[:rows], live, g[:rows]))

@@ -15,6 +15,8 @@ the one draw of random phases: the simulator, criterion 3 and, one draw at a
 time, ``UniformRandom.phases`` use it.  It fills each draw's angles with the
 stream's ``random()`` uniforms u and maps the whole stack to (2 pi * u) - pi
 in two rounded steps, which is exactly ``Generator.uniform(-pi, pi, n)``.
+Phasors exp(i theta) are formed as cos + i sin (``_phasors``), which is
+numpy's complex exp of i theta bit for bit.
 """
 
 from dataclasses import dataclass
@@ -39,6 +41,18 @@ def _wrap_angle(theta):
     if not np.isfinite(theta).all():
         raise DomainError(f"phase angles must be finite, got {theta}")
     return np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
+
+
+def _phasors(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) for real angles, as cos theta + i sin theta in one complex128 array.
+
+    The same bits as np.exp(1j * theta), whose real part is then a zero:
+    the C library's cexp of 0 + i theta is its cos and sin of theta.
+    """
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 class _Design:
@@ -118,7 +132,8 @@ class UniformRandom(_Design):
     Draw i takes n uniforms u in [0, 1) from phase stream i of the seed and
     sets theta = (2 pi * u) - pi, each operation rounded on its own: the
     values of numpy's ``Generator.uniform(-pi, pi, n)`` on that stream, bit
-    for bit, without the cost of its per-call argument handling.
+    for bit.  A stack of draws fills its uniforms in one
+    ``rng.StreamFamily.fill`` call, whose engine its shape picks.
     """
 
     seed: int
@@ -146,23 +161,21 @@ class UniformRandom(_Design):
         """A function (start, count) -> the phases of draws start..start+count-1, one per row.
 
         ``phases(n, i)`` is row 0 of ``draw(i, 1)``.  The function keys
-        one StreamFamily for a whole run and repositions it for every draw;
-        a range that leaves [0, 2^128) raises DomainError.
+        one StreamFamily for a whole run and fills each stack of draws
+        through it; a range that leaves [0, 2^128) raises DomainError.
         """
-        get = rng.StreamFamily(self.seed).get
+        streams = rng.StreamFamily(self.seed)
 
         def draw(start: int, count: int) -> np.ndarray:
             start = rng.check_index(start)
             rng.check_index(start + max(count, 1) - 1)  # the last draw
-            thetas = np.empty((count, n))
-            for r in range(count):
-                get(rng.DOMAIN_PHASE, start + r).random(out=thetas[r])
+            thetas = streams.fill(rng.DOMAIN_PHASE, start, np.empty((count, n)))
             # Generator.uniform(-pi, pi) is low + range*u with range = 2 pi
             # exactly, rounded twice; two ufunc passes round the same way and
             # cannot be fused into one multiply-add.
             thetas *= 2.0 * np.pi
             thetas -= np.pi
-            return np.exp(1j * thetas)
+            return _phasors(thetas)
 
         return draw
 
@@ -197,7 +210,7 @@ class OptimalCsi(_Design):
     def cophase(h_sd, h_sr, h_rd) -> np.ndarray:
         """Co-phasing phases along the last axis; the reference is 0 where h_sd is 0."""
         reference = np.where(h_sd != 0, np.angle(h_sd), 0.0)
-        return np.exp(1j * (reference[..., None] - np.angle(np.conj(h_sr) * h_rd)))
+        return _phasors(reference[..., None] - np.angle(np.conj(h_sr) * h_rd))
 
 
 PhaseShiftDesign = Equal | Fixed | UniformRandom | OptimalCsi

@@ -10,6 +10,7 @@ model matrix is scaled by those products directly.
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -101,8 +102,7 @@ class Scenario:
         return 0.0 if self.beta_sd_db is None else db_to_linear(self.beta_sd_db)
 
     def geometry(self) -> ArrayGeometry:
-        wavelength = SPEED_OF_LIGHT / (self.carrier_ghz * 1e9)
-        d = self.spacing_over_lambda * wavelength
+        wavelength, d = _spacing_m(self.carrier_ghz, self.spacing_over_lambda)
         return ArrayGeometry(self.n_h, self.n_v, d, d, wavelength)
 
     def correlation_model(self) -> CorrelationMatrix:
@@ -187,6 +187,60 @@ def _check_level(key: str, value: float):
         raise ScenarioFormatError(f"{value} converts to {linear}; it must convert to a finite value > 0", field=key)
 
 
+def _spacing_m(carrier_ghz: float, spacing_over_lambda: float):
+    """(wavelength, element spacing), both in meters."""
+    wavelength = SPEED_OF_LIGHT / (carrier_ghz * 1e9)
+    return wavelength, spacing_over_lambda * wavelength
+
+
+def _check_geometry(n_h: int, n_v: int, carrier_ghz: float, spacing_over_lambda: float):
+    """The element offsets in meters must square within the normal float range.
+
+    The sinc model squares and sums the offsets, from the spacing d up to
+    side * d for side = max(n_h, n_v).  A d^2 that underflows would read
+    neighbouring elements as one point, and an extent^2 that overflows
+    gives inf.  The error names spacing_over_lambda when the offsets in
+    wavelengths alone leave that range, and carrier_ghz otherwise.  Python
+    floats give 0.0 or inf, not a warning, when a product leaves it.
+    """
+    side = max(n_h, n_v)
+    _, d = _spacing_m(carrier_ghz, spacing_over_lambda)
+    extent = side * d
+    if sys.float_info.min <= d * d and 2.0 * extent * extent < math.inf:
+        return
+    waves = side * spacing_over_lambda
+    in_range = sys.float_info.min <= spacing_over_lambda * spacing_over_lambda and 2.0 * waves * waves < math.inf
+    raise ScenarioFormatError(
+        f"the element spacing is {d} m and the array spans {extent} m; carrier_ghz and "
+        "spacing_over_lambda must give offsets whose squares are normal floats",
+        field="carrier_ghz" if in_range else "spacing_over_lambda",
+    )
+
+
+def _check_gain_scale(n: int, beta_sd: float, beta_sr: float, beta_rd: float):
+    """The gain's moments must stay in the float range: 3 (beta_sd + N^2 beta_sr beta_rd)^2 finite.
+
+    A correlation matrix has entries of modulus at most 1, so the cascade
+    trace is at most N^2 beta_sr beta_rd and the mean gain at most the bound
+    b in brackets; the variance, and every trace product behind it, is at
+    most 3 b^2.  The error names beta_sd_db when the direct link dominates
+    b, and the larger of the two surface products otherwise.
+    """
+    cascade = n * n * beta_sr * beta_rd
+    bound = beta_sd + cascade
+    if 3.0 * bound * bound < math.inf:
+        return
+    if beta_sd >= cascade:
+        field = "beta_sd_db"
+    else:
+        field = "beta_sr_dhdv_db" if beta_sr >= beta_rd else "beta_rd_dhdv_db"
+    raise ScenarioFormatError(
+        f"the gain's moments overflow: the mean gain may reach beta_sd + N^2 beta_sr beta_rd = {bound} "
+        "and its variance three times that squared; lower the link gains",
+        field=field,
+    )
+
+
 def _check_model_fields(model: str, exp_magnitude: float):
     if model not in MODELS:
         raise ScenarioFormatError(f"must be one of {MODELS}, got {model!r}", field="model")
@@ -237,6 +291,13 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         raise ScenarioFormatError("must be positive", field="carrier_ghz")
     if num["spacing_over_lambda"] <= 0:
         raise ScenarioFormatError("must be positive", field="spacing_over_lambda")
+    _check_geometry(n_h, n_v, num["carrier_ghz"], num["spacing_over_lambda"])
+    _check_gain_scale(
+        n_h * n_v,
+        0.0 if beta_sd_db is None else db_to_linear(beta_sd_db),
+        db_to_linear(num["beta_sr_dhdv_db"]),
+        db_to_linear(num["beta_rd_dhdv_db"]),
+    )
 
     model = _want(raw, "model", str)
     exp_magnitude = float(_want(raw, "exp_magnitude", (int, float))) if "exp_magnitude" in raw else 0.95

@@ -47,6 +47,9 @@ _DESIGN_SEED = 9001  # phase seed of the uniform-random design used in MC criter
 # stacks of 256 and 512 cost the same per draw; what moves the cost of a
 # stack is whether the allocator must page its arrays in afresh.
 _TRACE_CHUNK = 256
+# Stacks whose phases are drawn in one batch: 2048 draws of N = 16 take the
+# vector engine of rng.StreamFamily.fill, which a single stack would not.
+_DRAW_STACKS = 8
 TRACE_BOUND_SLACK = 1e-10  # a trace-bound margin may fall this far below zero
 
 
@@ -211,7 +214,10 @@ def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
     """(t_lin, t_quad): the cascade traces of R under UniformRandom(seed) draws 0..trials-1.
 
     The draws run in stacks of _TRACE_CHUNK on the engine's thread ranges;
-    each range keys its own draws and writes only its own slices.
+    each range keys its own draws and writes only its own slices.  A range
+    draws its phases in batches of whole stacks, at most _DRAW_STACKS each
+    and as even as they split, so that no last batch is left short of the
+    vector engine's rows; it traces each batch stack by stack.
     """
     design = UniformRandom(seed)
     kernel = _trace_kernel(r, r)
@@ -220,9 +226,15 @@ def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
 
     def run(first, stop):
         draw = design.phase_draws(r.n)
-        for start in range(first, stop, _TRACE_CHUNK):
-            end = min(start + _TRACE_CHUNK, stop)
-            t_lin[start:end], t_quad[start:end] = _kernel_traces(kernel, draw(start, end - start))
+        stacks = -(-(stop - first) // _TRACE_CHUNK)
+        batches = -(-stacks // _DRAW_STACKS)
+        for b in range(batches):
+            begin = first + _TRACE_CHUNK * (stacks * b // batches)
+            end = min(stop, first + _TRACE_CHUNK * (stacks * (b + 1) // batches))
+            phases = draw(begin, end - begin)
+            for start in range(begin, end, _TRACE_CHUNK):
+                top = min(start + _TRACE_CHUNK, end)
+                t_lin[start:top], t_quad[start:top] = _kernel_traces(kernel, phases[start - begin : top - begin])
 
     run_ranges(trials, _TRACE_CHUNK, run)
     return t_lin, t_quad

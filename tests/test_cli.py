@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import irslink.curves as curves_module
@@ -13,7 +14,7 @@ from irslink import cli, validation
 from irslink.curves import read_curve_csv
 
 from test_curves import _FullDisk
-from test_scenario import THRESHOLD_OVERFLOWS, make
+from test_scenario import GAIN_SCALE_OVERFLOWS, GEOMETRY_OVERFLOWS, RANGE_EDGES, THRESHOLD_OVERFLOWS, make
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -231,6 +232,31 @@ def test_infinite_threshold_is_input_error(tmp_path, overrides, field):
     assert f"error: {field}: the SNR threshold" in result.stderr
     assert "Warning" not in result.stderr and "Traceback" not in result.stderr
     assert not out.exists() and not result.stdout
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides, field", GAIN_SCALE_OVERFLOWS + GEOMETRY_OVERFLOWS)
+@pytest.mark.parametrize("trials", ["0", "3"])
+def test_moments_or_offsets_beyond_the_float_range_are_input_errors(tmp_path, capsys, overrides, field, trials):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(make(**overrides)))
+    out = tmp_path / "huge.csv"
+    assert cli.main(["curve", "--scenario", str(path), "--trials", trials, "--out", str(out)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides", RANGE_EDGES)
+@pytest.mark.parametrize("design", [{}, {"design": "uniform_random", "seed": 3}, {"design": "optimal_csi"}])
+def test_moments_and_offsets_at_the_edge_run_clean(tmp_path, overrides, design):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(make(**overrides, **design, **({"theta": None} if design else {}))))
+    out = tmp_path / "edge.csv"
+    assert cli.main(["curve", "--scenario", str(path), "--trials", "50", "--out", str(out)]) == 0
+    curve = read_curve_csv(out)
+    for p in (curve.p_closed_form, curve.p_mc):
+        assert ((0.0 <= p) & (p <= 1.0) | np.isnan(p)).all()
 
 
 def _help(capsys, command):

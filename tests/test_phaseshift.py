@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from irslink import montecarlo, validation
+from irslink import montecarlo, rng, validation
 from irslink.closedform import (
     gamma_fit,
     gamma_fit_equal_phase,
@@ -26,6 +26,7 @@ from irslink.phaseshift import (
     Fixed,
     OptimalCsi,
     UniformRandom,
+    _phasors,
     cascade_matrix,
     cascade_traces,
     phase_vector,
@@ -261,7 +262,8 @@ def test_criterion_3_matches_a_per_call_loop(seed):
     assert result.passed == all(p <= 3.0 for p in pulls)
 
 
-@pytest.mark.parametrize("trials", [255, 257, 3000])  # 1, 2 and 12 stacks of 256 draws
+# 1, 2, 12 and 40 stacks of 256 draws; at 10k each range draws in several batches.
+@pytest.mark.parametrize("trials", [255, 257, 3000, 10_000])
 def test_criterion_3_does_not_depend_on_the_worker_count(trials, monkeypatch):
     r = sinc_correlation(ArrayGeometry(4, 4, 0.1 / 40.0, 0.1 / 40.0, 0.1))
     outcomes = []
@@ -270,6 +272,24 @@ def test_criterion_3_does_not_depend_on_the_worker_count(trials, monkeypatch):
         t_lin, t_quad = validation._phase_traces(r, 202, trials)
         outcomes.append((t_lin.tobytes(), t_quad.tobytes(), criterion_3(trials=trials, seed=202).detail))
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_criterion_3_draws_by_the_vector_engine_alone(w, monkeypatch):
+    """At 10k draws every range's batches have 1024 draws or more, so no stream is repositioned."""
+    monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
+    repositioned = []
+    monkeypatch.setattr(rng.StreamFamily, "get", lambda *args: repositioned.append(args))
+    validation._phase_traces(sinc_correlation(ArrayGeometry(4, 4, 0.1 / 40.0, 0.1 / 40.0, 0.1)), 202, 10_000)
+    assert not repositioned
+
+
+def test_phasors_are_numpys_complex_exp():
+    gen = np.random.default_rng(8)
+    for low, high in ((0.0, 2 * np.pi), (-np.pi, np.pi), (-2 * np.pi, 2 * np.pi), (-1e3, 1e3)):
+        theta = gen.uniform(low, high, 200_000)
+        for angles in (theta, theta.reshape(400, 500)[:, ::3]):
+            assert _phasors(angles).tobytes() == np.exp(1j * angles).tobytes()
 
 
 def _assert_close_per_stack(got, want):

@@ -86,10 +86,13 @@ def test_largest_index_is_a_stream():
 
 # Draws 0..2599 and windows around the index where the counter's stream
 # index spills into its next word, and up to the last index of the domain.
-PHASE_WINDOWS = [(0, 2600), (2**64 - 32, 64), (2**128 - 64, 64)]
+# At n <= 16 the windows of 1024 draws or more take fill's vector engine, the
+# others its loop engine; at n = 16 the 2600-draw windows span two of its
+# passes, and the second one's spills over.
+PHASE_WINDOWS = [(0, 2600), (2**64 - 32, 64), (2**128 - 64, 64), (2**64 - 2500, 2600), (2**128 - 1100, 1100)]
 
 
-@pytest.mark.parametrize("n", [1, 16, 64, 196])
+@pytest.mark.parametrize("n", [1, 3, 16, 17, 64, 196])
 def test_phase_draws_are_the_streams_uniform_draws(n):
     """Each draw is numpy's uniform(-pi, pi, n) on its phase stream, bit for bit.
 
@@ -103,3 +106,37 @@ def test_phase_draws_are_the_streams_uniform_draws(n):
         for r in range(count):
             want = np.exp(1j * reference(seed, rng.DOMAIN_PHASE, start + r).uniform(-np.pi, np.pi, n))
             assert rows[r].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("domain", [rng.DOMAIN_CHANNEL, rng.DOMAIN_PHASE])
+@pytest.mark.parametrize("values", [1, 3, 4, 5, 16])  # 5: a partial last counter block
+def test_vector_engine_is_the_keyed_philox(seed, domain, values):
+    """The numpy Philox4x64-10 against numpy's own, across both word boundaries of the stream index."""
+    for start in (0, 2**64 - 3, 2**128 - 6):
+        rows = np.empty((6, values))
+        rng._philox_uniforms(seed, domain, start, rows)
+        for r in range(6):
+            assert rows[r].tobytes() == reference(seed, domain, start + r).random(values).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, values, vector",
+    [
+        (rng._VECTOR_ROWS, rng._VECTOR_VALUES, True),
+        (rng._VECTOR_ROWS, 1, True),
+        (rng._VECTOR_ROWS - 1, rng._VECTOR_VALUES, False),
+        (rng._VECTOR_ROWS, rng._VECTOR_VALUES + 1, False),
+        (rng._VECTOR_ROWS - 1, rng._VECTOR_VALUES + 1, False),
+    ],
+)
+def test_fill_picks_its_engine_by_shape(monkeypatch, rows, values, vector):
+    vector_calls = []
+    monkeypatch.setattr(rng, "_philox_uniforms", lambda *args: vector_calls.append(args))
+    streams = rng.StreamFamily(4)
+    out = np.full((rows, values), np.nan)
+    assert streams.fill(rng.DOMAIN_CHANNEL, 2**64 - 5, out) is out
+    assert len(vector_calls) == vector
+    if not vector:  # the loop engine filled every row
+        for r in (0, 4, 5, rows - 1):
+            assert out[r].tobytes() == reference(4, rng.DOMAIN_CHANNEL, 2**64 - 5 + r).random(values).tobytes()

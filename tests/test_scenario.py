@@ -254,10 +254,63 @@ def test_levels_beyond_the_float_range_name_their_field(key, value):
     assert err.value.field == key
 
 
-@pytest.mark.parametrize("value", [3000.0, -3000.0], ids=["+3000", "-3000"])
-@pytest.mark.parametrize("key", LEVEL_KEYS)
+GAIN_KEYS = ("beta_sd_db", "beta_sr_dhdv_db", "beta_rd_dhdv_db")
+
+
+# A link gain at +3000 dB converts to a finite float, but the gain's moments
+# overflow (GAIN_SCALE_OVERFLOWS); +1500 dB is inside both ranges.
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key in LEVEL_KEYS for value in (1500.0 if key in GAIN_KEYS else 3000.0, -3000.0)],
+    ids=lambda param: f"{param:+.0f}" if isinstance(param, float) else param,
+)
 def test_levels_inside_the_float_range_are_accepted(key, value):
     assert getattr(scenario_from_dict(make(**{key: value})), key) == value
+
+
+# Levels inside their range whose gain moments leave the float range: the
+# mean gain may reach beta_sd + N^2 beta_sr beta_rd and its variance three
+# times that squared.  The key named is the largest term's.
+GAIN_SCALE_OVERFLOWS = [
+    ({"beta_sr_dhdv_db": 3000.0}, "beta_sr_dhdv_db"),
+    ({"beta_rd_dhdv_db": 3000.0}, "beta_rd_dhdv_db"),
+    ({"beta_sd_db": 3000.0}, "beta_sd_db"),
+    ({"beta_sr_dhdv_db": 1500.0, "beta_rd_dhdv_db": 1400.0}, "beta_sr_dhdv_db"),
+]
+# Carriers and spacings whose element offsets in meters square out of the
+# normal float range: the spacing overflows, the wavelength is inf, the
+# spacing squares to 0, and then the same in wavelengths.
+GEOMETRY_OVERFLOWS = [
+    ({"carrier_ghz": 1e-308}, "carrier_ghz"),
+    ({"carrier_ghz": 5e-324}, "carrier_ghz"),
+    ({"carrier_ghz": 1e298}, "carrier_ghz"),
+    ({"spacing_over_lambda": 1e308}, "spacing_over_lambda"),
+    ({"spacing_over_lambda": 1e-160}, "spacing_over_lambda"),
+]
+# Just inside both bounds at N = 4: each scenario runs without a warning.
+RANGE_EDGES = [
+    {"beta_sr_dhdv_db": 763.4, "beta_rd_dhdv_db": 763.4, "beta_sd_db": None},
+    {"beta_sd_db": 1536.0},
+    {"carrier_ghz": 1e-144},
+    {"carrier_ghz": 1e150},
+    {"spacing_over_lambda": 1e-150},
+]
+
+
+@pytest.mark.parametrize("overrides, field", GAIN_SCALE_OVERFLOWS + GEOMETRY_OVERFLOWS)
+def test_moments_or_offsets_beyond_the_float_range_name_their_field(overrides, field):
+    with pytest.raises(ScenarioFormatError, match=f"^{field}: ") as err:
+        scenario_from_dict(make(**overrides))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("overrides", RANGE_EDGES)
+def test_moments_and_offsets_at_the_edge_are_accepted(overrides):
+    sc = scenario_from_dict(make(**overrides))
+    model = sc.correlation_model().entries
+    # The sinc model depends on the spacing in wavelengths alone.
+    reference = scenario_from_dict(make(spacing_over_lambda=sc.spacing_over_lambda)).correlation_model().entries
+    assert np.allclose(model, reference, rtol=1e-12, atol=0.0)
 
 
 # Levels and rates each inside their range whose SNR threshold
