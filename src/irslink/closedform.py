@@ -75,6 +75,8 @@ def _fit(mean, variance):
             "no channel carries power (zero direct gain and zero cascade trace); "
             "the Gamma fit is undefined"
         )
+    if not variance > 0:  # the variance is at least mean^2, so only an underflow gives 0
+        raise DegenerateScenarioError(f"the gain's variance underflows to {variance} at mean gain {mean}; the link gains are too small")
     return GammaParams(shape=mean * mean / variance, scale=variance / mean)
 
 
@@ -170,7 +172,8 @@ def outage_probability(gp: GammaParams, z):
     gives a float; an array of thresholds gives an array from one ufunc call.
     """
     z = checked_threshold(z)
-    p = special.gammainc(gp.shape, z / gp.scale)
+    with np.errstate(over="ignore"):  # a z/scale beyond the float range is inf, whose P is the limit 1
+        p = special.gammainc(gp.shape, z / gp.scale)
     return float(p) if p.ndim == 0 else p
 
 

@@ -19,8 +19,7 @@ from . import __version__, rng
 from .closedform import outage_probability
 from .errors import DomainError
 from .montecarlo import gain_samples, outage_rates
-from .phaseshift import checked_design
-from .scenario import MAX_GRID_POINTS, Scenario
+from .scenario import MAX_GRID_POINTS, MODELS, Scenario
 
 _FLOAT_FMT = "%.17g"  # lossless float64 round trip
 
@@ -78,7 +77,7 @@ def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
 
     r_sr, r_rd = scenario.covariances()
     # None for per-realization co-phasing, which has no closed form.
-    gp = checked_design(scenario.design).gamma_fit(scenario.beta_sd, r_sr, r_rd)
+    gp = scenario.design.gamma_fit(scenario.beta_sd, r_sr, r_rd)
     if gp is None:
         p_cf = np.full(xi.shape, np.nan)
         k_col = np.full(xi.shape, np.nan)
@@ -127,8 +126,15 @@ def run_surface(ka_grid, wa_grid, z: float) -> np.ndarray:
 
 
 def run_compare(scenario: Scenario, models, trials: int, seed: int) -> dict:
-    """One curve per correlation model, all other scenario fields shared."""
-    return {m: run_curve(scenario.with_model(m), trials, seed) for m in models}
+    """One curve per correlation model, all other scenario fields shared; a bad model list fails before any curve."""
+    models = tuple(models)
+    if not models:
+        raise DomainError(f"the model list names no model; choose from {MODELS}")
+    scenarios = [scenario.with_model(m) for m in models]
+    repeated = [m for i, m in enumerate(models) if m in models[:i]]
+    if repeated:
+        raise DomainError(f"the model list names {repeated[0]!r} more than once")
+    return {sc.model: run_curve(sc, trials, seed) for sc in scenarios}
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .correlation import (
     sinc_correlation,
 )
 from .errors import DomainError, ScenarioFormatError
-from .phaseshift import PhaseShiftDesign
+from .phaseshift import PhaseShiftDesign, checked_design
 from .units import SPEED_OF_LIGHT, db_to_linear, dbm_to_watts
 
 # Each model name with the builder of its unscaled (unit-diagonal) matrix for a scenario.
@@ -74,7 +74,12 @@ def step_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario; gains still in dB/dBm, design already constructed."""
+    """Validated scenario; gains still in dB/dBm, design already constructed.
+
+    Every construction, from a file, ``dataclasses.replace`` or ``Scenario(...)``,
+    applies the schema's type rules and value bounds, raising ScenarioFormatError
+    naming the field; a float field given as an int is stored as that float.
+    """
 
     name: str
     beta_sd_db: float | None  # None means the direct channel is blocked
@@ -93,6 +98,63 @@ class Scenario:
     xi_max: float
     xi_step: float
 
+    def __post_init__(self):
+        def store(key, kinds):
+            value = _typed(key, getattr(self, key), kinds)
+            object.__setattr__(self, key, value)
+            return value
+
+        if self.beta_sd_db is not None:
+            store("beta_sd_db", (int, float))
+        n_h, n_v = store("n_h", int), store("n_v", int)
+        if n_h < 1 or n_v < 1:
+            raise ScenarioFormatError("element counts must be >= 1", field="n_h" if n_h < 1 else "n_v")
+        if n_h * n_v > MAX_ELEMENTS:
+            raise ScenarioFormatError(f"n_h * n_v exceeds the cap of {MAX_ELEMENTS} elements", field="n_h")
+
+        for key in _NUMBERS:
+            store(key, (int, float))
+        for key in _LEVELS:
+            if getattr(self, key) is not None:
+                _check_level(key, getattr(self, key))
+        for key in ("carrier_ghz", "spacing_over_lambda"):
+            if getattr(self, key) <= 0:
+                raise ScenarioFormatError("must be positive", field=key)
+        _check_geometry(n_h, n_v, self.carrier_ghz, self.spacing_over_lambda)
+        _check_gain_scale(self.n, self.beta_sd, db_to_linear(self.beta_sr_dhdv_db), db_to_linear(self.beta_rd_dhdv_db))
+
+        model = store("model", str)
+        exp_magnitude = store("exp_magnitude", (int, float))
+        if model not in MODELS:
+            raise ScenarioFormatError(f"must be one of {MODELS}, got {model!r}", field="model")
+        if not 0.0 <= exp_magnitude < 1.0:
+            raise ScenarioFormatError(f"must lie in [0, 1), got {exp_magnitude}", field="exp_magnitude")
+
+        if self.xi_min < 0:
+            raise ScenarioFormatError("target rate cannot be negative", field="xi_min")
+        if self.xi_max < self.xi_min:
+            raise ScenarioFormatError("xi_max must be >= xi_min", field="xi_max")
+        if self.xi_step <= 0:
+            raise ScenarioFormatError("must be positive", field="xi_step")
+        try:
+            xi = self.xi_grid()
+        except DomainError as exc:
+            raise ScenarioFormatError(str(exc), field="xi_step") from None
+
+        checked_design(self.design)
+        # The SNR threshold, computed as a curve computes it, must be finite over
+        # the grid.  It grows with the rate, so xi_max decides, and the error names
+        # sigma2_dbm when sigma2/rho alone overflows.
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(self.snr_threshold(xi)).all()
+        if not finite:
+            ratio = dbm_to_watts(self.sigma2_dbm) / dbm_to_watts(self.rho_dbm)
+            raise ScenarioFormatError(
+                f"the SNR threshold sigma2 (2^xi - 1) / rho overflows at xi_max = {self.xi_max}; "
+                "lower xi_max or the ratio sigma2/rho",
+                field="xi_max" if math.isfinite(ratio) else "sigma2_dbm",
+            )
+
     @property
     def n(self) -> int:
         return self.n_h * self.n_v
@@ -106,8 +168,7 @@ class Scenario:
         return ArrayGeometry(self.n_h, self.n_v, d, d, wavelength)
 
     def correlation_model(self) -> CorrelationMatrix:
-        """The unscaled (unit-diagonal) model matrix; ScenarioFormatError for an unknown model."""
-        _check_model_fields(self.model, self.exp_magnitude)
+        """The unscaled (unit-diagonal) model matrix."""
         return _MODEL_BUILDERS[self.model](self)
 
     def covariances(self):
@@ -138,7 +199,6 @@ class Scenario:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def with_model(self, model: str) -> "Scenario":
-        _check_model_fields(model, self.exp_magnitude)
         return replace(self, model=model, name=f"{self.name}[{model}]")
 
 
@@ -147,30 +207,28 @@ class Scenario:
 _FIELD_KEYS = tuple(f.name for f in fields(Scenario) if f.name != "name")
 _DESIGN_KEYS = tuple(dict.fromkeys(key for cls in _DESIGN_CLASSES.values() for key in cls.schema_keys))
 _SCHEMA_KEYS = _FIELD_KEYS + _DESIGN_KEYS
-# The required float keys, read in one loop and passed on by name.
+# The float fields but exp_magnitude, which is read with the model; checked in one loop.
 _NUMBERS = tuple(f.name for f in fields(Scenario) if f.type is float and f.name != "exp_magnitude")
-# The dB/dBm levels, each with the converter the link budget reads it through.
+# The dB/dBm levels in check order, each with the converter the link budget reads it through.
 _LEVELS = {
-    "beta_sd_db": db_to_linear,
     "beta_sr_dhdv_db": db_to_linear,
     "beta_rd_dhdv_db": db_to_linear,
     "rho_dbm": dbm_to_watts,
     "sigma2_dbm": dbm_to_watts,
+    "beta_sd_db": db_to_linear,
 }
 
 
-def _want(raw: dict, key: str, kinds):
-    if key not in raw:
-        raise ScenarioFormatError("required key is missing", field=key)
-    value = raw[key]
+def _typed(key: str, value, kinds):
+    """``value`` if it has a kind the schema allows for ``key``; a number that may be a float comes back as one."""
     if isinstance(value, bool) or not isinstance(value, kinds):
         names = "/".join(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
         raise ScenarioFormatError(f"expected {names}, got {value!r}", field=key)
     if isinstance(value, float) and not math.isfinite(value):
         raise ScenarioFormatError(f"must be finite, got {value!r}", field=key)
-    if isinstance(value, int) and isinstance(0.0, kinds):
+    if isinstance(0.0, kinds):
         try:
-            float(value)
+            return float(value)
         except OverflowError:
             raise ScenarioFormatError("integer too large for a float", field=key) from None
     return value
@@ -241,108 +299,40 @@ def _check_gain_scale(n: int, beta_sd: float, beta_sr: float, beta_rd: float):
     )
 
 
-def _check_model_fields(model: str, exp_magnitude: float):
-    if model not in MODELS:
-        raise ScenarioFormatError(f"must be one of {MODELS}, got {model!r}", field="model")
-    if not 0.0 <= exp_magnitude < 1.0:
-        raise ScenarioFormatError(
-            f"must lie in [0, 1), got {exp_magnitude}", field="exp_magnitude"
-        )
-
-
 def _build_design(raw: dict, n: int) -> PhaseShiftDesign:
     """The design class named by ``design`` reads its own keys; another design's key is rejected."""
-    kind = _want(raw, "design", str)
+    kind = _typed("design", raw["design"], str)
     if kind not in _DESIGN_CLASSES:
         raise ScenarioFormatError(f"must be one of {DESIGNS}, got {kind!r}", field="design")
     cls = _DESIGN_CLASSES[kind]
     for key in _DESIGN_KEYS:
         if key in raw and key not in cls.schema_keys:
             raise ScenarioFormatError(f"not used by design {kind!r}", field=key)
-    return cls.from_schema(lambda key, kinds: _want(raw, key, kinds), n)
+        if key in cls.schema_keys and key not in raw:
+            raise ScenarioFormatError("required key is missing", field=key)
+    return cls.from_schema(lambda key, kinds: _typed(key, raw[key], kinds), n)
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
-    """Validate a parsed JSON object against the schema; unknown keys rejected."""
+    """Read a parsed JSON object as a Scenario, which checks every value itself.
+
+    What only a dict can get wrong is checked here: an unknown key, a
+    missing one (``exp_magnitude`` defaults to 0.95) and the design's keys.
+    """
     if not isinstance(raw, dict):
         raise ScenarioFormatError(f"scenario must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - set(_SCHEMA_KEYS))
     if unknown:
         raise ScenarioFormatError("unknown key", field=unknown[0])
-
-    if "beta_sd_db" not in raw:
-        raise ScenarioFormatError("required key is missing (use null to block)", field="beta_sd_db")
-    beta_sd_db = raw["beta_sd_db"]
-    if beta_sd_db is not None:
-        beta_sd_db = float(_want(raw, "beta_sd_db", (int, float)))
-
-    n_h = _want(raw, "n_h", int)
-    n_v = _want(raw, "n_v", int)
-    if n_h < 1 or n_v < 1:
-        raise ScenarioFormatError("element counts must be >= 1", field="n_h" if n_h < 1 else "n_v")
-    if n_h * n_v > MAX_ELEMENTS:
-        raise ScenarioFormatError(f"n_h * n_v exceeds the cap of {MAX_ELEMENTS} elements", field="n_h")
-
-    num = {key: float(_want(raw, key, (int, float))) for key in _NUMBERS}
-    for key, value in {**num, "beta_sd_db": beta_sd_db}.items():
-        if key in _LEVELS and value is not None:
-            _check_level(key, value)
-    if num["carrier_ghz"] <= 0:
-        raise ScenarioFormatError("must be positive", field="carrier_ghz")
-    if num["spacing_over_lambda"] <= 0:
-        raise ScenarioFormatError("must be positive", field="spacing_over_lambda")
-    _check_geometry(n_h, n_v, num["carrier_ghz"], num["spacing_over_lambda"])
-    _check_gain_scale(
-        n_h * n_v,
-        0.0 if beta_sd_db is None else db_to_linear(beta_sd_db),
-        db_to_linear(num["beta_sr_dhdv_db"]),
-        db_to_linear(num["beta_rd_dhdv_db"]),
-    )
-
-    model = _want(raw, "model", str)
-    exp_magnitude = float(_want(raw, "exp_magnitude", (int, float))) if "exp_magnitude" in raw else 0.95
-    _check_model_fields(model, exp_magnitude)
-
-    if num["xi_min"] < 0:
-        raise ScenarioFormatError("target rate cannot be negative", field="xi_min")
-    if num["xi_max"] < num["xi_min"]:
-        raise ScenarioFormatError("xi_max must be >= xi_min", field="xi_max")
-    if num["xi_step"] <= 0:
-        raise ScenarioFormatError("must be positive", field="xi_step")
-    try:
-        step_grid(num["xi_min"], num["xi_max"], num["xi_step"])
-    except DomainError as exc:
-        raise ScenarioFormatError(str(exc), field="xi_step") from None
-
-    scenario = Scenario(
-        name=name,
-        beta_sd_db=beta_sd_db,
-        n_h=n_h,
-        n_v=n_v,
-        model=model,
-        exp_magnitude=exp_magnitude,
-        design=_build_design(raw, n_h * n_v),
-        **num,
-    )
-    _check_threshold(scenario)
-    return scenario
-
-
-def _check_threshold(scenario: Scenario):
-    """The SNR threshold must be finite over the rate grid, computed as a curve computes it.
-
-    It grows with the rate, so xi_max decides.  The error names sigma2_dbm
-    when sigma2/rho alone overflows, and xi_max otherwise.
-    """
-    with np.errstate(over="ignore"):
-        z = scenario.snr_threshold(scenario.xi_grid())
-    if not np.isfinite(z).all():
-        ratio = dbm_to_watts(scenario.sigma2_dbm) / dbm_to_watts(scenario.rho_dbm)
-        raise ScenarioFormatError(
-            f"the SNR threshold sigma2 (2^xi - 1) / rho overflows at xi_max = {scenario.xi_max}; "
-            "lower xi_max or the ratio sigma2/rho",
-            field="xi_max" if math.isfinite(ratio) else "sigma2_dbm",
-        )
+    values = {"exp_magnitude": 0.95, **{key: raw[key] for key in _FIELD_KEYS if key in raw}}
+    for key in _FIELD_KEYS:
+        if key not in values:
+            hint = " (use null to block)" if key == "beta_sd_db" else ""
+            raise ScenarioFormatError(f"required key is missing{hint}", field=key)
+    # A fixed design reads one angle per element: size it through the count
+    # keys' type rule, and leave their bounds to Scenario.
+    values["design"] = _build_design(raw, _typed("n_h", raw["n_h"], int) * _typed("n_v", raw["n_v"], int))
+    return Scenario(name=name, **values)
 
 
 def load_scenario(path) -> Scenario:

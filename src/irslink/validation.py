@@ -501,10 +501,16 @@ def criterion_10(trials=None, seed=None):
 
 
 def run_criteria(numbers=None, trials=None, seed=None):
-    """Run the criteria in order; a bad trial or seed override fails before any of them starts."""
+    """Run the criteria in order (all by default); a bad selection, trial or seed override fails before any starts."""
+    valid = ",".join(map(str, sorted(CRITERIA)))
+    numbers = sorted(CRITERIA) if numbers is None else list(numbers)
+    if not numbers:
+        raise DomainError(f"the selection names no criterion; valid numbers are {valid}")
+    bad = [n for n in numbers if n not in CRITERIA]
+    if bad:
+        raise DomainError(f"no criterion {bad[0]}; valid numbers are {valid}")
     if trials is not None:
         rng.check_trials(trials, least=2)  # criterion 3's sample deviations need two draws
     if seed is not None:
         rng.check_seed(seed)
-    numbers = sorted(CRITERIA) if numbers is None else list(numbers)
     return [CRITERIA[n](trials=trials, seed=seed) for n in numbers]

@@ -100,6 +100,18 @@ def test_bad_trial_override_fails_before_any_criterion(trials):
         validation.run_criteria([4], trials=trials)
 
 
+@pytest.mark.parametrize(
+    "numbers, message", [([], "^the selection names no criterion; valid numbers are 1,"), ([1, 99], "^no criterion 99; valid numbers are 1,")]
+)
+def test_a_bad_selection_fails_before_any_criterion(monkeypatch, numbers, message):
+    def must_not_run(trials=None, seed=None):
+        raise AssertionError("a criterion ran before the selection was checked")
+
+    monkeypatch.setitem(validation.CRITERIA, 1, must_not_run)
+    with pytest.raises(DomainError, match=message):
+        validation.run_criteria(numbers)
+
+
 def test_criterion_3_refuses_a_trial_count_it_cannot_allocate():
     # 10^14 draws' traces would take 728 TiB each; the allocation fails at once
     with pytest.raises(DomainError, match="^trial count 100000000000000 is too large"):

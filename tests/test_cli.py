@@ -12,6 +12,7 @@ import pytest
 import irslink.curves as curves_module
 from irslink import cli, validation
 from irslink.curves import read_curve_csv
+from irslink.scenario import load_scenario
 
 from test_curves import _FullDisk
 from test_scenario import GAIN_SCALE_OVERFLOWS, GEOMETRY_OVERFLOWS, RANGE_EDGES, THRESHOLD_OVERFLOWS, make
@@ -244,6 +245,20 @@ def test_moments_or_offsets_beyond_the_float_range_are_input_errors(tmp_path, ca
     assert cli.main(["curve", "--scenario", str(path), "--trials", trials, "--out", str(out)]) == 2
     assert f"error: {field}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_noise_level_that_swamps_the_gain_runs_clean(tmp_path, capsys):
+    # sigma2 = 1e300 W keeps z finite but z / scale overflows: every rate above
+    # zero is an outage, read as the limit 1 without a warning.
+    path = tmp_path / "noisy.json"
+    raw = load_scenario("fig2c").to_schema_dict()
+    path.write_text(json.dumps({**raw, "sigma2_dbm": 3000.0}))
+    out = tmp_path / "noisy.csv"
+    assert cli.main(["curve", "--scenario", str(path), "--trials", "0", "--out", str(out)]) == 0
+    assert not capsys.readouterr().err
+    curve = read_curve_csv(out)
+    assert (curve.p_closed_form == np.where(curve.z > 0, 1.0, 0.0)).all()
 
 
 @pytest.mark.filterwarnings("error")

@@ -256,6 +256,20 @@ def test_outage_at_zero_threshold():
     assert outage_probability(GammaParams(0.7, 2.0), 0.0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_outage_beyond_the_float_range_is_its_limit():
+    # z / scale overflows to inf, where the lower incomplete gamma ratio is exactly 1.
+    assert outage_probability(GammaParams(1.0, 1e-300), 1e300) == 1.0
+    assert outage_probability(GammaParams(2.5, 1e-300), np.array([0.0, 1e300])).tolist() == [0.0, 1.0]
+
+
+def test_a_gain_whose_variance_underflows_is_degenerate():
+    # beta_sr = 1e-300 passes the schema, but the variance, about the mean squared, underflows to 0.
+    sc = replace(load_scenario("fig2c"), beta_sr_dhdv_db=-3000.0)
+    with pytest.raises(DegenerateScenarioError, match="variance underflows to 0.0"):
+        sc.design.gamma_fit(sc.beta_sd, *sc.covariances())
+
+
 def test_outage_exponential_point():
     assert outage_probability(GammaParams(1.0, 2.0), 2.0) == pytest.approx(
         1.0 - math.exp(-1.0), rel=1e-13

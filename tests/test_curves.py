@@ -20,7 +20,7 @@ from irslink.curves import (
     write_lines,
     write_surface_csv,
 )
-from irslink.errors import DomainError
+from irslink.errors import DomainError, ScenarioFormatError
 from irslink.montecarlo import gain_samples, outage_rates
 from irslink.scenario import load_scenario, scenario_from_dict
 
@@ -234,6 +234,24 @@ def test_compare_direct_channel_masks_correlation():
         return float(np.max(np.max(stack, axis=0) - np.min(stack, axis=0)))
 
     assert max_gap(blocked) >= 5.0 * max_gap(present)
+
+
+@pytest.mark.parametrize(
+    "models, error, message",
+    [
+        ((), DomainError, "names no model"),
+        (("sinc", "exponential", "sinc"), DomainError, "names 'sinc' more than once"),
+        (("sinc", "bogus"), ScenarioFormatError, "^model: must be one of .*'bogus'"),
+    ],
+    ids=["empty", "repeated", "unknown"],
+)
+def test_compare_rejects_a_bad_model_list_before_any_curve(monkeypatch, models, error, message):
+    def must_not_run(*a, **k):
+        raise AssertionError("a curve ran before the model list was checked")
+
+    monkeypatch.setattr(curves_module, "run_curve", must_not_run)
+    with pytest.raises(error, match=message):
+        run_compare(load_scenario("fig2c"), models, trials=0, seed=1)
 
 
 def test_uncorrelated_model_is_phase_invariant():

@@ -115,9 +115,8 @@ def test_unknown_design_is_a_domain_error():
         for design in ("equal", None, Equal):
             with pytest.raises(DomainError, match="unknown phase-shift design"):
                 entry(design)
-    sc = replace(load_scenario("fig2c"), design=object())
     with pytest.raises(DomainError, match="unknown phase-shift design"):
-        run_curve(sc, 0, 1)
+        run_curve(replace(load_scenario("fig2c"), design=object()), 0, 1)
 
 
 def test_design_kinds_are_the_schema_names():

@@ -41,6 +41,25 @@ def make(**overrides):
     return raw
 
 
+# The two ways to a scenario that the bound tests take: a file's dict, and
+# dataclasses.replace on a checked scenario.  Both end in Scenario's own checks.
+ROUTES = ("file", "replace")
+
+
+def build(route, **overrides):
+    """make(**overrides) read as a file, or BASE's scenario with the overrides replaced in."""
+    if route == "file":
+        return scenario_from_dict(make(**overrides))
+    return replace(scenario_from_dict(make()), **overrides)
+
+
+def error_of(construct):
+    """(type, message, field) of the error that construct() raises."""
+    with pytest.raises(Exception) as err:
+        construct()
+    return type(err.value), str(err.value), getattr(err.value, "field", None)
+
+
 def test_fig2a_preset_carries_link_budget():
     sc = load_scenario("fig2a")
     assert sc.n == 196
@@ -79,17 +98,18 @@ def test_unknown_key_rejected():
         scenario_from_dict(make(bandwidth_mhz=10))
 
 
-def test_wrong_types_are_reported_per_field():
+@pytest.mark.parametrize("route", ROUTES)
+def test_wrong_types_are_reported_per_field(route):
     with pytest.raises(ScenarioFormatError, match="n_h"):
-        scenario_from_dict(make(n_h=2.5))
+        build(route, n_h=2.5)
     with pytest.raises(ScenarioFormatError, match="model"):
-        scenario_from_dict(make(model="rayleigh"))
+        build(route, model="rayleigh")
     with pytest.raises(ScenarioFormatError, match="xi_step"):
-        scenario_from_dict(make(xi_step=0.0))
+        build(route, xi_step=0.0)
     with pytest.raises(ScenarioFormatError, match="xi_max"):
-        scenario_from_dict(make(xi_max=-1.0))
+        build(route, xi_max=-1.0)
     with pytest.raises(ScenarioFormatError, match="xi_min"):
-        scenario_from_dict(make(xi_min=-1.0))
+        build(route, xi_min=-1.0)
 
 
 def test_design_variants_parse():
@@ -113,11 +133,12 @@ def test_design_field_combinations_rejected():
         scenario_from_dict(make(seed=3))  # stray seed on equal design
 
 
-def test_exp_magnitude_validation():
-    sc = scenario_from_dict(make(model="exponential", exp_magnitude=0.95))
+@pytest.mark.parametrize("route", ROUTES)
+def test_exp_magnitude_validation(route):
+    sc = build(route, model="exponential", exp_magnitude=0.95)
     assert sc.exp_magnitude == 0.95
     with pytest.raises(ScenarioFormatError, match="exp_magnitude"):
-        scenario_from_dict(make(model="exponential", exp_magnitude=1.0))
+        build(route, model="exponential", exp_magnitude=1.0)
 
 
 def test_digest_changes_with_every_field(tmp_path):
@@ -167,21 +188,22 @@ def test_step_grid_refuses_an_overflowing_count(lo, hi, step):
         step_grid(lo, hi, step)
 
 
-def test_xi_grid_size_is_capped():
+@pytest.mark.parametrize("route", ROUTES)
+def test_xi_grid_size_is_capped(route):
     # A step of 2^-10 keeps the grid exact in binary and xi_max below 98,
     # where the SNR threshold 2^xi - 1 is still finite.
     step = 2.0**-10
-    at_cap = scenario_from_dict(make(xi_min=0.0, xi_max=(MAX_GRID_POINTS - 1) * step, xi_step=step))
+    at_cap = build(route, xi_min=0.0, xi_max=(MAX_GRID_POINTS - 1) * step, xi_step=step)
     assert at_cap.xi_grid().size == MAX_GRID_POINTS
     with pytest.raises(ScenarioFormatError, match="xi_step"):
-        scenario_from_dict(make(xi_max=MAX_GRID_POINTS * step, xi_step=step))
+        build(route, xi_max=MAX_GRID_POINTS * step, xi_step=step)
     # A point count that overflows to inf is refused too, against xi_step.
     with pytest.raises(ScenarioFormatError, match="^xi_step: grid .* overflows its point count"):
-        scenario_from_dict(make(xi_max=8.0, xi_step=1e-308))
+        build(route, xi_max=8.0, xi_step=1e-308)
     # A non-finite bound is reported against its own field.
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ScenarioFormatError, match="^xi_max: must be finite"):
-            scenario_from_dict(make(xi_max=bad))
+            build(route, xi_max=bad)
 
 
 # Every numeric schema key with a value of the right kind for BASE or for
@@ -205,13 +227,17 @@ NUMERIC_KEYS = {
 }
 
 
+# A design's keys reach the scenario through its file only.
+ROUTE_KEYS = [("file", key) for key in sorted(NUMERIC_KEYS)] + [
+    ("replace", key) for key in sorted(NUMERIC_KEYS) if key not in ("theta", "seed")
+]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
-def test_non_finite_numbers_name_their_field(key, value):
-    raw = make(**NUMERIC_KEYS[key])
-    raw[key] = value
+@pytest.mark.parametrize("route, key", ROUTE_KEYS)
+def test_non_finite_numbers_name_their_field(route, key, value):
     with pytest.raises(ScenarioFormatError, match=f"^{key}: "):
-        scenario_from_dict(raw)
+        build(route, **{**NUMERIC_KEYS[key], key: value})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
@@ -226,12 +252,10 @@ HUGE = 10**400
 
 
 @pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["+10^400", "-10^400"])
-@pytest.mark.parametrize("key", sorted(set(NUMERIC_KEYS) - {"n_h", "n_v"}))
-def test_huge_integers_name_their_field(key, value):
-    raw = make(**NUMERIC_KEYS[key])
-    raw[key] = value
+@pytest.mark.parametrize("route, key", [(route, key) for route, key in ROUTE_KEYS if key not in ("n_h", "n_v")])
+def test_huge_integers_name_their_field(route, key, value):
     with pytest.raises(ScenarioFormatError, match=f"^{key}: "):
-        scenario_from_dict(raw)
+        build(route, **{**NUMERIC_KEYS[key], key: value})
 
 
 @pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["+10^400", "-10^400"])
@@ -248,9 +272,10 @@ LEVEL_KEYS = ("beta_sd_db", "beta_sr_dhdv_db", "beta_rd_dhdv_db", "rho_dbm", "si
 
 @pytest.mark.parametrize("value", [5000.0, -5000.0], ids=["+5000", "-5000"])
 @pytest.mark.parametrize("key", LEVEL_KEYS)
-def test_levels_beyond_the_float_range_name_their_field(key, value):
+@pytest.mark.parametrize("route", ROUTES)
+def test_levels_beyond_the_float_range_name_their_field(route, key, value):
     with pytest.raises(ScenarioFormatError, match=f"^{key}: ") as err:
-        scenario_from_dict(make(**{key: value}))
+        build(route, **{key: value})
     assert err.value.field == key
 
 
@@ -264,8 +289,9 @@ GAIN_KEYS = ("beta_sd_db", "beta_sr_dhdv_db", "beta_rd_dhdv_db")
     [(key, value) for key in LEVEL_KEYS for value in (1500.0 if key in GAIN_KEYS else 3000.0, -3000.0)],
     ids=lambda param: f"{param:+.0f}" if isinstance(param, float) else param,
 )
-def test_levels_inside_the_float_range_are_accepted(key, value):
-    assert getattr(scenario_from_dict(make(**{key: value})), key) == value
+@pytest.mark.parametrize("route", ROUTES)
+def test_levels_inside_the_float_range_are_accepted(route, key, value):
+    assert getattr(build(route, **{key: value}), key) == value
 
 
 # Levels inside their range whose gain moments leave the float range: the
@@ -298,15 +324,17 @@ RANGE_EDGES = [
 
 
 @pytest.mark.parametrize("overrides, field", GAIN_SCALE_OVERFLOWS + GEOMETRY_OVERFLOWS)
-def test_moments_or_offsets_beyond_the_float_range_name_their_field(overrides, field):
+@pytest.mark.parametrize("route", ROUTES)
+def test_moments_or_offsets_beyond_the_float_range_name_their_field(route, overrides, field):
     with pytest.raises(ScenarioFormatError, match=f"^{field}: ") as err:
-        scenario_from_dict(make(**overrides))
+        build(route, **overrides)
     assert err.value.field == field
 
 
 @pytest.mark.parametrize("overrides", RANGE_EDGES)
-def test_moments_and_offsets_at_the_edge_are_accepted(overrides):
-    sc = scenario_from_dict(make(**overrides))
+@pytest.mark.parametrize("route", ROUTES)
+def test_moments_and_offsets_at_the_edge_are_accepted(route, overrides):
+    sc = build(route, **overrides)
     model = sc.correlation_model().entries
     # The sinc model depends on the spacing in wavelengths alone.
     reference = scenario_from_dict(make(spacing_over_lambda=sc.spacing_over_lambda)).correlation_model().entries
@@ -323,26 +351,67 @@ THRESHOLD_OVERFLOWS = [
 
 
 @pytest.mark.parametrize("overrides, field", THRESHOLD_OVERFLOWS, ids=["ratio", "xi_max", "product"])
-def test_an_infinite_threshold_names_its_field(overrides, field):
+@pytest.mark.parametrize("route", ROUTES)
+def test_an_infinite_threshold_names_its_field(route, overrides, field):
     with pytest.raises(ScenarioFormatError, match=f"^{field}: the SNR threshold") as err:
-        scenario_from_dict(make(**overrides))
+        build(route, **overrides)
     assert err.value.field == field
 
 
-def test_a_threshold_near_the_float_range_is_accepted():
-    sc = scenario_from_dict(make(xi_max=1000.0, xi_step=250.0))
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_threshold_near_the_float_range_is_accepted(route):
+    sc = build(route, xi_max=1000.0, xi_step=250.0)
     assert np.isfinite(sc.snr_threshold(sc.xi_grid())).all()
     assert math.isfinite(sc.snr_threshold(sc.xi_max))
 
 
-def test_element_count_is_capped():
+@pytest.mark.parametrize("route", ROUTES)
+def test_element_count_is_capped(route):
     side = math.isqrt(MAX_ELEMENTS)
-    assert scenario_from_dict(make(n_h=side, n_v=MAX_ELEMENTS // side)).n == MAX_ELEMENTS
+    assert build(route, n_h=side, n_v=MAX_ELEMENTS // side).n == MAX_ELEMENTS
     for n_h, n_v in ((side, MAX_ELEMENTS // side + 1), (MAX_ELEMENTS + 1, 1), (1, MAX_ELEMENTS + 1), (HUGE, 1), (1, HUGE)):
         with pytest.raises(ScenarioFormatError, match="^n_h: n_h \\* n_v exceeds the cap"):
-            scenario_from_dict(make(n_h=n_h, n_v=n_v))
+            build(route, n_h=n_h, n_v=n_v)
+    with pytest.raises(ScenarioFormatError, match="^n_v: element counts must be >= 1"):
+        build(route, n_v=0)
     # The presets stay far below the cap.
     assert all(10 * load_scenario(p).n <= MAX_ELEMENTS for p in PRESETS)
+
+
+# One bad value per bound and type rule of the Scenario fields.
+BAD_FIELDS = (
+    [{key: value} for key in LEVEL_KEYS for value in (5000.0, -5000.0, True, "loud", HUGE)]
+    + [overrides for overrides, _ in GAIN_SCALE_OVERFLOWS + GEOMETRY_OVERFLOWS + THRESHOLD_OVERFLOWS]
+    + [{"n_h": 0}, {"n_v": -1}, {"n_h": 2.0}, {"n_v": 65, "n_h": 64}, {"carrier_ghz": 0.0}, {"spacing_over_lambda": -1.0}]
+    + [{"model": "rayleigh"}, {"model": 3}, {"exp_magnitude": 1.0}, {"exp_magnitude": float("nan")}]
+    + [{"xi_min": -1.0}, {"xi_max": -1.0}, {"xi_step": 0.0}, {"xi_step": 1e-308}, {"xi_max": float("inf")}]
+)
+
+
+@pytest.mark.parametrize("overrides", BAD_FIELDS, ids=str)
+def test_every_construction_checks_alike(overrides):
+    """A file, a replace and a direct Scenario(...) raise the same type, message and field."""
+    base = scenario_from_dict(make())
+    direct = {f.name: getattr(base, f.name) for f in fields(base)} | overrides
+    want = error_of(lambda: scenario_from_dict(make(**overrides)))
+    assert want[0] is ScenarioFormatError and want[2] in overrides
+    assert error_of(lambda: replace(base, **overrides)) == want
+    assert error_of(lambda: irslink.Scenario(**direct)) == want
+
+
+def test_a_replaced_carrier_is_checked():
+    with pytest.raises(ScenarioFormatError, match="^carrier_ghz: ") as err:
+        replace(load_scenario("fig2a"), carrier_ghz=1e298)
+    assert err.value.field == "carrier_ghz"
+
+
+def test_an_integer_is_stored_and_hashed_as_its_float(tmp_path):
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps(make(rho_dbm=33)))
+    from_file = load_scenario(path)
+    replaced = replace(scenario_from_dict(make()), rho_dbm=33)
+    assert type(from_file.rho_dbm) is type(replaced.rho_dbm) is float
+    assert replaced.digest() == from_file.digest() == scenario_from_dict(make(rho_dbm=33.0)).digest()
 
 
 # The scenario hash is written into every CSV header: a change to the schema
@@ -412,9 +481,9 @@ def test_presets_are_the_bundled_files():
 
 @pytest.mark.parametrize("build", ["correlation_model", "covariances"])
 def test_unknown_model_on_a_replaced_scenario_is_rejected(build):
-    sc = replace(load_scenario("fig2a"), model="sincc")
+    # The replace itself raises: no unchecked scenario reaches the build.
     with pytest.raises(ScenarioFormatError, match="^model: must be one of") as err:
-        getattr(sc, build)()
+        getattr(replace(load_scenario("fig2a"), model="sincc"), build)()
     assert err.value.field == "model"
 
 
