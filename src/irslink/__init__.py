@@ -8,15 +8,7 @@ from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-from .closedform import (
-    GammaParams,
-    gain_moments,
-    gamma_fit,
-    gamma_fit_equal_phase,
-    gamma_fit_uniform_phase,
-    outage_probability,
-    uniform_phase_trace_moments,
-)
+from .closedform import GammaParams, gamma_fit, outage_probability
 from .correlation import (
     ArrayGeometry,
     CorrelationMatrix,
@@ -50,9 +42,9 @@ from .phaseshift import (
     OptimalCsi,
     PhaseShiftDesign,
     UniformRandom,
-    cascade_matrix,
     cascade_traces,
     phase_vector,
+    uniform_phase_trace_moments,
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict
 from .curves import (

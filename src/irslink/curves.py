@@ -13,10 +13,9 @@ from dataclasses import dataclass, fields
 from urllib.parse import quote, unquote
 
 import numpy as np
-from scipy import special
 
 from . import __version__, rng
-from .closedform import outage_probability
+from .closedform import _lower_gamma, gamma_fit, outage_probability
 from .errors import DomainError
 from .montecarlo import gain_samples, outage_rates
 from .scenario import MAX_GRID_POINTS, MODELS, Scenario
@@ -77,7 +76,7 @@ def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
 
     r_sr, r_rd = scenario.covariances()
     # None for per-realization co-phasing, which has no closed form.
-    gp = scenario.design.gamma_fit(scenario.beta_sd, r_sr, r_rd)
+    gp = gamma_fit(scenario.beta_sd, r_sr, r_rd, scenario.design)
     if gp is None:
         p_cf = np.full(xi.shape, np.nan)
         k_col = np.full(xi.shape, np.nan)
@@ -121,8 +120,8 @@ def run_surface(ka_grid, wa_grid, z: float) -> np.ndarray:
         raise DomainError(f"threshold must be >= 0 and finite, got {z}")
     if ka.size * wa.size > MAX_GRID_POINTS:
         raise DomainError(f"surface grid of {ka.size} x {wa.size} points exceeds the cap of {MAX_GRID_POINTS}")
-    # The same P = gammainc(k, z/w) as outage_probability, over the whole grid.
-    return special.gammainc(ka[:, None], z / wa[None, :])
+    # The same P as outage_probability, over the whole grid.
+    return _lower_gamma(ka[:, None], wa[None, :], z)
 
 
 def run_compare(scenario: Scenario, models, trials: int, seed: int) -> dict:

@@ -7,8 +7,9 @@ densely; only its diagonal (the phase vector) is materialized.
 Each design class answers for itself: its schema ``kind`` and keys, which
 ``from_schema(want, n)`` reads for n elements through a scenario's key reader
 ``want(key, kinds)`` and ``schema_fields`` writes back, its phase vector for draw i
-(``phases``), its closed-form Gamma fit (``gamma_fit``, None for co-phasing)
-and, for one simulator run over n elements, ``block_phases(n)``: a function
+(``phases``), the cascade moments (t1, t1_sq, t2) that ``closedform.gamma_fit``
+matches (``cascade_moments``, None for co-phasing) and, for one simulator run
+over n elements, ``block_phases(n)``: a function
 that maps a block of trials (start, h_sd, h_sr, h_rd), one trial per row, to
 the phases of draws start, start+1, ...  ``UniformRandom.phase_draws(n)`` is
 the one draw of random phases: the simulator, criterion 3 and, one draw at a
@@ -17,6 +18,10 @@ stream's ``random()`` uniforms u and maps the whole stack to (2 pi * u) - pi
 in two rounded steps, which is exactly ``Generator.uniform(-pi, pi, n)``.
 Phasors exp(i theta) are formed as cos + i sin (``_phasors``), which is
 numpy's complex exp of i theta bit for bit.
+
+The cascade statistics live here too: ``cascade_traces`` for one phase
+vector, ``equal_phase_traces`` when every phase coincides and
+``uniform_phase_trace_moments`` averaged over i.i.d. uniform phases.
 """
 
 from dataclasses import dataclass
@@ -24,7 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import closedform, rng
+from . import rng
 from .correlation import CorrelationMatrix
 from .errors import ContractViolationError, DomainError, InternalConsistencyError, ScenarioFormatError
 
@@ -86,8 +91,9 @@ class Equal(_Design):
     def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
         return np.full(n, np.exp(1j * self.theta))
 
-    def gamma_fit(self, beta_sd, r_sr, r_rd):
-        return closedform.gamma_fit_equal_phase(beta_sd, r_sr, r_rd)
+    def cascade_moments(self, r_sr, r_rd):
+        t1, t2 = equal_phase_traces(r_sr, r_rd)
+        return t1, t1 * t1, t2
 
 
 @dataclass(frozen=True)
@@ -121,8 +127,9 @@ class Fixed(_Design):
             raise DomainError(f"fixed design has {self.thetas.shape[0]} phases, scenario needs {n}")
         return np.exp(1j * self.thetas)
 
-    def gamma_fit(self, beta_sd, r_sr, r_rd):
-        return closedform.gamma_fit(beta_sd, r_sr, r_rd, self.phases(r_sr.n))
+    def cascade_moments(self, r_sr, r_rd):
+        t1, t2 = cascade_traces(r_rd, r_sr, self.phases(r_sr.n))
+        return t1, t1 * t1, t2
 
 
 @dataclass(frozen=True)
@@ -154,8 +161,9 @@ class UniformRandom(_Design):
     def phases(self, n: int, draw_index: int = 0) -> np.ndarray:
         return self.phase_draws(n)(draw_index, 1)[0]
 
-    def gamma_fit(self, beta_sd, r_sr, r_rd):
-        return closedform.gamma_fit_uniform_phase(beta_sd, r_sr, r_rd)
+    def cascade_moments(self, r_sr, r_rd):
+        m = uniform_phase_trace_moments(r_sr, r_rd)
+        return m.mean_trace, m.mean_trace_sq, m.mean_quad_trace
 
     def phase_draws(self, n: int):
         """A function (start, count) -> the phases of draws start..start+count-1, one per row.
@@ -200,7 +208,7 @@ class OptimalCsi(_Design):
             "resolve them in the simulator, not here"
         )
 
-    def gamma_fit(self, beta_sd, r_sr, r_rd):
+    def cascade_moments(self, r_sr, r_rd):
         return None
 
     def block_phases(self, n: int):
@@ -246,27 +254,6 @@ def real_trace(value, what: str = "trace"):
     return value.real if value.ndim else float(value.real)
 
 
-def cascade_matrix(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.ndarray) -> np.ndarray:
-    """R_rd P^H R_sr P for diagonal phase matrix P given by its diagonal, one phase vector (N,).
-
-    Scales rows/columns of R_sr by the phases (O(N^2)) and applies one
-    matrix product; the phase matrix is never formed densely.
-    """
-    return _cascade(r_rd, r_sr, phases)[0]
-
-
-def _cascade(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.ndarray):
-    """(cascade_matrix, a spent N x N buffer that the caller may overwrite)."""
-    n = r_rd.n
-    phases = np.asarray(phases, dtype=np.complex128)
-    if r_sr.n != n or phases.shape != (n,):
-        raise DomainError(
-            f"dimension mismatch: r_rd {r_rd.n}, r_sr {r_sr.n}, phases {phases.shape}"
-        )
-    inner = (np.conj(phases)[:, None] * r_sr.entries) * phases[None, :]
-    return r_rd.entries @ inner, inner
-
-
 def _checked_traces(t_lin: np.ndarray, t_quad: np.ndarray):
     """The real parts of a stack's traces (B,), each checked real and nonnegative.
 
@@ -291,6 +278,74 @@ def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     floats; both are provably real and nonnegative for PSD inputs, which is
     asserted.
     """
-    c, spare = _cascade(r_rd, r_sr, phases)
-    t_lin, t_quad = _checked_traces(np.trace(c)[None], np.multiply(c, c.T, out=spare).sum()[None])
+    n = r_rd.n
+    phases = np.asarray(phases, dtype=np.complex128)
+    if r_sr.n != n or phases.shape != (n,):
+        raise DomainError(
+            f"dimension mismatch: r_rd {r_rd.n}, r_sr {r_sr.n}, phases {phases.shape}"
+        )
+    # C = R_rd P^H R_sr P: R_sr's rows and columns scaled by the phases
+    # (O(N^2)), then one matrix product; the scaled copy's buffer then holds
+    # C * C^T.  The phase matrix is never formed densely.
+    inner = (np.conj(phases)[:, None] * r_sr.entries) * phases[None, :]
+    c = r_rd.entries @ inner
+    t_lin, t_quad = _checked_traces(np.trace(c)[None], np.multiply(c, c.T, out=inner).sum()[None])
     return float(t_lin[0]), float(t_quad[0])
+
+
+def equal_phase_traces(r_sr: CorrelationMatrix, r_rd: CorrelationMatrix):
+    """Cascade traces when all phases coincide: the phase matrix cancels.
+
+    t1 = tr(R_rd R_sr) as an elementwise sum, t2 = tr((R_rd R_sr)^2) with a
+    single matrix product.
+    """
+    if r_sr.n != r_rd.n:
+        raise DomainError(f"dimension mismatch: r_sr {r_sr.n}, r_rd {r_rd.n}")
+    # One N x N buffer holds each elementwise product before its sum.
+    buf = np.multiply(r_rd.entries, r_sr.entries.T)
+    t1 = real_trace(complex(np.sum(buf)), "equal-phase trace")
+    prod = r_rd.entries @ r_sr.entries
+    t2 = real_trace(complex(np.sum(np.multiply(prod, prod.T, out=buf))), "equal-phase squared trace")
+    return t1, t2
+
+
+@dataclass(frozen=True)
+class UniformPhaseMoments:
+    """Phase-averaged cascade statistics under i.i.d. uniform phases.
+
+    mean_trace        expectation of the cascade trace
+    mean_trace_sq     expectation of the squared cascade trace
+    mean_quad_trace   expectation of the trace of the squared cascade matrix
+    """
+
+    mean_trace: float
+    mean_trace_sq: float
+    mean_quad_trace: float
+
+
+def uniform_phase_trace_moments(
+    r_sr: CorrelationMatrix, r_rd: CorrelationMatrix
+) -> UniformPhaseMoments:
+    """Closed-form phase averages via Hadamard-product identities.
+
+    validation.uniform_phase_trace_moments_by_sums is the independent
+    index-sum oracle for these expressions; acceptance criterion 2 and the
+    test suite require the two routes to agree to 1e-12 relative.
+    """
+    if r_sr.n != r_rd.n:
+        raise DomainError(f"dimension mismatch: r_sr {r_sr.n}, r_rd {r_rd.n}")
+    a = r_rd.entries * r_sr.entries  # Hadamard product
+    diag_sq = np.sum(np.real(np.diag(a)) ** 2)
+    nu = real_trace(complex(np.trace(a)), "phase-averaged trace")
+    mag = np.abs(a)
+    eta = nu * nu + float(np.sum(np.square(mag, out=mag))) - diag_sq
+    # b = R_rd diag(R_sr) and c = R_sr diag(R_rd), each built in a's buffer
+    # once a is spent, and each b * b^T in one second buffer.
+    prod = np.empty_like(a)
+    sums = []
+    for x, y in ((r_rd, r_sr), (r_sr, r_rd)):
+        b = np.multiply(x.entries, np.diag(y.entries)[None, :], out=a)
+        sums.append(np.sum(np.multiply(b, b.T, out=prod)))
+    quad = real_trace(np.array(sums), "phase-averaged quad trace")
+    delta = quad[0] + quad[1] - diag_sq
+    return UniformPhaseMoments(nu, eta, delta)

@@ -276,27 +276,36 @@ def _check_geometry(n_h: int, n_v: int, carrier_ghz: float, spacing_over_lambda:
 
 
 def _check_gain_scale(n: int, beta_sd: float, beta_sr: float, beta_rd: float):
-    """The gain's moments must stay in the float range: 3 (beta_sd + N^2 beta_sr beta_rd)^2 finite.
+    """The gain's moments must stay in the float range: 3 (beta_sd + N^2 beta_sr beta_rd)^2 finite
+    and (beta_sr beta_rd)^2 a normal float.
 
     A correlation matrix has entries of modulus at most 1, so the cascade
     trace is at most N^2 beta_sr beta_rd and the mean gain at most the bound
     b in brackets; the variance, and every trace product behind it, is at
     most 3 b^2.  The error names beta_sd_db when the direct link dominates
-    b, and the larger of the two surface products otherwise.
+    b, and the larger of the two surface products otherwise.  The squared
+    cascade traces scale as (beta_sr beta_rd)^2, and below the normal range
+    the fit loses bits silently; that error names the smaller product.
     """
-    cascade = n * n * beta_sr * beta_rd
+    product = beta_sr * beta_rd
+    cascade = n * n * product
     bound = beta_sd + cascade
-    if 3.0 * bound * bound < math.inf:
-        return
-    if beta_sd >= cascade:
-        field = "beta_sd_db"
-    else:
-        field = "beta_sr_dhdv_db" if beta_sr >= beta_rd else "beta_rd_dhdv_db"
-    raise ScenarioFormatError(
-        f"the gain's moments overflow: the mean gain may reach beta_sd + N^2 beta_sr beta_rd = {bound} "
-        "and its variance three times that squared; lower the link gains",
-        field=field,
-    )
+    if not 3.0 * bound * bound < math.inf:
+        if beta_sd >= cascade:
+            field = "beta_sd_db"
+        else:
+            field = "beta_sr_dhdv_db" if beta_sr >= beta_rd else "beta_rd_dhdv_db"
+        raise ScenarioFormatError(
+            f"the gain's moments overflow: the mean gain may reach beta_sd + N^2 beta_sr beta_rd = {bound} "
+            "and its variance three times that squared; lower the link gains",
+            field=field,
+        )
+    if not product * product >= sys.float_info.min:
+        raise ScenarioFormatError(
+            f"the squared cascade traces underflow: (beta_sr beta_rd)^2 = {product * product} "
+            "is below the normal float range; raise the link gains",
+            field="beta_sr_dhdv_db" if beta_sr <= beta_rd else "beta_rd_dhdv_db",
+        )
 
 
 def _build_design(raw: dict, n: int) -> PhaseShiftDesign:

@@ -8,6 +8,10 @@ overrides for quick smoke runs, but the canonical gate is the default
 configuration.  The oracles only the gate needs sit beside the criterion
 that runs each: the index-sum phase averages (2), the scale derivative (7)
 and the equal-phase trace bound (8); ``import irslink`` does not load them.
+Criteria 1 and 2 fit a raw phase vector by the general route that
+``gamma_fit`` takes for a ``Fixed`` design (``cascade_traces``, then
+closedform's ``_moments`` and ``_fit``); criterion 2 holds it against
+``gamma_fit`` of an ``Equal`` design.
 Criterion 3 traces its phase draws by a route of its own as well: one
 matrix product per stack of draws against an (N, N^2) kernel, which grows
 as N^3 and so suits its N = 16 only; it agrees with ``cascade_traces``
@@ -23,21 +27,12 @@ import numpy as np
 from scipy import special
 
 from . import rng
-from .closedform import (
-    GammaParams,
-    UniformPhaseMoments,
-    _fit,
-    gain_moments,
-    gamma_fit,
-    gamma_fit_equal_phase,
-    outage_probability,
-    uniform_phase_trace_moments,
-)
+from .closedform import GammaParams, _fit, _moments, gamma_fit, outage_probability
 from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
 from .errors import DomainError
 from .montecarlo import _trial_array, gain_samples, outage_rates, run_ranges
-from .phaseshift import TRACE_IMAG_TOL, Equal, Fixed, OptimalCsi, UniformRandom, _checked_traces, _wrap_angle, cascade_traces, phase_vector
+from .phaseshift import TRACE_IMAG_TOL, Equal, Fixed, OptimalCsi, UniformPhaseMoments, UniformRandom, _checked_traces, _wrap_angle, cascade_traces, phase_vector, uniform_phase_trace_moments
 from .scenario import MODELS, load_scenario
 
 QUARTER_TURN = math.pi / 4.0
@@ -129,8 +124,8 @@ def criterion_1(trials=None, seed=None):
     worst = 0.0
     for n, beta_sd, r_sr, r_rd, gen in _matrix_pairs():
         for _ in range(10):
-            phases = phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n)
-            mean, var = gain_moments(beta_sd, r_sr, r_rd, phases)
+            t1, t2 = cascade_traces(r_rd, r_sr, phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n))
+            mean, var = _moments(beta_sd, t1, t1 * t1, t2)
             gp = _fit(mean, var)  # what gamma_fit returns, without tracing the vector again
             worst = max(
                 worst,
@@ -170,8 +165,9 @@ def criterion_2(trials=None, seed=None):
     worst = 0.0
     for n, beta_sd, r_sr, r_rd, gen in _matrix_pairs():
         theta = float(gen.uniform(-np.pi, np.pi))
-        via_general = gamma_fit(beta_sd, r_sr, r_rd, phase_vector(Equal(theta), n))
-        via_equal = gamma_fit_equal_phase(beta_sd, r_sr, r_rd)
+        t1, t2 = cascade_traces(r_rd, r_sr, phase_vector(Equal(theta), n))
+        via_general = _fit(*_moments(beta_sd, t1, t1 * t1, t2))
+        via_equal = gamma_fit(beta_sd, r_sr, r_rd, Equal(theta))
         worst = max(
             worst,
             abs(via_general.shape - via_equal.shape) / via_equal.shape,
@@ -427,7 +423,7 @@ def criterion_8(trials=None, seed=None):
     shapes, scale_gaps, bounds_ok = [], [], []
     for side in (4, 8, 12, 16, 20):
         r = _sinc_square(side)
-        gp = gamma_fit_equal_phase(0.0, r, r)
+        gp = gamma_fit(0.0, r, r, Equal(0.0))
         t1, _ = cascade_traces(r, r, phase_vector(Equal(0.0), r.n))
         shapes.append(gp.shape)
         scale_gaps.append(abs(gp.scale - t1) / t1)

@@ -133,3 +133,33 @@ def test_the_package_does_not_load_or_export_the_gate():
     moved = {"uniform_phase_trace_moments_by_sums", "outage_scale_sensitivity", "equal_phase_trace_bound", "TRACE_BOUND_SLACK"}
     assert moved <= defined
     assert defined.isdisjoint(irslink.__all__)
+
+
+def test_the_submodule_import_graph_is_acyclic():
+    """No irslink submodule imports, directly or through others, one that imports it back."""
+    package = Path(irslink.__file__).resolve().parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    graph = {}
+    for name in modules:
+        tree = ast.parse((package / f"{name}.py").read_text())
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # from .x import ... imports x; from . import x, y imports the submodules named
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                graph[name] |= {t for t in targets if t in modules}
+    assert graph["closedform"] and graph["phaseshift"]  # the parse sees the imports
+    done, stack = set(), []
+
+    def visit(name):
+        assert name not in stack, f"import cycle: {' -> '.join(stack[stack.index(name):] + [name])}"
+        if name in done:
+            return
+        stack.append(name)
+        for target in sorted(graph[name]):
+            visit(target)
+        stack.pop()
+        done.add(name)
+
+    for name in sorted(modules):
+        visit(name)

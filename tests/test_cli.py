@@ -9,13 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import irslink.closedform as closedform_module
 import irslink.curves as curves_module
 from irslink import cli, validation
 from irslink.curves import read_curve_csv
 from irslink.scenario import load_scenario
 
 from test_curves import _FullDisk
-from test_scenario import GAIN_SCALE_OVERFLOWS, GEOMETRY_OVERFLOWS, RANGE_EDGES, THRESHOLD_OVERFLOWS, make
+from test_scenario import GAIN_SCALE_OVERFLOWS, GAIN_SCALE_UNDERFLOWS, GEOMETRY_OVERFLOWS, RANGE_EDGES, THRESHOLD_OVERFLOWS, make
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -133,11 +134,22 @@ def test_surface_cell_count_is_bounded(tmp_path, monkeypatch, capsys):
     # stubbed, so a tree without the cap fails here instead of allocating.
     out = tmp_path / "surface.csv"
     evaluated = []
-    monkeypatch.setattr(curves_module.special, "gammainc", lambda *a: evaluated.append(a))
+    monkeypatch.setattr(closedform_module.special, "gammainc", lambda *a: evaluated.append(a))
     code = cli.main(["surface", "--ka-step", "5e-5", "--wa-step", "5e-5", "--out", str(out)])
     assert code == 2
     assert "exceeds the cap of 100000" in capsys.readouterr().err
     assert not evaluated and not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_surface_scale_beyond_the_float_range_is_its_limit(tmp_path, capsys):
+    # z / w overflows to inf, where every cell's outage is exactly 1.
+    out = tmp_path / "surface.csv"
+    code = cli.main(["surface", "--wa-min", "1e-308", "--wa-max", "1e-308", "--wa-step", "1", "--out", str(out)])
+    assert code == 0
+    assert "Warning" not in capsys.readouterr().err
+    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith(("#", "k_a"))]
+    assert rows and all(float(cell) == 1.0 for row in rows for cell in row[1:])
 
 
 def test_curve_grid_is_bounded(tmp_path):
@@ -236,7 +248,7 @@ def test_infinite_threshold_is_input_error(tmp_path, overrides, field):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("overrides, field", GAIN_SCALE_OVERFLOWS + GEOMETRY_OVERFLOWS)
+@pytest.mark.parametrize("overrides, field", GAIN_SCALE_OVERFLOWS + GEOMETRY_OVERFLOWS + GAIN_SCALE_UNDERFLOWS)
 @pytest.mark.parametrize("trials", ["0", "3"])
 def test_moments_or_offsets_beyond_the_float_range_are_input_errors(tmp_path, capsys, overrides, field, trials):
     path = tmp_path / "huge.json"

@@ -4,21 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irslink.closedform import (
-    GammaParams,
+from irslink.closedform import GammaParams, _moments, gamma_fit, outage_probability
+from irslink.correlation import ArrayGeometry, CorrelationMatrix, scale_covariance
+from irslink.errors import DegenerateScenarioError, DomainError, ScenarioFormatError
+from irslink.phaseshift import (
+    Equal,
+    Fixed,
+    UniformRandom,
+    cascade_traces,
     equal_phase_traces,
-    gain_moments,
-    gamma_fit,
-    gamma_fit_equal_phase,
-    gamma_fit_uniform_phase,
-    outage_probability,
+    phase_vector,
     uniform_phase_trace_moments,
 )
-from irslink.correlation import ArrayGeometry, CorrelationMatrix
-from irslink.errors import DegenerateScenarioError, DomainError, ScenarioFormatError
-from irslink.phaseshift import Equal, Fixed, UniformRandom, cascade_traces, phase_vector
 from irslink.scenario import load_scenario, scenario_from_dict
-from irslink.units import dbm_to_watts
+from irslink.units import db_to_linear, dbm_to_watts
 from irslink.validation import outage_scale_sensitivity, uniform_phase_trace_moments_by_sums
 
 from test_scenario import make
@@ -30,6 +29,12 @@ def scalar_matrix(value, n):
 
 def zeros(n):
     return CorrelationMatrix(np.zeros((n, n)))
+
+
+def moments_at(beta_sd, r_sr, r_rd, phases):
+    """The gain's (mean, variance) at one phase vector: its cascade traces, then _moments."""
+    t1, t2 = cascade_traces(r_rd, r_sr, phases)
+    return _moments(beta_sd, t1, t1 * t1, t2)
 
 
 # --- SNR threshold ----------------------------------------------------------
@@ -75,7 +80,7 @@ def test_non_finite_parameters_rejected(key, value):
 
 
 def test_moments_direct_channel_only():
-    mean, var = gain_moments(1.0, zeros(2), zeros(2), np.ones(2))
+    mean, var = moments_at(1.0, zeros(2), zeros(2), np.ones(2))
     assert (mean, var) == (1.0, 1.0)
 
 
@@ -83,7 +88,7 @@ def test_moments_uncorrelated_scalar_matrices():
     a, b, n = 0.6, 1.7, 8
     beta = 0.9
     phases = phase_vector(UniformRandom(12), n)
-    mean, var = gain_moments(beta, scalar_matrix(a, n), scalar_matrix(b, n), phases)
+    mean, var = moments_at(beta, scalar_matrix(a, n), scalar_matrix(b, n), phases)
     t1, t2 = n * a * b, n * a * a * b * b
     assert mean == pytest.approx(beta + t1, rel=1e-12)
     assert var == pytest.approx(beta**2 + 2 * beta * t1 + t1**2 + 2 * t2, rel=1e-12)
@@ -91,7 +96,7 @@ def test_moments_uncorrelated_scalar_matrices():
 
 def test_moments_match_monte_carlo(heavy_mc):
     """Sample mean, variance and raw second moment of one million trials agree with the closed form."""
-    mean, var = gain_moments(
+    mean, var = moments_at(
         heavy_mc["beta_sd"], heavy_mc["r"], heavy_mc["r"], heavy_mc["phases"]
     )
     gains = heavy_mc["gains"]
@@ -112,15 +117,15 @@ def test_moments_match_monte_carlo(heavy_mc):
 
 
 def test_gamma_fit_direct_only_is_exponential():
-    gp = gamma_fit(1.0, zeros(2), zeros(2), np.ones(2))
+    gp = gamma_fit(1.0, zeros(2), zeros(2), Fixed(np.zeros(2)))
     assert (gp.shape, gp.scale) == (1.0, 1.0)
 
 
 def test_gamma_fit_degenerate_rejected():
     with pytest.raises(DegenerateScenarioError):
-        gamma_fit(0.0, zeros(3), zeros(3), np.ones(3))
+        gamma_fit(0.0, zeros(3), zeros(3), Fixed(np.zeros(3)))
     with pytest.raises(DegenerateScenarioError):
-        gamma_fit_equal_phase(0.0, zeros(3), zeros(3))
+        gamma_fit(0.0, zeros(3), zeros(3), Equal(0.0))
 
 
 def test_gamma_fit_preserves_matched_moments():
@@ -131,9 +136,9 @@ def test_gamma_fit_preserves_matched_moments():
         g = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / np.sqrt(2)
         r_rd = CorrelationMatrix(g @ g.conj().T / n)
         beta = float(gen.uniform(0.0, 2.0))
-        phases = phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n)
-        mean, var = gain_moments(beta, r_sr, r_rd, phases)
-        gp = gamma_fit(beta, r_sr, r_rd, phases)
+        design = Fixed(gen.uniform(-np.pi, np.pi, n))
+        mean, var = moments_at(beta, r_sr, r_rd, phase_vector(design, n))
+        gp = gamma_fit(beta, r_sr, r_rd, design)
         assert gp.mean == pytest.approx(mean, rel=1e-12)
         assert gp.variance == pytest.approx(var, rel=1e-12)
 
@@ -141,16 +146,16 @@ def test_gamma_fit_preserves_matched_moments():
 def test_equal_phase_path_matches_general(sinc16):
     beta = 0.4
     for theta in np.linspace(-np.pi, np.pi, 7, endpoint=False):
-        via_general = gamma_fit(beta, sinc16, sinc16, phase_vector(Equal(theta), 16))
-        via_equal = gamma_fit_equal_phase(beta, sinc16, sinc16)
+        via_general = gamma_fit(beta, sinc16, sinc16, Fixed(np.full(16, theta)))
+        via_equal = gamma_fit(beta, sinc16, sinc16, Equal(theta))
         assert via_general.shape == pytest.approx(via_equal.shape, rel=1e-12)
         assert via_general.scale == pytest.approx(via_equal.scale, rel=1e-12)
 
 
 def test_equal_phase_uncorrelated_matches_scalar_formula():
     a, b, n = 1.3, 0.2, 5
-    gp = gamma_fit_equal_phase(0.7, scalar_matrix(a, n), scalar_matrix(b, n))
-    via_general = gamma_fit(0.7, scalar_matrix(a, n), scalar_matrix(b, n), np.ones(n))
+    gp = gamma_fit(0.7, scalar_matrix(a, n), scalar_matrix(b, n), Equal(0.0))
+    via_general = gamma_fit(0.7, scalar_matrix(a, n), scalar_matrix(b, n), Fixed(np.zeros(n)))
     assert gp == via_general
 
 
@@ -171,7 +176,7 @@ def test_blocked_uncorrelated_fit_depends_only_on_size_and_gain_product():
     # with no direct channel, shape = N/(N+2) and scale = (N+2) a b
     for n in (1, 4, 9):
         for a, b in [(0.5, 2.0), (1.0, 1.0), (0.1, 30.0)]:
-            gp = gamma_fit_equal_phase(0.0, scalar_matrix(a, n), scalar_matrix(b, n))
+            gp = gamma_fit(0.0, scalar_matrix(a, n), scalar_matrix(b, n), Equal(0.0))
             assert gp.shape == pytest.approx(n / (n + 2), rel=1e-12)
             assert gp.scale == pytest.approx((n + 2) * a * b, rel=1e-12)
 
@@ -236,7 +241,7 @@ def test_uniform_stats_match_phase_draws(sinc16):
 
 def test_uniform_fit_moment_preservation(sinc16):
     beta = 0.3
-    gp = gamma_fit_uniform_phase(beta, sinc16, sinc16)
+    gp = gamma_fit(beta, sinc16, sinc16, UniformRandom(0))
     m = uniform_phase_trace_moments(sinc16, sinc16)
     mean = beta + m.mean_trace
     var = beta**2 + 2 * beta * m.mean_trace + m.mean_trace_sq + 2 * m.mean_quad_trace
@@ -246,7 +251,7 @@ def test_uniform_fit_moment_preservation(sinc16):
 
 def test_uniform_fit_degenerate():
     with pytest.raises(DegenerateScenarioError):
-        gamma_fit_uniform_phase(0.0, zeros(2), zeros(2))
+        gamma_fit(0.0, zeros(2), zeros(2), UniformRandom(0))
 
 
 # --- Outage probability and its sensitivity -----------------------------------
@@ -264,10 +269,22 @@ def test_outage_beyond_the_float_range_is_its_limit():
 
 
 def test_a_gain_whose_variance_underflows_is_degenerate():
-    # beta_sr = 1e-300 passes the schema, but the variance, about the mean squared, underflows to 0.
-    sc = replace(load_scenario("fig2c"), beta_sr_dhdv_db=-3000.0)
+    # fig2c's model scaled by beta_sr = 1e-300, which the schema refuses: the
+    # variance, about the mean squared, underflows to 0.
+    sc = load_scenario("fig2c")
+    r = sc.correlation_model()
+    r_sr, r_rd = scale_covariance(r, 1e-300), scale_covariance(r, db_to_linear(sc.beta_rd_dhdv_db))
     with pytest.raises(DegenerateScenarioError, match="variance underflows to 0.0"):
-        sc.design.gamma_fit(sc.beta_sd, *sc.covariances())
+        gamma_fit(sc.beta_sd, r_sr, r_rd, sc.design)
+
+
+def test_small_gains_inside_the_normal_range_fit_the_same_shape():
+    # With the direct link blocked the shape does not depend on the gain scale.
+    base = load_scenario("fig2c")
+    tiny = replace(base, beta_sr_dhdv_db=-760.0, beta_rd_dhdv_db=-760.0)
+    want = gamma_fit(base.beta_sd, *base.covariances(), base.design).shape
+    got = gamma_fit(tiny.beta_sd, *tiny.covariances(), tiny.design).shape
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_outage_exponential_point():
@@ -367,11 +384,11 @@ def test_non_finite_gamma_params_rejected(which, bad):
 @pytest.mark.parametrize("fit", ["fixed", "equal", "uniform"])
 def test_each_fit_rejects_a_negative_or_nan_direct_gain(fit):
     r = scalar_matrix(0.5, 2)
-    call = {
-        "fixed": lambda b: gamma_fit(b, r, r, np.ones(2)),
-        "equal": lambda b: gamma_fit_equal_phase(b, r, r),
-        "uniform": lambda b: gamma_fit_uniform_phase(b, r, r),
+    design = {
+        "fixed": Fixed(np.zeros(2)),
+        "equal": Equal(0.0),
+        "uniform": UniformRandom(0),
     }[fit]
     for bad in (-0.1, math.nan):
         with pytest.raises(DomainError, match="direct-link gain"):
-            call(bad)
+            gamma_fit(bad, r, r, design)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import irslink.curves as curves_module
-from irslink.closedform import GammaParams, gamma_fit_uniform_phase, outage_probability
+from irslink.closedform import GammaParams, _fit, _moments, outage_probability
 from irslink.curves import (
     OutageCurve,
     check_target,
@@ -22,6 +22,7 @@ from irslink.curves import (
 )
 from irslink.errors import DomainError, ScenarioFormatError
 from irslink.montecarlo import gain_samples, outage_rates
+from irslink.phaseshift import uniform_phase_trace_moments
 from irslink.scenario import load_scenario, scenario_from_dict
 
 from test_scenario import make
@@ -43,7 +44,8 @@ def test_uniform_design_uses_phase_averaged_fit():
     sc = small_scenario(design="uniform_random", theta=None, seed=4)
     curve = run_curve(sc, trials=0, seed=1)
     r_sr, r_rd = sc.covariances()
-    gp = gamma_fit_uniform_phase(sc.beta_sd, r_sr, r_rd)
+    m = uniform_phase_trace_moments(r_sr, r_rd)
+    gp = _fit(*_moments(sc.beta_sd, m.mean_trace, m.mean_trace_sq, m.mean_quad_trace))
     assert curve.k_a[0] == gp.shape
     assert curve.w_a[0] == gp.scale
     expected = [outage_probability(gp, z) for z in curve.z]

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from irslink import montecarlo, rng, validation
-from irslink.closedform import (
-    gamma_fit,
-    gamma_fit_equal_phase,
-    gamma_fit_uniform_phase,
-    uniform_phase_trace_moments,
-)
+from irslink.closedform import _fit, _moments, gamma_fit
 from irslink.correlation import (
     ArrayGeometry,
     CorrelationMatrix,
@@ -27,9 +22,10 @@ from irslink.phaseshift import (
     OptimalCsi,
     UniformRandom,
     _phasors,
-    cascade_matrix,
     cascade_traces,
+    equal_phase_traces,
     phase_vector,
+    uniform_phase_trace_moments,
 )
 from irslink.scenario import DESIGNS, load_scenario
 from irslink.validation import TRACE_BOUND_SLACK, criterion_3, equal_phase_trace_bound
@@ -133,10 +129,19 @@ def test_each_design_fits_with_its_own_closed_form():
     gen = np.random.default_rng(11)
     r_sr, r_rd = random_psd(gen, 5), random_psd(gen, 5)
     fixed = Fixed(gen.uniform(-np.pi, np.pi, 5))
-    assert Equal(0.3).gamma_fit(0.4, r_sr, r_rd) == gamma_fit_equal_phase(0.4, r_sr, r_rd)
-    assert fixed.gamma_fit(0.4, r_sr, r_rd) == gamma_fit(0.4, r_sr, r_rd, phase_vector(fixed, 5))
-    assert UniformRandom(8).gamma_fit(0.4, r_sr, r_rd) == gamma_fit_uniform_phase(0.4, r_sr, r_rd)
-    assert OptimalCsi().gamma_fit(0.4, r_sr, r_rd) is None
+    t1, t2 = equal_phase_traces(r_sr, r_rd)
+    assert Equal(0.3).cascade_moments(r_sr, r_rd) == (t1, t1 * t1, t2)
+    t1, t2 = cascade_traces(r_rd, r_sr, phase_vector(fixed, 5))
+    assert fixed.cascade_moments(r_sr, r_rd) == (t1, t1 * t1, t2)
+    m = uniform_phase_trace_moments(r_sr, r_rd)
+    assert UniformRandom(8).cascade_moments(r_sr, r_rd) == (m.mean_trace, m.mean_trace_sq, m.mean_quad_trace)
+    assert OptimalCsi().cascade_moments(r_sr, r_rd) is None
+    # One fit route: the design's moments, matched by _moments and _fit.
+    for design in (Equal(0.3), fixed, UniformRandom(8)):
+        assert gamma_fit(0.4, r_sr, r_rd, design) == _fit(*_moments(0.4, *design.cascade_moments(r_sr, r_rd)))
+    assert gamma_fit(0.4, r_sr, r_rd, OptimalCsi()) is None
+    with pytest.raises(DomainError, match="unknown phase-shift design"):
+        gamma_fit(0.4, r_sr, r_rd, "equal")
 
 
 def test_block_phases_are_the_per_draw_phase_vectors():
@@ -178,7 +183,6 @@ def test_one_vector_traces_keep_their_arithmetic(n):
     for phases in np.concatenate([fixed, UniformRandom(19).phase_draws(n)(40, 70)]):
         # One matrix product, the trace, then a pairwise sum of c * c^T.
         c = r_rd.entries @ ((np.conj(phases)[:, None] * r_sr.entries) * phases[None, :])
-        assert np.array_equal(cascade_matrix(r_rd, r_sr, phases), c)
         assert cascade_traces(r_rd, r_sr, phases) == (np.trace(c).real, np.sum(c * c.T).real)
 
 
@@ -329,8 +333,8 @@ def test_optimal_csi_not_materializable():
 def test_cascade_identity_phases_is_plain_product():
     gen = np.random.default_rng(7)
     r_sr, r_rd = random_psd(gen, 5), random_psd(gen, 5)
-    c = cascade_matrix(r_rd, r_sr, np.ones(5))
-    assert np.array_equal(c, r_rd.entries @ r_sr.entries)
+    c = r_rd.entries @ r_sr.entries
+    assert cascade_traces(r_rd, r_sr, np.ones(5)) == (np.trace(c).real, np.sum(c * c.T).real)
 
 
 def test_cascade_scalar_matrices():
@@ -366,13 +370,11 @@ def test_cascade_traces_real_nonnegative():
 def test_cascade_dimension_mismatch():
     r3, r4 = identity_correlation(3), identity_correlation(4)
     with pytest.raises(DomainError):
-        cascade_matrix(r3, r4, np.ones(3))
+        cascade_traces(r3, r4, np.ones(3))
     with pytest.raises(DomainError):
-        cascade_matrix(r3, r3, np.ones(4))
+        cascade_traces(r3, r3, np.ones(4))
     # One phase vector per call: a stack of them (B, N) is rejected too.
     for stack in (np.ones((2, 3)), np.ones((1, 3)), np.ones((0, 3))):
-        with pytest.raises(DomainError, match="dimension mismatch"):
-            cascade_matrix(r3, r3, stack)
         with pytest.raises(DomainError, match="dimension mismatch"):
             cascade_traces(r3, r3, stack)
 

@@ -283,10 +283,16 @@ GAIN_KEYS = ("beta_sd_db", "beta_sr_dhdv_db", "beta_rd_dhdv_db")
 
 
 # A link gain at +3000 dB converts to a finite float, but the gain's moments
-# overflow (GAIN_SCALE_OVERFLOWS); +1500 dB is inside both ranges.
+# overflow (GAIN_SCALE_OVERFLOWS); +1500 dB is inside both ranges.  A surface
+# product at -3000 dB converts to a nonzero float, but the squared cascade
+# traces underflow (GAIN_SCALE_UNDERFLOWS); -1400 dB is inside both ranges.
 @pytest.mark.parametrize(
     "key, value",
-    [(key, value) for key in LEVEL_KEYS for value in (1500.0 if key in GAIN_KEYS else 3000.0, -3000.0)],
+    [
+        (key, value)
+        for key in LEVEL_KEYS
+        for value in (1500.0 if key in GAIN_KEYS else 3000.0, -1400.0 if key in GAIN_KEYS and key != "beta_sd_db" else -3000.0)
+    ],
     ids=lambda param: f"{param:+.0f}" if isinstance(param, float) else param,
 )
 @pytest.mark.parametrize("route", ROUTES)
@@ -302,6 +308,17 @@ GAIN_SCALE_OVERFLOWS = [
     ({"beta_rd_dhdv_db": 3000.0}, "beta_rd_dhdv_db"),
     ({"beta_sd_db": 3000.0}, "beta_sd_db"),
     ({"beta_sr_dhdv_db": 1500.0, "beta_rd_dhdv_db": 1400.0}, "beta_sr_dhdv_db"),
+]
+# Surface products inside their range whose squared product (beta_sr beta_rd)^2
+# falls below the normal float range, where the squared cascade traces lose
+# their bits.  The key named is the smaller product's.
+GAIN_SCALE_UNDERFLOWS = [
+    ({"beta_sr_dhdv_db": -3000.0}, "beta_sr_dhdv_db"),
+    ({"beta_rd_dhdv_db": -3000.0}, "beta_rd_dhdv_db"),
+    ({"beta_sr_dhdv_db": -700.0, "beta_rd_dhdv_db": -900.0}, "beta_rd_dhdv_db"),
+    # Both products at -815 dB fitted fig2c's shape as 0.350238 instead of 0.350216, at -820 dB as 1.0.
+    ({"beta_sr_dhdv_db": -815.0, "beta_rd_dhdv_db": -815.0}, "beta_sr_dhdv_db"),
+    ({"beta_sr_dhdv_db": -820.0, "beta_rd_dhdv_db": -820.0}, "beta_sr_dhdv_db"),
 ]
 # Carriers and spacings whose element offsets in meters square out of the
 # normal float range: the spacing overflows, the wavelength is inf, the
@@ -323,7 +340,7 @@ RANGE_EDGES = [
 ]
 
 
-@pytest.mark.parametrize("overrides, field", GAIN_SCALE_OVERFLOWS + GEOMETRY_OVERFLOWS)
+@pytest.mark.parametrize("overrides, field", GAIN_SCALE_OVERFLOWS + GEOMETRY_OVERFLOWS + GAIN_SCALE_UNDERFLOWS)
 @pytest.mark.parametrize("route", ROUTES)
 def test_moments_or_offsets_beyond_the_float_range_name_their_field(route, overrides, field):
     with pytest.raises(ScenarioFormatError, match=f"^{field}: ") as err:
@@ -381,7 +398,7 @@ def test_element_count_is_capped(route):
 # One bad value per bound and type rule of the Scenario fields.
 BAD_FIELDS = (
     [{key: value} for key in LEVEL_KEYS for value in (5000.0, -5000.0, True, "loud", HUGE)]
-    + [overrides for overrides, _ in GAIN_SCALE_OVERFLOWS + GEOMETRY_OVERFLOWS + THRESHOLD_OVERFLOWS]
+    + [overrides for overrides, _ in GAIN_SCALE_OVERFLOWS + GEOMETRY_OVERFLOWS + THRESHOLD_OVERFLOWS + GAIN_SCALE_UNDERFLOWS]
     + [{"n_h": 0}, {"n_v": -1}, {"n_h": 2.0}, {"n_v": 65, "n_h": 64}, {"carrier_ghz": 0.0}, {"spacing_over_lambda": -1.0}]
     + [{"model": "rayleigh"}, {"model": 3}, {"exp_magnitude": 1.0}, {"exp_magnitude": float("nan")}]
     + [{"xi_min": -1.0}, {"xi_max": -1.0}, {"xi_step": 0.0}, {"xi_step": 1e-308}, {"xi_max": float("inf")}]
