@@ -1,9 +1,13 @@
 """Closed-form outage probability via Gamma moment matching.
 
 The effective channel gain X = |h_sd + h_sr^H P h_rd|^2 is matched to a
-Gamma(shape, scale) variable preserving its first two moments, after which
-the outage probability at SNR threshold z is 1 - Q(shape, z/scale) with Q
-the regularized upper incomplete gamma function.  The phase-shift designs
+Gamma(shape, scale) variable, after which the outage probability at SNR
+threshold z is 1 - Q(shape, z/scale) with Q the regularized upper
+incomplete gamma function.  For a fixed phase vector the match preserves
+X's first two moments.  For UniformRandom phases it preserves the mean and
+E_P[Var(X | P)], the variance given the phases averaged over them, which
+falls short of Var(X) by Var_P(t1) = t1_sq - t1^2 (law of total variance;
+about 15% of the variance on the blocked fig2b).  The phase-shift designs
 differ only in the cascade moments (t1, t1_sq, t2) that each computes in
 ``phaseshift``; ``gamma_fit`` matches them all the same way.  The oracles
 that check these expressions live with the acceptance gate, in

@@ -108,7 +108,7 @@ class StreamFamily:
 
     def __init__(self, seed: int):
         seed = check_seed(seed)
-        key = [seed & _WORD, (seed >> 64) & _WORD]
+        key = [seed & _WORD, 0]  # check_seed keeps seeds below 2^64, so the high key word is 0
         self._bg = np.random.Philox(key=np.array(key, dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
         self._seed = seed
@@ -182,7 +182,7 @@ def _philox_uniforms(seed: int, domain: int, start: int, out: np.ndarray) -> Non
     """The vector engine of StreamFamily.fill: Philox4x64-10 over every counter block of the rows.
 
     Row r's block b has the counter words (b + 1, low and high words of
-    start + r, domain) and the seed's two words as its key; the carry from
+    start + r, domain) and (seed, 0) as its key; the carry from
     the low word into the high one is taken per row.  Rows are evaluated in
     chunks of at most _CHUNK_BLOCKS blocks through one set of buffers.
     """
@@ -190,7 +190,7 @@ def _philox_uniforms(seed: int, domain: int, start: int, out: np.ndarray) -> Non
     blocks = -(-values // 4)
     chunk = max(1, min(rows, _CHUNK_BLOCKS // blocks))
     round_keys = [
-        (_U((seed + i * _WEYL[0]) & _WORD), _U(((seed >> 64) + i * _WEYL[1]) & _WORD)) for i in range(_ROUNDS)
+        (_U((seed + i * _WEYL[0]) & _WORD), _U((i * _WEYL[1]) & _WORD)) for i in range(_ROUNDS)
     ]
     first_block = np.arange(1, blocks + 1, dtype=_U)
     low = _U(start & _WORD)

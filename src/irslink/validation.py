@@ -20,6 +20,7 @@ of each draw to rounding and makes the same checks.
 
 import functools
 import math
+import os
 import time
 from dataclasses import astuple, dataclass, replace
 
@@ -56,7 +57,7 @@ class CriterionResult:
     detail: str
     runtime: float  # wall seconds, held to ``limit``
     limit: float
-    cpu: float = 0.0  # process CPU seconds; tells contention apart from a slower check
+    cpu: float = 0.0  # CPU seconds of the process and its forked ranges; tells contention apart from a slower check
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -69,21 +70,28 @@ class CriterionResult:
 CRITERIA = {}
 
 
+def _children_cpu() -> float:
+    times = os.times()
+    return times.children_user + times.children_system
+
+
 def _criterion(number: int, name: str, limit: float):
     """Register a check as criterion ``number`` in CRITERIA.
 
     The check takes (trials, seed) and returns (ok, detail); the registered
-    criterion times it in wall and process CPU seconds and returns its
-    CriterionResult, failed also when the check took ``limit`` wall seconds
-    or more.
+    criterion times it in wall seconds and in CPU seconds (the process's,
+    plus those of the children it reaped: gain_samples' forked ranges) and
+    returns its CriterionResult, failed also when the check took ``limit``
+    wall seconds or more.
     """
 
     def register(check):
         @functools.wraps(check)
         def criterion(trials=None, seed=None) -> CriterionResult:
-            start, cpu_start = time.perf_counter(), time.process_time()
+            start, cpu_start, children_start = time.perf_counter(), time.process_time(), _children_cpu()
             ok, detail = check(trials, seed)
-            runtime, cpu = time.perf_counter() - start, time.process_time() - cpu_start
+            runtime = time.perf_counter() - start
+            cpu = time.process_time() - cpu_start + (_children_cpu() - children_start)
             if runtime >= limit:
                 ok = False
                 detail += f"; runtime {runtime:.1f}s exceeded {limit:.0f}s"

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -90,6 +91,15 @@ def test_criterion_cpu_time_is_not_held_to_the_limit(monkeypatch):
     result = validation.criterion_10()
     assert result.passed is True
     assert result.cpu == 1000.0 and result.runtime < result.limit
+
+
+def test_criterion_cpu_time_counts_reaped_children(monkeypatch):
+    """The CPU of the children a criterion reaps (gain_samples' forked ranges) counts toward its cpu."""
+    cpu_clock = iter(range(0, 10**6, 2))
+    children = iter([SimpleNamespace(children_user=u, children_system=s) for u, s in ((10.0, 1.0), (14.0, 1.5))])
+    monkeypatch.setattr(validation.time, "process_time", lambda: float(next(cpu_clock)))
+    monkeypatch.setattr(validation.os, "times", lambda: next(children))
+    assert validation.criterion_10().cpu == 2.0 + 4.5
 
 
 @pytest.mark.parametrize("trials", [0, 1, -1, 2.5, True])

@@ -372,6 +372,8 @@ def test_gamma_params_validated():
         GammaParams(0.0, 1.0)
     with pytest.raises(DomainError):
         GammaParams(1.0, -2.0)
+    with pytest.raises(DomainError):
+        GammaParams(1.0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

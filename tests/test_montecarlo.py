@@ -1,4 +1,8 @@
+import contextlib
 import math
+import os
+import signal
+import struct
 import sys
 import threading
 import time
@@ -8,7 +12,7 @@ import pytest
 
 from irslink import load_scenario, montecarlo, rng
 from irslink.correlation import CorrelationMatrix, matrix_sqrt
-from irslink.errors import DomainError
+from irslink.errors import DomainError, ScenarioFormatError
 from irslink.montecarlo import (
     ChannelRealization,
     EngineThreads,
@@ -222,24 +226,94 @@ def test_per_trial_ops_match_partial_blocks(side):
                 assert effective_gain(ch, phases) == gains[i]
 
 
+class _Records:
+    """Fixed-size records of unsigned ints that this process or a forked child writes, and this process reads.
+
+    A record is one write of far fewer than PIPE_BUF bytes, so the records
+    of several processes never interleave.
+    """
+
+    def __init__(self, fields):
+        self._format = f"{fields}Q"
+        self._read, self._write = os.pipe()
+        for fd in (self._read, self._write):
+            os.set_blocking(fd, False)  # a full pipe raises instead of hanging the test
+
+    def put(self, *values):
+        os.write(self._write, struct.pack(self._format, *values))
+
+    def take(self):
+        """Every record written since the last take, in the order written."""
+        data = b""
+        with contextlib.suppress(BlockingIOError):
+            while chunk := os.read(self._read, 1 << 16):
+                data += chunk
+        return list(struct.iter_unpack(self._format, data))
+
+    def close(self):
+        os.close(self._read)
+        os.close(self._write)
+
+
+def _force_workers(monkeypatch, w):
+    monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
+
+
 @pytest.fixture
 def workers(monkeypatch):
-    """Force gain_samples onto w worker threads; records each range it runs as (first, stop, thread)."""
-    ranges = []
+    """Force gain_samples onto w workers; returns a reader of the ranges run since, as (first, stop, pid, thread).
+
+    Every range is recorded by the process that runs it, forked children
+    included, so the reader sees all of them.
+    """
+    records = _Records(4)
     blocks = montecarlo.channel_blocks
 
     def recorded(beta_sd, l_sr, l_rd, seed, first, stop):
-        ranges.append((first, stop, threading.get_ident()))
+        records.put(first, stop, os.getpid(), threading.get_ident())
         return blocks(beta_sd, l_sr, l_rd, seed, first, stop)
 
     monkeypatch.setattr(montecarlo, "channel_blocks", recorded)
 
     def force(w):
-        monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
-        ranges.clear()
-        return ranges
+        _force_workers(monkeypatch, w)
+        records.take()
+        return lambda: sorted(records.take())
 
-    return force
+    yield force
+    records.close()
+
+
+def _check_ranges(ranges, w, trials):
+    """The ranges cover trials 0..trials-1 once, in whole 64-trial blocks, and the caller ran the first."""
+    assert len(ranges) == min(w, -(-trials // 64))
+    assert ranges[0][0] == 0 and ranges[-1][1] == trials
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert all(first % 64 == 0 and first < stop for first, stop, *_ in ranges)
+    assert ranges[0][2:] == (os.getpid(), threading.get_ident())
+
+
+def _no_child_left():
+    """Whether this process has no child at all, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@contextlib.contextmanager
+def _another_thread():
+    """A second Python thread, alive for the with block."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 @pytest.mark.parametrize("side", [1, 4, 8])  # N = 1, 16, 64
@@ -250,16 +324,51 @@ def test_worker_count_does_not_change_gains(side, workers):
             workers(1)
             serial = gain_samples(0.5, r, r, design, trials, seed=21).tobytes()
             for w in (2, 3):
-                ranges = workers(w)
+                read_ranges = workers(w)
                 assert gain_samples(0.5, r, r, design, trials, seed=21).tobytes() == serial
-                ranges.sort()
-                assert len(ranges) == min(w, -(-trials // 64))
-                assert ranges[0][0] == 0 and ranges[-1][1] == trials
-                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-                assert all(first % 64 == 0 and first < stop for first, stop, _ in ranges)
-                # the calling thread runs the first range, pool threads the others
-                on_caller = [thread == threading.get_ident() for _, _, thread in ranges]
-                assert on_caller == [True] + [False] * (len(ranges) - 1)
+                ranges = read_ranges()
+                _check_ranges(ranges, w, trials)
+                # this process runs the first range, a forked child of its own each other one
+                children = [pid for _, _, pid, _ in ranges[1:]]
+                assert os.getpid() not in children and len(set(children)) == len(children)
+                assert _no_child_left()
+
+
+def test_a_live_thread_keeps_the_ranges_on_pool_threads(workers):
+    """With another Python thread alive, gain_samples forks nothing: pool threads run its ranges, with the same bytes."""
+    r = square_sinc(4)
+    for design in _all_designs(r.n):
+        read_ranges = workers(3)
+        forked = gain_samples(0.5, r, r, design, 1000, seed=21)
+        assert os.getpid() not in {pid for _, _, pid, _ in read_ranges()[1:]}
+        with _another_thread():
+            threaded = gain_samples(0.5, r, r, design, 1000, seed=21)
+        assert threaded.tobytes() == forked.tobytes()
+        ranges = read_ranges()
+        _check_ranges(ranges, 3, 1000)
+        assert all(pid == os.getpid() and thread != threading.get_ident() for _, _, pid, thread in ranges[1:])
+        assert len({thread for *_, thread in ranges}) == 3
+
+
+def _cophased_gain(h_sd, h_sr, h_rd):
+    """The gain under co-phasing, written out: every cascaded term turned onto h_sd's phase, or onto 0 where h_sd is 0."""
+    reference = np.angle(h_sd) if h_sd != 0 else 0.0
+    phases = np.exp(1j * (reference - np.angle(np.conj(h_sr) * h_rd)))
+    x = h_sd + (np.conj(h_sr) * phases * h_rd).sum()
+    return x.real * x.real + x.imag * x.imag
+
+
+@pytest.mark.parametrize("beta_sd", [0.0, 0.5], ids=["blocked", "direct-link"])
+def test_cophased_gains_are_pinned_to_the_written_out_layout(beta_sd, workers):
+    """OptimalCsi gains equal co-phasing written out over the written-out channels, bit for bit, on 1-3 workers."""
+    r = square_sinc(4)
+    factor = matrix_sqrt(r)
+    want = np.array([_cophased_gain(*_written_out_channels(beta_sd, factor, factor, 17, i)) for i in range(200)])
+    for w in (1, 2, 3):
+        workers(w)
+        for trials in (1, 65, 200):
+            got = gain_samples(beta_sd, r, r, OptimalCsi(), trials, seed=17)
+            assert got.tobytes() == want[:trials].tobytes(), f"W={w}, trials={trials}"
 
 
 def _scattered_dead_factor(seed, dead, negative):
@@ -399,53 +508,157 @@ def test_run_ranges_covers_the_total_once(total, unit, w, monkeypatch):
 
 
 def test_many_workers_under_fast_thread_switching(workers):
-    """More workers than cores, switching threads every microsecond: a lost or misplaced write would show."""
+    """More worker threads than cores, switching threads every microsecond: a lost or misplaced write would show."""
     r = square_sinc(4)
     workers(1)
     serial = gain_samples(0.5, r, r, UniformRandom(3), 3000, seed=5)
-    workers(6)
+    read_ranges = workers(6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = gain_samples(0.5, r, r, UniformRandom(3), 3000, seed=5)
+        with _another_thread():  # which keeps the ranges on pool threads
+            pooled = gain_samples(0.5, r, r, UniformRandom(3), 3000, seed=5)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(pooled, serial)
+    assert {pid for _, _, pid, _ in read_ranges()} == {os.getpid()}
 
 
 class _RangeFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["calling thread", "pool thread"])
-def test_range_failure_waits_for_every_range(failing, workers, monkeypatch):
-    """A range's exception reaches the caller, and only once no other range is still writing."""
-    caller = threading.current_thread()
-    gains = montecarlo._gains
-    lock = threading.Lock()
-    active, finished = [0], []
+def _gains_by_range(monkeypatch, act):
+    """Run gain_samples' gains through act(k, gains, *args), k the range (0, 1, 2) of 64 * 9 trials on three workers."""
+    blocks, gains = montecarlo.channel_blocks, montecarlo._gains
+    here = {}  # each process, forked children included, has its own copy
 
-    def failing_gains(h_sd, h_sr, phases, h_rd):
-        in_caller = threading.current_thread() is caller
-        if in_caller == (failing == "calling thread"):
-            raise _RangeFailed(failing)
-        with lock:
-            active[0] += 1
-        time.sleep(0.01)  # the other ranges are still at work when the failure happens
-        out = gains(h_sd, h_sr, phases, h_rd)
-        with lock:
-            active[0] -= 1
-            finished.append(in_caller)
+    def ranged(beta_sd, l_sr, l_rd, seed, first, stop):
+        here["range"] = first // 192
+        return blocks(beta_sd, l_sr, l_rd, seed, first, stop)
+
+    monkeypatch.setattr(montecarlo, "channel_blocks", ranged)
+    monkeypatch.setattr(montecarlo, "_gains", lambda *args: act(here["range"], gains, *args))
+    _force_workers(monkeypatch, 3)
+
+
+@pytest.mark.parametrize("failing", ["first child", "both children"])
+def test_range_failure_waits_for_every_range(failing, monkeypatch):
+    """A child's exception reaches the caller once every other range has finished; the first in range order wins."""
+    finished = _Records(1)
+
+    def act(k, gains, *args):
+        if k == 1:
+            time.sleep(0.05 if failing == "both children" else 0.0)  # range 2 fails first in time
+            raise _RangeFailed("range 1")
+        if k == 2:
+            if failing == "both children":
+                raise _RangeFailed("range 2")
+            time.sleep(0.1)  # still at work when range 1 fails and when this process's range ends
+        out = gains(*args)
+        finished.put(k)
         return out
 
-    monkeypatch.setattr(montecarlo, "_gains", failing_gains)
-    workers(3)
+    _gains_by_range(monkeypatch, act)
     r = square_sinc(2)
-    with pytest.raises(_RangeFailed, match=failing):
+    try:
+        with pytest.raises(_RangeFailed, match="^range 1$") as raised:
+            gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
+        # every range that did not fail ran all of its three blocks
+        assert sorted(k for k, in finished.take()) == ([0] * 3 if failing == "both children" else [0] * 3 + [2] * 3)
+    finally:
+        finished.close()
+    assert "act" in str(raised.value.__cause__)  # the child's traceback, as text
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["own range", "wait"])
+def test_caller_failure_kills_and_reaps_every_child(failing, monkeypatch):
+    """If the caller's own range or its wait for the children raises, the children are killed, not waited for."""
+    def act(k, gains, *args):
+        if k == 0 and failing == "own range":
+            raise _RangeFailed("range 0")
+        if k > 0:
+            time.sleep(10)  # three blocks each: 30 s if the children were waited for
+        return gains(*args)
+
+    _gains_by_range(monkeypatch, act)
+    error = _RangeFailed if failing == "own range" else KeyboardInterrupt
+    if failing == "wait":
+        def interrupted(fd):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(montecarlo, "_read_to_end", interrupted)
+    r = square_sinc(2)
+    start = time.perf_counter()
+    with pytest.raises(error):
         gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
-    assert active[0] == 0
-    # every range that did not fail ran all of its three blocks
-    assert len(finished) == (6 if failing == "calling thread" else 3)
+    assert time.perf_counter() - start < 5
+    assert _no_child_left()
+
+
+def test_a_child_killed_by_a_signal_is_an_error_naming_its_wait_status(monkeypatch):
+    def act(k, gains, *args):
+        if k == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return gains(*args)
+
+    _gains_by_range(monkeypatch, act)
+    r = square_sinc(2)
+    message = rf"^Monte-Carlo range 384..576 ended without a report: wait status {signal.SIGKILL} \(exit code -{signal.SIGKILL}\)$"
+    with pytest.raises(RuntimeError, match=message):
+        gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
+    assert _no_child_left()
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+class _Unrebuildable(Exception):
+    """Pickles, but its unpickling calls __init__ with the one message argument and fails."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [DomainError("no such domain"), ScenarioFormatError("must be finite", field="rho_dbm"), KeyboardInterrupt()],
+    ids=["domain-error", "with-a-field", "interrupt"],
+)
+def test_a_child_exception_keeps_its_type_and_message(error, monkeypatch):
+    def act(k, gains, *args):
+        if k == 1:
+            raise error
+        return gains(*args)
+
+    _gains_by_range(monkeypatch, act)
+    r = square_sinc(2)
+    with pytest.raises(type(error)) as raised:
+        gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    assert getattr(raised.value, "field", None) == getattr(error, "field", None)
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "error, text",
+    [(_Unpicklable("lost in transit"), "_Unpicklable: lost in transit"), (_Unrebuildable("lost", "in transit"), "_Unrebuildable: lost: in transit")],
+    ids=["cannot-be-pickled", "cannot-be-rebuilt"],
+)
+def test_an_unpicklable_child_exception_comes_back_as_its_traceback(error, text, monkeypatch):
+    def act(k, gains, *args):
+        if k == 1:
+            raise error
+        return gains(*args)
+
+    _gains_by_range(monkeypatch, act)
+    r = square_sinc(2)
+    with pytest.raises(RuntimeError, match=r"^Monte-Carlo range 192..384 failed in a forked child:\nTraceback") as raised:
+        gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
+    assert text in str(raised.value)
+    assert _no_child_left()
 
 
 def test_engine_threads_rule(monkeypatch):
@@ -561,6 +774,17 @@ def test_a_trial_count_that_cannot_be_allocated_is_a_domain_error(trials):
     r = square_sinc(2)
     with pytest.raises(DomainError, match=f"^trial count {trials} is too large"):
         gain_samples(0.5, r, r, Equal(0.0), trials, seed=1)
+
+
+@pytest.mark.parametrize("trials", [10**14, 2**100])
+def test_a_trial_count_the_shared_buffer_cannot_map_is_a_domain_error(trials, monkeypatch):
+    _force_workers(monkeypatch, 2)
+    mapped, mmap = [], montecarlo.mmap.mmap
+    monkeypatch.setattr(montecarlo.mmap, "mmap", lambda *args: mapped.append(args) or mmap(*args))
+    r = square_sinc(2)
+    with pytest.raises(DomainError, match=f"^trial count {trials} is too large"):
+        gain_samples(0.5, r, r, Equal(0.0), trials, seed=1)
+    assert mapped == [(-1, 8 * trials)]  # the buffer that forked ranges write
 
 
 def test_numpy_integer_trial_count_runs_as_int():

@@ -21,10 +21,12 @@ from irslink.phaseshift import (
     Fixed,
     OptimalCsi,
     UniformRandom,
+    _checked_traces,
     _phasors,
     cascade_traces,
     equal_phase_traces,
     phase_vector,
+    real_trace,
     uniform_phase_trace_moments,
 )
 from irslink.scenario import DESIGNS, load_scenario
@@ -365,6 +367,32 @@ def test_cascade_traces_real_nonnegative():
         t_lin, t_quad = cascade_traces(r_rd, r_sr, phases)
         assert t_lin >= -1e-9
         assert t_quad >= -1e-9
+
+
+# Real parts on both sides of the floor of 1 in the tolerance 1e-9 max(1, |re|).
+@pytest.mark.parametrize("re", [0.0, 0.5, -0.25, 1.0, 3.0, -2e6])
+def test_imaginary_residue_edge(re):
+    """An imaginary part of exactly 1e-9 max(1, |re|) is dropped; the next float up is an error."""
+    edge = 1e-9 * max(1.0, abs(re))
+    for im in (edge, -edge):
+        assert real_trace(complex(re, im)) == re
+        assert real_trace(np.array([complex(re, im)])).tolist() == [re]
+        with pytest.raises(InternalConsistencyError, match="should be real"):
+            real_trace(complex(re, np.nextafter(im, np.copysign(np.inf, im))))
+
+
+@pytest.mark.parametrize("which", ["t_lin", "t_quad"])
+def test_negative_trace_edge(which):
+    """A trace of exactly -1e-9 passes the nonnegativity check; the next float down is an error."""
+    zero = np.zeros(2, dtype=complex)
+    for value, passes in ((-1e-9, True), (np.nextafter(-1e-9, -np.inf), False)):
+        traces = {"t_lin": zero.copy(), "t_quad": zero.copy()}
+        traces[which][1] = value
+        if passes:
+            assert _checked_traces(traces["t_lin"], traces["t_quad"])[which == "t_quad"].tolist() == [0.0, value]
+        else:
+            with pytest.raises(InternalConsistencyError, match="must be nonnegative"):
+                _checked_traces(traces["t_lin"], traces["t_quad"])
 
 
 def test_cascade_dimension_mismatch():
