@@ -37,31 +37,29 @@ product to the BLAS matrix-vector routine, which rounds differently from the
 matrix-product one; effective_gain and cophased_phases are the block
 reductions on one row.  Chaining them reproduces gain_samples bit for bit.
 
-Workers: W contiguous ranges of whole units cover [0, total) once (one
-function, _range_bounds, computes them for both executors), and the caller
-runs the first.  W (engine_threads) is the usable cores over the OpenBLAS
-thread count, at least 1 and at most the number of units, and 1 when that
-count cannot be read: a worker beside a BLAS whose threads already fill the
-cores slows the run.  gain_samples runs ranges of whole 64-trial blocks, so
-every block is the same kernel call as with one worker; each range keys its
-own streams and phase function and writes only its own slice of the gains.
-Its ranges 1..W-1 run in children forked with os.fork, which write their
-gains into a MAP_SHARED anonymous mapping.  A child leaves by os._exit; its
-exception comes back pickled through a pipe (a RuntimeError carrying the
-traceback text if it cannot be pickled).  The caller raises the first
-failure in range order once every child has been reaped; if its own range
-or its wait raises, it kills the children with SIGKILL and reaps them
-first, so no child outlives the call.  Forked ranges do not queue on the
-GIL: the per-row stream positioning and the small ufuncs of a block hold it
-between their native parts, so on 2 cores with one BLAS thread a 10k-trial
-N = 64 UniformRandom call took 150-258 ms on one worker, 213-243 ms on two
-threads and 129-140 ms in two processes, fork included.  gain_samples forks
-only where os.fork exists and no other Python thread is alive (forking
-beside live threads can deadlock the child); otherwise its ranges run on
-run_ranges' threads.  Criterion 3 of the acceptance gate keeps run_ranges'
-threads for its ranges of whole 256-draw trace stacks: a fork and reap
-costs about 3.9 ms in a 66 MB process, against about 70 ms for a 10k-draw
-call whose stack products already overlap under threads.
+Workers: W contiguous ranges of whole units cover [0, total) once, and
+run_ranges, the one range runner, runs them: the caller runs the first and
+a child forked with os.fork each other one.  W (engine_threads) is the
+usable cores over the OpenBLAS thread count, at least 1 and at most the
+number of units, and 1 when that count cannot be read: a worker beside a
+BLAS whose threads already fill the cores slows the run.  Each range keys
+its own streams and phase function and writes only its own slice of an
+array in a MAP_SHARED anonymous mapping (_trial_array), which the children
+write into.  gain_samples runs ranges of whole 64-trial blocks, so every
+block is the same kernel call as with one worker; criterion 3 of the
+acceptance gate runs ranges of whole 256-draw trace stacks.  A child leaves
+by os._exit; its exception comes back pickled through a pipe (a
+RuntimeError carrying the traceback text if it cannot be pickled).  The
+caller raises the first failure in range order once every child has been
+reaped; if its own range or its wait raises, it kills the children with
+SIGKILL and reaps them first, so no child outlives the call.  Forked ranges
+do not queue on the GIL: the per-row stream positioning and the small
+ufuncs of a block hold it between their native parts, so on 2 cores with
+one BLAS thread a 10k-trial N = 64 UniformRandom call took 150-258 ms on
+one worker, 213-243 ms on two threads and 129-140 ms in two processes,
+fork included.  Where os.fork is missing or another Python thread is alive
+(forking beside live threads can deadlock the child), the calling thread
+runs [0, total) as one range.
 """
 
 import ctypes
@@ -72,7 +70,6 @@ import pickle
 import signal
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,14 +148,13 @@ def _live_normals(l_sr, l_rd):
     return tuple(zip(edges[::2], edges[1::2]))
 
 
-def _trial_array(trials: int, shared: bool = False) -> np.ndarray:
-    """An empty array of one float per trial; DomainError naming the count if it cannot be allocated.
+def _trial_array(trials: int) -> np.ndarray:
+    """An array of one float per trial in a MAP_SHARED anonymous mapping, which children forked after it write into.
 
-    If shared, the array lies in a MAP_SHARED anonymous mapping, so that
-    children forked after it write into the caller's array.
+    DomainError naming the count if it cannot be allocated.
     """
     try:
-        return np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.float64) if shared else np.empty(trials)
+        return np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.float64)
     # ValueError: more entries than numpy can index; OverflowError: more bytes than mmap can map
     except (MemoryError, ValueError, OverflowError, OSError):
         raise DomainError(f"trial count {trials} is too large: its per-trial results cannot be allocated") from None
@@ -240,11 +236,11 @@ def cophased_phases(ch: ChannelRealization) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EngineThreads:
-    """How gain_samples runs: its workers, the OpenBLAS thread count read (None: unreadable), the usable cores.
+    """How the engine runs: its workers, the OpenBLAS thread count read (None: unreadable), the usable cores.
 
-    gain_samples runs workers - 1 of its ranges in forked children, or on
-    pool threads while another Python thread is alive; criterion 3 runs them
-    on pool threads.
+    run_ranges runs workers - 1 of its ranges in forked children, or all of
+    them as one range in the calling thread while another Python thread is
+    alive.
     """
 
     workers: int
@@ -304,15 +300,11 @@ def gain_samples(
 
     Equal to chaining sample_channels / phase resolution / effective_gain per
     trial, bit for bit; the work runs in blocks of trials, spread over
-    engine_threads().workers contiguous ranges of whole blocks: ranges after
-    the first in forked children where no other thread is alive, on pool
-    threads otherwise (see the module docstring).
+    engine_threads().workers contiguous ranges of whole blocks by run_ranges.
     """
     trials = rng.check_trials(trials, least=1)
     design = checked_design(design)
-    bounds = _range_bounds(trials, _BLOCK)
-    forked = len(bounds) > 2 and hasattr(os, "fork") and threading.active_count() == 1
-    gains = _trial_array(trials, shared=forked)
+    gains = _trial_array(trials)
     l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
 
     def run(first, stop):
@@ -321,10 +313,7 @@ def gain_samples(
         for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, l_sr, l_rd, seed, first, stop):
             gains[start : start + h_sd.shape[0]] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
 
-    if forked:
-        _fork_ranges(bounds, run)
-    else:
-        run_ranges(trials, _BLOCK, run)
+    run_ranges(trials, _BLOCK, run)
     return gains
 
 
@@ -343,29 +332,17 @@ def _range_bounds(total: int, unit: int) -> list:
 def run_ranges(total: int, unit: int, run) -> None:
     """Call run(first, stop) on the ranges of _range_bounds(total, unit), which cover [0, total) once.
 
-    The calling thread runs the first range and pool threads the others.
-    Returns once every range has finished; the first failure, in range
-    order, is raised after that, so no range still runs when this returns
-    or raises.
-    """
-    bounds = _range_bounds(total, unit)
-    # The pool starts threads only on submit, so W = 1 starts none.  Leaving
-    # the with block waits for every range.
-    with ThreadPoolExecutor(max(1, len(bounds) - 2)) as pool:
-        rest = [pool.submit(run, first, stop) for first, stop in zip(bounds[1:-1], bounds[2:])]
-        run(bounds[0], bounds[1])
-        for future in rest:
-            future.result()
-
-
-def _fork_ranges(bounds: list, run) -> None:
-    """Call run(first, stop) on each range of bounds: the first here, each other in a forked child.
-
+    This process runs the first range and a forked child each other one.
     Returns once every child has been reaped; the first failure, in range
     order, is raised after that.  If this process's own range or its wait
     raises, every child not yet reaped is killed with SIGKILL and reaped
-    before the exception goes on, so no child outlives the call.
+    before the exception goes on, so no child outlives the call.  Where
+    os.fork is missing or another Python thread is alive, the calling
+    thread runs [0, total) as one range.
     """
+    bounds = _range_bounds(total, unit)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        bounds = [0, total]  # forking beside live threads can deadlock the child
     children = []  # (pid, report pipe's read end, first, stop) of each child not yet reaped
     errors = []
     try:

@@ -38,7 +38,7 @@ from .scenario import MODELS, load_scenario
 
 QUARTER_TURN = math.pi / 4.0
 _DESIGN_SEED = 9001  # phase seed of the uniform-random design used in MC criteria
-# Phase draws per stack in criterion 3, and the unit of its thread ranges.
+# Phase draws per stack in criterion 3, and the unit of its engine ranges.
 # A stack's cascade matrices take 1 MB at N = 16.  In a warm process,
 # stacks of 256 and 512 cost the same per draw; what moves the cost of a
 # stack is whether the allocator must page its arrays in afresh.
@@ -57,7 +57,7 @@ class CriterionResult:
     detail: str
     runtime: float  # wall seconds, held to ``limit``
     limit: float
-    cpu: float = 0.0  # CPU seconds of the process and its forked ranges; tells contention apart from a slower check
+    cpu: float = 0.0  # CPU seconds of the process and the engine's forked ranges; tells contention apart from a slower check
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -79,15 +79,21 @@ def _criterion(number: int, name: str, limit: float):
     """Register a check as criterion ``number`` in CRITERIA.
 
     The check takes (trials, seed) and returns (ok, detail); the registered
-    criterion times it in wall seconds and in CPU seconds (the process's,
-    plus those of the children it reaped: gain_samples' forked ranges) and
-    returns its CriterionResult, failed also when the check took ``limit``
-    wall seconds or more.
+    criterion first checks the overrides (DomainError: a trial count below
+    2, as criterion 3's sample deviations need two draws, or a seed outside
+    [0, 2^64)), then times the check in wall seconds and in CPU seconds (the
+    process's, plus those of the children it reaped: the engine's forked
+    ranges) and returns its CriterionResult, failed also when the check took
+    ``limit`` wall seconds or more.
     """
 
     def register(check):
         @functools.wraps(check)
         def criterion(trials=None, seed=None) -> CriterionResult:
+            if trials is not None:
+                trials = rng.check_trials(trials, least=2)
+            if seed is not None:
+                seed = rng.check_seed(seed)
             start, cpu_start, children_start = time.perf_counter(), time.process_time(), _children_cpu()
             ok, detail = check(trials, seed)
             runtime = time.perf_counter() - start
@@ -217,11 +223,12 @@ def _kernel_traces(kernel: np.ndarray, phases: np.ndarray):
 def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
     """(t_lin, t_quad): the cascade traces of R under UniformRandom(seed) draws 0..trials-1.
 
-    The draws run in stacks of _TRACE_CHUNK on the engine's thread ranges;
-    each range keys its own draws and writes only its own slices.  A range
-    draws its phases in batches of whole stacks, at most _DRAW_STACKS each
-    and as even as they split, so that no last batch is left short of the
-    vector engine's rows; it traces each batch stack by stack.
+    The draws run in stacks of _TRACE_CHUNK on the engine's ranges
+    (run_ranges); each range keys its own draws and writes only its own
+    slices.  A range draws its phases in batches of whole stacks, at most
+    _DRAW_STACKS each and as even as they split, so that no last batch is
+    left short of the vector engine's rows; it traces each batch stack by
+    stack.
     """
     design = UniformRandom(seed)
     kernel = _trace_kernel(r, r)
@@ -505,7 +512,7 @@ def criterion_10(trials=None, seed=None):
 
 
 def run_criteria(numbers=None, trials=None, seed=None):
-    """Run the criteria in order (all by default); a bad selection, trial or seed override fails before any starts."""
+    """Run the criteria in order (all by default); a bad selection, trial or seed override fails before any check runs."""
     valid = ",".join(map(str, sorted(CRITERIA)))
     numbers = sorted(CRITERIA) if numbers is None else list(numbers)
     if not numbers:
@@ -513,8 +520,4 @@ def run_criteria(numbers=None, trials=None, seed=None):
     bad = [n for n in numbers if n not in CRITERIA]
     if bad:
         raise DomainError(f"no criterion {bad[0]}; valid numbers are {valid}")
-    if trials is not None:
-        rng.check_trials(trials, least=2)  # criterion 3's sample deviations need two draws
-    if seed is not None:
-        rng.check_seed(seed)
     return [CRITERIA[n](trials=trials, seed=seed) for n in numbers]

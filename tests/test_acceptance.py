@@ -94,7 +94,7 @@ def test_criterion_cpu_time_is_not_held_to_the_limit(monkeypatch):
 
 
 def test_criterion_cpu_time_counts_reaped_children(monkeypatch):
-    """The CPU of the children a criterion reaps (gain_samples' forked ranges) counts toward its cpu."""
+    """The CPU of the children a criterion reaps (the engine's forked ranges) counts toward its cpu."""
     cpu_clock = iter(range(0, 10**6, 2))
     children = iter([SimpleNamespace(children_user=u, children_system=s) for u, s in ((10.0, 1.0), (14.0, 1.5))])
     monkeypatch.setattr(validation.time, "process_time", lambda: float(next(cpu_clock)))
@@ -102,12 +102,32 @@ def test_criterion_cpu_time_counts_reaped_children(monkeypatch):
     assert validation.criterion_10().cpu == 2.0 + 4.5
 
 
-@pytest.mark.parametrize("trials", [0, 1, -1, 2.5, True])
-def test_bad_trial_override_fails_before_any_criterion(trials):
-    # with no trials, criterion 4 would compare the closed form against NaN and pass;
-    # with one, criterion 3 would take a sample deviation of one draw
-    with pytest.raises(DomainError, match="trial count"):
-        validation.run_criteria([4], trials=trials)
+def _no_clock():
+    raise AssertionError("a criterion's clock started before its overrides were checked")
+
+
+def _call(route, **overrides):
+    """run_criteria over criteria 3-5, or criterion ``route`` called directly."""
+    if route == "run_criteria":
+        return validation.run_criteria([3, 4, 5], **overrides)
+    return validation.CRITERIA[route](**overrides)
+
+
+# With no trials, criterion 4 would compare the closed form against NaN and
+# pass; with one, criterion 3 would take a sample deviation of one draw.
+BAD_OVERRIDES = [({"trials": t}, "trial count") for t in (0, 1, -1, 2.5, True)] + [
+    ({"seed": s}, "^seed must") for s in (-1, 2**64, 2.5)
+]
+
+
+@pytest.mark.parametrize("route", ["run_criteria", 3, 4, 5])
+@pytest.mark.parametrize(
+    "overrides, message", BAD_OVERRIDES, ids=[f"{k}={v}" for (o, _) in BAD_OVERRIDES for k, v in o.items()]
+)
+def test_bad_override_fails_before_any_criterion(overrides, message, route, monkeypatch):
+    monkeypatch.setattr(validation.time, "perf_counter", _no_clock)
+    with pytest.raises(DomainError, match=message):
+        _call(route, **overrides)
 
 
 @pytest.mark.parametrize(

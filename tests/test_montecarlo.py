@@ -2,15 +2,13 @@ import contextlib
 import math
 import os
 import signal
-import struct
-import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from irslink import load_scenario, montecarlo, rng
+from irslink import load_scenario, montecarlo, rng, validation
 from irslink.correlation import CorrelationMatrix, matrix_sqrt
 from irslink.errors import DomainError, ScenarioFormatError
 from irslink.montecarlo import (
@@ -25,7 +23,7 @@ from irslink.montecarlo import (
 )
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, phase_vector
 
-from conftest import square_sinc
+from conftest import Records, force_workers, in_own_children, no_child_left, square_sinc
 from test_rng import reference
 
 def zeros(n):
@@ -226,80 +224,13 @@ def test_per_trial_ops_match_partial_blocks(side):
                 assert effective_gain(ch, phases) == gains[i]
 
 
-class _Records:
-    """Fixed-size records of unsigned ints that this process or a forked child writes, and this process reads.
-
-    A record is one write of far fewer than PIPE_BUF bytes, so the records
-    of several processes never interleave.
-    """
-
-    def __init__(self, fields):
-        self._format = f"{fields}Q"
-        self._read, self._write = os.pipe()
-        for fd in (self._read, self._write):
-            os.set_blocking(fd, False)  # a full pipe raises instead of hanging the test
-
-    def put(self, *values):
-        os.write(self._write, struct.pack(self._format, *values))
-
-    def take(self):
-        """Every record written since the last take, in the order written."""
-        data = b""
-        with contextlib.suppress(BlockingIOError):
-            while chunk := os.read(self._read, 1 << 16):
-                data += chunk
-        return list(struct.iter_unpack(self._format, data))
-
-    def close(self):
-        os.close(self._read)
-        os.close(self._write)
-
-
-def _force_workers(monkeypatch, w):
-    monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """Force gain_samples onto w workers; returns a reader of the ranges run since, as (first, stop, pid, thread).
-
-    Every range is recorded by the process that runs it, forked children
-    included, so the reader sees all of them.
-    """
-    records = _Records(4)
-    blocks = montecarlo.channel_blocks
-
-    def recorded(beta_sd, l_sr, l_rd, seed, first, stop):
-        records.put(first, stop, os.getpid(), threading.get_ident())
-        return blocks(beta_sd, l_sr, l_rd, seed, first, stop)
-
-    monkeypatch.setattr(montecarlo, "channel_blocks", recorded)
-
-    def force(w):
-        _force_workers(monkeypatch, w)
-        records.take()
-        return lambda: sorted(records.take())
-
-    yield force
-    records.close()
-
-
 def _check_ranges(ranges, w, trials):
-    """The ranges cover trials 0..trials-1 once, in whole 64-trial blocks, and the caller ran the first."""
+    """The ranges cover trials 0..trials-1 once, in whole 64-trial blocks; this process ran the first, its own children the others."""
     assert len(ranges) == min(w, -(-trials // 64))
     assert ranges[0][0] == 0 and ranges[-1][1] == trials
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-    assert all(first % 64 == 0 and first < stop for first, stop, *_ in ranges)
-    assert ranges[0][2:] == (os.getpid(), threading.get_ident())
-
-
-def _no_child_left():
-    """Whether this process has no child at all, running or unreaped."""
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
+    assert all(first % 64 == 0 and first < stop for first, stop, _ in ranges)
+    assert in_own_children(ranges)
 
 
 @contextlib.contextmanager
@@ -326,27 +257,28 @@ def test_worker_count_does_not_change_gains(side, workers):
             for w in (2, 3):
                 read_ranges = workers(w)
                 assert gain_samples(0.5, r, r, design, trials, seed=21).tobytes() == serial
-                ranges = read_ranges()
-                _check_ranges(ranges, w, trials)
-                # this process runs the first range, a forked child of its own each other one
-                children = [pid for _, _, pid, _ in ranges[1:]]
-                assert os.getpid() not in children and len(set(children)) == len(children)
-                assert _no_child_left()
+                _check_ranges(read_ranges(), w, trials)
+                assert no_child_left()
 
 
-def test_a_live_thread_keeps_the_ranges_on_pool_threads(workers):
-    """With another Python thread alive, gain_samples forks nothing: pool threads run its ranges, with the same bytes."""
+def test_a_live_thread_runs_the_ranges_as_one_in_this_process(workers):
+    """With another Python thread alive, nothing forks: gain_samples and criterion 3 each run (0, total) here, with the same bytes."""
     r = square_sinc(4)
     for design in _all_designs(r.n):
         read_ranges = workers(3)
         forked = gain_samples(0.5, r, r, design, 1000, seed=21)
-        assert os.getpid() not in {pid for _, _, pid, _ in read_ranges()[1:]}
+        _check_ranges(read_ranges(), 3, 1000)
         with _another_thread():
-            threaded = gain_samples(0.5, r, r, design, 1000, seed=21)
-        assert threaded.tobytes() == forked.tobytes()
-        ranges = read_ranges()
-        _check_ranges(ranges, 3, 1000)
-        assert all(pid == os.getpid() and thread != threading.get_ident() for _, _, pid, thread in ranges[1:])
+            in_place = gain_samples(0.5, r, r, design, 1000, seed=21)
+        assert in_place.tobytes() == forked.tobytes()
+        assert read_ranges() == [(0, 1000, os.getpid())]
+    forked = validation._phase_traces(r, 202, 3000)
+    assert len(read_ranges()) == 3
+    with _another_thread():
+        in_place = validation._phase_traces(r, 202, 3000)
+    assert [a.tobytes() for a in in_place] == [a.tobytes() for a in forked]
+    assert read_ranges() == [(0, 3000, os.getpid())]
+    assert no_child_left()
 
 
 def _cophased_gain(h_sd, h_sr, h_rd):
@@ -488,39 +420,33 @@ def test_a_full_rank_factor_keeps_one_run_per_branch(model, monkeypatch):
     ids=["unit-does-not-divide", "unit-does-not-divide-256", "total-below-unit", "one", "w-above-units", "w-above-units-exact", "serial"],
 )
 def test_run_ranges_covers_the_total_once(total, unit, w, monkeypatch):
-    monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
-    lock = threading.Lock()
-    ranges, hits = [], np.zeros(total, dtype=int)
-
-    def run(first, stop):
-        with lock:
-            ranges.append((first, stop, threading.get_ident()))
-            hits[first:stop] += 1
-
-    montecarlo.run_ranges(total, unit, run)
+    force_workers(monkeypatch, w)
+    records = Records(3)
+    try:
+        montecarlo.run_ranges(total, unit, lambda first, stop: records.put(first, stop, os.getpid()))
+        ranges = sorted(records.take())
+    finally:
+        records.close()
+    hits = np.zeros(total, dtype=int)
+    for first, stop, _ in ranges:
+        hits[first:stop] += 1
     assert np.all(hits == 1)
-    units = -(-total // unit)
-    assert len(ranges) == min(w, units)
-    ranges.sort()
+    assert len(ranges) == min(w, -(-total // unit))
     assert all(first % unit == 0 and first < stop for first, stop, _ in ranges)
-    assert [thread == threading.get_ident() for _, _, thread in ranges] == [True] + [False] * (len(ranges) - 1)
+    assert in_own_children(ranges)
+    assert no_child_left()
 
 
-def test_many_workers_under_fast_thread_switching(workers):
-    """More worker threads than cores, switching threads every microsecond: a lost or misplaced write would show."""
+def test_more_forked_ranges_than_cores(workers):
+    """Six forked ranges on a 2-core machine: a lost or misplaced write would show."""
     r = square_sinc(4)
     workers(1)
     serial = gain_samples(0.5, r, r, UniformRandom(3), 3000, seed=5)
     read_ranges = workers(6)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with _another_thread():  # which keeps the ranges on pool threads
-            pooled = gain_samples(0.5, r, r, UniformRandom(3), 3000, seed=5)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(pooled, serial)
-    assert {pid for _, _, pid, _ in read_ranges()} == {os.getpid()}
+    forked = gain_samples(0.5, r, r, UniformRandom(3), 3000, seed=5)
+    assert forked.tobytes() == serial.tobytes()
+    _check_ranges(read_ranges(), 6, 3000)
+    assert no_child_left()
 
 
 class _RangeFailed(Exception):
@@ -538,13 +464,13 @@ def _gains_by_range(monkeypatch, act):
 
     monkeypatch.setattr(montecarlo, "channel_blocks", ranged)
     monkeypatch.setattr(montecarlo, "_gains", lambda *args: act(here["range"], gains, *args))
-    _force_workers(monkeypatch, 3)
+    force_workers(monkeypatch, 3)
 
 
 @pytest.mark.parametrize("failing", ["first child", "both children"])
 def test_range_failure_waits_for_every_range(failing, monkeypatch):
     """A child's exception reaches the caller once every other range has finished; the first in range order wins."""
-    finished = _Records(1)
+    finished = Records(1)
 
     def act(k, gains, *args):
         if k == 1:
@@ -568,7 +494,7 @@ def test_range_failure_waits_for_every_range(failing, monkeypatch):
     finally:
         finished.close()
     assert "act" in str(raised.value.__cause__)  # the child's traceback, as text
-    assert _no_child_left()
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("failing", ["own range", "wait"])
@@ -592,7 +518,7 @@ def test_caller_failure_kills_and_reaps_every_child(failing, monkeypatch):
     with pytest.raises(error):
         gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
     assert time.perf_counter() - start < 5
-    assert _no_child_left()
+    assert no_child_left()
 
 
 def test_a_child_killed_by_a_signal_is_an_error_naming_its_wait_status(monkeypatch):
@@ -606,7 +532,7 @@ def test_a_child_killed_by_a_signal_is_an_error_naming_its_wait_status(monkeypat
     message = rf"^Monte-Carlo range 384..576 ended without a report: wait status {signal.SIGKILL} \(exit code -{signal.SIGKILL}\)$"
     with pytest.raises(RuntimeError, match=message):
         gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
-    assert _no_child_left()
+    assert no_child_left()
 
 
 class _Unpicklable(Exception):
@@ -621,12 +547,21 @@ class _Unrebuildable(Exception):
         super().__init__(f"{what}: {why}")
 
 
-@pytest.mark.parametrize(
-    "error",
-    [DomainError("no such domain"), ScenarioFormatError("must be finite", field="rho_dbm"), KeyboardInterrupt()],
-    ids=["domain-error", "with-a-field", "interrupt"],
-)
-def test_a_child_exception_keeps_its_type_and_message(error, monkeypatch):
+def _criterion_3_failing_in_its_child(monkeypatch, error):
+    """Criterion 3's traces of 2304 draws on two workers, _kernel_traces raising error in range 1 (draws 1024..2303), a child's."""
+    kernel_traces, parent = validation._kernel_traces, os.getpid()
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise error
+        return kernel_traces(*args)
+
+    monkeypatch.setattr(validation, "_kernel_traces", failing)
+    force_workers(monkeypatch, 2)
+    validation._phase_traces(square_sinc(4), 202, 2304)
+
+
+def _gain_samples_failing_in_range_1(monkeypatch, error):
     def act(k, gains, *args):
         if k == 1:
             raise error
@@ -634,11 +569,25 @@ def test_a_child_exception_keeps_its_type_and_message(error, monkeypatch):
 
     _gains_by_range(monkeypatch, act)
     r = square_sinc(2)
+    gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
+
+
+@pytest.mark.parametrize(
+    "fail, error",
+    [
+        (_gain_samples_failing_in_range_1, DomainError("no such domain")),
+        (_gain_samples_failing_in_range_1, ScenarioFormatError("must be finite", field="rho_dbm")),
+        (_gain_samples_failing_in_range_1, KeyboardInterrupt()),
+        (_criterion_3_failing_in_its_child, DomainError("no such domain")),
+    ],
+    ids=["domain-error", "with-a-field", "interrupt", "criterion-3"],
+)
+def test_a_child_exception_keeps_its_type_and_message(fail, error, monkeypatch):
     with pytest.raises(type(error)) as raised:
-        gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
+        fail(monkeypatch, error)
     assert type(raised.value) is type(error) and str(raised.value) == str(error)
     assert getattr(raised.value, "field", None) == getattr(error, "field", None)
-    assert _no_child_left()
+    assert no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -657,7 +606,7 @@ def test_an_unpicklable_child_exception_comes_back_as_its_traceback(error, text,
     with pytest.raises(RuntimeError, match=r"^Monte-Carlo range 192..384 failed in a forked child:\nTraceback") as raised:
         gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
     assert text in str(raised.value)
-    assert _no_child_left()
+    assert no_child_left()
 
 
 def test_engine_threads_rule(monkeypatch):
@@ -769,21 +718,13 @@ def test_trial_count_must_be_a_nonnegative_integer(trials):
 # Counts no memory can hold, refused before a byte is touched: 10^14 trials
 # take 728 TiB, and numpy cannot even index 2^100 entries.
 @pytest.mark.parametrize("trials", [10**14, 2**100])
-def test_a_trial_count_that_cannot_be_allocated_is_a_domain_error(trials):
-    r = square_sinc(2)
-    with pytest.raises(DomainError, match=f"^trial count {trials} is too large"):
-        gain_samples(0.5, r, r, Equal(0.0), trials, seed=1)
-
-
-@pytest.mark.parametrize("trials", [10**14, 2**100])
-def test_a_trial_count_the_shared_buffer_cannot_map_is_a_domain_error(trials, monkeypatch):
-    _force_workers(monkeypatch, 2)
+def test_a_trial_count_that_cannot_be_allocated_is_a_domain_error(trials, monkeypatch):
     mapped, mmap = [], montecarlo.mmap.mmap
     monkeypatch.setattr(montecarlo.mmap, "mmap", lambda *args: mapped.append(args) or mmap(*args))
     r = square_sinc(2)
     with pytest.raises(DomainError, match=f"^trial count {trials} is too large"):
         gain_samples(0.5, r, r, Equal(0.0), trials, seed=1)
-    assert mapped == [(-1, 8 * trials)]  # the buffer that forked ranges write
+    assert mapped == [(-1, 8 * trials)]  # the shared buffer that forked ranges write
 
 
 def test_numpy_integer_trial_count_runs_as_int():

@@ -1,10 +1,11 @@
+import os
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from irslink import montecarlo, rng, validation
+from irslink import rng, validation
 from irslink.closedform import _fit, _moments, gamma_fit
 from irslink.correlation import (
     ArrayGeometry,
@@ -15,7 +16,7 @@ from irslink.correlation import (
 )
 from irslink.curves import run_curve
 from irslink.errors import ContractViolationError, DomainError, InternalConsistencyError
-from irslink.montecarlo import EngineThreads, gain_samples
+from irslink.montecarlo import gain_samples
 from irslink.phaseshift import (
     Equal,
     Fixed,
@@ -32,7 +33,7 @@ from irslink.phaseshift import (
 from irslink.scenario import DESIGNS, load_scenario
 from irslink.validation import TRACE_BOUND_SLACK, criterion_3, equal_phase_trace_bound
 
-from conftest import square_sinc
+from conftest import Records, force_workers, in_own_children, no_child_left, square_sinc
 
 
 def random_psd(gen, n):
@@ -269,24 +270,35 @@ def test_criterion_3_matches_a_per_call_loop(seed):
 
 # 1, 2, 12 and 40 stacks of 256 draws; at 10k each range draws in several batches.
 @pytest.mark.parametrize("trials", [255, 257, 3000, 10_000])
-def test_criterion_3_does_not_depend_on_the_worker_count(trials, monkeypatch):
+def test_criterion_3_does_not_depend_on_the_worker_count(trials, workers):
     r = sinc_correlation(ArrayGeometry(4, 4, 0.1 / 40.0, 0.1 / 40.0, 0.1))
     outcomes = []
     for w in (1, 2, 3):
-        monkeypatch.setattr(montecarlo, "engine_threads", lambda w=w: EngineThreads(w, 1, w))
+        read_ranges = workers(w)
         t_lin, t_quad = validation._phase_traces(r, 202, trials)
+        ranges = read_ranges()
+        assert len(ranges) == min(w, -(-trials // 256)) and in_own_children(ranges)
+        assert no_child_left()
         outcomes.append((t_lin.tobytes(), t_quad.tobytes(), criterion_3(trials=trials, seed=202).detail))
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_criterion_3_draws_by_the_vector_engine_alone(w, monkeypatch):
-    """At 10k draws every range's batches have 1024 draws or more, so no stream is repositioned."""
-    monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
-    repositioned = []
-    monkeypatch.setattr(rng.StreamFamily, "get", lambda *args: repositioned.append(args))
-    validation._phase_traces(sinc_correlation(ArrayGeometry(4, 4, 0.1 / 40.0, 0.1 / 40.0, 0.1)), 202, 10_000)
-    assert not repositioned
+    """At 10k draws every range's batches have 1024 draws or more, so no stream is repositioned, in this process or a child."""
+    force_workers(monkeypatch, w)
+    repositioned, get = Records(1), rng.StreamFamily.get
+
+    def recorded(*args):
+        repositioned.put(os.getpid())
+        return get(*args)
+
+    monkeypatch.setattr(rng.StreamFamily, "get", recorded)
+    try:
+        validation._phase_traces(sinc_correlation(ArrayGeometry(4, 4, 0.1 / 40.0, 0.1 / 40.0, 0.1)), 202, 10_000)
+        assert not repositioned.take()
+    finally:
+        repositioned.close()
 
 
 def test_phasors_are_numpys_complex_exp():
