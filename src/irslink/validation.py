@@ -12,10 +12,12 @@ Criteria 1 and 2 fit a raw phase vector by the general route that
 ``gamma_fit`` takes for a ``Fixed`` design (``cascade_traces``, then
 closedform's ``_moments`` and ``_fit``); criterion 2 holds it against
 ``gamma_fit`` of an ``Equal`` design.
-Criterion 3 traces its phase draws by a route of its own as well: one
-matrix product per stack of draws against an (N, N^2) kernel, which grows
-as N^3 and so suits its N = 16 only; it agrees with ``cascade_traces``
-of each draw to rounding and makes the same checks.
+Criterion 3 traces its phase draws by a route of its own as well: it
+traces one real, exactly symmetric model R against itself, so each draw's
+R conj(D) R is symmetric, and one matrix product per stack of draws
+against an (N, N(N+1)/2) kernel gives its upper triangle.  The kernel grows
+as N^3 and so suits its N = 16 only; the route agrees with
+``cascade_traces`` of each draw to rounding and makes the same checks.
 """
 
 import functools
@@ -39,9 +41,10 @@ from .scenario import MODELS, load_scenario
 QUARTER_TURN = math.pi / 4.0
 _DESIGN_SEED = 9001  # phase seed of the uniform-random design used in MC criteria
 # Phase draws per stack in criterion 3, and the unit of its engine ranges.
-# A stack's cascade matrices take 1 MB at N = 16.  In a warm process,
-# stacks of 256 and 512 cost the same per draw; what moves the cost of a
-# stack is whether the allocator must page its arrays in afresh.
+# A stack's upper triangles take 0.56 MB at N = 16.  In a warm process,
+# stacks of 128 and 256 cost about the same per draw and stacks of 512
+# about 40% more: what moves the cost of a stack is whether the allocator
+# must page its arrays in afresh, as it does for every stack of 512.
 _TRACE_CHUNK = 256
 # Stacks whose phases are drawn in one batch: 2048 draws of N = 16 take the
 # vector engine of rng.StreamFamily.fill, which a single stack would not.
@@ -194,30 +197,53 @@ def criterion_2(trials=None, seed=None):
     return worst <= 1e-12, f"max rel dev {worst:.2e}"
 
 
-def _trace_kernel(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix) -> np.ndarray:
-    """K (N, N^2) with row j = R_rd[:, j] ⊗ R_sr[j, :].
+@functools.cache
+def _triangle(n: int):
+    """Row and column indices of the upper triangle of an n x n matrix: the diagonal first, then the rest row by row.
 
-    Row b of conj(P) @ K is then R_rd conj(D_b) R_sr, flattened row-major,
-    for the phases p_b = P[b] on the diagonal of D_b.  It takes 16 N^3
-    bytes: 64 KB at N = 16, 1 GB at N = 400.
+    Cached: numpy takes about 0.1 ms to build them, a third of the time
+    that tracing a stack of 256 draws takes at N = 16.
     """
-    n = r_rd.n
-    return (r_rd.entries.T[:, :, None] * r_sr.entries[:, None, :]).reshape(n, n * n)
+    rows, cols = np.triu_indices(n, 1)
+    diagonal = np.arange(n)
+    return np.concatenate((diagonal, rows)), np.concatenate((diagonal, cols))
+
+
+def _trace_kernel(r: CorrelationMatrix) -> np.ndarray:
+    """K (N, N(N+1)/2) with column (i, j), i <= j, = R[i, :] * R[:, j], in ``_triangle`` order.
+
+    Row b of conj(P) @ K is then the upper triangle of A_b = R conj(D_b) R
+    for the phases p_b = P[b] on the diagonal of D_b; A_b is symmetric, so
+    that triangle is all of it.  R must be real and exactly symmetric
+    (DomainError otherwise).  It takes 8 N^2 (N + 1) bytes: 34 KB at N = 16.
+    """
+    if r.entries.imag.any() or r.hermitian_residual != 0:
+        raise DomainError("the trace kernel needs a real, exactly symmetric correlation matrix")
+    rows, cols = _triangle(r.n)
+    return r.entries.T[:, rows] * r.entries[:, cols]
 
 
 def _kernel_traces(kernel: np.ndarray, phases: np.ndarray):
-    """``cascade_traces(r_rd, r_sr, p_b)`` of each row p_b of a stack (B, N), from K = _trace_kernel(r_rd, r_sr).
+    """``cascade_traces(r, r, p_b)`` of each row p_b of a stack (B, N), from K = _trace_kernel(r).
 
-    One matrix product gives every row's R_rd conj(D_b) R_sr, and scaling
-    its columns by p_b gives the cascade matrix C_b; the traces agree with
-    the one-vector ``cascade_traces`` of each row to rounding and pass the
-    same checks, the first bad row raising its one-vector error.
+    One matrix product gives the upper triangle of every row's
+    A_b = R conj(D_b) R, whose cascade matrix is C_b = A_b D_b; so
+    tr C_b = sum_i A_ii p_i and, as A_b is symmetric,
+    tr C_b^2 = sum_ij A_ij A_ji p_i p_j = sum_{i<=j} w_ij A_ij^2 p_i p_j with
+    w = 1 on the diagonal and 2 off it.  The traces agree with the
+    one-vector ``cascade_traces`` of each row to rounding and pass the same
+    checks, the first bad row raising its one-vector error.
     """
-    b, n = phases.shape
-    c = (np.conj(phases) @ kernel).reshape(b, n, n)
-    c *= phases[:, None, :]
-    quad = (c * c.swapaxes(1, 2)).reshape(b, n * n)
-    return _checked_traces(np.trace(c, axis1=1, axis2=2), quad.sum(axis=1))
+    n = kernel.shape[0]
+    rows, cols = _triangle(n)
+    a = np.conj(phases) @ kernel
+    t_lin = (a[:, :n] * phases).sum(axis=1)
+    a *= a
+    # take, not phases[:, rows]: that gives a column-major copy, which
+    # multiplies into the row-major a several times slower.
+    a *= np.take(phases, rows, axis=1)
+    a *= np.take(phases, cols, axis=1)
+    return _checked_traces(t_lin, a[:, :n].sum(axis=1) + 2.0 * a[:, n:].sum(axis=1))
 
 
 def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
@@ -231,7 +257,7 @@ def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
     stack.
     """
     design = UniformRandom(seed)
-    kernel = _trace_kernel(r, r)
+    kernel = _trace_kernel(r)
     t_lin = _trial_array(trials)
     t_quad = _trial_array(trials)
 
@@ -438,8 +464,8 @@ def criterion_8(trials=None, seed=None):
     shapes, scale_gaps, bounds_ok = [], [], []
     for side in (4, 8, 12, 16, 20):
         r = _sinc_square(side)
-        gp = gamma_fit(0.0, r, r, Equal(0.0))
-        t1, _ = cascade_traces(r, r, phase_vector(Equal(0.0), r.n))
+        t1, t1_sq, t2 = Equal(0.0).cascade_moments(r, r)
+        gp = _fit(*_moments(0.0, t1, t1_sq, t2))  # what gamma_fit returns, with t1 kept for the scale gap
         shapes.append(gp.shape)
         scale_gaps.append(abs(gp.scale - t1) / t1)
         # 100 Fixed designs' phase vectors: the draws of 100 calls in one, mapped as Fixed.phases maps them.
@@ -464,22 +490,19 @@ def criterion_9(trials=None, seed=None):
     """Special-function identities for scipy's regularized upper gamma and, through
     ``outage_probability``, the regularized lower gamma."""
     xs = np.linspace(0.0, 50.0, 501)
-    worst = 0.0
-    for x in xs:
-        q1 = special.gammaincc(1.0, x)
-        ref = math.exp(-x)
-        worst = max(worst, abs(q1 - ref) / ref)
-        qh = special.gammaincc(0.5, x)
-        refh = math.erfc(math.sqrt(x))
-        worst = max(worst, abs(qh - refh) / max(refh, 5e-324))
-        for m in (2, 3, 5, 10):
-            qm = special.gammaincc(float(m), x)
-            term, total = 1.0, 1.0
-            for j in range(1, m):
-                term *= x / j
-                total += term
-            refm = math.exp(-x) * total
-            worst = max(worst, abs(qm - refm) / refm)
+    # One scipy call per shape on the whole grid; the references are math's, point by point.
+    exp_ref = np.array([math.exp(-x) for x in xs])
+    worst = max(
+        _rel_dev(special.gammaincc(1.0, xs), exp_ref),
+        _rel_dev(special.gammaincc(0.5, xs), np.array([math.erfc(math.sqrt(x)) for x in xs])),
+    )
+    for m in (2, 3, 5, 10):
+        # Q(m, x) = e^-x sum_{j<m} x^j/j!, each point's terms summed in order.
+        term, total = np.ones_like(xs), np.ones_like(xs)
+        for j in range(1, m):
+            term *= xs / j
+            total += term
+        worst = max(worst, _rel_dev(special.gammaincc(float(m), xs), exp_ref * total))
     # Lower tail, over the whole grid per shape: P(m, x) = e^-x sum_{j>=m} x^j/j!
     # (terms past j = 200 are below e^-130 of the sum for x <= 50) and P(1/2, x) = erf(sqrt(x)).
     terms = np.empty((201, xs.size))

@@ -200,24 +200,25 @@ def _diagonal(values):
     return SimpleNamespace(n=len(values), entries=np.diag(np.asarray(values, dtype=complex)))
 
 
-@pytest.mark.parametrize(
-    "r_rd, message",
-    [(_diagonal([1.0, 1j]), "cascade trace should be real"), (_diagonal([1.0, -2.0]), "must be nonnegative")],
-    ids=["imaginary", "negative"],
-)
-def test_stacked_traces_raise_the_per_call_error(r_rd, message):
-    # With R_sr = I and R_rd diagonal, tr = sum_i d_i |p_i|^2: rows with p_2 = 0 pass, p_2 = 1 fails.
-    r_sr = identity_correlation(2)
-    good, bad = np.array([1.0, 0.0]), np.array([1.0, 1.0])
-    with pytest.raises(InternalConsistencyError, match=message) as per_call:
-        cascade_traces(r_rd, r_sr, bad)
-    kernel = validation._trace_kernel(r_rd, r_sr)
+def _symmetric(entries):
+    """A stand-in for a real symmetric correlation matrix, unchecked: PSD or not."""
+    return SimpleNamespace(n=len(entries), entries=np.asarray(entries, dtype=complex), hermitian_residual=0.0)
+
+
+def test_stacked_traces_raise_the_per_call_error():
+    # R = [[1, 2], [2, 1]] is symmetric but not PSD: p = (1, 1) gives traces (10, 82),
+    # p = (1, -1) gives (-6, 18) and p = (1, -1/2) gives (-2.75, 3.0625).
+    r = _symmetric([[1.0, 2.0], [2.0, 1.0]])
+    good, bad, worse = np.array([1.0, 1.0]), np.array([1.0, -1.0]), np.array([1.0, -0.5])
+    with pytest.raises(InternalConsistencyError, match="must be nonnegative") as per_call:
+        cascade_traces(r, r, bad)
+    kernel = validation._trace_kernel(r)
     # Criterion 3's one-product route raises the error of the first bad row's one-vector call.
     with pytest.raises(InternalConsistencyError) as stacked:
-        validation._kernel_traces(kernel, np.stack([good, good, bad, good]))
+        validation._kernel_traces(kernel, np.stack([good, good, bad, worse, good]))
     assert str(stacked.value) == str(per_call.value)
     t_lin = validation._kernel_traces(kernel, np.stack([good, good]))[0]
-    assert t_lin.tolist() == _per_row_traces(r_rd, r_sr, [good, good])[0].tolist() == [1.0, 1.0]
+    assert t_lin.tolist() == _per_row_traces(r, r, [good, good])[0].tolist() == [10.0, 10.0]
 
 
 @pytest.mark.parametrize(
@@ -241,9 +242,6 @@ def test_stacked_traces_report_the_first_bad_row(diagonal, rows, message):
     with pytest.raises(InternalConsistencyError) as per_row:
         _per_row_traces(r_rd, r_sr, rows)
     assert str(per_row.value) == str(per_call.value)
-    with pytest.raises(InternalConsistencyError) as kernel_route:
-        validation._kernel_traces(validation._trace_kernel(r_rd, r_sr), rows)
-    assert str(kernel_route.value) == str(per_call.value)
 
 
 @pytest.mark.parametrize("seed", [202, 317])
@@ -326,17 +324,40 @@ def test_criterion_3_route_matches_stacked_cascade_traces(seed):
     _assert_close_per_stack(t_quad, want_quad)
 
 
+def _random_real_psd(gen, n):
+    g = gen.standard_normal((n, n))
+    return CorrelationMatrix(g @ g.T / n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
 def test_kernel_traces_match_stacked_cascade_traces(n):
     gen = np.random.default_rng(40 + n)
-    r_sr, r_rd = random_psd(gen, n), random_psd(gen, n)
-    kernel = validation._trace_kernel(r_rd, r_sr)
-    assert kernel.shape == (n, n * n)
+    side = 4 if n == 16 else 1
+    models = (
+        _random_real_psd(gen, n),
+        sinc_correlation(ArrayGeometry(n // side, side, 0.1 / 40.0, 0.1 / 40.0, 0.1)),
+        exponential_correlation(n, 0.9),
+    )
     fixed = np.stack([phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n) for _ in range(7)])
-    for stack in (fixed, UniformRandom(19).phase_draws(n)(40, 256), UniformRandom(19).phase_draws(n)(0, 70)):
-        for got, want in zip(validation._kernel_traces(kernel, stack), _per_row_traces(r_rd, r_sr, stack)):
-            assert got.shape == want.shape == (stack.shape[0],)
-            _assert_close_per_stack(got, want)
+    for r in models:
+        kernel = validation._trace_kernel(r)
+        assert kernel.shape == (n, n * (n + 1) // 2)
+        for stack in (fixed, UniformRandom(19).phase_draws(n)(40, 256), UniformRandom(19).phase_draws(n)(0, 70)):
+            for got, want in zip(validation._kernel_traces(kernel, stack), _per_row_traces(r, r, stack)):
+                assert got.shape == want.shape == (stack.shape[0],)
+                _assert_close_per_stack(got, want)
+
+
+def test_trace_kernel_needs_a_real_exactly_symmetric_matrix():
+    gen = np.random.default_rng(44)
+    with pytest.raises(DomainError, match="real, exactly symmetric"):
+        validation._trace_kernel(random_psd(gen, 4))  # complex Hermitian
+    entries = square_sinc(2).entries.real.copy()
+    entries[0, 1] = np.nextafter(entries[0, 1], 2.0)  # Hermitian within tolerance, but not exactly
+    r = CorrelationMatrix(entries)
+    assert 0 < r.hermitian_residual
+    with pytest.raises(DomainError, match="real, exactly symmetric"):
+        validation._trace_kernel(r)
 
 
 def test_optimal_csi_not_materializable():
