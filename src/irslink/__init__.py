@@ -44,7 +44,6 @@ from .phaseshift import (
     UniformRandom,
     cascade_traces,
     phase_vector,
-    uniform_phase_trace_moments,
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict
 from .curves import (

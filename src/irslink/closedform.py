@@ -8,9 +8,9 @@ X's first two moments.  For UniformRandom phases it preserves the mean and
 E_P[Var(X | P)], the variance given the phases averaged over them, which
 falls short of Var(X) by Var_P(t1) = t1_sq - t1^2 (law of total variance;
 about 15% of the variance on the blocked fig2b).  The phase-shift designs
-differ only in the cascade moments (t1, t1_sq, t2) that each computes in
-``phaseshift``; ``gamma_fit`` matches them all the same way.  The oracles
-that check these expressions live with the acceptance gate, in
+differ only in the cascade moments (t1, t1_sq, t2) that each design's
+``cascade_moments`` computes; ``gamma_fit`` matches them all the same way.
+The oracles that check these expressions live with the acceptance gate, in
 ``validation``.
 """
 
@@ -55,8 +55,8 @@ def _moments(beta_sd, t1, t1_sq, t2):
     the (expected) trace of the squared cascade matrix; for a fixed phase
     vector t1_sq is t1 * t1.
     """
-    if not beta_sd >= 0:
-        raise DomainError(f"direct-link gain must be >= 0, got {beta_sd}")
+    if not 0.0 <= beta_sd < math.inf:  # the engine's rule (montecarlo.channel_blocks)
+        raise DomainError(f"direct-link gain beta_sd must be nonnegative and finite, got {beta_sd}")
     mean = beta_sd + t1
     variance = beta_sd * beta_sd + 2.0 * beta_sd * t1 + t1_sq + 2.0 * t2
     return mean, variance

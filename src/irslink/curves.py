@@ -154,16 +154,21 @@ def _escape(value: str) -> str:
 
 
 def check_target(path) -> None:
-    """Raise the OSError that ``write_lines(path, ...)`` would meet at its
-    first step when ``path``'s directory is missing or not writable, so a
-    caller can refuse a target before doing the work that fills it."""
+    """Raise the OSError that ``write_lines(path, ...)`` would meet when
+    ``path``'s directory is missing or not writable, or ``path`` is itself a
+    directory, so a caller can refuse a target before doing the work that
+    fills it."""
     path = os.fspath(path)
     head = os.path.dirname(path) or os.curdir
     if not os.path.isdir(head):
         code = errno.ENOTDIR if os.path.exists(head) else errno.ENOENT
-        raise OSError(code, os.strerror(code), path)
-    if not os.access(head, os.W_OK | os.X_OK):
-        raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+    elif not os.access(head, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def write_lines(path, lines) -> None:

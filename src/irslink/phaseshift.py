@@ -19,9 +19,10 @@ in two rounded steps, which is exactly ``Generator.uniform(-pi, pi, n)``.
 Phasors exp(i theta) are formed as cos + i sin (``_phasors``), which is
 numpy's complex exp of i theta bit for bit.
 
-The cascade statistics live here too: ``cascade_traces`` for one phase
-vector, ``equal_phase_traces`` when every phase coincides and
-``uniform_phase_trace_moments`` averaged over i.i.d. uniform phases.
+Each design with a closed form owns its statistics: ``Equal`` and
+``UniformRandom`` compute theirs in ``cascade_moments`` (every phase equal,
+and averaged over i.i.d. uniform phases), and ``Fixed`` traces its one phase
+vector through ``cascade_traces``, which also serves per-vector callers.
 """
 
 from dataclasses import dataclass
@@ -92,13 +93,24 @@ class Equal(_Design):
         return np.full(n, np.exp(1j * self.theta))
 
     def cascade_moments(self, r_sr, r_rd):
-        t1, t2 = equal_phase_traces(r_sr, r_rd)
+        """Cascade traces when all phases coincide: the phase matrix cancels.
+
+        t1 = tr(R_rd R_sr) as an elementwise sum, t2 = tr((R_rd R_sr)^2) with
+        a single matrix product.
+        """
+        if r_sr.n != r_rd.n:
+            raise DomainError(f"dimension mismatch: r_sr {r_sr.n}, r_rd {r_rd.n}")
+        # One N x N buffer holds each elementwise product before its sum.
+        buf = np.multiply(r_rd.entries, r_sr.entries.T)
+        t1 = real_trace(complex(np.sum(buf)), "equal-phase trace")
+        prod = r_rd.entries @ r_sr.entries
+        t2 = real_trace(complex(np.sum(np.multiply(prod, prod.T, out=buf))), "equal-phase squared trace")
         return t1, t1 * t1, t2
 
 
 @dataclass(frozen=True)
 class Fixed(_Design):
-    """An arbitrary per-element phase vector."""
+    """An arbitrary per-element phase vector: a 1-D array of at least one angle (DomainError otherwise)."""
 
     thetas: np.ndarray
     kind: ClassVar[str] = "fixed"
@@ -106,6 +118,8 @@ class Fixed(_Design):
 
     def __post_init__(self):
         t = _wrap_angle(np.atleast_1d(self.thetas))
+        if t.ndim != 1 or not t.size:
+            raise DomainError(f"fixed design needs a 1-D array of at least one angle, got shape {t.shape}")
         t.setflags(write=False)
         object.__setattr__(self, "thetas", t)
 
@@ -162,8 +176,28 @@ class UniformRandom(_Design):
         return self.phase_draws(n)(draw_index, 1)[0]
 
     def cascade_moments(self, r_sr, r_rd):
-        m = uniform_phase_trace_moments(r_sr, r_rd)
-        return m.mean_trace, m.mean_trace_sq, m.mean_quad_trace
+        """Phase averages (E[tr C], E[(tr C)^2], E[tr C^2]) via Hadamard-product identities.
+
+        validation.uniform_phase_trace_moments_by_sums is the independent
+        index-sum oracle for these expressions; acceptance criterion 2 and
+        the test suite require the two routes to agree to 1e-12 relative.
+        """
+        if r_sr.n != r_rd.n:
+            raise DomainError(f"dimension mismatch: r_sr {r_sr.n}, r_rd {r_rd.n}")
+        a = r_rd.entries * r_sr.entries  # Hadamard product
+        diag_sq = np.sum(np.real(np.diag(a)) ** 2)
+        nu = real_trace(complex(np.trace(a)), "phase-averaged trace")
+        mag = np.abs(a)
+        eta = nu * nu + float(np.sum(np.square(mag, out=mag))) - diag_sq
+        # b = R_rd diag(R_sr) and c = R_sr diag(R_rd), each built in a's buffer
+        # once a is spent, and each b * b^T in one second buffer.
+        prod = np.empty_like(a)
+        sums = []
+        for x, y in ((r_rd, r_sr), (r_sr, r_rd)):
+            b = np.multiply(x.entries, np.diag(y.entries)[None, :], out=a)
+            sums.append(np.sum(np.multiply(b, b.T, out=prod)))
+        quad = real_trace(np.array(sums), "phase-averaged quad trace")
+        return nu, eta, quad[0] + quad[1] - diag_sq
 
     def phase_draws(self, n: int):
         """A function (start, count) -> the phases of draws start..start+count-1, one per row.
@@ -291,61 +325,3 @@ def cascade_traces(r_rd: CorrelationMatrix, r_sr: CorrelationMatrix, phases: np.
     c = r_rd.entries @ inner
     t_lin, t_quad = _checked_traces(np.trace(c)[None], np.multiply(c, c.T, out=inner).sum()[None])
     return float(t_lin[0]), float(t_quad[0])
-
-
-def equal_phase_traces(r_sr: CorrelationMatrix, r_rd: CorrelationMatrix):
-    """Cascade traces when all phases coincide: the phase matrix cancels.
-
-    t1 = tr(R_rd R_sr) as an elementwise sum, t2 = tr((R_rd R_sr)^2) with a
-    single matrix product.
-    """
-    if r_sr.n != r_rd.n:
-        raise DomainError(f"dimension mismatch: r_sr {r_sr.n}, r_rd {r_rd.n}")
-    # One N x N buffer holds each elementwise product before its sum.
-    buf = np.multiply(r_rd.entries, r_sr.entries.T)
-    t1 = real_trace(complex(np.sum(buf)), "equal-phase trace")
-    prod = r_rd.entries @ r_sr.entries
-    t2 = real_trace(complex(np.sum(np.multiply(prod, prod.T, out=buf))), "equal-phase squared trace")
-    return t1, t2
-
-
-@dataclass(frozen=True)
-class UniformPhaseMoments:
-    """Phase-averaged cascade statistics under i.i.d. uniform phases.
-
-    mean_trace        expectation of the cascade trace
-    mean_trace_sq     expectation of the squared cascade trace
-    mean_quad_trace   expectation of the trace of the squared cascade matrix
-    """
-
-    mean_trace: float
-    mean_trace_sq: float
-    mean_quad_trace: float
-
-
-def uniform_phase_trace_moments(
-    r_sr: CorrelationMatrix, r_rd: CorrelationMatrix
-) -> UniformPhaseMoments:
-    """Closed-form phase averages via Hadamard-product identities.
-
-    validation.uniform_phase_trace_moments_by_sums is the independent
-    index-sum oracle for these expressions; acceptance criterion 2 and the
-    test suite require the two routes to agree to 1e-12 relative.
-    """
-    if r_sr.n != r_rd.n:
-        raise DomainError(f"dimension mismatch: r_sr {r_sr.n}, r_rd {r_rd.n}")
-    a = r_rd.entries * r_sr.entries  # Hadamard product
-    diag_sq = np.sum(np.real(np.diag(a)) ** 2)
-    nu = real_trace(complex(np.trace(a)), "phase-averaged trace")
-    mag = np.abs(a)
-    eta = nu * nu + float(np.sum(np.square(mag, out=mag))) - diag_sq
-    # b = R_rd diag(R_sr) and c = R_sr diag(R_rd), each built in a's buffer
-    # once a is spent, and each b * b^T in one second buffer.
-    prod = np.empty_like(a)
-    sums = []
-    for x, y in ((r_rd, r_sr), (r_sr, r_rd)):
-        b = np.multiply(x.entries, np.diag(y.entries)[None, :], out=a)
-        sums.append(np.sum(np.multiply(b, b.T, out=prod)))
-    quad = real_trace(np.array(sums), "phase-averaged quad trace")
-    delta = quad[0] + quad[1] - diag_sq
-    return UniformPhaseMoments(nu, eta, delta)

@@ -8,23 +8,29 @@ overrides for quick smoke runs, but the canonical gate is the default
 configuration.  The oracles only the gate needs sit beside the criterion
 that runs each: the index-sum phase averages (2), the scale derivative (7)
 and the equal-phase trace bound (8); ``import irslink`` does not load them.
-Criteria 1 and 2 fit a raw phase vector by the general route that
-``gamma_fit`` takes for a ``Fixed`` design (``cascade_traces``, then
-closedform's ``_moments`` and ``_fit``); criterion 2 holds it against
-``gamma_fit`` of an ``Equal`` design.
-Criterion 3 traces its phase draws by a route of its own as well: it
+Each closed-form statistic the gate checks comes from the route that
+``gamma_fit`` runs, a design's ``cascade_moments``: criterion 1 fits
+``Fixed`` designs' moments through closedform's ``_moments`` and ``_fit``;
+criterion 2 holds the general trace of an ``Equal`` design's phases
+(``cascade_traces``) against ``gamma_fit`` of that design, and
+``UniformRandom.cascade_moments`` against the index sums; criterion 3
+holds its draws against the moments of the ``UniformRandom`` design that
+draws them.
+Criterion 3 traces its phase draws by a route of its own: it
 traces one real, exactly symmetric model R against itself, so each draw's
 R conj(D) R is symmetric, and one matrix product per stack of draws
 against an (N, N(N+1)/2) kernel gives its upper triangle.  The kernel grows
 as N^3 and so suits its N = 16 only; the route agrees with
 ``cascade_traces`` of each draw to rounding and makes the same checks.
+Criteria 3 and 8 both need R real and exactly symmetric, and
+``_real_symmetric`` is their one guard.
 """
 
 import functools
 import math
 import os
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -35,7 +41,7 @@ from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
 from .errors import DomainError
 from .montecarlo import _trial_array, gain_samples, outage_rates, run_ranges
-from .phaseshift import TRACE_IMAG_TOL, Equal, Fixed, OptimalCsi, UniformPhaseMoments, UniformRandom, _checked_traces, _wrap_angle, cascade_traces, phase_vector, uniform_phase_trace_moments
+from .phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, _checked_traces, _wrap_angle, cascade_traces
 from .scenario import MODELS, load_scenario
 
 QUARTER_TURN = math.pi / 4.0
@@ -141,9 +147,8 @@ def criterion_1(trials=None, seed=None):
     worst = 0.0
     for n, beta_sd, r_sr, r_rd, gen in _matrix_pairs():
         for _ in range(10):
-            t1, t2 = cascade_traces(r_rd, r_sr, phase_vector(Fixed(gen.uniform(-np.pi, np.pi, n)), n))
-            mean, var = _moments(beta_sd, t1, t1 * t1, t2)
-            gp = _fit(mean, var)  # what gamma_fit returns, without tracing the vector again
+            mean, var = _moments(beta_sd, *Fixed(gen.uniform(-np.pi, np.pi, n)).cascade_moments(r_sr, r_rd))
+            gp = _fit(mean, var)  # what gamma_fit returns, with its mean and variance kept
             worst = max(
                 worst,
                 abs(gp.mean - mean) / abs(mean),
@@ -152,10 +157,9 @@ def criterion_1(trials=None, seed=None):
     return worst <= 1e-12, f"max rel dev {worst:.2e}"
 
 
-def uniform_phase_trace_moments_by_sums(
-    r_sr: CorrelationMatrix, r_rd: CorrelationMatrix
-) -> UniformPhaseMoments:
-    """The same phase averages from first principles, as explicit index sums.
+def uniform_phase_trace_moments_by_sums(r_sr: CorrelationMatrix, r_rd: CorrelationMatrix):
+    """``UniformRandom.cascade_moments``'s phase averages (E[tr C], E[(tr C)^2],
+    E[tr C^2]) from first principles, as explicit index sums.
 
     Deliberately naive O(N^2) loops; serves as the independent oracle for
     the matrix expressions.
@@ -173,7 +177,7 @@ def uniform_phase_trace_moments_by_sums(
         for m in range(n):
             delta += (rd[i, m] * rs[m, m] * rd[m, i] * rs[i, i]).real
             delta += (rd[i, i] * rs[i, m] * rd[m, m] * rs[m, i]).real
-    return UniformPhaseMoments(float(nu), float(eta), float(delta))
+    return float(nu), float(eta), float(delta)
 
 
 @_criterion(2, "reduction equivalences", 10.0)
@@ -182,7 +186,7 @@ def criterion_2(trials=None, seed=None):
     worst = 0.0
     for n, beta_sd, r_sr, r_rd, gen in _matrix_pairs():
         theta = float(gen.uniform(-np.pi, np.pi))
-        t1, t2 = cascade_traces(r_rd, r_sr, phase_vector(Equal(theta), n))
+        t1, t2 = cascade_traces(r_rd, r_sr, Equal(theta).phases(n))
         via_general = _fit(*_moments(beta_sd, t1, t1 * t1, t2))
         via_equal = gamma_fit(beta_sd, r_sr, r_rd, Equal(theta))
         worst = max(
@@ -190,11 +194,17 @@ def criterion_2(trials=None, seed=None):
             abs(via_general.shape - via_equal.shape) / via_equal.shape,
             abs(via_general.scale - via_equal.scale) / via_equal.scale,
         )
-        matrix_form = uniform_phase_trace_moments(r_sr, r_rd)
+        matrix_form = UniformRandom(_DESIGN_SEED).cascade_moments(r_sr, r_rd)
         sums = uniform_phase_trace_moments_by_sums(r_sr, r_rd)
-        for a, b in zip(astuple(matrix_form), astuple(sums)):
+        for a, b in zip(matrix_form, sums):
             worst = max(worst, abs(a - b) / max(1e-300, abs(b)))
     return worst <= 1e-12, f"max rel dev {worst:.2e}"
+
+
+def _real_symmetric(r: CorrelationMatrix, what: str) -> None:
+    """DomainError unless R is real and exactly symmetric, as criteria 3 and 8 need."""
+    if r.entries.imag.any() or r.hermitian_residual != 0:
+        raise DomainError(f"{what} needs a real, exactly symmetric correlation matrix")
 
 
 @functools.cache
@@ -217,8 +227,7 @@ def _trace_kernel(r: CorrelationMatrix) -> np.ndarray:
     that triangle is all of it.  R must be real and exactly symmetric
     (DomainError otherwise).  It takes 8 N^2 (N + 1) bytes: 34 KB at N = 16.
     """
-    if r.entries.imag.any() or r.hermitian_residual != 0:
-        raise DomainError("the trace kernel needs a real, exactly symmetric correlation matrix")
+    _real_symmetric(r, "the trace kernel")
     rows, cols = _triangle(r.n)
     return r.entries.T[:, rows] * r.entries[:, cols]
 
@@ -284,11 +293,11 @@ def criterion_3(trials=None, seed=None):
     seed = 202 if seed is None else seed
     r = _sinc_square(4)
     t_lin, t_quad = _phase_traces(r, seed, trials)
-    moments = uniform_phase_trace_moments(r, r)
+    mean_trace, mean_trace_sq, mean_quad_trace = UniformRandom(seed).cascade_moments(r, r)  # the design _phase_traces draws
     checks = [
-        ("trace", np.mean(t_lin), np.std(t_lin, ddof=1), moments.mean_trace),
-        ("trace^2", np.mean(t_lin**2), np.std(t_lin**2, ddof=1), moments.mean_trace_sq),
-        ("quad trace", np.mean(t_quad), np.std(t_quad, ddof=1), moments.mean_quad_trace),
+        ("trace", np.mean(t_lin), np.std(t_lin, ddof=1), mean_trace),
+        ("trace^2", np.mean(t_lin**2), np.std(t_lin**2, ddof=1), mean_trace_sq),
+        ("quad trace", np.mean(t_quad), np.std(t_quad, ddof=1), mean_quad_trace),
     ]
     detail = []
     ok = True
@@ -439,14 +448,13 @@ def equal_phase_trace_bound(r: CorrelationMatrix, phases: np.ndarray) -> np.ndar
     """Margins by which equal phases out-trace each row of a phase stack (B, N).
 
     Valid for the model where both covariances are proportional to the same
-    real symmetric matrix R; the margin of row b is tr under equal phases -
-    Re tr under phases[b], and the bound holds when no margin falls below
-    -TRACE_BOUND_SLACK.  With S = R∘R and phases p = c + is,
+    real, exactly symmetric matrix R (DomainError otherwise); the margin of
+    row b is tr under equal phases - Re tr under phases[b], and the bound
+    holds when no margin falls below -TRACE_BOUND_SLACK.  With S = R∘R and phases p = c + is,
     Re tr(R P^H R P) = c^T S c + s^T S s, so the margins of the whole stack
     take one real matrix product.
     """
-    if np.max(np.abs(r.entries.imag)) > TRACE_IMAG_TOL:
-        raise DomainError("trace bound is only claimed for real symmetric models")
+    _real_symmetric(r, "the equal-phase trace bound")
     phases = np.asarray(phases, dtype=np.complex128)
     if phases.ndim != 2 or phases.shape[1] != r.n:
         raise DomainError(f"dimension mismatch: r {r.n}, phases {phases.shape}")

@@ -436,7 +436,11 @@ def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys, arg
     (tmp_path / "file").write_text("")
     assert cli.main([*args, "--out", str(tmp_path / "file" / "x.csv")]) == 2
     assert "Not a directory" in capsys.readouterr().err
-    assert [f.name for f in tmp_path.iterdir()] == ["file"]
+    (tmp_path / "folder").mkdir()
+    assert cli.main([*args, "--out", str(tmp_path / "folder")]) == 2
+    assert f"Is a directory: '{tmp_path / 'folder'}'" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["file", "folder"]
+    assert not any((tmp_path / "folder").iterdir())
 
 
 def test_missing_out_directory_is_input_error(tmp_path):

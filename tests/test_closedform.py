@@ -12,9 +12,7 @@ from irslink.phaseshift import (
     Fixed,
     UniformRandom,
     cascade_traces,
-    equal_phase_traces,
     phase_vector,
-    uniform_phase_trace_moments,
 )
 from irslink.scenario import load_scenario, scenario_from_dict
 from irslink.units import db_to_linear, dbm_to_watts
@@ -167,7 +165,7 @@ def test_equal_phase_two_element_hand_expansion():
     t1_hand = sum(rd[i, j] * rs[j, i] for i in range(2) for j in range(2))
     prod = rd @ rs
     t2_hand = sum(prod[i, j] * prod[j, i] for i in range(2) for j in range(2))
-    t1, t2 = equal_phase_traces(r, r)
+    t1, _, t2 = Equal(0.0).cascade_moments(r, r)
     assert t1 == pytest.approx(t1_hand, rel=1e-14)
     assert t2 == pytest.approx(t2_hand, rel=1e-14)
 
@@ -186,26 +184,26 @@ def test_blocked_uncorrelated_fit_depends_only_on_size_and_gain_product():
 
 def test_uniform_stats_single_element():
     r_sr, r_rd = scalar_matrix(0.8, 1), scalar_matrix(1.4, 1)
-    m = uniform_phase_trace_moments(r_sr, r_rd)
+    mean_trace, mean_trace_sq, mean_quad_trace = UniformRandom(0).cascade_moments(r_sr, r_rd)
     nu = 0.8 * 1.4
-    assert m.mean_trace == pytest.approx(nu, rel=1e-14)
-    assert m.mean_trace_sq == pytest.approx(nu**2, rel=1e-14)
-    assert m.mean_quad_trace == pytest.approx(nu**2, rel=1e-14)
+    assert mean_trace == pytest.approx(nu, rel=1e-14)
+    assert mean_trace_sq == pytest.approx(nu**2, rel=1e-14)
+    assert mean_quad_trace == pytest.approx(nu**2, rel=1e-14)
 
 
 def test_uniform_stats_uncorrelated():
     a, b, n = 0.6, 1.1, 7
-    m = uniform_phase_trace_moments(scalar_matrix(a, n), scalar_matrix(b, n))
-    assert m.mean_trace == pytest.approx(n * a * b, rel=1e-13)
-    assert m.mean_trace_sq == pytest.approx((n * a * b) ** 2, rel=1e-13)
-    assert m.mean_quad_trace == pytest.approx(n * (a * b) ** 2, rel=1e-13)
+    mean_trace, mean_trace_sq, mean_quad_trace = UniformRandom(0).cascade_moments(scalar_matrix(a, n), scalar_matrix(b, n))
+    assert mean_trace == pytest.approx(n * a * b, rel=1e-13)
+    assert mean_trace_sq == pytest.approx((n * a * b) ** 2, rel=1e-13)
+    assert mean_quad_trace == pytest.approx(n * (a * b) ** 2, rel=1e-13)
 
 
 def test_uniform_stats_dual_route(sinc16):
-    matrix_form = uniform_phase_trace_moments(sinc16, sinc16)
+    matrix_form = UniformRandom(0).cascade_moments(sinc16, sinc16)
     sums = uniform_phase_trace_moments_by_sums(sinc16, sinc16)
-    for field in ("mean_trace", "mean_trace_sq", "mean_quad_trace"):
-        assert getattr(matrix_form, field) == pytest.approx(getattr(sums, field), rel=1e-12)
+    for got, ref in zip(matrix_form, sums, strict=True):
+        assert got == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("preset", ["fig2a", "fig2b", "fig2c"])
@@ -214,10 +212,9 @@ def test_uniform_stats_dual_route_at_physical_scale(preset, model):
     """At link-budget scale the traces are ~1e-14 and their squares ~1e-27,
     so only a relative tolerance can tell the two routes apart."""
     r_sr, r_rd = load_scenario(preset).with_model(model).covariances()
-    matrix_form = uniform_phase_trace_moments(r_sr, r_rd)
+    matrix_form = UniformRandom(0).cascade_moments(r_sr, r_rd)
     sums = uniform_phase_trace_moments_by_sums(r_sr, r_rd)
-    for field in ("mean_trace", "mean_trace_sq", "mean_quad_trace"):
-        got, ref = getattr(matrix_form, field), getattr(sums, field)
+    for field, got, ref in zip(("mean_trace", "mean_trace_sq", "mean_quad_trace"), matrix_form, sums, strict=True):
         assert 0.0 < abs(ref) < 1e-10
         assert abs(got - ref) <= 1e-11 * abs(ref), (field, got, ref)
 
@@ -229,11 +226,11 @@ def test_uniform_stats_match_phase_draws(sinc16):
     t_quad = np.empty(draws)
     for i in range(draws):
         t_lin[i], t_quad[i] = cascade_traces(sinc16, sinc16, phase_vector(design, 16, i))
-    m = uniform_phase_trace_moments(sinc16, sinc16)
+    mean_trace, mean_trace_sq, mean_quad_trace = design.cascade_moments(sinc16, sinc16)
     for sample, want in [
-        (t_lin, m.mean_trace),
-        (t_lin**2, m.mean_trace_sq),
-        (t_quad, m.mean_quad_trace),
+        (t_lin, mean_trace),
+        (t_lin**2, mean_trace_sq),
+        (t_quad, mean_quad_trace),
     ]:
         se = sample.std(ddof=1) / math.sqrt(draws)
         assert abs(sample.mean() - want) <= 4 * se
@@ -242,9 +239,9 @@ def test_uniform_stats_match_phase_draws(sinc16):
 def test_uniform_fit_moment_preservation(sinc16):
     beta = 0.3
     gp = gamma_fit(beta, sinc16, sinc16, UniformRandom(0))
-    m = uniform_phase_trace_moments(sinc16, sinc16)
-    mean = beta + m.mean_trace
-    var = beta**2 + 2 * beta * m.mean_trace + m.mean_trace_sq + 2 * m.mean_quad_trace
+    mean_trace, mean_trace_sq, mean_quad_trace = UniformRandom(0).cascade_moments(sinc16, sinc16)
+    mean = beta + mean_trace
+    var = beta**2 + 2 * beta * mean_trace + mean_trace_sq + 2 * mean_quad_trace
     assert gp.mean == pytest.approx(mean, rel=1e-12)
     assert gp.variance == pytest.approx(var, rel=1e-12)
 
@@ -391,6 +388,6 @@ def test_each_fit_rejects_a_negative_or_nan_direct_gain(fit):
         "equal": Equal(0.0),
         "uniform": UniformRandom(0),
     }[fit]
-    for bad in (-0.1, math.nan):
-        with pytest.raises(DomainError, match="direct-link gain"):
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"^direct-link gain beta_sd must be nonnegative and finite, got {bad}$"):
             gamma_fit(bad, r, r, design)

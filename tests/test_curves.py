@@ -22,7 +22,7 @@ from irslink.curves import (
 )
 from irslink.errors import DomainError, ScenarioFormatError
 from irslink.montecarlo import gain_samples, outage_rates
-from irslink.phaseshift import uniform_phase_trace_moments
+from irslink.phaseshift import UniformRandom
 from irslink.scenario import load_scenario, scenario_from_dict
 
 from test_scenario import make
@@ -44,8 +44,7 @@ def test_uniform_design_uses_phase_averaged_fit():
     sc = small_scenario(design="uniform_random", theta=None, seed=4)
     curve = run_curve(sc, trials=0, seed=1)
     r_sr, r_rd = sc.covariances()
-    m = uniform_phase_trace_moments(r_sr, r_rd)
-    gp = _fit(*_moments(sc.beta_sd, m.mean_trace, m.mean_trace_sq, m.mean_quad_trace))
+    gp = _fit(*_moments(sc.beta_sd, *UniformRandom(4).cascade_moments(r_sr, r_rd)))
     assert curve.k_a[0] == gp.shape
     assert curve.w_a[0] == gp.scale
     expected = [outage_probability(gp, z) for z in curve.z]
@@ -136,6 +135,14 @@ def test_write_errors_name_the_target(tmp_path, monkeypatch):
     with pytest.raises(FileNotFoundError, match="x.csv") as early:
         check_target(target)
     assert str(early.value) == str(missing.value)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    with pytest.raises(IsADirectoryError) as late:
+        write_lines(folder, ["a"])
+    with pytest.raises(IsADirectoryError) as early:
+        check_target(folder)
+    assert str(early.value) == str(late.value) == f"[Errno 21] Is a directory: '{folder}'"
+    folder.rmdir()
 
     def refuse(src, dst):
         raise PermissionError(13, "Permission denied", src, dst)

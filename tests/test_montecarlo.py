@@ -745,6 +745,15 @@ def test_bad_direct_link_gain_is_a_domain_error(beta_sd):
         sample_channels(beta_sd, factor, factor, 1, 0)
 
 
+def test_channel_blocks_checks_both_ends_of_its_range():
+    factor = matrix_sqrt(square_sinc(2))
+    for first, stop in ((-1, 3), (2**128 - 2, 2**128 + 1)):
+        with pytest.raises(DomainError, match=r"^stream index must lie in \[0, 2\^128\)"):
+            next(channel_blocks(0.5, factor, factor, 1, first, stop))
+    start, h_sd, _, _ = next(channel_blocks(0.5, factor, factor, 1, 2**128 - 1, 2**128))  # the last stream
+    assert start == 2**128 - 1 and h_sd.shape == (1,)
+
+
 def test_channel_realization_validation():
     with pytest.raises(DomainError):
         ChannelRealization(h_sd=0j, h_sr=np.ones(3, dtype=complex), h_rd=np.ones(2, dtype=complex))

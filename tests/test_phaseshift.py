@@ -25,10 +25,8 @@ from irslink.phaseshift import (
     _checked_traces,
     _phasors,
     cascade_traces,
-    equal_phase_traces,
     phase_vector,
     real_trace,
-    uniform_phase_trace_moments,
 )
 from irslink.scenario import DESIGNS, load_scenario
 from irslink.validation import TRACE_BOUND_SLACK, criterion_3, equal_phase_trace_bound
@@ -118,6 +116,21 @@ def test_unknown_design_is_a_domain_error():
         run_curve(replace(load_scenario("fig2c"), design=object()), 0, 1)
 
 
+@pytest.mark.parametrize(
+    "thetas", [np.zeros((2, 2)), np.zeros((1, 2)), np.array([]), []], ids=["2x2", "1x2", "empty", "empty-list"]
+)
+def test_fixed_needs_a_1d_array_of_at_least_one_angle(thetas):
+    r = identity_correlation(2)
+    message = "^fixed design needs a 1-D array of at least one angle, got shape"
+    with pytest.raises(DomainError, match=message):
+        Fixed(thetas)
+    with pytest.raises(DomainError, match=message):
+        gain_samples(0.0, r, r, Fixed(thetas), 3, 1)
+    with pytest.raises(DomainError, match=message):
+        gamma_fit(0.0, r, r, Fixed(thetas))
+    assert Fixed(0.5).thetas.shape == (1,)  # one angle, given as a scalar
+
+
 def test_design_kinds_are_the_schema_names():
     kinds = [d.kind for d in (Equal(0.5), Fixed(np.zeros(2)), UniformRandom(3), OptimalCsi())]
     assert kinds == ["equal", "fixed", "uniform_random", "optimal_csi"]
@@ -132,12 +145,12 @@ def test_each_design_fits_with_its_own_closed_form():
     gen = np.random.default_rng(11)
     r_sr, r_rd = random_psd(gen, 5), random_psd(gen, 5)
     fixed = Fixed(gen.uniform(-np.pi, np.pi, 5))
-    t1, t2 = equal_phase_traces(r_sr, r_rd)
-    assert Equal(0.3).cascade_moments(r_sr, r_rd) == (t1, t1 * t1, t2)
+    t1, t2 = cascade_traces(r_rd, r_sr, phase_vector(Equal(0.3), 5))
+    assert Equal(0.3).cascade_moments(r_sr, r_rd) == pytest.approx((t1, t1 * t1, t2), rel=1e-12)
     t1, t2 = cascade_traces(r_rd, r_sr, phase_vector(fixed, 5))
     assert fixed.cascade_moments(r_sr, r_rd) == (t1, t1 * t1, t2)
-    m = uniform_phase_trace_moments(r_sr, r_rd)
-    assert UniformRandom(8).cascade_moments(r_sr, r_rd) == (m.mean_trace, m.mean_trace_sq, m.mean_quad_trace)
+    want = validation.uniform_phase_trace_moments_by_sums(r_sr, r_rd)
+    assert UniformRandom(8).cascade_moments(r_sr, r_rd) == pytest.approx(want, rel=1e-12)
     assert OptimalCsi().cascade_moments(r_sr, r_rd) is None
     # One fit route: the design's moments, matched by _moments and _fit.
     for design in (Equal(0.3), fixed, UniformRandom(8)):
@@ -253,11 +266,11 @@ def test_criterion_3_matches_a_per_call_loop(seed):
     t_lin, t_quad = np.empty(trials), np.empty(trials)
     for i in range(trials):
         t_lin[i], t_quad[i] = cascade_traces(r, r, phase_vector(design, r.n, draw_index=i))
-    moments = uniform_phase_trace_moments(r, r)
+    mean_trace, mean_trace_sq, mean_quad_trace = design.cascade_moments(r, r)
     checks = [
-        ("trace", np.mean(t_lin), np.std(t_lin, ddof=1), moments.mean_trace),
-        ("trace^2", np.mean(t_lin**2), np.std(t_lin**2, ddof=1), moments.mean_trace_sq),
-        ("quad trace", np.mean(t_quad), np.std(t_quad, ddof=1), moments.mean_quad_trace),
+        ("trace", np.mean(t_lin), np.std(t_lin, ddof=1), mean_trace),
+        ("trace^2", np.mean(t_lin**2), np.std(t_lin**2, ddof=1), mean_trace_sq),
+        ("quad trace", np.mean(t_quad), np.std(t_quad, ddof=1), mean_quad_trace),
     ]
     pulls = [abs(got - want) / (sd / np.sqrt(trials)) for _, got, sd, want in checks]
     detail = ", ".join(f"{name} pull {pull:.2f}sigma" for (name, *_), pull in zip(checks, pulls))
