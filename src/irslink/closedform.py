@@ -55,8 +55,7 @@ def _moments(beta_sd, t1, t1_sq, t2):
     the (expected) trace of the squared cascade matrix; for a fixed phase
     vector t1_sq is t1 * t1.
     """
-    if not 0.0 <= beta_sd < math.inf:  # the engine's rule (montecarlo.channel_blocks)
-        raise DomainError(f"direct-link gain beta_sd must be nonnegative and finite, got {beta_sd}")
+    checked_direct_gain(beta_sd)
     mean = beta_sd + t1
     variance = beta_sd * beta_sd + 2.0 * beta_sd * t1 + t1_sq + 2.0 * t2
     return mean, variance
@@ -95,6 +94,13 @@ def _lower_gamma(shape, scale, z):
     """gammainc(shape, z / scale), elementwise over broadcast arrays; the outage of every Gamma fit."""
     with np.errstate(over="ignore"):  # a z/scale beyond the float range is inf, whose P is the limit 1
         return special.gammainc(shape, z / scale)
+
+
+def checked_direct_gain(beta_sd):
+    """beta_sd as given; DomainError unless it lies in [0, inf) (NaN does not).  The fits and the engine share it."""
+    if not 0.0 <= beta_sd < math.inf:
+        raise DomainError(f"direct-link gain beta_sd must be nonnegative and finite, got {beta_sd}")
+    return beta_sd
 
 
 def checked_threshold(z) -> np.ndarray:

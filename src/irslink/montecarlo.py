@@ -48,11 +48,13 @@ array in a MAP_SHARED anonymous mapping (_trial_array), which the children
 write into.  gain_samples runs ranges of whole 64-trial blocks, so every
 block is the same kernel call as with one worker; criterion 3 of the
 acceptance gate runs ranges of whole 256-draw trace stacks.  A child leaves
-by os._exit; its exception comes back pickled through a pipe (a
-RuntimeError carrying the traceback text if it cannot be pickled).  The
-caller raises the first failure in range order once every child has been
-reaped; if its own range or its wait raises, it kills the children with
-SIGKILL and reaps them first, so no child outlives the call.  Forked ranges
+by os._exit and reports by its exit status alone: 0 if its range finished,
+1 if it raised.  Once every child has been reaped, the caller runs again,
+in range order, each range whose child failed, so its exception rises in
+the caller as itself; a range is pure, so a failure that arises only in a
+child gives the same bytes from the caller.  If the caller's own range or
+its wait raises, it kills the children with SIGKILL and reaps them first,
+so no child outlives the call.  Forked ranges
 do not queue on the GIL: the per-row stream positioning and the small
 ufuncs of a block hold it between their native parts, so on 2 cores with
 one BLAS thread a 10k-trial N = 64 UniformRandom call took 150-258 ms on
@@ -66,16 +68,14 @@ import ctypes
 import functools
 import mmap
 import os
-import pickle
 import signal
 import threading
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .closedform import checked_threshold
+from .closedform import checked_direct_gain, checked_threshold
 from .correlation import CorrelationMatrix, matrix_sqrt
 from .errors import DomainError
 from .phaseshift import OptimalCsi, PhaseShiftDesign, checked_design
@@ -107,13 +107,19 @@ class ChannelRealization:
 def outage_rates(gains: np.ndarray, z):
     """(p_hat, std_err) of outage at each threshold of z, from the gains of one run.
 
+    gains must be a 1-D array of at least one gain, none NaN (DomainError).
     A failure is gain < z, the capacity-below-target definition; sorting the
     gains once and bisecting on the left counts the failures of the whole
     grid at once.  std_err is the binomial standard error sqrt(p(1-p)/trials).
     """
     z = checked_threshold(z)
+    if gains.ndim != 1:
+        raise DomainError(f"gains must be a 1-D array, got shape {gains.shape}")
     trials = rng.check_trials(gains.shape[0], least=1)
-    p = np.searchsorted(np.sort(gains), z, side="left") / trials
+    ordered = np.sort(gains)
+    if np.isnan(ordered[-1]):  # NaN sorts last, and is never below z
+        raise DomainError("gains must not be NaN")
+    p = np.searchsorted(ordered, z, side="left") / trials
     return p, np.sqrt(p * (1.0 - p) / trials)
 
 
@@ -183,8 +189,7 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
     n = l_sr.shape[0]
     if l_sr.shape != (n, n) or l_rd.shape != (n, n):
         raise DomainError("covariance factors must be square and of equal size")
-    if not 0.0 <= beta_sd < np.inf:
-        raise DomainError(f"direct-link gain beta_sd must be nonnegative and finite, got {beta_sd}")
+    checked_direct_gain(beta_sd)
     first = rng.check_index(first)
     rng.check_index(max(stop, first + 1) - 1)  # the last trial
     live = _live_normals(l_sr, l_rd)
@@ -334,97 +339,51 @@ def _range_bounds(total: int, unit: int) -> list:
 def run_ranges(total: int, unit: int, run) -> None:
     """Call run(first, stop) on the ranges of _range_bounds(total, unit), which cover [0, total) once.
 
-    This process runs the first range and a forked child each other one.
-    Returns once every child has been reaped; the first failure, in range
-    order, is raised after that.  If this process's own range or its wait
-    raises, every child not yet reaped is killed with SIGKILL and reaped
-    before the exception goes on, so no child outlives the call.  Where
-    os.fork is missing or another Python thread is alive, the calling
-    thread runs [0, total) as one range.
+    This process runs the first range and a forked child each other one; a
+    child reports only by its exit status, 0 if its range finished and 1 if
+    it raised.  Once every child has been reaped, this process runs again,
+    in range order, each range whose child exited 1, so that range's
+    exception rises here with its own type, fields and traceback.  A range
+    is a pure function of its bounds that writes only its own slice, so a
+    failure that arises only in a forked child (fork-unsafe state, memory
+    that is free again once the children are reaped) is recomputed here
+    to the same bytes instead of being raised.  A child that ended any
+    other way, by a signal say, is a RuntimeError naming its range and
+    wait status.  If this process's own range or its wait raises, every
+    child not yet reaped is killed with SIGKILL and reaped before the
+    exception goes on, so no child outlives the call.  Where os.fork is
+    missing or another Python thread is alive, the calling thread runs
+    [0, total) as one range.
     """
     bounds = _range_bounds(total, unit)
     if not hasattr(os, "fork") or threading.active_count() > 1:
         bounds = [0, total]  # forking beside live threads can deadlock the child
-    children = []  # (pid, report pipe's read end, first, stop) of each child not yet reaped
-    errors = []
+    children = []  # (pid, first, stop) of each child not yet reaped
+    reaped = []  # (wait status, first, stop) of each child reaped
     try:
         for first, stop in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                os.close(read)
-                _child(run, first, stop, write)  # never returns
-            os.close(write)
-            children.append((pid, read, first, stop))
+            pid = os.fork()
+            if pid == 0:  # leave by os._exit, never unwinding the caller's stack
+                try:
+                    run(first, stop)
+                    os._exit(0)
+                finally:  # reached only if run raised: os._exit does not return
+                    os._exit(1)
+            children.append((pid, first, stop))
         run(bounds[0], bounds[1])
         while children:
-            pid, read, first, stop = children[0]
-            report = _read_to_end(read)  # before the wait: a long report fills the pipe until read
-            status = os.waitpid(pid, 0)[1]
+            pid, first, stop = children[0]
+            reaped.append((os.waitpid(pid, 0)[1], first, stop))
             children.pop(0)
-            os.close(read)
-            errors.append(_child_error(report, status, first, stop))
     except BaseException:
         for pid, *_ in children:
             os.kill(pid, signal.SIGKILL)
-        for pid, read, *_ in children:
+        for pid, *_ in children:
             os.waitpid(pid, 0)
-            os.close(read)
         raise
-    error = next((e for e in errors if e is not None), None)
-    if error is not None:
-        raise error
-
-
-def _child(run, first, stop, report):
-    """In a forked child: run one range, then leave by os._exit, never unwinding the caller's stack.
-
-    Exits 0 once the range has finished.  Otherwise it writes the pickled
-    (exception, traceback text) to the report pipe, or a RuntimeError
-    carrying the text if the exception does not survive pickling, and exits 1.
-    """
-    try:
-        run(first, stop)
-        os._exit(0)
-    except BaseException as exc:
-        text = traceback.format_exc()
-        try:
-            data = pickle.dumps((exc, text))
-            pickle.loads(data)  # an exception that cannot be rebuilt goes as text
-        except Exception:
-            data = pickle.dumps((RuntimeError(f"Monte-Carlo range {first}..{stop} failed in a forked child:\n{text}"), None))
-        with os.fdopen(report, "wb") as fh:
-            fh.write(data)
-    finally:
-        os._exit(1)
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-class _ChildTraceback(Exception):
-    """The traceback of an exception raised in a forked range, as its text: the cause of the one re-raised."""
-
-
-def _child_error(report: bytes, status: int, first: int, stop: int):
-    """The exception a reaped child's range raised, None if it finished; one naming the wait status if it sent no report."""
-    if report:
-        error, text = pickle.loads(report)  # bytes written by this module's own child
-        if text is not None:
-            error.__cause__ = _ChildTraceback(text)
-        return error
-    if status != 0:
+    for status, first, stop in reaped:
         code = os.waitstatus_to_exitcode(status)
-        return RuntimeError(
-            f"Monte-Carlo range {first}..{stop} ended without a report: wait status {status} (exit code {code})"
-        )
-    return None
+        if code == 1:
+            run(first, stop)
+        elif code != 0:
+            raise RuntimeError(f"Monte-Carlo range {first}..{stop} ended in its forked child with wait status {status} (exit code {code})")

@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import rng
-from .correlation import CorrelationMatrix
+from .correlation import CorrelationMatrix, _check_count
 from .errors import ContractViolationError, DomainError, InternalConsistencyError, ScenarioFormatError
 
 TRACE_IMAG_TOL = 1e-9
@@ -268,10 +268,12 @@ def checked_design(design: PhaseShiftDesign) -> PhaseShiftDesign:
 def phase_vector(design: PhaseShiftDesign, n: int, draw_index: int = 0) -> np.ndarray:
     """Materialize the diagonal of the phase matrix as a unit-modulus vector.
 
+    n must be an integer >= 1 and draw_index lie in [0, 2^128) (DomainError).
     Each design answers for itself (see its ``phases``); OptimalCsi has no
     phases apart from a channel realization and raises ContractViolationError.
     """
-    return checked_design(design).phases(n, draw_index)
+    _check_count("element count n", n)
+    return checked_design(design).phases(n, rng.check_index(draw_index))
 
 
 def _not_real(value) -> np.ndarray:

@@ -469,7 +469,7 @@ def _gains_by_range(monkeypatch, act):
 
 @pytest.mark.parametrize("failing", ["first child", "both children"])
 def test_range_failure_waits_for_every_range(failing, monkeypatch):
-    """A child's exception reaches the caller once every other range has finished; the first in range order wins."""
+    """A child's failed range is rerun by the caller once every other range has finished; the first in range order wins."""
     finished = Records(1)
 
     def act(k, gains, *args):
@@ -493,7 +493,7 @@ def test_range_failure_waits_for_every_range(failing, monkeypatch):
         assert sorted(k for k, in finished.take()) == ([0] * 3 if failing == "both children" else [0] * 3 + [2] * 3)
     finally:
         finished.close()
-    assert "act" in str(raised.value.__cause__)  # the child's traceback, as text
+    assert any(entry.name == "act" for entry in raised.traceback)  # raised in this process, with its own traceback
     assert no_child_left()
 
 
@@ -510,9 +510,15 @@ def test_caller_failure_kills_and_reaps_every_child(failing, monkeypatch):
     _gains_by_range(monkeypatch, act)
     error = _RangeFailed if failing == "own range" else KeyboardInterrupt
     if failing == "wait":
-        def interrupted(fd):
-            raise KeyboardInterrupt
-        monkeypatch.setattr(montecarlo, "_read_to_end", interrupted)
+        waitpid, waits = os.waitpid, []
+
+        def interrupted(pid, options):  # the caller's first wait only; the reaping waits go through
+            waits.append(pid)
+            if len(waits) == 1:
+                raise KeyboardInterrupt
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", interrupted)
     r = square_sinc(2)
     start = time.perf_counter()
     with pytest.raises(error):
@@ -529,7 +535,7 @@ def test_a_child_killed_by_a_signal_is_an_error_naming_its_wait_status(monkeypat
 
     _gains_by_range(monkeypatch, act)
     r = square_sinc(2)
-    message = rf"^Monte-Carlo range 384..576 ended without a report: wait status {signal.SIGKILL} \(exit code -{signal.SIGKILL}\)$"
+    message = rf"^Monte-Carlo range 384..576 ended in its forked child with wait status {signal.SIGKILL} \(exit code -{signal.SIGKILL}\)$"
     with pytest.raises(RuntimeError, match=message):
         gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
     assert no_child_left()
@@ -545,20 +551,6 @@ class _Unrebuildable(Exception):
 
     def __init__(self, what, why):
         super().__init__(f"{what}: {why}")
-
-
-def _criterion_3_failing_in_its_child(monkeypatch, error):
-    """Criterion 3's traces of 2304 draws on two workers, _kernel_traces raising error in range 1 (draws 1024..2303), a child's."""
-    kernel_traces, parent = validation._kernel_traces, os.getpid()
-
-    def failing(*args):
-        if os.getpid() != parent:
-            raise error
-        return kernel_traces(*args)
-
-    monkeypatch.setattr(validation, "_kernel_traces", failing)
-    force_workers(monkeypatch, 2)
-    validation._phase_traces(square_sinc(4), 202, 2304)
 
 
 def _gain_samples_failing_in_range_1(monkeypatch, error):
@@ -578,9 +570,10 @@ def _gain_samples_failing_in_range_1(monkeypatch, error):
         (_gain_samples_failing_in_range_1, DomainError("no such domain")),
         (_gain_samples_failing_in_range_1, ScenarioFormatError("must be finite", field="rho_dbm")),
         (_gain_samples_failing_in_range_1, KeyboardInterrupt()),
-        (_criterion_3_failing_in_its_child, DomainError("no such domain")),
+        (_gain_samples_failing_in_range_1, _Unpicklable("lost in transit")),
+        (_gain_samples_failing_in_range_1, _Unrebuildable("lost", "in transit")),
     ],
-    ids=["domain-error", "with-a-field", "interrupt", "criterion-3"],
+    ids=["domain-error", "with-a-field", "interrupt", "cannot-be-pickled", "cannot-be-rebuilt"],
 )
 def test_a_child_exception_keeps_its_type_and_message(fail, error, monkeypatch):
     with pytest.raises(type(error)) as raised:
@@ -590,22 +583,33 @@ def test_a_child_exception_keeps_its_type_and_message(fail, error, monkeypatch):
     assert no_child_left()
 
 
-@pytest.mark.parametrize(
-    "error, text",
-    [(_Unpicklable("lost in transit"), "_Unpicklable: lost in transit"), (_Unrebuildable("lost", "in transit"), "_Unrebuildable: lost: in transit")],
-    ids=["cannot-be-pickled", "cannot-be-rebuilt"],
-)
-def test_an_unpicklable_child_exception_comes_back_as_its_traceback(error, text, monkeypatch):
-    def act(k, gains, *args):
-        if k == 1:
-            raise error
-        return gains(*args)
+@pytest.mark.parametrize("caller", ["gain_samples", "criterion-3"])
+def test_a_range_failing_only_in_its_child_gives_the_serial_bytes(caller, monkeypatch):
+    """The caller recomputes a range whose forked child failed; ranges are pure, so the bytes are W = 1's."""
+    if caller == "gain_samples":
+        r = square_sinc(2)
+        module, name = montecarlo, "_gains"
+        compute = lambda: gain_samples(0.5, r, r, UniformRandom(3), 64 * 9, seed=1)
+    else:
+        module, name = validation, "_kernel_traces"
+        compute = lambda: validation._phase_traces(square_sinc(4), 202, 2304)
+    force_workers(monkeypatch, 1)
+    serial = np.asarray(compute()).tobytes()
+    real, parent, failed = getattr(module, name), os.getpid(), Records(1)
 
-    _gains_by_range(monkeypatch, act)
-    r = square_sinc(2)
-    with pytest.raises(RuntimeError, match=r"^Monte-Carlo range 192..384 failed in a forked child:\nTraceback") as raised:
-        gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
-    assert text in str(raised.value)
+    def in_parent_only(*args):
+        if os.getpid() != parent:
+            failed.put(os.getpid())
+            raise MemoryError("only in a forked child")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, in_parent_only)
+    force_workers(monkeypatch, 3)
+    try:
+        assert np.asarray(compute()).tobytes() == serial
+        assert len({pid for pid, in failed.take()}) == 2  # both children failed
+    finally:
+        failed.close()
     assert no_child_left()
 
 
@@ -700,6 +704,21 @@ def test_outage_rates_reject_nan_and_negative_thresholds(z):
 def test_outage_rates_reject_an_empty_run():
     with pytest.raises(DomainError, match="trial count must be at least 1"):
         outage_rates(np.array([]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "gains, message",
+    [
+        (np.array([math.nan, 1.0]), "^gains must not be NaN$"),
+        (np.array([0.25, math.nan, 3.0]), "^gains must not be NaN$"),
+        (np.ones((2, 2)), r"^gains must be a 1-D array, got shape \(2, 2\)$"),
+    ],
+    ids=["nan-first", "nan-inside", "2-d"],
+)
+def test_outage_rates_reject_nan_gains_and_a_2d_array(gains, message):
+    """A NaN gain is never below z, so it would count as a success; a 2-D array is not one run."""
+    with pytest.raises(DomainError, match=message):
+        outage_rates(gains, 0.5)
 
 
 def test_invalid_trial_counts():

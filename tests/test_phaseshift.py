@@ -312,6 +312,20 @@ def test_criterion_3_draws_by_the_vector_engine_alone(w, monkeypatch):
         repositioned.close()
 
 
+def test_phase_draws_tell_the_squared_trace_from_the_trace_of_the_square():
+    """On a less correlated model than criterion 3's, its draws separate E[(tr C)^2] from E[tr C^2].
+
+    Criterion 3's 4x4 sinc model is nearly rank 1, which puts the two
+    expectations 0.14% apart, below what its draws resolve.
+    """
+    trials = 20_000
+    r = exponential_correlation(16, 0.8)
+    t_lin, t_quad = validation._phase_traces(r, 202, trials)
+    moments = UniformRandom(202).cascade_moments(r, r)
+    for draws, want in zip((t_lin, t_lin**2, t_quad), moments):
+        assert abs(np.mean(draws) - want) <= 4.0 * np.std(draws, ddof=1) / np.sqrt(trials)
+
+
 def test_phasors_are_numpys_complex_exp():
     gen = np.random.default_rng(8)
     for low, high in ((0.0, 2 * np.pi), (-np.pi, np.pi), (-2 * np.pi, 2 * np.pi), (-1e3, 1e3)):
@@ -376,6 +390,26 @@ def test_trace_kernel_needs_a_real_exactly_symmetric_matrix():
 def test_optimal_csi_not_materializable():
     with pytest.raises(ContractViolationError):
         phase_vector(OptimalCsi(), 4)
+
+
+@pytest.mark.parametrize("design", [Equal(0.3), Fixed(np.zeros(4)), UniformRandom(1)], ids=["equal", "fixed", "uniform"])
+@pytest.mark.parametrize(
+    "n, draw_index, message",
+    [
+        (-1, 0, "element count n must be an integer >= 1, got -1"),
+        (0, 0, "element count n must be an integer >= 1, got 0"),
+        (2.5, 0, "element count n must be an integer >= 1, got 2.5"),
+        (True, 0, "element count n must be an integer >= 1, got True"),
+        (4, -1, r"stream index must lie in \[0, 2\^128\), got -1"),
+        (4, 2**128, r"stream index must lie in \[0, 2\^128\)"),
+        (4, 1.0, "stream index must be an integer, got 1.0"),
+        (4, True, "stream index must be an integer, got True"),
+    ],
+    ids=["n-negative", "n-zero", "n-fraction", "n-bool", "index-negative", "index-too-large", "index-float", "index-bool"],
+)
+def test_phase_vector_checks_its_arguments_for_every_design(design, n, draw_index, message):
+    with pytest.raises(DomainError, match=f"^{message}"):
+        phase_vector(design, n, draw_index)
 
 
 def test_cascade_identity_phases_is_plain_product():
