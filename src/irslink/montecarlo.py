@@ -39,37 +39,43 @@ reductions on one row.  Chaining them reproduces gain_samples bit for bit.
 
 Workers: W contiguous ranges of whole units cover [0, total) once, and
 run_ranges, the one range runner, runs them: the caller runs the first and
-a child forked with os.fork each other one.  W (engine_threads) is the
-usable cores over the OpenBLAS thread count, at least 1 and at most the
-number of units, and 1 when that count cannot be read: a worker beside a
-BLAS whose threads already fill the cores slows the run.  Each range keys
-its own streams and phase function and writes only its own slice of an
-array in a MAP_SHARED anonymous mapping (_trial_array), which the children
-write into.  gain_samples runs ranges of whole 64-trial blocks, so every
-block is the same kernel call as with one worker; criterion 3 of the
-acceptance gate runs ranges of whole 256-draw trace stacks.  A child leaves
-by os._exit and reports by its exit status alone: 0 if its range finished,
-1 if it raised.  Once every child has been reaped, the caller runs again,
-in range order, each range whose child failed, so its exception rises in
-the caller as itself; a range is pure, so a failure that arises only in a
-child gives the same bytes from the caller.  If the caller's own range or
-its wait raises, it kills the children with SIGKILL and reaps them first,
-so no child outlives the call.  Forked ranges
-do not queue on the GIL: the per-row stream positioning and the small
-ufuncs of a block hold it between their native parts, so on 2 cores with
-one BLAS thread a 10k-trial N = 64 UniformRandom call took 150-258 ms on
-one worker, 213-243 ms on two threads and 129-140 ms in two processes,
-fork included.  Where os.fork is missing or another Python thread is alive
-(forking beside live threads can deadlock the child), the calling thread
-runs [0, total) as one range.
+a worker process each other one.  W (engine_threads) is the usable cores
+over the OpenBLAS thread count, at least 1 and at most the number of units,
+and 1 when that count cannot be read: a worker beside a BLAS whose threads
+already fill the cores slows the run.  A range is a task, a module-level
+function of (first, stop, *args) that returns the range's results:
+_gain_range for gain_samples, in whole 64-trial blocks, so every block is
+the same kernel call as with one worker, and criterion 3's _trace_range,
+in whole 256-draw trace stacks.  The workers are forked with os.fork on
+the first call that needs them and serve every later call of the process:
+a call sends each worker its task and arguments through a pipe, as a
+pickle whose arrays travel out of band, and reads the results back from
+the worker's reply pipe, so a call costs no fork and no copy-on-write
+faults.  A worker replies whether its range raised; once every worker has
+replied, the caller runs again, in range order, each range that raised,
+so its exception rises in the caller as itself, and a failure that arises
+only in a worker gives the same bytes from the caller.  If the caller's own
+range or its wait raises, it kills the workers still at work with SIGKILL
+and reaps them, so no range outlives the call.  Forked ranges do not queue
+on the GIL: the per-row stream positioning and the small ufuncs of a block
+hold it between their native parts, so on 2 cores with one BLAS thread a
+10k-trial N = 64 UniformRandom call took 150-258 ms on one worker, 213-243
+ms on two threads and 129-140 ms in two processes forked per call.  Where
+os.fork is missing or another Python thread is alive (forking beside live
+threads can deadlock the child), the calling thread runs [0, total) as one
+range.
 """
 
+import atexit
+import contextlib
 import ctypes
 import functools
-import mmap
 import os
+import pickle
 import signal
+import struct
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,14 +161,11 @@ def _live_normals(l_sr, l_rd):
 
 
 def _trial_array(trials: int) -> np.ndarray:
-    """An array of one float per trial in a MAP_SHARED anonymous mapping, which children forked after it write into.
-
-    DomainError naming the count if it cannot be allocated.
-    """
+    """An empty array of one float per trial; DomainError naming the count if it cannot be allocated."""
     try:
-        return np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.float64)
-    # ValueError: more entries than numpy can index; OverflowError: more bytes than mmap can map
-    except (MemoryError, ValueError, OverflowError, OSError):
+        return np.empty(trials)
+    # ValueError: more entries than numpy can index; OverflowError: more than an index can hold
+    except (MemoryError, ValueError, OverflowError):
         raise DomainError(f"trial count {trials} is too large: its per-trial results cannot be allocated") from None
 
 
@@ -245,9 +248,9 @@ def cophased_phases(ch: ChannelRealization) -> np.ndarray:
 class EngineThreads:
     """How the engine runs: its workers, the OpenBLAS thread count read (None: unreadable), the usable cores.
 
-    run_ranges runs workers - 1 of its ranges in forked children, or all of
-    them as one range in the calling thread while another Python thread is
-    alive.
+    run_ranges runs workers - 1 of its ranges in its forked worker
+    processes, or all of them as one range in the calling thread while
+    another Python thread is alive.
     """
 
     workers: int
@@ -311,16 +314,19 @@ def gain_samples(
     """
     trials = rng.check_trials(trials, least=1)
     design = checked_design(design)
-    gains = _trial_array(trials)
+    gains = _trial_array(trials)  # untouched, so it costs no memory where one range's array is the result
     l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
+    parts = run_ranges(trials, _BLOCK, _gain_range, beta_sd, l_sr, l_rd, design, seed)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, out=gains)
 
-    def run(first, stop):
-        # A phase function per range: UniformRandom's closes over one StreamFamily.
-        block_phases = design.block_phases(r_sr.n)
-        for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, l_sr, l_rd, seed, first, stop):
-            gains[start : start + h_sd.shape[0]] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
 
-    run_ranges(trials, _BLOCK, run)
+def _gain_range(first, stop, beta_sd, l_sr, l_rd, design, seed) -> np.ndarray:
+    """The gains of trials first..stop-1: gain_samples' task for each of its ranges."""
+    gains = np.empty(stop - first)
+    # A phase function per range: UniformRandom's closes over one StreamFamily.
+    block_phases = design.block_phases(l_sr.shape[0])
+    for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, l_sr, l_rd, seed, first, stop):
+        gains[start - first : start - first + h_sd.shape[0]] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
     return gains
 
 
@@ -336,54 +342,185 @@ def _range_bounds(total: int, unit: int) -> list:
     return [min(total, unit * (units * w // workers)) for w in range(workers + 1)]
 
 
-def run_ranges(total: int, unit: int, run) -> None:
-    """Call run(first, stop) on the ranges of _range_bounds(total, unit), which cover [0, total) once.
+def run_ranges(total: int, unit: int, task, *args) -> list:
+    """[task(first, stop, *args) for each range of _range_bounds(total, unit)], which cover [0, total) once.
 
-    This process runs the first range and a forked child each other one; a
-    child reports only by its exit status, 0 if its range finished and 1 if
-    it raised.  Once every child has been reaped, this process runs again,
-    in range order, each range whose child exited 1, so that range's
-    exception rises here with its own type, fields and traceback.  A range
-    is a pure function of its bounds that writes only its own slice, so a
-    failure that arises only in a forked child (fork-unsafe state, memory
-    that is free again once the children are reaped) is recomputed here
-    to the same bytes instead of being raised.  A child that ended any
-    other way, by a signal say, is a RuntimeError naming its range and
-    wait status.  If this process's own range or its wait raises, every
-    child not yet reaped is killed with SIGKILL and reaped before the
-    exception goes on, so no child outlives the call.  Where os.fork is
-    missing or another Python thread is alive, the calling thread runs
-    [0, total) as one range.
+    task must be a module-level function and args picklable: this process
+    runs the first range, and sends each other one to a worker of its own as
+    data.  The workers are forked on the first call that needs them and
+    serve every later call of this process, so a call costs no fork: each
+    worker receives (task, first, stop, args) on its task pipe, as a pickle
+    whose array buffers travel out of band, without a bytes copy, and
+    replies on its reply pipe with its task CPU seconds and its result, or
+    with the fact that its range raised.  A worker forked before a module
+    attribute was patched keeps the code it was forked with; _stop_workers
+    lets the next call fork new ones.
+
+    Once every worker has replied, this process runs again, in range
+    order, each range whose worker raised, so that range's exception rises
+    here with its own type, fields and traceback.  A range is a pure
+    function of its bounds, so a failure that arises only in a worker
+    (fork-unsafe state, say) is recomputed here to the same result instead
+    of being raised.  A worker that died, by a signal say, is a
+    RuntimeError naming its range and wait status, and the next call forks
+    its replacement.  If this process's own range or its wait raises
+    (Ctrl-C included), every worker still at work is killed with SIGKILL
+    and reaped before the exception goes on, so no range outlives the call.
+    Workers ignore SIGINT, exit when their task pipe closes, and are reaped
+    at exit.  A process forked from this one never uses its workers.  Where
+    os.fork is missing or another Python thread is alive, the calling
+    thread runs [0, total) as one range.
     """
+    global _task_cpu
     bounds = _range_bounds(total, unit)
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        bounds = [0, total]  # forking beside live threads can deadlock the child
-    children = []  # (pid, first, stop) of each child not yet reaped
-    reaped = []  # (wait status, first, stop) of each child reaped
+        bounds = [0, total]  # forking beside live threads can deadlock the child, and the pipes serve one caller
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    busy = list(zip(_workers_for(len(ranges) - 1), ranges[1:]))  # in range order, until each replies
+    replies = []  # (range, (task cpu, whether it raised, result), or the wait status of a worker that died)
     try:
-        for first, stop in zip(bounds[1:-1], bounds[2:]):
-            pid = os.fork()
-            if pid == 0:  # leave by os._exit, never unwinding the caller's stack
-                try:
-                    run(first, stop)
-                    os._exit(0)
-                finally:  # reached only if run raised: os._exit does not return
-                    os._exit(1)
-            children.append((pid, first, stop))
-        run(bounds[0], bounds[1])
-        while children:
-            pid, first, stop = children[0]
-            reaped.append((os.waitpid(pid, 0)[1], first, stop))
-            children.pop(0)
+        for worker, (first, stop) in busy:
+            with contextlib.suppress(BrokenPipeError):  # a worker that died: its reply below meets end of file
+                _send(worker.tasks, (task, first, stop, args))
+        results = [task(*ranges[0], *args)]
+        while busy:
+            worker, span = busy[0]
+            try:
+                head, buffers = _receive(worker.replies)
+                reply = pickle.loads(head, buffers=buffers)
+            except EOFError:
+                reply = None
+            busy.pop(0)
+            replies.append((span, _retire(worker) if reply is None else reply))
     except BaseException:
-        for pid, *_ in children:
-            os.kill(pid, signal.SIGKILL)
-        for pid, *_ in children:
-            os.waitpid(pid, 0)
+        for worker, _ in busy:
+            os.kill(worker.pid, signal.SIGKILL)
+        for worker, _ in busy:
+            _retire(worker)
         raise
-    for status, first, stop in reaped:
-        code = os.waitstatus_to_exitcode(status)
-        if code == 1:
-            run(first, stop)
-        elif code != 0:
-            raise RuntimeError(f"Monte-Carlo range {first}..{stop} ended in its forked child with wait status {status} (exit code {code})")
+    _task_cpu += sum(reply[0] for _, reply in replies if isinstance(reply, tuple))
+    for (first, stop), reply in replies:
+        if not isinstance(reply, tuple):
+            code = os.waitstatus_to_exitcode(reply)
+            raise RuntimeError(f"Monte-Carlo range {first}..{stop} ended in its forked child with wait status {reply} (exit code {code})")
+        _, raised, result = reply
+        results.append(task(first, stop, *args) if raised else result)
+    return results
+
+
+@dataclass(frozen=True)
+class _Worker:
+    pid: int
+    tasks: int  # the write end of its task pipe
+    replies: int  # the read end of its reply pipe
+
+
+_workers = []  # this process's workers, forked by _workers_for
+_owner = None  # the pid of the process whose workers _workers are
+_task_cpu = 0.0  # CPU seconds of the tasks that workers ran for this process's calls
+
+
+def _workers_for(count: int) -> list:
+    """count of this process's workers, forking those it lacks."""
+    global _owner
+    if _owner != os.getpid():  # a fresh process, or one forked from the owner
+        _forget_workers()
+        _owner = os.getpid()
+    while len(_workers) < count:
+        _workers.append(_fork_worker())
+    return _workers[:count]
+
+
+def _forget_workers() -> None:
+    """Close this process's copies of the owner's pipes, which a fork inherited, without touching the workers."""
+    for worker in _workers:
+        os.close(worker.tasks)
+        os.close(worker.replies)
+    _workers.clear()
+
+
+def _fork_worker() -> _Worker:
+    tasks, replies = os.pipe(), os.pipe()
+    pid = os.fork()
+    if pid == 0:  # leave by os._exit, never unwinding the caller's stack
+        try:
+            _forget_workers()  # so that each sibling still sees its pipe close when the owner exits
+            os.close(tasks[1])
+            os.close(replies[0])
+            _serve(tasks[0], replies[1])
+            os._exit(0)
+        finally:  # reached only if _serve raised: os._exit does not return
+            os._exit(1)
+    os.close(tasks[0])
+    os.close(replies[1])
+    return _Worker(pid, tasks[1], replies[0])
+
+
+def _serve(tasks: int, replies: int) -> None:
+    """A worker's loop: run each task received on ``tasks`` and reply on ``replies``, until ``tasks`` closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
+    while True:
+        try:
+            head, buffers = _receive(tasks)
+        except EOFError:
+            return
+        start = time.process_time()
+        try:
+            task, first, stop, args = pickle.loads(head, buffers=buffers)
+            reply = (False, task(first, stop, *args))
+        except BaseException:  # the owner reruns the range, so its exception rises there
+            reply = (True, None)
+        _send(replies, (time.process_time() - start, *reply))
+
+
+def _retire(worker: _Worker) -> int:
+    """Drop a worker: close its pipes, which ends it if it still runs, and reap it; returns its wait status."""
+    _workers.remove(worker)
+    os.close(worker.tasks)
+    os.close(worker.replies)
+    return os.waitpid(worker.pid, 0)[1]
+
+
+def _stop_workers() -> None:
+    """Close every worker's task pipe, so that it exits, and reap it; the next call that needs workers forks new ones."""
+    if _owner != os.getpid():
+        _forget_workers()
+    for worker in list(_workers):
+        _retire(worker)
+
+
+atexit.register(_stop_workers)
+
+
+def _worker_cpu() -> float:
+    """CPU seconds of the tasks that workers have run for this process's calls so far."""
+    return _task_cpu
+
+
+def _send(fd: int, obj) -> None:
+    """Write obj to fd as one message: a pickle whose buffers go out of band, each part after its length."""
+    buffers = []
+    head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    parts = [memoryview(head), *(buffer.raw() for buffer in buffers)]
+    lengths = struct.pack(f"<{len(parts) + 1}Q", len(parts), *(part.nbytes for part in parts))
+    for view in (memoryview(lengths), *parts):
+        while view:
+            view = view[os.write(fd, view) :]
+
+
+def _receive(fd: int):
+    """(pickle, buffers) of the message that _send wrote to fd, for pickle.loads; EOFError if fd closes first."""
+    (count,) = struct.unpack("<Q", _read(fd, 8))
+    head, *buffers = (_read(fd, n) for n in struct.unpack(f"<{count}Q", _read(fd, 8 * count)))
+    return head, buffers
+
+
+def _read(fd: int, size: int) -> bytearray:
+    data = bytearray(size)
+    view = memoryview(data)
+    while view:
+        got = os.readv(fd, [view])
+        if got == 0:
+            raise EOFError
+        view = view[got:]
+    return data

@@ -28,7 +28,6 @@ Criteria 3 and 8 both need R real and exactly symmetric, and
 
 import functools
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -40,7 +39,7 @@ from .closedform import GammaParams, _fit, _moments, gamma_fit, outage_probabili
 from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
 from .errors import DomainError
-from .montecarlo import _trial_array, gain_samples, outage_rates, run_ranges
+from .montecarlo import _trial_array, _worker_cpu, gain_samples, outage_rates, run_ranges
 from .phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, _checked_traces, _wrap_angle, cascade_traces
 from .scenario import MODELS, load_scenario
 
@@ -66,7 +65,7 @@ class CriterionResult:
     detail: str
     runtime: float  # wall seconds, held to ``limit``
     limit: float
-    cpu: float = 0.0  # CPU seconds of the process and the engine's forked ranges; tells contention apart from a slower check
+    cpu: float = 0.0  # CPU seconds of the process and of its engine workers' ranges; tells contention apart from a slower check
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -79,11 +78,6 @@ class CriterionResult:
 CRITERIA = {}
 
 
-def _children_cpu() -> float:
-    times = os.times()
-    return times.children_user + times.children_system
-
-
 def _criterion(number: int, name: str, limit: float):
     """Register a check as criterion ``number`` in CRITERIA.
 
@@ -91,8 +85,7 @@ def _criterion(number: int, name: str, limit: float):
     criterion first checks the overrides (DomainError: a trial count below
     2, as criterion 3's sample deviations need two draws, or a seed outside
     [0, 2^64)), then times the check in wall seconds and in CPU seconds (the
-    process's, plus those of the children it reaped: the engine's forked
-    ranges) and returns its CriterionResult, failed also when the check took
+    process's, plus those its engine workers report for their ranges) and returns its CriterionResult, failed also when the check took
     ``limit`` wall seconds or more.
     """
 
@@ -103,10 +96,10 @@ def _criterion(number: int, name: str, limit: float):
                 trials = rng.check_trials(trials, least=2)
             if seed is not None:
                 seed = rng.check_seed(seed)
-            start, cpu_start, children_start = time.perf_counter(), time.process_time(), _children_cpu()
+            start, cpu_start, workers_start = time.perf_counter(), time.process_time(), _worker_cpu()
             ok, detail = check(trials, seed)
             runtime = time.perf_counter() - start
-            cpu = time.process_time() - cpu_start + (_children_cpu() - children_start)
+            cpu = time.process_time() - cpu_start + (_worker_cpu() - workers_start)
             if runtime >= limit:
                 ok = False
                 detail += f"; runtime {runtime:.1f}s exceeded {limit:.0f}s"
@@ -259,30 +252,39 @@ def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
     """(t_lin, t_quad): the cascade traces of R under UniformRandom(seed) draws 0..trials-1.
 
     The draws run in stacks of _TRACE_CHUNK on the engine's ranges
-    (run_ranges); each range keys its own draws and writes only its own
-    slices.  A range draws its phases in batches of whole stacks, at most
-    _DRAW_STACKS each and as even as they split, so that no last batch is
-    left short of the vector engine's rows; it traces each batch stack by
-    stack.
+    (run_ranges), each range by _trace_range.
     """
-    design = UniformRandom(seed)
-    kernel = _trace_kernel(r)
-    t_lin = _trial_array(trials)
-    t_quad = _trial_array(trials)
+    t_lin, t_quad = _trial_array(trials), _trial_array(trials)
+    parts = run_ranges(trials, _TRACE_CHUNK, _trace_range, _trace_kernel(r), seed)
+    for out, pieces in zip((t_lin, t_quad), zip(*parts)):
+        np.concatenate(pieces, out=out)
+    return t_lin, t_quad
 
-    def run(first, stop):
-        draw = design.phase_draws(r.n)
-        stacks = -(-(stop - first) // _TRACE_CHUNK)
-        batches = -(-stacks // _DRAW_STACKS)
-        for b in range(batches):
-            begin = first + _TRACE_CHUNK * (stacks * b // batches)
-            end = min(stop, first + _TRACE_CHUNK * (stacks * (b + 1) // batches))
-            phases = draw(begin, end - begin)
-            for start in range(begin, end, _TRACE_CHUNK):
-                top = min(start + _TRACE_CHUNK, end)
-                t_lin[start:top], t_quad[start:top] = _kernel_traces(kernel, phases[start - begin : top - begin])
 
-    run_ranges(trials, _TRACE_CHUNK, run)
+def _trace_range(first: int, stop: int, kernel: np.ndarray, seed: int):
+    """(t_lin, t_quad) of draws first..stop-1, from K = _trace_kernel(r): _phase_traces' task for each of its ranges.
+
+    The range keys its own draws.  It draws its phases in batches of whole
+    stacks, at most _DRAW_STACKS each and as even as they split, so that no
+    last batch is left short of the vector engine's rows, and traces each
+    batch stack by stack.  A stack of one draw is traced as two copies of
+    it, as numpy hands a one-row product to the BLAS matrix-vector routine,
+    which rounds differently: so the traces of a shorter run are a prefix
+    of a longer one's, bit for bit.
+    """
+    draw = UniformRandom(seed).phase_draws(kernel.shape[0])
+    t_lin, t_quad = np.empty(stop - first), np.empty(stop - first)
+    stacks = -(-(stop - first) // _TRACE_CHUNK)
+    batches = -(-stacks // _DRAW_STACKS)
+    for b in range(batches):
+        begin = _TRACE_CHUNK * (stacks * b // batches)
+        end = min(stop - first, _TRACE_CHUNK * (stacks * (b + 1) // batches))
+        phases = draw(first + begin, end - begin)
+        for start in range(begin, end, _TRACE_CHUNK):
+            top = min(start + _TRACE_CHUNK, end)
+            stack = phases[start - begin : top - begin]
+            traces = _kernel_traces(kernel, stack if top - start > 1 else np.repeat(stack, 2, axis=0))
+            t_lin[start:top], t_quad[start:top] = (t[: top - start] for t in traces)
     return t_lin, t_quad
 
 

@@ -1,11 +1,13 @@
 """Shared fixtures, including the one expensive Monte-Carlo dataset and the engine's range recorder."""
 
 import contextlib
+import functools
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from irslink import montecarlo, validation
 from irslink.correlation import ArrayGeometry, matrix_sqrt, sinc_correlation
@@ -13,6 +15,10 @@ from irslink.montecarlo import EngineThreads, channel_blocks, effective_gain, sa
 from irslink.phaseshift import Equal, phase_vector
 
 WAVELENGTH = 0.1  # 3 GHz carrier, meters
+
+# Property tests stay deterministic: a fixed example sequence, no deadline
+# and no example database; each test sets its own max_examples on top.
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 
 def square_sinc(side, spacing_over_lambda=1 / 40):
@@ -102,38 +108,72 @@ def force_workers(monkeypatch, w):
     monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
 
 
+def _children():
+    """The pids of this process's children, running or exited, from each process's procfs stat."""
+    children = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])  # the command name may hold spaces
+        except (OSError, ValueError):  # not a process, or one that has gone
+            continue
+        if ppid == os.getpid():
+            children.append(int(entry))
+    return children
+
+
 def no_child_left():
-    """Whether this process has no child at all, running or unreaped."""
+    """Whether every child of this process is one of the engine's idle workers: no range outlives its call.
+
+    The engine keeps its workers between calls; any other child, or a
+    worker that exited and was not reaped, is left over.
+    """
     try:
-        os.waitpid(-1, os.WNOHANG)
+        if os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None:
+            return False  # an exited child not yet reaped
     except ChildProcessError:
         return True
-    return False
+    return set(_children()) <= {worker.pid for worker in montecarlo._workers}
 
 
 @pytest.fixture
-def workers(monkeypatch):
+def engine_patch(monkeypatch):
+    """The monkeypatch fixture, for tests that patch code the engine's workers run.
+
+    A worker keeps the code it was forked with, so this fixture stops the
+    workers before the test: the test's first call that needs workers forks
+    new ones, which see the test's patches and its open pipes.  It stops
+    them again after the test, before the patches are undone, so that no
+    later test is served by a patched worker.
+    """
+    montecarlo._stop_workers()
+    yield monkeypatch
+    montecarlo._stop_workers()
+
+
+@pytest.fixture
+def workers(engine_patch):
     """Force the engine onto w workers; returns a reader of the ranges run since, as sorted (first, stop, pid).
 
-    Both callers of run_ranges (gain_samples and criterion 3) record each
-    range in the process that runs it, forked children included, so the
-    reader sees all of them.
+    The tasks of both callers of run_ranges (gain_samples' _gain_range and
+    criterion 3's _trace_range) record each range in the process that runs
+    it, workers included, so the reader sees all of them.
     """
     records = Records(3)
-    runner = montecarlo.run_ranges
 
-    def recorded(total, unit, run):
-        def run_recorded(first, stop):
+    def recording(task):
+        @functools.wraps(task)  # under the task's own name, which is how the engine sends it to a worker
+        def recorded(first, stop, *args):
             records.put(first, stop, os.getpid())
-            run(first, stop)
+            return task(first, stop, *args)
 
-        runner(total, unit, run_recorded)
+        return recorded
 
-    monkeypatch.setattr(montecarlo, "run_ranges", recorded)
-    monkeypatch.setattr(validation, "run_ranges", recorded)
+    engine_patch.setattr(montecarlo, "_gain_range", recording(montecarlo._gain_range))
+    engine_patch.setattr(validation, "_trace_range", recording(validation._trace_range))
 
     def force(w):
-        force_workers(monkeypatch, w)
+        force_workers(engine_patch, w)
         records.take()
         return lambda: sorted(records.take())
 
@@ -142,6 +182,7 @@ def workers(monkeypatch):
 
 
 def in_own_children(ranges):
-    """Whether this process ran the first range and a forked child of its own each other one."""
+    """Whether this process ran the first range and a worker of its own each other one, a different worker each."""
     children = [pid for _, _, pid in ranges[1:]]
-    return ranges[0][2] == os.getpid() and os.getpid() not in children and len(set(children)) == len(children)
+    workers = {worker.pid for worker in montecarlo._workers}
+    return ranges[0][2] == os.getpid() and set(children) <= workers and len(set(children)) == len(children)

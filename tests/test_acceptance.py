@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -93,12 +92,12 @@ def test_criterion_cpu_time_is_not_held_to_the_limit(monkeypatch):
     assert result.cpu == 1000.0 and result.runtime < result.limit
 
 
-def test_criterion_cpu_time_counts_reaped_children(monkeypatch):
-    """The CPU of the children a criterion reaps (the engine's forked ranges) counts toward its cpu."""
+def test_criterion_cpu_time_counts_the_workers_task_cpu(monkeypatch):
+    """The CPU that the engine's workers report for a criterion's ranges counts toward its cpu."""
     cpu_clock = iter(range(0, 10**6, 2))
-    children = iter([SimpleNamespace(children_user=u, children_system=s) for u, s in ((10.0, 1.0), (14.0, 1.5))])
+    workers_cpu = iter([11.0, 15.5])
     monkeypatch.setattr(validation.time, "process_time", lambda: float(next(cpu_clock)))
-    monkeypatch.setattr(validation.os, "times", lambda: next(children))
+    monkeypatch.setattr(validation, "_worker_cpu", lambda: next(workers_cpu))
     assert validation.criterion_10().cpu == 2.0 + 4.5
 
 

@@ -1,12 +1,18 @@
 import contextlib
 import math
 import os
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslink import load_scenario, montecarlo, rng, validation
 from irslink.correlation import CorrelationMatrix, matrix_sqrt
@@ -23,7 +29,7 @@ from irslink.montecarlo import (
 )
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, phase_vector
 
-from conftest import Records, force_workers, in_own_children, no_child_left, square_sinc
+from conftest import PROPERTY, Records, force_workers, in_own_children, no_child_left, square_sinc
 from test_rng import reference
 
 def zeros(n):
@@ -281,6 +287,34 @@ def test_a_live_thread_runs_the_ranges_as_one_in_this_process(workers):
     assert no_child_left()
 
 
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    side=st.integers(1, 4),  # N = 1, 4, 9, 16
+    beta_sd=st.sampled_from([0.0, 0.5]),
+    design=st.one_of(st.builds(Equal, st.floats(-4.0, 4.0)), st.builds(UniformRandom, SEEDS), st.just(OptimalCsi())),
+    seed=SEEDS,
+    trials=st.lists(st.integers(1, 450), min_size=2, max_size=2, unique=True).map(sorted),
+    w=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(side, beta_sd, design, seed, trials, w):
+    """Gains of m trials are the first m gains of n > m trials, bit for bit, whatever W each run has.
+
+    The examples run one after another in this process, on the same
+    workers, so state a worker carried from one call into the next would show.
+    """
+    r = square_sinc(side)
+    gains = []
+    with pytest.MonkeyPatch.context() as patch:
+        for count, workers in zip(trials, w):
+            force_workers(patch, workers)
+            gains.append(gain_samples(beta_sd, r, r, design, count, seed))
+    short, long = gains
+    assert short.tobytes() == long[: trials[0]].tobytes()
+
+
 def _cophased_gain(h_sd, h_sr, h_rd):
     """The gain under co-phasing, written out: every cascaded term turned onto h_sd's phase, or onto 0 where h_sd is 0."""
     reference = np.angle(h_sd) if h_sd != 0 else 0.0
@@ -421,12 +455,8 @@ def test_a_full_rank_factor_keeps_one_run_per_branch(model, monkeypatch):
 )
 def test_run_ranges_covers_the_total_once(total, unit, w, monkeypatch):
     force_workers(monkeypatch, w)
-    records = Records(3)
-    try:
-        montecarlo.run_ranges(total, unit, lambda first, stop: records.put(first, stop, os.getpid()))
-        ranges = sorted(records.take())
-    finally:
-        records.close()
+    ranges = montecarlo.run_ranges(total, unit, _whereabouts)
+    assert ranges == sorted(ranges)  # the results come back in range order
     hits = np.zeros(total, dtype=int)
     for first, stop, _ in ranges:
         hits[first:stop] += 1
@@ -437,15 +467,22 @@ def test_run_ranges_covers_the_total_once(total, unit, w, monkeypatch):
     assert no_child_left()
 
 
+def _whereabouts(first, stop):
+    """A task that tells which process ran its range."""
+    return first, stop, os.getpid()
+
+
 def test_more_forked_ranges_than_cores(workers):
     """Six forked ranges on a 2-core machine: a lost or misplaced write would show."""
     r = square_sinc(4)
     workers(1)
     serial = gain_samples(0.5, r, r, UniformRandom(3), 3000, seed=5)
     read_ranges = workers(6)
+    cpu = montecarlo._worker_cpu()
     forked = gain_samples(0.5, r, r, UniformRandom(3), 3000, seed=5)
     assert forked.tobytes() == serial.tobytes()
     _check_ranges(read_ranges(), 6, 3000)
+    assert montecarlo._worker_cpu() > cpu  # each reply carried its task's CPU seconds
     assert no_child_left()
 
 
@@ -468,7 +505,7 @@ def _gains_by_range(monkeypatch, act):
 
 
 @pytest.mark.parametrize("failing", ["first child", "both children"])
-def test_range_failure_waits_for_every_range(failing, monkeypatch):
+def test_range_failure_waits_for_every_range(failing, engine_patch):
     """A child's failed range is rerun by the caller once every other range has finished; the first in range order wins."""
     finished = Records(1)
 
@@ -484,7 +521,7 @@ def test_range_failure_waits_for_every_range(failing, monkeypatch):
         finished.put(k)
         return out
 
-    _gains_by_range(monkeypatch, act)
+    _gains_by_range(engine_patch, act)
     r = square_sinc(2)
     try:
         with pytest.raises(_RangeFailed, match="^range 1$") as raised:
@@ -498,7 +535,7 @@ def test_range_failure_waits_for_every_range(failing, monkeypatch):
 
 
 @pytest.mark.parametrize("failing", ["own range", "wait"])
-def test_caller_failure_kills_and_reaps_every_child(failing, monkeypatch):
+def test_caller_failure_kills_and_reaps_every_child(failing, engine_patch):
     """If the caller's own range or its wait for the children raises, the children are killed, not waited for."""
     def act(k, gains, *args):
         if k == 0 and failing == "own range":
@@ -507,18 +544,17 @@ def test_caller_failure_kills_and_reaps_every_child(failing, monkeypatch):
             time.sleep(10)  # three blocks each: 30 s if the children were waited for
         return gains(*args)
 
-    _gains_by_range(monkeypatch, act)
+    _gains_by_range(engine_patch, act)
     error = _RangeFailed if failing == "own range" else KeyboardInterrupt
     if failing == "wait":
-        waitpid, waits = os.waitpid, []
+        receive, parent = montecarlo._receive, os.getpid()
 
-        def interrupted(pid, options):  # the caller's first wait only; the reaping waits go through
-            waits.append(pid)
-            if len(waits) == 1:
+        def interrupted(*args, **kwargs):  # the caller's wait for a reply; the workers' reads of their tasks go through
+            if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return waitpid(pid, options)
+            return receive(*args, **kwargs)
 
-        monkeypatch.setattr(os, "waitpid", interrupted)
+        engine_patch.setattr(montecarlo, "_receive", interrupted)
     r = square_sinc(2)
     start = time.perf_counter()
     with pytest.raises(error):
@@ -527,13 +563,13 @@ def test_caller_failure_kills_and_reaps_every_child(failing, monkeypatch):
     assert no_child_left()
 
 
-def test_a_child_killed_by_a_signal_is_an_error_naming_its_wait_status(monkeypatch):
+def test_a_child_killed_by_a_signal_is_an_error_naming_its_wait_status(engine_patch):
     def act(k, gains, *args):
         if k == 2:
             os.kill(os.getpid(), signal.SIGKILL)
         return gains(*args)
 
-    _gains_by_range(monkeypatch, act)
+    _gains_by_range(engine_patch, act)
     r = square_sinc(2)
     message = rf"^Monte-Carlo range 384..576 ended in its forked child with wait status {signal.SIGKILL} \(exit code -{signal.SIGKILL}\)$"
     with pytest.raises(RuntimeError, match=message):
@@ -575,16 +611,16 @@ def _gain_samples_failing_in_range_1(monkeypatch, error):
     ],
     ids=["domain-error", "with-a-field", "interrupt", "cannot-be-pickled", "cannot-be-rebuilt"],
 )
-def test_a_child_exception_keeps_its_type_and_message(fail, error, monkeypatch):
+def test_a_child_exception_keeps_its_type_and_message(fail, error, engine_patch):
     with pytest.raises(type(error)) as raised:
-        fail(monkeypatch, error)
+        fail(engine_patch, error)
     assert type(raised.value) is type(error) and str(raised.value) == str(error)
     assert getattr(raised.value, "field", None) == getattr(error, "field", None)
     assert no_child_left()
 
 
 @pytest.mark.parametrize("caller", ["gain_samples", "criterion-3"])
-def test_a_range_failing_only_in_its_child_gives_the_serial_bytes(caller, monkeypatch):
+def test_a_range_failing_only_in_its_child_gives_the_serial_bytes(caller, engine_patch):
     """The caller recomputes a range whose forked child failed; ranges are pure, so the bytes are W = 1's."""
     if caller == "gain_samples":
         r = square_sinc(2)
@@ -593,7 +629,7 @@ def test_a_range_failing_only_in_its_child_gives_the_serial_bytes(caller, monkey
     else:
         module, name = validation, "_kernel_traces"
         compute = lambda: validation._phase_traces(square_sinc(4), 202, 2304)
-    force_workers(monkeypatch, 1)
+    force_workers(engine_patch, 1)
     serial = np.asarray(compute()).tobytes()
     real, parent, failed = getattr(module, name), os.getpid(), Records(1)
 
@@ -603,13 +639,104 @@ def test_a_range_failing_only_in_its_child_gives_the_serial_bytes(caller, monkey
             raise MemoryError("only in a forked child")
         return real(*args)
 
-    monkeypatch.setattr(module, name, in_parent_only)
-    force_workers(monkeypatch, 3)
+    engine_patch.setattr(module, name, in_parent_only)
+    force_workers(engine_patch, 3)
     try:
         assert np.asarray(compute()).tobytes() == serial
         assert len({pid for pid, in failed.take()}) == 2  # both children failed
     finally:
         failed.close()
+    assert no_child_left()
+
+
+# A run whose two ranges take one worker, which prints its worker's pid and
+# leaves as argv[1] says: by returning, or by an uncaught exception.
+_TWO_RANGES = """
+import sys
+from irslink import montecarlo
+from irslink.correlation import identity_correlation
+from irslink.montecarlo import EngineThreads, gain_samples
+from irslink.phaseshift import UniformRandom
+
+montecarlo.engine_threads = lambda: EngineThreads(2, 1, 2)
+r = identity_correlation(4)
+gain_samples(0.5, r, r, UniformRandom(1), 1000, seed=1)
+print(*(worker.pid for worker in montecarlo._workers), flush=True)
+if sys.argv[1] == "raise":
+    raise RuntimeError("left by an uncaught exception")
+"""
+
+
+@pytest.mark.parametrize("ending", ["return", "raise"])
+def test_no_worker_outlives_its_process(ending):
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-c", _TWO_RANGES, ending], capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == (0 if ending == "return" else 1), child.stderr
+    pids = [int(pid) for pid in child.stdout.split()]
+    assert len(pids) == 1
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # signal 0 only asks whether the process exists
+
+
+def _pipe(fd):
+    return os.fstat(fd)[1:3]  # (inode, device): which pipe, whatever its descriptor number
+
+
+def _reaped_within(pid, seconds):
+    """The wait status of child pid, reaped within ``seconds``; killed and reaped, and the test failed, if it is not done by then."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail(f"child {pid} still ran after {seconds} s")
+
+
+def test_a_forked_child_keeps_off_its_parents_workers(monkeypatch):
+    """A process forked from the workers' owner gets the same bytes from workers of its own, and the owner's stay its own."""
+    force_workers(monkeypatch, 2)
+    r = square_sinc(4)
+    want = gain_samples(0.5, r, r, UniformRandom(3), 1000, seed=5).tobytes()
+    owners = list(montecarlo._workers)
+    pipes = {_pipe(fd) for worker in owners for fd in (worker.tasks, worker.replies)}
+    report = Records(3)
+    pid = os.fork()
+    if pid == 0:  # the child leaves by os._exit, never unwinding pytest's stack
+        try:
+            used = []
+            send, receive = montecarlo._send, montecarlo._receive
+
+            def sent(fd, *args):
+                used.append(_pipe(fd))
+                return send(fd, *args)
+
+            def received(fd, *args, **kwargs):
+                used.append(_pipe(fd))
+                return receive(fd, *args, **kwargs)
+
+            montecarlo._send, montecarlo._receive = sent, received  # in the child's memory only
+            same = gain_samples(0.5, r, r, UniformRandom(3), 1000, seed=5).tobytes() == want
+            borrowed = {worker.pid for worker in montecarlo._workers} & {worker.pid for worker in owners}
+            report.put(same, len(used), len(pipes.intersection(used)) + len(borrowed))
+            montecarlo._stop_workers()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    try:
+        assert _reaped_within(pid, 60.0) == 0
+        [(same, used, touched)] = report.take()
+    finally:
+        report.close()
+    assert same and used == 2 and touched == 0  # one task sent and one reply read, on pipes of the child's own
+    assert select.select([worker.replies for worker in owners], [], [], 0.05)[0] == []  # no reply waits for anyone
+    assert gain_samples(0.5, r, r, UniformRandom(3), 1000, seed=5).tobytes() == want
+    assert montecarlo._workers == owners
     assert no_child_left()
 
 
@@ -738,12 +865,12 @@ def test_trial_count_must_be_a_nonnegative_integer(trials):
 # take 728 TiB, and numpy cannot even index 2^100 entries.
 @pytest.mark.parametrize("trials", [10**14, 2**100])
 def test_a_trial_count_that_cannot_be_allocated_is_a_domain_error(trials, monkeypatch):
-    mapped, mmap = [], montecarlo.mmap.mmap
-    monkeypatch.setattr(montecarlo.mmap, "mmap", lambda *args: mapped.append(args) or mmap(*args))
+    ran = []
+    monkeypatch.setattr(montecarlo, "run_ranges", lambda *args: ran.append(args))
     r = square_sinc(2)
     with pytest.raises(DomainError, match=f"^trial count {trials} is too large"):
         gain_samples(0.5, r, r, Equal(0.0), trials, seed=1)
-    assert mapped == [(-1, 8 * trials)]  # the shared buffer that forked ranges write
+    assert ran == []  # the gains' array is refused before any range runs
 
 
 def test_numpy_integer_trial_count_runs_as_int():

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslink import rng, validation
 from irslink.closedform import _fit, _moments, gamma_fit
@@ -31,7 +33,7 @@ from irslink.phaseshift import (
 from irslink.scenario import DESIGNS, load_scenario
 from irslink.validation import TRACE_BOUND_SLACK, criterion_3, equal_phase_trace_bound
 
-from conftest import Records, force_workers, in_own_children, no_child_left, square_sinc
+from conftest import PROPERTY, Records, force_workers, in_own_children, no_child_left, square_sinc
 
 
 def random_psd(gen, n):
@@ -294,17 +296,43 @@ def test_criterion_3_does_not_depend_on_the_worker_count(trials, workers):
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
+@settings(PROPERTY, max_examples=30)
+@given(
+    side=st.integers(1, 4),  # N = 1, 4, 9, 16
+    seed=st.integers(0, 2**64 - 1),
+    # up to 11 stacks of 256, with 1-draw and partial last stacks among them
+    trials=st.lists(
+        st.one_of(st.integers(2, 2600), st.integers(0, 10).map(lambda k: 256 * k + 1)), min_size=2, max_size=2, unique=True
+    ).map(sorted),
+    w=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+def test_a_shorter_trace_run_is_a_prefix_of_a_longer_one(side, seed, trials, w):
+    """Criterion 3's traces of m draws are the first m of n > m draws, bit for bit, whatever W each run has.
+
+    The examples share this process's workers, so state carried from one call into the next would show.
+    """
+    r = square_sinc(side)
+    traces = []
+    with pytest.MonkeyPatch.context() as patch:
+        for count, workers in zip(trials, w):
+            force_workers(patch, workers)
+            traces.append(validation._phase_traces(r, seed, count))
+    (short_lin, short_quad), (long_lin, long_quad) = traces
+    assert short_lin.tobytes() == long_lin[: trials[0]].tobytes()
+    assert short_quad.tobytes() == long_quad[: trials[0]].tobytes()
+
+
 @pytest.mark.parametrize("w", [1, 2, 3])
-def test_criterion_3_draws_by_the_vector_engine_alone(w, monkeypatch):
-    """At 10k draws every range's batches have 1024 draws or more, so no stream is repositioned, in this process or a child."""
-    force_workers(monkeypatch, w)
+def test_criterion_3_draws_by_the_vector_engine_alone(w, engine_patch):
+    """At 10k draws every range's batches have 1024 draws or more, so no stream is repositioned, in this process or a worker."""
+    force_workers(engine_patch, w)
     repositioned, get = Records(1), rng.StreamFamily.get
 
     def recorded(*args):
         repositioned.put(os.getpid())
         return get(*args)
 
-    monkeypatch.setattr(rng.StreamFamily, "get", recorded)
+    engine_patch.setattr(rng.StreamFamily, "get", recorded)
     try:
         validation._phase_traces(sinc_correlation(ArrayGeometry(4, 4, 0.1 / 40.0, 0.1 / 40.0, 0.1)), 202, 10_000)
         assert not repositioned.take()

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irslink import rng
 from irslink.correlation import identity_correlation, matrix_sqrt
 from irslink.errors import DomainError
 from irslink.montecarlo import sample_channels
 from irslink.phaseshift import UniformRandom, phase_vector
+
+from conftest import PROPERTY
 
 SEEDS = [0, 1, 2**64 - 1]
 INDICES = [0, 1, 63, 64, 2**64 - 1, 2**64, 2**128 - 1]
@@ -140,3 +144,34 @@ def test_fill_picks_its_engine_by_shape(monkeypatch, rows, values, vector):
     if not vector:  # the loop engine filled every row
         for r in (0, 4, 5, rows - 1):
             assert out[r].tobytes() == reference(4, rng.DOMAIN_CHANNEL, 2**64 - 5 + r).random(values).tobytes()
+
+
+@st.composite
+def _vector_windows(draw):
+    """(seed, domain, start, rows, values) of a fill of the vector engine's shape, within one domain.
+
+    Besides any start, the windows are drawn where the stream index spills
+    into its next word, and up to the domain's last stream.
+    """
+    rows = draw(st.integers(rng._VECTOR_ROWS, 2600))
+    values = draw(st.integers(1, rng._VECTOR_VALUES))
+    last = 2**128 - rows  # the window's last row is the domain's last stream
+    start = draw(st.one_of(st.integers(0, last), st.integers(2**64 - rows, 2**64), st.integers(last - 64, last)))
+    domain = draw(st.sampled_from([rng.DOMAIN_CHANNEL, rng.DOMAIN_PHASE]))
+    return draw(st.integers(0, 2**64 - 1)), domain, start, rows, values
+
+
+@settings(PROPERTY, max_examples=40)
+@given(window=_vector_windows())
+# PHASE_WINDOWS' two vector-engine windows, at n = 16 and n = 1
+@example(window=(2**64 - 17, rng.DOMAIN_PHASE, 2**64 - 2500, 2600, 16))
+@example(window=(2**64 - 2, rng.DOMAIN_PHASE, 2**128 - 1100, 1100, 1))
+def test_vector_engine_is_the_loop_engine(window):
+    """fill gives the same bits on both engines for any window the vector engine takes."""
+    seed, domain, start, rows, values = window
+    streams = rng.StreamFamily(seed)
+    vector = streams.fill(domain, start, np.empty((rows, values)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "_VECTOR_ROWS", rows + 1)  # the same shape, on the loop engine
+        loop = streams.fill(domain, start, np.empty((rows, values)))
+    assert vector.tobytes() == loop.tobytes()
