@@ -30,11 +30,14 @@ from .errors import DomainError, ScenarioFormatError
 from .phaseshift import PhaseShiftDesign, checked_design
 from .units import SPEED_OF_LIGHT, db_to_linear, dbm_to_watts
 
-# Each model name with the builder of its unscaled (unit-diagonal) matrix for a scenario.
+# Each model name with the builder of its unscaled (unit-diagonal) matrix and
+# the scenario's inputs to that builder, which also key the held model.  The
+# builders are called through this module's names, so that a wrapper bound to
+# one of them sees every build.
 _MODEL_BUILDERS = {
-    "sinc": lambda sc: sinc_correlation(sc.geometry()),
-    "exponential": lambda sc: exponential_correlation(sc.n, sc.exp_magnitude),
-    "uncorrelated": lambda sc: identity_correlation(sc.n),
+    "sinc": (lambda geometry: sinc_correlation(geometry), lambda sc: (sc.geometry(),)),
+    "exponential": (lambda n, magnitude: exponential_correlation(n, magnitude), lambda sc: (sc.n, sc.exp_magnitude)),
+    "uncorrelated": (lambda n: identity_correlation(n), lambda sc: (sc.n,)),
 }
 MODELS = tuple(_MODEL_BUILDERS)
 _DESIGN_CLASSES = {cls.kind: cls for cls in get_args(PhaseShiftDesign)}
@@ -50,9 +53,16 @@ MAX_GRID_POINTS = 100_000
 # takes 16 N^2 bytes, 268 MB at the cap; a curve holds several (the model,
 # two scaled covariances and their factors, cascade products), and the sinc
 # model builds an N x N float distance array on top, so a run at the cap
-# needs a few GB and O(N^3) eigendecompositions.  Every preset and benchmark
+# needs a few GB and O(N^3) eigendecompositions.  Between curves the process
+# still holds the last model it built, one N x N complex128 matrix, until a
+# scenario with other model inputs replaces it.  Every preset and benchmark
 # scenario has N <= 400.
 MAX_ELEMENTS = 4096
+
+# The last model built, as (key, model), or None.  It is one slot, emptied
+# before each build, so the process never holds two models for it.  Threads
+# need no lock: each reads the pair once, and a rebinding of the name is atomic.
+_held_model = None
 
 
 def step_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -168,11 +178,33 @@ class Scenario:
         return ArrayGeometry(self.n_h, self.n_v, d, d, wavelength)
 
     def correlation_model(self) -> CorrelationMatrix:
-        """The unscaled (unit-diagonal) model matrix."""
-        return _MODEL_BUILDERS[self.model](self)
+        """The unscaled (unit-diagonal) model matrix.
+
+        The process holds the last model built, one N x N complex128 matrix.
+        A call with that model's name and builder inputs (the geometry for
+        sinc, N and exp_magnitude for exponential, N for uncorrelated) gets
+        the same read-only matrix back, with no second build or check.  Any
+        other call drops the held model, then builds and checks its own.
+        """
+        global _held_model
+        build, inputs = _MODEL_BUILDERS[self.model]
+        args = inputs(self)
+        # A float input counts by its bits: -0.0 builds other bytes than 0.0.  The
+        # geometry's floats are positive, where == already compares bits.
+        key = (self.model, *(v.hex() if isinstance(v, float) else v for v in args))
+        held = _held_model
+        if held is not None and held[0] == key:
+            return held[1]
+        held = _held_model = None  # free the old model before the new one is allocated
+        model = build(*args)
+        _held_model = key, model
+        return model
 
     def covariances(self):
-        """(r_sr, r_rd), the model matrix scaled by the configured products."""
+        """(r_sr, r_rd), the model matrix scaled by the configured products.
+
+        Both are scaled afresh on every call; the model may be the held one.
+        """
         r = self.correlation_model()
         r_sr = scale_covariance(r, db_to_linear(self.beta_sr_dhdv_db))
         r_rd = scale_covariance(r, db_to_linear(self.beta_rd_dhdv_db))

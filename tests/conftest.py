@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from irslink import montecarlo, validation
+from irslink import montecarlo, scenario, validation
 from irslink.correlation import ArrayGeometry, matrix_sqrt, sinc_correlation
 from irslink.montecarlo import EngineThreads, channel_blocks, effective_gain, sample_channels
 from irslink.phaseshift import Equal, phase_vector
@@ -73,6 +73,12 @@ def heavy_mc(sinc16):
         "cov": cov / cov_trials,
         "cov_trials": cov_trials,
     }
+
+
+@pytest.fixture
+def empty_model_slot():
+    """Empties the held surface model, so that the test's first correlation_model call builds whatever ran before."""
+    scenario._held_model = None
 
 
 class Records:

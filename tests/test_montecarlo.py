@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink import load_scenario, montecarlo, rng, validation
+from irslink import scenario as scenario_module
 from irslink.correlation import CorrelationMatrix, matrix_sqrt
 from irslink.errors import DomainError, ScenarioFormatError
 from irslink.montecarlo import (
@@ -787,6 +789,24 @@ def test_trials_are_order_independent_units():
     long = gain_samples(0.5, r, r, UniformRandom(5), 400, seed=9)
     short = gain_samples(0.5, r, r, UniformRandom(5), 40, seed=9)
     assert np.array_equal(long[:40], short)
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_gains_through_the_held_model_are_the_bits_of_a_fresh_build(empty_model_slot, workers, w):
+    sc = replace(load_scenario("fig2a"), n_h=4, n_v=4, design=UniformRandom(5))
+    read_ranges = workers(w)
+
+    def gains():
+        r_sr, r_rd = sc.covariances()
+        return gain_samples(sc.beta_sd, r_sr, r_rd, sc.design, 65, seed=11).tobytes()
+
+    built = gains()
+    held = sc.correlation_model()
+    through_held = gains()
+    assert sc.correlation_model() is held
+    scenario_module._held_model = None  # the next call builds the model again
+    assert gains() == through_held == built
+    assert len(read_ranges()) == 3 * w  # 65 trials are two 64-trial ranges at W = 2
 
 
 def test_uniform_design_worse_than_equal_when_blocked():

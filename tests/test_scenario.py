@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args
@@ -8,7 +11,9 @@ import numpy as np
 import pytest
 
 import irslink
-from irslink.errors import DomainError, ScenarioFormatError
+from irslink import scenario as scenario_module
+from irslink.correlation import exponential_correlation, identity_correlation, sinc_correlation
+from irslink.errors import DomainError, NotPositiveSemidefiniteError, ScenarioFormatError
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom
 from irslink.scenario import MAX_ELEMENTS, MAX_GRID_POINTS, PRESETS, load_scenario, scenario_from_dict, step_grid
 
@@ -509,6 +514,146 @@ def test_covariances_are_scaled_models():
     r_sr, r_rd = sc.covariances()
     assert np.allclose(r_sr.entries, 10 ** (-8.4) * np.eye(4))
     assert np.allclose(r_rd.entries, 10 ** (-7.5) * np.eye(4))
+
+
+def fresh_model_bytes(sc):
+    """The bytes of sc's model straight from its builder, past the held one."""
+    builders = {
+        "sinc": lambda: sinc_correlation(sc.geometry()),
+        "exponential": lambda: exponential_correlation(sc.n, sc.exp_magnitude),
+        "uncorrelated": lambda: identity_correlation(sc.n),
+    }
+    return builders[sc.model]().entries.tobytes()
+
+
+def test_equal_model_inputs_get_the_held_model(empty_model_slot):
+    first = scenario_from_dict(make()).correlation_model()
+    assert first.entries.tobytes() == fresh_model_bytes(scenario_from_dict(make()))
+    assert scenario_from_dict(make()).correlation_model() is first
+    assert not first.entries.flags.writeable
+
+
+EXPONENTIAL = {"model": "exponential", "exp_magnitude": 0.5}
+
+
+# (base, overrides): each override changes one input of the base's builder.
+MODEL_INPUT_CHANGES = [
+    ({}, {"n_h": 3}),
+    ({}, {"n_v": 3}),
+    ({}, {"carrier_ghz": 6.0}),
+    ({}, {"spacing_over_lambda": 0.05}),
+    ({}, {"model": "exponential"}),
+    ({}, {"model": "uncorrelated"}),
+    (EXPONENTIAL, {"exp_magnitude": 0.25}),
+    (EXPONENTIAL, {"n_h": 3}),
+    ({"model": "uncorrelated"}, {"n_v": 3}),
+]
+
+
+@pytest.mark.parametrize("base, overrides", MODEL_INPUT_CHANGES)
+def test_a_changed_model_input_builds_a_new_model(empty_model_slot, base, overrides):
+    first = scenario_from_dict(make(**base)).correlation_model()
+    sc = scenario_from_dict(make(**{**base, **overrides}))
+    model = sc.correlation_model()
+    assert model is not first
+    assert model.entries.tobytes() == fresh_model_bytes(sc)
+
+
+# (base, overrides): each override changes a field that the base's builder does not read.
+OTHER_FIELD_CHANGES = [
+    ({}, {"beta_sr_dhdv_db": -80.0}),
+    ({}, {"beta_rd_dhdv_db": -70.0}),
+    ({}, {"rho_dbm": 10.0}),
+    ({}, {"sigma2_dbm": -90.0}),
+    ({}, {"beta_sd_db": -80.0}),
+    ({}, {"beta_sd_db": None}),
+    ({}, {"design": "uniform_random", "theta": None, "seed": 3}),
+    ({}, {"design": "fixed", "theta": [0.5, 1.0, 1.5, 2.0]}),
+    ({}, {"theta": 1.0}),
+    ({}, {"xi_min": 0.5}),
+    ({}, {"xi_max": 2.0}),
+    ({}, {"xi_step": 0.25}),
+    ({}, {"exp_magnitude": 0.5}),
+    ({"model": "uncorrelated"}, {"exp_magnitude": 0.5}),
+    (EXPONENTIAL, {"beta_sd_db": None, "theta": 1.0}),
+]
+
+
+@pytest.mark.parametrize("base, overrides", OTHER_FIELD_CHANGES)
+def test_a_change_to_another_field_gets_the_held_model(empty_model_slot, base, overrides):
+    first = scenario_from_dict(make(**base)).correlation_model()
+    assert scenario_from_dict(make(**{**base, **overrides})).correlation_model() is first
+
+
+@pytest.mark.parametrize("magnitudes", [(0.0, -0.0), (-0.0, 0.0)], ids=["zero-first", "negative-zero-first"])
+def test_a_signed_zero_magnitude_gets_its_own_model(empty_model_slot, magnitudes):
+    # (-0.0)^1 = -0.0: the off-diagonal neighbours of the two models differ in their sign bits.
+    assert exponential_correlation(4, -0.0).entries.tobytes() != exponential_correlation(4, 0.0).entries.tobytes()
+    for magnitude in magnitudes:
+        sc = scenario_from_dict(make(model="exponential", exp_magnitude=magnitude))
+        assert sc.correlation_model().entries.tobytes() == fresh_model_bytes(sc)
+
+
+def test_a_failed_build_leaves_the_slot_empty(empty_model_slot, monkeypatch):
+    sc = scenario_from_dict(make())
+    first = sc.correlation_model()
+
+    def failing(n):
+        raise NotPositiveSemidefiniteError("no model")
+
+    monkeypatch.setattr(scenario_module, "identity_correlation", failing)
+    with pytest.raises(NotPositiveSemidefiniteError, match="no model"):
+        scenario_from_dict(make(model="uncorrelated")).correlation_model()
+    assert scenario_module._held_model is None
+    assert sc.correlation_model() is not first
+
+
+def test_the_previous_model_is_freed_before_the_next_build(empty_model_slot, monkeypatch):
+    # The process holds at most one model: the held one goes before the next is allocated.
+    held = weakref.ref(scenario_from_dict(make()).correlation_model())
+    alive_at_build = []
+
+    def watched(n):
+        alive_at_build.append(held() is not None)
+        return identity_correlation(n)
+
+    monkeypatch.setattr(scenario_module, "identity_correlation", watched)
+    scenario_from_dict(make(model="uncorrelated")).correlation_model()
+    assert alive_at_build == [False]
+
+
+def test_threads_that_alternate_models_each_get_their_own(empty_model_slot):
+    pairs = [
+        [scenario_from_dict(make(model=model, **extra)) for model, extra in pair]
+        for pair in (
+            [("sinc", {}), ("exponential", {"exp_magnitude": 0.5})],
+            [("uncorrelated", {}), ("exponential", {"exp_magnitude": 0.25})],
+        )
+    ]
+    want = {sc: fresh_model_bytes(sc) for pair in pairs for sc in pair}
+    rounds = 400
+    done, wrong = [], []
+
+    def alternate(pair):
+        for i in range(rounds):
+            sc = pair[i % 2]
+            if sc.correlation_model().entries.tobytes() != want[sc]:
+                wrong.append((sc.model, i))
+        done.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=alternate, args=(pair,)) for pair in pairs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert done == [True, True]
+    assert wrong == []
 
 
 def test_nonexistent_path_is_an_input_error():
