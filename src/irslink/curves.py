@@ -146,9 +146,10 @@ def _fmt(x: float) -> str:
 
 def _escape(value: str) -> str:
     """A header value as one whitespace-free token: '%', '=', whitespace and
-    unprintable characters become %XX (UTF-8), all others keep their bytes."""
+    unprintable characters become %XX (UTF-8, a file name's undecodable bytes
+    as themselves), all others keep their bytes."""
     return "".join(
-        quote(c, safe="") if c in "%=" or c.isspace() or not c.isprintable() else c
+        quote(c.encode("utf-8", "surrogateescape"), safe="") if c in "%=" or c.isspace() or not c.isprintable() else c
         for c in value
     )
 
@@ -179,7 +180,7 @@ def write_lines(path, lines) -> None:
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x") as fh:
+        with open(tmp, "x", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException as exc:
@@ -208,14 +209,14 @@ def read_curve_csv(path) -> OutageCurve:
     meta = {}
     rows = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
         for line in lines:
             if line.startswith("#"):
                 for token in line[1:].split():
                     if "=" in token:
                         key, value = token.split("=", 1)
-                        meta[key] = unquote(value)
+                        meta[key] = unquote(value, errors="surrogateescape")
             elif line and not line.startswith(COLUMNS[0] + ","):
                 rows.append([float(tok) for tok in line.split(",")])
         seed, trials = int(meta.get("seed", 0)), int(meta.get("trials", 0))

@@ -42,21 +42,26 @@ run_ranges, the one range runner, runs them: the caller runs the first and
 a worker process each other one.  W (engine_threads) is the usable cores
 over the OpenBLAS thread count, at least 1 and at most the number of units,
 and 1 when that count cannot be read: a worker beside a BLAS whose threads
-already fill the cores slows the run.  A range is a task, a module-level
-function of (first, stop, *args) that returns the range's results:
-_gain_range for gain_samples, in whole 64-trial blocks, so every block is
-the same kernel call as with one worker, and criterion 3's _trace_range,
-in whole 256-draw trace stacks.  The workers are forked with os.fork on
-the first call that needs them and serve every later call of the process:
-a call sends each worker its task and arguments through a pipe, as a
-pickle whose arrays travel out of band, and reads the results back from
-the worker's reply pipe, so a call costs no fork and no copy-on-write
-faults.  A worker replies whether its range raised; once every worker has
-replied, the caller runs again, in range order, each range that raised,
-so its exception rises in the caller as itself, and a failure that arises
-only in a worker gives the same bytes from the caller.  If the caller's own
-range or its wait raises, it kills the workers still at work with SIGKILL
-and reaps them, so no range outlives the call.  Forked ranges do not queue
+already fill the cores slows the run.  The caller allocates its per-item
+outputs, one float64 array each, and a range is a task, a module-level
+function of (first, stop, views, *args) that writes the range's results
+into views, its slices of those outputs: _gain_range for gain_samples, in
+whole 64-trial blocks, so every block is the same kernel call as with one
+worker, and criterion 3's _trace_range, in whole 256-draw trace stacks.
+The workers are forked with os.fork on the first call that needs them and
+serve every later call of the process: a call sends each worker its task
+and arguments through a pipe, as a pickle whose arrays travel out of band,
+and reads the bytes of the worker's results from its reply pipe straight
+into the range's slices, so a call costs no fork, no copy-on-write faults
+and no second copy of its outputs.  A worker replies whether its range
+raised; once every worker has replied, the caller runs again, in range
+order, each range that raised, into its slices, so its exception rises in
+the caller as itself, and a failure that arises only in a worker gives the
+same bytes from the caller.  A worker that ends before its reply is whole
+is an error.  If the caller's own range or its wait raises, it kills the
+workers still at work with SIGKILL and reaps them, so no range outlives
+the call.  A process forked from the caller forgets its workers at the
+fork.  Forked ranges do not queue
 on the GIL: the per-row stream positioning and the small ufuncs of a block
 hold it between their native parts, so on 2 cores with one BLAS thread a
 10k-trial N = 64 UniformRandom call took 150-258 ms on one worker, 213-243
@@ -314,20 +319,19 @@ def gain_samples(
     """
     trials = rng.check_trials(trials, least=1)
     design = checked_design(design)
-    gains = _trial_array(trials)  # untouched, so it costs no memory where one range's array is the result
+    gains = _trial_array(trials)
     l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
-    parts = run_ranges(trials, _BLOCK, _gain_range, beta_sd, l_sr, l_rd, design, seed)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, out=gains)
+    run_ranges((gains,), _BLOCK, _gain_range, beta_sd, l_sr, l_rd, design, seed)
+    return gains
 
 
-def _gain_range(first, stop, beta_sd, l_sr, l_rd, design, seed) -> np.ndarray:
-    """The gains of trials first..stop-1: gain_samples' task for each of its ranges."""
-    gains = np.empty(stop - first)
+def _gain_range(first, stop, views, beta_sd, l_sr, l_rd, design, seed) -> None:
+    """Write the gains of trials first..stop-1 into views[0]: gain_samples' task for each of its ranges."""
+    (gains,) = views
     # A phase function per range: UniformRandom's closes over one StreamFamily.
     block_phases = design.block_phases(l_sr.shape[0])
     for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, l_sr, l_rd, seed, first, stop):
         gains[start - first : start - first + h_sd.shape[0]] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
-    return gains
 
 
 def _range_bounds(total: int, unit: int) -> list:
@@ -342,53 +346,59 @@ def _range_bounds(total: int, unit: int) -> list:
     return [min(total, unit * (units * w // workers)) for w in range(workers + 1)]
 
 
-def run_ranges(total: int, unit: int, task, *args) -> list:
-    """[task(first, stop, *args) for each range of _range_bounds(total, unit)], which cover [0, total) once.
+def run_ranges(outputs, unit: int, task, *args) -> None:
+    """Run task(first, stop, views, *args) on each range of _range_bounds(total, unit), which cover [0, total) once.
 
-    task must be a module-level function and args picklable: this process
-    runs the first range, and sends each other one to a worker of its own as
-    data.  The workers are forked on the first call that needs them and
-    serve every later call of this process, so a call costs no fork: each
-    worker receives (task, first, stop, args) on its task pipe, as a pickle
-    whose array buffers travel out of band, without a bytes copy, and
-    replies on its reply pipe with its task CPU seconds and its result, or
-    with the fact that its range raised.  A worker forked before a module
-    attribute was patched keeps the code it was forked with; _stop_workers
-    lets the next call fork new ones.
+    outputs are the caller's 1-D float64 arrays of one entry per item of
+    [0, total), total their common length, and views a range's slices of
+    them, [out[first:stop] for out in outputs], into which its task writes
+    the range's results.  task must be a module-level function and args
+    picklable: this process runs the first range into its slices, and sends
+    each other one to a worker of its own as data.  The workers are forked
+    on the first call that needs them and serve every later call of this
+    process, so a call costs no fork: each worker receives (task, first,
+    stop, len(outputs), args) on its task pipe, as a pickle whose array
+    buffers travel out of band, without a bytes copy, runs the task into
+    arrays of its own and replies on its reply pipe with its task CPU
+    seconds, whether its range raised and, if it did not, the bytes of its
+    arrays, which this process reads straight into the range's slices.  A
+    worker forked before a module attribute was patched keeps the code it
+    was forked with; _stop_workers lets the next call fork new ones.
 
     Once every worker has replied, this process runs again, in range
     order, each range whose worker raised, so that range's exception rises
     here with its own type, fields and traceback.  A range is a pure
     function of its bounds, so a failure that arises only in a worker
     (fork-unsafe state, say) is recomputed here to the same result instead
-    of being raised.  A worker that died, by a signal say, is a
-    RuntimeError naming its range and wait status, and the next call forks
-    its replacement.  If this process's own range or its wait raises
-    (Ctrl-C included), every worker still at work is killed with SIGKILL
-    and reaped before the exception goes on, so no range outlives the call.
-    Workers ignore SIGINT, exit when their task pipe closes, and are reaped
-    at exit.  A process forked from this one never uses its workers.  Where
-    os.fork is missing or another Python thread is alive, the calling
-    thread runs [0, total) as one range.
+    of being raised.  A worker that died, by a signal say, or part-way
+    through its reply, is a RuntimeError naming its range and wait status,
+    and the next call forks its replacement.  If this process's own range
+    or its wait raises (Ctrl-C included), every worker still at work is
+    killed with SIGKILL and reaped before the exception goes on, so no
+    range outlives the call.  Workers ignore SIGINT, exit when their task
+    pipe closes, and are reaped at exit.  A process forked from this one
+    never uses its workers.  Where os.fork is missing or another Python
+    thread is alive, the calling thread runs [0, total) as one range.
     """
     global _task_cpu
+    total = outputs[0].shape[0]
     bounds = _range_bounds(total, unit)
     if not hasattr(os, "fork") or threading.active_count() > 1:
         bounds = [0, total]  # forking beside live threads can deadlock the child, and the pipes serve one caller
     ranges = list(zip(bounds[:-1], bounds[1:]))
+    views = {span: [out[span[0] : span[1]] for out in outputs] for span in ranges}
     busy = list(zip(_workers_for(len(ranges) - 1), ranges[1:]))  # in range order, until each replies
-    replies = []  # (range, (task cpu, whether it raised, result), or the wait status of a worker that died)
+    replies = []  # (range, (task cpu, whether it raised), or the wait status of a worker that died)
     try:
         for worker, (first, stop) in busy:
             with contextlib.suppress(BrokenPipeError):  # a worker that died: its reply below meets end of file
-                _send(worker.tasks, (task, first, stop, args))
-        results = [task(*ranges[0], *args)]
+                _send(worker.tasks, (task, first, stop, len(outputs), args))
+        task(*ranges[0], views[ranges[0]], *args)
         while busy:
             worker, span = busy[0]
             try:
-                head, buffers = _receive(worker.replies)
-                reply = pickle.loads(head, buffers=buffers)
-            except EOFError:
+                reply = _reply(worker.replies, views[span])
+            except EOFError:  # a worker that died, maybe part-way through its reply
                 reply = None
             busy.pop(0)
             replies.append((span, _retire(worker) if reply is None else reply))
@@ -399,13 +409,12 @@ def run_ranges(total: int, unit: int, task, *args) -> list:
             _retire(worker)
         raise
     _task_cpu += sum(reply[0] for _, reply in replies if isinstance(reply, tuple))
-    for (first, stop), reply in replies:
+    for span, reply in replies:
         if not isinstance(reply, tuple):
             code = os.waitstatus_to_exitcode(reply)
-            raise RuntimeError(f"Monte-Carlo range {first}..{stop} ended in its forked child with wait status {reply} (exit code {code})")
-        _, raised, result = reply
-        results.append(task(first, stop, *args) if raised else result)
-    return results
+            raise RuntimeError(f"Monte-Carlo range {span[0]}..{span[1]} ended in its forked child with wait status {reply} (exit code {code})")
+        if reply[1]:
+            task(*span, views[span], *args)
 
 
 @dataclass(frozen=True)
@@ -416,27 +425,29 @@ class _Worker:
 
 
 _workers = []  # this process's workers, forked by _workers_for
-_owner = None  # the pid of the process whose workers _workers are
 _task_cpu = 0.0  # CPU seconds of the tasks that workers ran for this process's calls
 
 
 def _workers_for(count: int) -> list:
     """count of this process's workers, forking those it lacks."""
-    global _owner
-    if _owner != os.getpid():  # a fresh process, or one forked from the owner
-        _forget_workers()
-        _owner = os.getpid()
     while len(_workers) < count:
         _workers.append(_fork_worker())
     return _workers[:count]
 
 
 def _forget_workers() -> None:
-    """Close this process's copies of the owner's pipes, which a fork inherited, without touching the workers."""
+    """Close this process's copies of its parent's worker pipes, which a fork inherited, without touching the workers."""
     for worker in _workers:
         os.close(worker.tasks)
         os.close(worker.replies)
     _workers.clear()
+
+
+# Every child forgets at once: a worker, so that each sibling still sees its
+# pipe close when the owner exits, and any other child, so that it forks
+# workers of its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _fork_worker() -> _Worker:
@@ -444,7 +455,6 @@ def _fork_worker() -> _Worker:
     pid = os.fork()
     if pid == 0:  # leave by os._exit, never unwinding the caller's stack
         try:
-            _forget_workers()  # so that each sibling still sees its pipe close when the owner exits
             os.close(tasks[1])
             os.close(replies[0])
             _serve(tasks[0], replies[1])
@@ -466,11 +476,20 @@ def _serve(tasks: int, replies: int) -> None:
             return
         start = time.process_time()
         try:
-            task, first, stop, args = pickle.loads(head, buffers=buffers)
-            reply = (False, task(first, stop, *args))
+            task, first, stop, count, args = pickle.loads(head, buffers=buffers)
+            results = [np.empty(stop - first) for _ in range(count)]
+            task(first, stop, results, *args)
         except BaseException:  # the owner reruns the range, so its exception rises there
-            reply = (True, None)
-        _send(replies, (time.process_time() - start, *reply))
+            results = None
+        _write(replies, struct.pack("<d?", time.process_time() - start, results is None), *(results or ()))
+
+
+def _reply(fd: int, views) -> tuple:
+    """(task CPU seconds, whether the range raised) of the reply on fd, whose results, if any, are read into views; EOFError if fd closes first."""
+    cpu, raised = struct.unpack("<d?", _read(fd, bytearray(9)))
+    for view in () if raised else views:
+        _read(fd, view)
+    return cpu, raised
 
 
 def _retire(worker: _Worker) -> int:
@@ -483,8 +502,6 @@ def _retire(worker: _Worker) -> int:
 
 def _stop_workers() -> None:
     """Close every worker's task pipe, so that it exits, and reap it; the next call that needs workers forks new ones."""
-    if _owner != os.getpid():
-        _forget_workers()
     for worker in list(_workers):
         _retire(worker)
 
@@ -502,25 +519,30 @@ def _send(fd: int, obj) -> None:
     buffers = []
     head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
     parts = [memoryview(head), *(buffer.raw() for buffer in buffers)]
-    lengths = struct.pack(f"<{len(parts) + 1}Q", len(parts), *(part.nbytes for part in parts))
-    for view in (memoryview(lengths), *parts):
-        while view:
-            view = view[os.write(fd, view) :]
+    _write(fd, struct.pack(f"<{len(parts) + 1}Q", len(parts), *(part.nbytes for part in parts)), *parts)
 
 
 def _receive(fd: int):
     """(pickle, buffers) of the message that _send wrote to fd, for pickle.loads; EOFError if fd closes first."""
-    (count,) = struct.unpack("<Q", _read(fd, 8))
-    head, *buffers = (_read(fd, n) for n in struct.unpack(f"<{count}Q", _read(fd, 8 * count)))
+    (count,) = struct.unpack("<Q", _read(fd, bytearray(8)))
+    head, *buffers = (_read(fd, bytearray(n)) for n in struct.unpack(f"<{count}Q", _read(fd, bytearray(8 * count))))
     return head, buffers
 
 
-def _read(fd: int, size: int) -> bytearray:
-    data = bytearray(size)
-    view = memoryview(data)
+def _write(fd: int, *buffers) -> None:
+    """Write each buffer to fd in full, in order."""
+    for buffer in buffers:
+        view = memoryview(buffer).cast("B")
+        while view:
+            view = view[os.write(fd, view) :]
+
+
+def _read(fd: int, buffer):
+    """Fill buffer, a writable contiguous buffer such as a bytearray or an array slice, from fd and return it; EOFError if fd closes first."""
+    view = memoryview(buffer).cast("B")
     while view:
         got = os.readv(fd, [view])
         if got == 0:
             raise EOFError
         view = view[got:]
-    return data
+    return buffer

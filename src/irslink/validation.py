@@ -255,14 +255,12 @@ def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
     (run_ranges), each range by _trace_range.
     """
     t_lin, t_quad = _trial_array(trials), _trial_array(trials)
-    parts = run_ranges(trials, _TRACE_CHUNK, _trace_range, _trace_kernel(r), seed)
-    for out, pieces in zip((t_lin, t_quad), zip(*parts)):
-        np.concatenate(pieces, out=out)
+    run_ranges((t_lin, t_quad), _TRACE_CHUNK, _trace_range, _trace_kernel(r), seed)
     return t_lin, t_quad
 
 
-def _trace_range(first: int, stop: int, kernel: np.ndarray, seed: int):
-    """(t_lin, t_quad) of draws first..stop-1, from K = _trace_kernel(r): _phase_traces' task for each of its ranges.
+def _trace_range(first: int, stop: int, views, kernel: np.ndarray, seed: int) -> None:
+    """Write (t_lin, t_quad) of draws first..stop-1, from K = _trace_kernel(r), into views: _phase_traces' task for each of its ranges.
 
     The range keys its own draws.  It draws its phases in batches of whole
     stacks, at most _DRAW_STACKS each and as even as they split, so that no
@@ -273,7 +271,7 @@ def _trace_range(first: int, stop: int, kernel: np.ndarray, seed: int):
     of a longer one's, bit for bit.
     """
     draw = UniformRandom(seed).phase_draws(kernel.shape[0])
-    t_lin, t_quad = np.empty(stop - first), np.empty(stop - first)
+    t_lin, t_quad = views
     stacks = -(-(stop - first) // _TRACE_CHUNK)
     batches = -(-stacks // _DRAW_STACKS)
     for b in range(batches):
@@ -285,7 +283,6 @@ def _trace_range(first: int, stop: int, kernel: np.ndarray, seed: int):
             stack = phases[start - begin : top - begin]
             traces = _kernel_traces(kernel, stack if top - start > 1 else np.repeat(stack, 2, axis=0))
             t_lin[start:top], t_quad[start:top] = (t[: top - start] for t in traces)
-    return t_lin, t_quad
 
 
 @_criterion(3, "phase-expectation oracle", 60.0)

@@ -171,7 +171,7 @@ def workers(engine_patch):
         @functools.wraps(task)  # under the task's own name, which is how the engine sends it to a worker
         def recorded(first, stop, *args):
             records.put(first, stop, os.getpid())
-            return task(first, stop, *args)
+            task(first, stop, *args)
 
         return recorded
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from urllib.parse import unquote
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from test_scenario import GAIN_SCALE_OVERFLOWS, GAIN_SCALE_UNDERFLOWS, GEOMETRY_
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, **env):
     # The child imports irslink from this checkout's src/, installed or not.
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -30,7 +31,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -181,6 +182,36 @@ def test_compare_subcommand(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "p_closed_form_sinc" in out.read_text()
+
+
+# Scenario file names whose characters reach the CLI as lone surrogates: a
+# byte that is not UTF-8, and any non-ASCII byte under the C locale without
+# UTF-8 mode.  The headers escape their bytes, so the names read back.
+ODD_NAMES = [
+    pytest.param(os.fsdecode(b"bad\xff"), {}, id="not-utf8"),
+    pytest.param("café", {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}, id="c-locale"),
+]
+
+
+@pytest.mark.parametrize("name, env", ODD_NAMES)
+def test_curve_keeps_an_odd_scenario_file_name(name, env, tmp_path):
+    scenario_path = tmp_path / f"{name}.json"
+    scenario_path.write_text(json.dumps(make(xi_max=0.5)))
+    out = tmp_path / "curve.csv"
+    result = run_cli("curve", "--scenario", str(scenario_path), "--trials", "0", "--out", str(out), **env)
+    assert result.returncode == 0, result.stderr
+    assert read_curve_csv(out).scenario_name == name
+
+
+@pytest.mark.parametrize("name, env", ODD_NAMES)
+def test_compare_keeps_an_odd_scenario_file_name(name, env, tmp_path):
+    scenario_path = tmp_path / f"{name}.json"
+    scenario_path.write_text(json.dumps(make(xi_max=0.5)))
+    out = tmp_path / "cmp.csv"
+    result = run_cli("compare", "--scenario", str(scenario_path), "--models", "sinc,exponential", "--trials", "0", "--out", str(out), **env)
+    assert result.returncode == 0, result.stderr
+    names = re.findall(r"^# scenario_(\w+)=(\S+)", out.read_text(encoding="utf-8"), re.MULTILINE)
+    assert [(m, unquote(value, errors="surrogateescape")) for m, value in names] == [(m, f"{name}[{m}]") for m in ("sinc", "exponential")]
 
 
 def test_compare_rejects_a_repeated_model(tmp_path):

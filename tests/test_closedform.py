@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslink.closedform import GammaParams, _moments, gamma_fit, outage_probability
 from irslink.correlation import ArrayGeometry, CorrelationMatrix, scale_covariance
@@ -18,6 +20,7 @@ from irslink.scenario import load_scenario, scenario_from_dict
 from irslink.units import db_to_linear, dbm_to_watts
 from irslink.validation import outage_scale_sensitivity, uniform_phase_trace_moments_by_sums
 
+from conftest import PROPERTY
 from test_scenario import make
 
 
@@ -391,3 +394,68 @@ def test_each_fit_rejects_a_negative_or_nan_direct_gain(fit):
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError, match=f"^direct-link gain beta_sd must be nonnegative and finite, got {bad}$"):
             gamma_fit(bad, r, r, design)
+
+
+# --- Closed-form properties over random models -------------------------------
+
+
+@st.composite
+def psd_pairs(draw):
+    """(r_sr, r_rd): two random complex PSD matrices of one size N in 1..6, rank-deficient at times."""
+    n = draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def psd(rank):
+        g = gen.standard_normal((n, rank)) + 1j * gen.standard_normal((n, rank))
+        return CorrelationMatrix(g @ g.conj().T / n)
+
+    return psd(draw(st.integers(1, n))), psd(draw(st.integers(1, n)))
+
+
+ANGLES = st.floats(-4.0, 4.0)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(pair=psd_pairs(), theta=ANGLES)
+def test_fixed_with_one_common_angle_is_equal(pair, theta):
+    r_sr, r_rd = pair
+    fixed = Fixed(np.full(r_sr.n, theta)).cascade_moments(r_sr, r_rd)
+    np.testing.assert_allclose(fixed, Equal(theta).cascade_moments(r_sr, r_rd), rtol=1e-12)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(pair=psd_pairs(), data=st.data(), rotation=ANGLES)
+def test_a_common_phase_rotation_leaves_the_fixed_traces(pair, data, rotation):
+    r_sr, r_rd = pair
+    thetas = np.array(data.draw(st.lists(ANGLES, min_size=r_sr.n, max_size=r_sr.n)))
+    t1, _, t2 = Fixed(thetas).cascade_moments(r_sr, r_rd)
+    u1, _, u2 = Fixed(thetas + rotation).cascade_moments(r_sr, r_rd)
+    np.testing.assert_allclose([u1, u2], [t1, t2], rtol=1e-12)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    shape=st.floats(1e-3, 1e3),
+    scale=st.floats(1e-3, 1e3),
+    z=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=20),
+)
+def test_outage_does_not_decrease_in_the_threshold(shape, scale, z):
+    z = np.sort(z)
+    assert np.all(np.diff(outage_probability(GammaParams(shape, scale), z)) >= 0)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(pair=psd_pairs(), data=st.data(), beta_sd=st.floats(0.0, 4.0))
+def test_gamma_fit_keeps_the_mean_and_variance_of_a_fixed_phase_vector(pair, data, beta_sd):
+    """For Equal and Fixed, the fit's mean and variance are the gain's, from the dense cascade matrix C = R_rd P^H R_sr P."""
+    r_sr, r_rd = pair
+    n = r_sr.n
+    thetas = np.array(data.draw(st.lists(ANGLES, min_size=n, max_size=n)))
+    for design in (Equal(thetas[0]), Fixed(thetas)):
+        p = np.diag(phase_vector(design, n))
+        c = r_rd.entries @ p.conj().T @ r_sr.entries @ p
+        t1, t2 = np.trace(c).real, np.trace(c @ c).real
+        gp = gamma_fit(beta_sd, r_sr, r_rd, design)
+        np.testing.assert_allclose(
+            [gp.mean, gp.variance], [beta_sd + t1, beta_sd**2 + 2.0 * beta_sd * t1 + t1**2 + 2.0 * t2], rtol=1e-12
+        )

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -457,8 +458,13 @@ def test_a_full_rank_factor_keeps_one_run_per_branch(model, monkeypatch):
 )
 def test_run_ranges_covers_the_total_once(total, unit, w, monkeypatch):
     force_workers(monkeypatch, w)
-    ranges = montecarlo.run_ranges(total, unit, _whereabouts)
-    assert ranges == sorted(ranges)  # the results come back in range order
+    outputs = tuple(np.full(total, np.nan) for _ in range(3))
+    montecarlo.run_ranges(outputs, unit, _whereabouts)
+    rows = np.stack(outputs, axis=1)
+    assert not np.isnan(rows).any()  # every item was written
+    assert all(first <= i < stop for i, (first, stop, _) in enumerate(rows))  # by the range that holds it
+    ranges = [tuple(map(int, row)) for i, row in enumerate(rows) if i == 0 or (row != rows[i - 1]).any()]
+    assert ranges == sorted(ranges)  # the results land in range order
     hits = np.zeros(total, dtype=int)
     for first, stop, _ in ranges:
         hits[first:stop] += 1
@@ -469,9 +475,10 @@ def test_run_ranges_covers_the_total_once(total, unit, w, monkeypatch):
     assert no_child_left()
 
 
-def _whereabouts(first, stop):
-    """A task that tells which process ran its range."""
-    return first, stop, os.getpid()
+def _whereabouts(first, stop, views):
+    """A task that writes, for each item of its range, the range and the process that ran it."""
+    for view, value in zip(views, (first, stop, os.getpid())):
+        view[:] = value
 
 
 def test_more_forked_ranges_than_cores(workers):
@@ -485,6 +492,77 @@ def test_more_forked_ranges_than_cores(workers):
     assert forked.tobytes() == serial.tobytes()
     _check_ranges(read_ranges(), 6, 3000)
     assert montecarlo._worker_cpu() > cpu  # each reply carried its task's CPU seconds
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_ranges_write_into_the_one_copy_of_the_outputs(w, engine_patch):
+    """The allocation peak of a run is its outputs and a block's temporaries: no range's own array and no join.
+
+    At N = 1 a block's temporaries stay under 5% of the outputs: 22 kB of
+    65536 gains (524 kB), 313 kB of 500k draws' two traces (8 MB).
+    """
+    force_workers(engine_patch, w)
+    r = square_sinc(1)
+    for run, size in (
+        (lambda: gain_samples(0.5, r, r, Equal(0.0), 2**16, seed=1), 8 * 2**16),
+        (lambda: validation._phase_traces(r, 202, 500_000), 16 * 500_000),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size
+    assert no_child_left()
+
+
+def _pipe_fds():
+    """How many of this process's file descriptors are pipe ends."""
+    links = []
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the descriptor of the listing itself, closed by now
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+    return sum(link.startswith("pipe:[") for link in links)
+
+
+def test_each_live_worker_holds_two_pipe_ends(engine_patch):
+    """A killed worker's pipes close with it, its replacement opens two, and _stop_workers closes every one."""
+    baseline = _pipe_fds()
+    force_workers(engine_patch, 3)
+    r = square_sinc(2)
+    want = gain_samples(0.5, r, r, Equal(0.0), 1000, seed=1).tobytes()
+    assert len(montecarlo._workers) == 2 and _pipe_fds() == baseline + 4
+    killed = montecarlo._workers[0]
+    os.kill(killed.pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match=rf"^Monte-Carlo range 320..640 ended in its forked child with wait status {signal.SIGKILL} "):
+        gain_samples(0.5, r, r, Equal(0.0), 1000, seed=1)
+    assert len(montecarlo._workers) == 1 and _pipe_fds() == baseline + 2
+    assert gain_samples(0.5, r, r, Equal(0.0), 1000, seed=1).tobytes() == want  # on a replacement
+    assert len(montecarlo._workers) == 2 and killed not in montecarlo._workers and _pipe_fds() == baseline + 4
+    montecarlo._stop_workers()
+    assert _pipe_fds() == baseline
+    assert no_child_left()
+
+
+def test_a_worker_that_ends_part_way_through_its_reply_is_an_error(engine_patch):
+    """Half a range's bytes is no result: the caller raises the dead-worker error instead of returning a partly filled slice."""
+    write, parent = montecarlo._write, os.getpid()
+
+    def cut_short(fd, *buffers):
+        if os.getpid() == parent:  # the caller's tasks go through
+            return write(fd, *buffers)
+        header, gains = buffers
+        write(fd, header, memoryview(gains).cast("B")[: gains.nbytes // 2])
+        os._exit(0)
+
+    engine_patch.setattr(montecarlo, "_write", cut_short)
+    force_workers(engine_patch, 2)
+    r = square_sinc(2)
+    with pytest.raises(RuntimeError, match=r"^Monte-Carlo range 320..640 ended in its forked child with wait status 0 \(exit code 0\)$"):
+        gain_samples(0.5, r, r, Equal(0.0), 640, seed=1)
+    assert montecarlo._workers == []
     assert no_child_left()
 
 
@@ -549,14 +627,11 @@ def test_caller_failure_kills_and_reaps_every_child(failing, engine_patch):
     _gains_by_range(engine_patch, act)
     error = _RangeFailed if failing == "own range" else KeyboardInterrupt
     if failing == "wait":
-        receive, parent = montecarlo._receive, os.getpid()
 
-        def interrupted(*args, **kwargs):  # the caller's wait for a reply; the workers' reads of their tasks go through
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return receive(*args, **kwargs)
+        def interrupted(*args):  # the caller's wait for a reply, which the workers never call
+            raise KeyboardInterrupt
 
-        engine_patch.setattr(montecarlo, "_receive", interrupted)
+        engine_patch.setattr(montecarlo, "_reply", interrupted)
     r = square_sinc(2)
     start = time.perf_counter()
     with pytest.raises(error):
@@ -712,17 +787,17 @@ def test_a_forked_child_keeps_off_its_parents_workers(monkeypatch):
     if pid == 0:  # the child leaves by os._exit, never unwinding pytest's stack
         try:
             used = []
-            send, receive = montecarlo._send, montecarlo._receive
+            send, reply = montecarlo._send, montecarlo._reply
 
             def sent(fd, *args):
                 used.append(_pipe(fd))
                 return send(fd, *args)
 
-            def received(fd, *args, **kwargs):
+            def replied(fd, *args):
                 used.append(_pipe(fd))
-                return receive(fd, *args, **kwargs)
+                return reply(fd, *args)
 
-            montecarlo._send, montecarlo._receive = sent, received  # in the child's memory only
+            montecarlo._send, montecarlo._reply = sent, replied  # in the child's memory only
             same = gain_samples(0.5, r, r, UniformRandom(3), 1000, seed=5).tobytes() == want
             borrowed = {worker.pid for worker in montecarlo._workers} & {worker.pid for worker in owners}
             report.put(same, len(used), len(pipes.intersection(used)) + len(borrowed))
