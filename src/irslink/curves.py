@@ -138,10 +138,23 @@ def run_compare(scenario: Scenario, models, trials: int, seed: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # CSV artifacts: '#'-prefixed provenance header, fixed lossless float format.
+#
+# The curve header, as (key, OutageCurve field) pairs, one tuple per '#' line.  A
+# comparison writes the version and run pairs once, the scenario pairs per model.
+_VERSION = (("tool_version", "tool_version"),)
+_SCENARIO = (("scenario", "scenario_name"), ("scenario_hash", "scenario_hash"))
+_RUN = (("seed", "seed"), ("trials", "trials"))
+_CURVE_HEADER = (_VERSION, _SCENARIO + _RUN)
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT_FMT % x
+def _pairs(pairs, source, suffix: str = "") -> list:
+    """(key + suffix, the field's value in ``source``) for each (key, field) pair."""
+    return [(key + suffix, getattr(source, field)) for key, field in pairs]
+
+
+def _text(value) -> str:
+    """A float in the lossless format, anything else as str()."""
+    return _FLOAT_FMT % value if isinstance(value, float) else str(value)
 
 
 def _escape(value: str) -> str:
@@ -191,61 +204,58 @@ def write_lines(path, lines) -> None:
         raise
 
 
-def write_curve_csv(curve: OutageCurve, path) -> None:
-    lines = [
-        f"# irslink outage curve",
-        f"# tool_version={_escape(curve.tool_version)}",
-        f"# scenario={_escape(curve.scenario_name)} scenario_hash={_escape(curve.scenario_hash)} "
-        f"seed={curve.seed} trials={curve.trials}",
-        ",".join(COLUMNS),
-    ]
-    for row in zip(*(getattr(curve, c) for c in COLUMNS)):
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_table(path, kind: str, meta, header, columns) -> None:
+    """The one CSV layout: a '# irslink <kind>' line, one '# key=value ...'
+    line per group of (key, value) pairs in ``meta`` with every value escaped,
+    the column line ``header``, then one row per entry of the ``columns``."""
+    lines = [f"# irslink {kind}"]
+    lines += ["# " + " ".join(f"{key}={_escape(_text(value))}" for key, value in group) for group in meta]
+    lines.append(",".join(map(_text, header)))
+    lines += [",".join(_FLOAT_FMT % v for v in row) for row in zip(*columns)]
     write_lines(path, lines)
 
 
+def write_curve_csv(curve: OutageCurve, path) -> None:
+    meta = [_pairs(line, curve) for line in _CURVE_HEADER]
+    _write_table(path, "outage curve", meta, COLUMNS, [getattr(curve, c) for c in COLUMNS])
+
+
 def read_curve_csv(path) -> OutageCurve:
-    """The curve written to ``path``; DomainError naming the file if it is malformed."""
+    """The curve written to ``path``: each curve header key is required and read
+    as its field's type, and the column line must follow the header; otherwise
+    DomainError naming the file and the key or line at fault."""
     meta = {}
-    rows = []
+    types = {f.name: f.type for f in fields(OutageCurve)}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
         for line in lines:
             if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, value = token.split("=", 1)
-                        meta[key] = unquote(value, errors="surrogateescape")
-            elif line and not line.startswith(COLUMNS[0] + ","):
-                rows.append([float(tok) for tok in line.split(",")])
-        seed, trials = int(meta.get("seed", 0)), int(meta.get("trials", 0))
-        data = np.array(rows)
+                meta.update(token.split("=", 1) for token in line[1:].split() if "=" in token)
+        body = [line for line in lines if line and not line.startswith("#")]
+        values = {field: types[field](unquote(meta[key], errors="surrogateescape")) for line in _CURVE_HEADER for key, field in line}
+        data = np.array([[float(tok) for tok in line.split(",")] for line in body[1:]])
+    except KeyError as exc:
+        raise DomainError(f"curve file {path} has no header key {exc}") from None
     except ValueError as exc:  # text that is not UTF-8, a non-numeric cell or header value, or ragged rows
         raise DomainError(f"curve file {path} is malformed: {exc}") from None
+    if body[:1] != [",".join(COLUMNS)]:
+        raise DomainError(f"curve file {path} does not have the column line {','.join(COLUMNS)} after its header")
     if data.ndim != 2 or data.shape[1] != len(COLUMNS):
         raise DomainError(f"curve file {path} does not have {len(COLUMNS)} columns")
-    return OutageCurve(
-        scenario_name=meta.get("scenario", ""),
-        scenario_hash=meta.get("scenario_hash", ""),
-        seed=seed,
-        trials=trials,
-        tool_version=meta.get("tool_version", ""),
-        **{c: data[:, j] for j, c in enumerate(COLUMNS)},
-    )
+    return OutageCurve(**values, **{c: data[:, j] for j, c in enumerate(COLUMNS)})
 
 
 def write_surface_csv(ka_grid, wa_grid, values: np.ndarray, z: float, path) -> None:
-    """Matrix layout: first column the shape grid, first row the scale grid."""
-    lines = [
-        "# irslink outage surface",
-        f"# tool_version={__version__}",
-        f"# z={_fmt(z)}",
-        "k_a\\w_a," + ",".join(_fmt(w) for w in np.asarray(wa_grid, dtype=float)),
-    ]
-    for k, row in zip(np.asarray(ka_grid, dtype=float), values):
-        lines.append(_fmt(k) + "," + ",".join(_fmt(v) for v in row))
-    write_lines(path, lines)
+    """Matrix layout: first column the shape grid, first row the scale grid;
+    DomainError, and no file, unless ``values`` is one row per shape by one column per scale."""
+    ka = np.asarray(ka_grid, dtype=float)
+    wa = np.asarray(wa_grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if not ka.ndim == wa.ndim == 1 or values.shape != (ka.size, wa.size):
+        raise DomainError(f"surface values of shape {values.shape} do not match the {ka.size} x {wa.size} grid")
+    meta = [[(key, __version__) for key, _ in _VERSION], [("z", float(z))]]
+    _write_table(path, "outage surface", meta, ["k_a\\w_a", *wa], [ka, *values.T])
 
 
 def write_compare_csv(curves: dict, path) -> None:
@@ -259,20 +269,8 @@ def write_compare_csv(curves: dict, path) -> None:
         if not np.array_equal(curve.xi, first.xi):
             raise DomainError("compared curves must share the same grid")
     shared, per_model = COLUMNS[:2], COLUMNS[2:5]
-    header = list(shared) + [f"{c}_{m}" for m in models for c in per_model]
-    cols = [getattr(first, c) for c in shared]
-    cols += [getattr(curves[m], c) for m in models for c in per_model]
-    lines = [
-        "# irslink model comparison",
-        f"# tool_version={__version__}",
-        f"# models={','.join(models)} seed={first.seed} trials={first.trials}",
-    ]
-    lines += [
-        f"# scenario_{m}={_escape(curves[m].scenario_name)} "
-        f"scenario_hash_{m}={curves[m].scenario_hash}"
-        for m in models
-    ]
-    lines.append(",".join(header))
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
-    write_lines(path, lines)
+    meta = [_pairs(_VERSION, first), [("models", ",".join(models)), *_pairs(_RUN, first)]]
+    meta += [_pairs(_SCENARIO, curves[m], f"_{m}") for m in models]
+    header = [*shared, *(f"{c}_{m}" for m in models for c in per_model)]
+    columns = [getattr(first, c) for c in shared] + [getattr(curves[m], c) for m in models for c in per_model]
+    _write_table(path, "model comparison", meta, header, columns)

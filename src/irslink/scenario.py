@@ -389,7 +389,7 @@ def load_scenario(path) -> Scenario:
             f"{path!r} is neither an existing file nor a preset {PRESETS}"
         )
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, a JSONDecodeError, an int beyond the digit limit, or too deep
         raise ScenarioFormatError(f"invalid JSON in {path!r}: {exc}") from None
     return scenario_from_dict(raw, name=name)

@@ -82,6 +82,18 @@ def test_undecodable_scenario_is_input_error(tmp_path, content):
     assert not out.exists()
 
 
+def test_scenario_file_is_read_as_utf8_under_the_c_locale(tmp_path):
+    scenario_path = tmp_path / "nonascii.json"
+    scenario_path.write_text(json.dumps(make(design="équal"), ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    # The C locale without UTF-8 mode, where the locale's encoding is ASCII.
+    c_locale = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+    result = run_cli("curve", "--scenario", str(scenario_path), "--trials", "0", "--out", str(out), **c_locale)
+    assert result.returncode == 2
+    assert "error: design: must be one of" in result.stderr and "invalid JSON" not in result.stderr
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate").returncode == 2
 

@@ -1,12 +1,16 @@
 import builtins
 import json
 import math
+import os
+import re
 from dataclasses import replace
+from urllib.parse import unquote
 
 import numpy as np
 import pytest
 
 import irslink.curves as curves_module
+from irslink import __version__
 from irslink.closedform import GammaParams, _fit, _moments, outage_probability
 from irslink.curves import (
     OutageCurve,
@@ -313,3 +317,74 @@ def test_malformed_curve_file_is_a_domain_error_naming_it(tmp_path, old, new):
     path.write_bytes(data.replace(old, new, 1))
     with pytest.raises(DomainError, match="curve.csv"):
         read_curve_csv(path)
+
+
+HEADER_KEYS = ("tool_version", "scenario", "scenario_hash", "seed", "trials")
+FILE_FAULTS = {
+    **{key: f"has no header key '{key}'" for key in HEADER_KEYS},
+    "no-header": "has no header key 'tool_version'",
+    "swapped-columns": "does not have the column line",
+    "no-column-line": "does not have the column line",
+}
+
+
+@pytest.mark.parametrize("fault, message", FILE_FAULTS.items(), ids=list(FILE_FAULTS))
+def test_reader_names_the_missing_key_or_the_column_line(tmp_path, fault, message):
+    path = tmp_path / "curve.csv"
+    write_curve_csv(run_curve(small_scenario(), trials=0, seed=5), path)
+    text = path.read_text(encoding="utf-8")
+    column_line = "xi,z,p_closed_form,p_mc,std_err,k_a,w_a\n"
+    if fault == "no-header":
+        changed = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+    elif fault == "swapped-columns":
+        changed = text.replace(column_line, "xi,z,p_mc,p_closed_form,std_err,k_a,w_a\n")
+    elif fault == "no-column-line":
+        changed = text.replace(column_line, "")
+    else:
+        changed = re.sub(rf"(?<=[# ]){fault}=\S* ?", "", text)
+    assert changed != text
+    path.write_text(changed, encoding="utf-8")
+    with pytest.raises(DomainError, match=f"curve.csv {message}"):
+        read_curve_csv(path)
+
+
+def test_surface_values_must_match_the_grids(tmp_path):
+    path = tmp_path / "surface.csv"
+    with pytest.raises(DomainError, match="do not match the 3 x 3 grid"):
+        write_surface_csv([1, 2, 3], [1, 2, 3], np.full((2, 2), 0.5), 2.0, path)
+    assert not path.exists()
+
+
+# A header value with every character the escape rule covers: a space, '=',
+# '%', a non-ASCII letter and a file name's undecodable byte.
+ODD = "a b=c%d é" + os.fsdecode(b"\xff")
+
+
+def _header_tokens(path):
+    """The (key, unquoted value) tokens of every '#' line after the kind line; each token must be key=value."""
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.startswith("#")][1:]
+    tokens = [token for line in lines for token in line[1:].split()]
+    assert all("=" in token for token in tokens), tokens
+    return [(key, unquote(value, errors="surrogateescape")) for key, value in (t.split("=", 1) for t in tokens)]
+
+
+@pytest.mark.parametrize("artifact", ["curve", "compare", "surface"])
+def test_header_tokens_unquote_to_the_values_written(tmp_path, artifact):
+    curve = replace(run_curve(small_scenario(), trials=0, seed=5), scenario_name=ODD, scenario_hash=ODD + "#")
+    other = replace(curve, scenario_name=ODD + "2", scenario_hash="=")
+    path = tmp_path / "out.csv"
+    if artifact == "curve":
+        write_curve_csv(curve, path)
+        expected = [("tool_version", __version__), ("scenario", ODD), ("scenario_hash", ODD + "#"), ("seed", "5"), ("trials", "0")]
+        assert read_curve_csv(path) == curve
+    elif artifact == "compare":
+        write_compare_csv({"sinc": curve, "exponential": other}, path)
+        expected = [
+            ("tool_version", __version__), ("models", "sinc,exponential"), ("seed", "5"), ("trials", "0"),
+            ("scenario_sinc", ODD), ("scenario_hash_sinc", ODD + "#"),
+            ("scenario_exponential", ODD + "2"), ("scenario_hash_exponential", "="),
+        ]
+    else:
+        write_surface_csv([1.0], [2.0], np.array([[0.5]]), 0.1, path)
+        expected = [("tool_version", __version__), ("z", "0.10000000000000001")]
+    assert _header_tokens(path) == expected

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import irslink
-from irslink.curves import COLUMNS
+from irslink.curves import _CURVE_HEADER, COLUMNS
 from irslink.scenario import _SCHEMA_KEYS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -25,6 +25,13 @@ def test_schema_table_lists_the_schema_keys():
 def test_csv_column_line_is_the_columns():
     lines = re.findall(r"`(\w+(?:,\w+)+)`", _section("CSV artifacts"))
     assert lines == [",".join(COLUMNS)]
+
+
+def test_curve_header_example_has_the_curve_header_keys():
+    blocks = re.findall(r"```\n(# irslink outage curve\n.*?)```", _section("CSV artifacts"), re.DOTALL)
+    assert len(blocks) == 1
+    keys = [re.findall(r"(\w+)=", line) for line in blocks[0].splitlines()[1:]]
+    assert keys == [[key for key, _ in line] for line in _CURVE_HEADER]
 
 
 def test_layout_table_lists_every_module():

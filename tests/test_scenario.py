@@ -9,13 +9,20 @@ from typing import get_args
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irslink
 from irslink import scenario as scenario_module
 from irslink.correlation import exponential_correlation, identity_correlation, sinc_correlation
 from irslink.errors import DomainError, NotPositiveSemidefiniteError, ScenarioFormatError
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom
-from irslink.scenario import MAX_ELEMENTS, MAX_GRID_POINTS, PRESETS, load_scenario, scenario_from_dict, step_grid
+from irslink.scenario import (
+    DESIGNS, MAX_ELEMENTS, MAX_GRID_POINTS, MODELS, PRESETS, Scenario, load_scenario, scenario_from_dict, step_grid,
+)
+
+from conftest import PROPERTY
+from test_boundary_fuzz import DROP, POOL
 
 BASE = {
     "beta_sd_db": -90.0,
@@ -669,3 +676,78 @@ def test_invalid_json_reported(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(ScenarioFormatError, match="invalid JSON"):
         load_scenario(path)
+
+
+# The schema round trip as a property.  One strategy per Scenario field, inside
+# the bounds the schema checks, so that every draw is a valid scenario: levels
+# of at most 700 dB in size keep the gain products, their squares and the SNR
+# threshold in the normal float range.  The design is drawn for the drawn
+# element count, by one strategy per design kind.
+_LEVEL = st.floats(-700.0, 700.0)
+_ANGLE = st.floats(allow_nan=False, allow_infinity=False)
+_RATE = st.floats(0.0, 20.0)
+FIELD_STRATEGIES = {
+    "name": st.text("ab é=%", max_size=8),
+    "beta_sd_db": st.none() | _LEVEL,
+    "beta_sr_dhdv_db": _LEVEL,
+    "beta_rd_dhdv_db": _LEVEL,
+    "carrier_ghz": st.floats(1e-3, 1e3),
+    "n_h": st.integers(1, 8),
+    "n_v": st.integers(1, 8),
+    "spacing_over_lambda": st.floats(1e-3, 10.0),
+    "rho_dbm": _LEVEL,
+    "sigma2_dbm": _LEVEL,
+    "model": st.sampled_from(MODELS),
+    "exp_magnitude": st.floats(0.0, 1.0, exclude_max=True),
+    "xi_min": _RATE,  # drawn with xi_max as a sorted pair
+    "xi_max": _RATE,
+    "xi_step": st.floats(1e-3, 10.0),
+}
+DESIGN_STRATEGIES = {
+    "equal": lambda n: st.builds(Equal, _ANGLE),
+    "fixed": lambda n: st.builds(Fixed, st.lists(_ANGLE, min_size=n, max_size=n)),
+    "uniform_random": lambda n: st.builds(UniformRandom, st.integers(0, 2**64 - 1)),
+    "optimal_csi": lambda n: st.just(OptimalCsi()),
+}
+# The checks that relate keys name one of them, which need not be the key that
+# changed: the grid, the SNR threshold, and the element count against a fixed
+# design's angle list and against the element cap.
+COUPLED_KEYS = (("xi_min", "xi_max", "xi_step"), ("rho_dbm", "sigma2_dbm", "xi_max"), ("n_h", "n_v", "theta"))
+
+
+@st.composite
+def valid_scenarios(draw):
+    values = {key: draw(strategy) for key, strategy in FIELD_STRATEGIES.items()}
+    values["xi_min"], values["xi_max"] = sorted((values["xi_min"], values["xi_max"]))
+    kind = draw(st.sampled_from(DESIGNS))
+    return Scenario(design=draw(DESIGN_STRATEGIES[kind](values["n_h"] * values["n_v"])), **values)
+
+
+def test_strategies_cover_every_field_and_design():
+    assert FIELD_STRATEGIES.keys() | {"design"} == {f.name for f in fields(Scenario)}
+    assert tuple(DESIGN_STRATEGIES) == DESIGNS
+
+
+@settings(PROPERTY, max_examples=150)
+@given(valid_scenarios())
+def test_schema_round_trip_keeps_the_digest(sc):
+    raw = sc.to_schema_dict()
+    back = scenario_from_dict(raw, name=sc.name)
+    assert back.digest() == sc.digest()
+    assert back.to_schema_dict() == raw
+
+
+@settings(PROPERTY, max_examples=200)
+@given(valid_scenarios(), st.data())
+def test_one_pool_value_gives_a_scenario_or_an_error_naming_its_key(sc, data):
+    raw = sc.to_schema_dict()
+    key = data.draw(st.sampled_from(sorted(raw)), label="key")
+    value = data.draw(st.sampled_from(POOL), label="value")
+    if value is DROP:
+        del raw[key]
+    else:
+        raw[key] = value
+    try:
+        scenario_from_dict(raw)
+    except ScenarioFormatError as exc:
+        assert exc.field in {key}.union(*(keys for keys in COUPLED_KEYS if key in keys)), str(exc)
