@@ -2,10 +2,19 @@
 
 Builds the planar-array sinc correlation model, the exponential comparison
 model, and the uncorrelated identity, and factors them for channel sampling.
+
+OpenBLAS rounds a product or a decomposition differently with its thread
+count, so the Monte-Carlo engine runs every BLAS call its gains pass through
+inside one_blas_thread: matrix_sqrt's eigh here, and the projections and
+trace products of the engine's ranges.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +24,48 @@ from .errors import DomainError, NotPositiveSemidefiniteError
 
 HERMITIAN_ATOL = 1e-12
 PSD_RTOL = 1e-9
+
+# The (get, set) thread-count functions an OpenBLAS build may export, in the order they are looked for.
+_BLAS_NAMES = [(f"{p}get_num_threads{s}", f"{p}set_num_threads{s}") for p in ("scipy_openblas_", "openblas_") for s in ("64_", "")]
+_blas_lock = threading.RLock()
+
+
+@functools.cache
+def _blas_controls() -> tuple:
+    """(get, set) thread-count functions of each loaded OpenBLAS, read once per process.
+
+    () if a loaded OpenBLAS has no such pair or cannot be opened, if none is
+    loaded, or if /proc/self/maps cannot be read: the count cannot then be
+    set for every BLAS call.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = [ctypes.CDLL(path) for path in sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})]
+    except OSError:  # no procfs (not Linux), or a library that cannot be opened
+        return ()
+    pairs = [next(((getattr(lib, g), getattr(lib, s)) for g, s in _BLAS_NAMES if hasattr(lib, g) and hasattr(lib, s)), None) for lib in libs]
+    if None in pairs:
+        return ()
+    for get, put in pairs:
+        get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return tuple(pairs)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, and restore each library's count after it, also on an exception.
+
+    A library already on one thread is only read.  The count is
+    process-wide, so the body holds a module lock: bodies in other threads
+    wait, and a body nested in another sees one thread and changes nothing.
+    Where _blas_controls() is empty, BLAS is left alone.
+    """
+    with _blas_lock, contextlib.ExitStack() as restore:
+        for get, put in _blas_controls():
+            if (count := get()) != 1:
+                put(1)
+                restore.callback(put, count)
+        yield
 
 
 def _check_count(name: str, value) -> None:
@@ -218,8 +269,10 @@ def matrix_sqrt(r: CorrelationMatrix) -> np.ndarray:
     Uses the eigendecomposition rather than Cholesky: the sinc model at
     sub-wavelength spacing is numerically rank deficient, so eigenvalues in
     [-PSD_RTOL*lam_max, 0) are clipped to zero before taking square roots.
+    The decomposition runs on one BLAS thread.
     """
-    eigs, vecs = np.linalg.eigh(r.entries)
+    with one_blas_thread():
+        eigs, vecs = np.linalg.eigh(r.entries)
     lam_max = max(float(eigs[-1]), 0.0)
     if float(eigs[0]) < -PSD_RTOL * lam_max:
         raise NotPositiveSemidefiniteError(

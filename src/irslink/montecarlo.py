@@ -10,10 +10,11 @@ counter-based stream (seed, channel domain, i) in a fixed layout
 then 2N for the surface-destination vector, Box-Muller throughout), so
 trials are order-independent units of work.  Gains, and every estimate made
 from them, are a pure function of (scenario, design, trials, seed) for a
-given BLAS build and BLAS thread count: the complex ``eigh`` behind
-``matrix_sqrt`` and the projection's matrix product both round differently
-with the OpenBLAS thread count.  They do not depend on the engine's worker
-count.
+given BLAS build.  The complex ``eigh`` behind ``matrix_sqrt`` and the
+projection's matrix product would round differently with the OpenBLAS
+thread count, so both run on one OpenBLAS thread
+(correlation.one_blas_thread) whatever the process's setting.  Gains do not
+depend on the engine's worker count either.
 
 Engine: one block kernel serves every caller.  channel_blocks draws trials
 first..stop-1 in blocks of up to 64: rng.StreamFamily.fill writes each
@@ -39,10 +40,10 @@ reductions on one row.  Chaining them reproduces gain_samples bit for bit.
 
 Workers: W contiguous ranges of whole units cover [0, total) once, and
 run_ranges, the one range runner, runs them: the caller runs the first and
-a worker process each other one.  W (engine_threads) is the usable cores
-over the OpenBLAS thread count, at least 1 and at most the number of units,
-and 1 when that count cannot be read: a worker beside a BLAS whose threads
-already fill the cores slows the run.  The caller allocates its per-item
+a worker process each other one.  W (engine_threads) is the usable cores,
+at most the number of units, as every range runs its BLAS calls on one
+thread; it is 1, and BLAS is left alone, where some loaded OpenBLAS cannot
+be set to one thread.  The caller allocates its per-item
 outputs, one float64 array each, and a range is a task, a module-level
 function of (first, stop, views, *args) that writes the range's results
 into views, its slices of those outputs: _gain_range for gain_samples, in
@@ -73,7 +74,6 @@ range.
 
 import atexit
 import contextlib
-import ctypes
 import functools
 import os
 import pickle
@@ -87,7 +87,7 @@ import numpy as np
 
 from . import rng
 from .closedform import checked_direct_gain, checked_threshold
-from .correlation import CorrelationMatrix, matrix_sqrt
+from .correlation import CorrelationMatrix, _blas_controls, matrix_sqrt, one_blas_thread
 from .errors import DomainError
 from .phaseshift import OptimalCsi, PhaseShiftDesign, checked_design
 
@@ -137,19 +137,6 @@ def outage_rates(gains: np.ndarray, z):
 _BLOCK = 64  # trials per kernel call; bounds the uniform buffer at 64 x (2+4N) doubles
 
 
-def _channel_block(beta_sd, l_sr, l_rd, g):
-    """Channels of a block of trials from its normals g, one trial per row.
-
-    h_sd has one entry per row, h_sr and h_rd one row of N; each trial
-    depends on its own row of normals alone.
-    """
-    n = l_sr.shape[0]
-    h_sd = np.sqrt(beta_sd / 2.0) * (g[:, 0] + 1j * g[:, 1])
-    g_sr = (g[:, 2 : 2 + n] + 1j * g[:, 2 + n : 2 + 2 * n]) / np.sqrt(2.0)
-    g_rd = (g[:, 2 + 2 * n : 2 + 3 * n] + 1j * g[:, 2 + 3 * n :]) / np.sqrt(2.0)
-    return h_sd, g_sr @ l_sr.T, g_rd @ l_rd.T
-
-
 def _live_normals(l_sr, l_rd):
     """(start, stop) runs of the normals in a trial's draw layout that its channels read.
 
@@ -192,7 +179,8 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
     bit for bit; l_sr and l_rd are as there, beta_sd must lie in [0, inf)
     and the trials in [0, 2^128) (DomainError).  A block of one trial fills
     two identical rows of the buffer and yields the first: the kernel's
-    matrix products then always have two rows or more.
+    matrix products then always have two rows or more.  The projection runs
+    on one BLAS thread, which is never held across a yield.
     """
     n = l_sr.shape[0]
     if l_sr.shape != (n, n) or l_rd.shape != (n, n):
@@ -210,7 +198,12 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
         streams.fill(rng.DOMAIN_CHANNEL, start, u[:count])
         if count == 1:
             u[1] = u[0]
-        h_sd, h_sr, h_rd = _channel_block(beta_sd, l_sr, l_rd, rng.box_muller(u[:rows], live, g[:rows]))
+        normals = rng.box_muller(u[:rows], live, g[:rows])  # one trial per row, each trial's channels from its row alone
+        h_sd = np.sqrt(beta_sd / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
+        g_sr = (normals[:, 2 : 2 + n] + 1j * normals[:, 2 + n : 2 + 2 * n]) / np.sqrt(2.0)
+        g_rd = (normals[:, 2 + 2 * n : 2 + 3 * n] + 1j * normals[:, 2 + 3 * n :]) / np.sqrt(2.0)
+        with one_blas_thread():
+            h_sr, h_rd = g_sr @ l_sr.T, g_rd @ l_rd.T
         yield start, h_sd[:count], h_sr[:count], h_rd[:count]
 
 
@@ -251,7 +244,7 @@ def cophased_phases(ch: ChannelRealization) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EngineThreads:
-    """How the engine runs: its workers, the OpenBLAS thread count read (None: unreadable), the usable cores.
+    """How the engine runs: its workers and the usable cores.
 
     run_ranges runs workers - 1 of its ranges in its forked worker
     processes, or all of them as one range in the calling thread while
@@ -259,48 +252,17 @@ class EngineThreads:
     """
 
     workers: int
-    blas_threads: int | None
     cores: int
 
     def line(self) -> str:
-        blas = "unreadable" if self.blas_threads is None else self.blas_threads
-        return f"MC engine: {self.workers} worker(s), BLAS threads {blas}, usable cores {self.cores}"
-
-
-_BLAS_GETTERS = (
-    "scipy_openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
-)
-
-
-def _blas_threads() -> int | None:
-    """The largest thread count of the loaded OpenBLAS libraries, through their own getters; None if none reads."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
-    except OSError:  # no procfs: not Linux
-        return None
-    counts = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        getter = next((getattr(lib, name) for name in _BLAS_GETTERS if hasattr(lib, name)), None)
-        if getter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            counts.append(getter())
-    return max(counts) if counts and min(counts) >= 1 else None
+        return f"MC engine: {self.workers} worker(s), usable cores {self.cores}"
 
 
 @functools.cache
 def engine_threads() -> EngineThreads:
-    """The engine's thread plan, read once per process: W = usable cores // BLAS threads, or 1 if unreadable."""
+    """The engine's thread plan, read once per process: W = the usable cores, or 1 if some loaded OpenBLAS cannot be set to one thread."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    blas = _blas_threads()
-    return EngineThreads(1 if blas is None else max(1, cores // blas), blas, cores)
+    return EngineThreads(cores if _blas_controls() else 1, cores)
 
 
 def gain_samples(
@@ -334,21 +296,11 @@ def _gain_range(first, stop, views, beta_sd, l_sr, l_rd, design, seed) -> None:
         gains[start - first : start - first + h_sd.shape[0]] = _gains(h_sd, h_sr, block_phases(start, h_sd, h_sr, h_rd), h_rd)
 
 
-def _range_bounds(total: int, unit: int) -> list:
-    """Edges 0 = b_0 < b_1 < ... < b_W = total of W contiguous ranges of whole units.
-
-    Each range starts on a multiple of ``unit`` and each but the last stops
-    on one; W is engine_threads().workers, at most the number of units and
-    at least 1.
-    """
-    units = -(-total // unit)
-    workers = max(1, min(engine_threads().workers, units))
-    return [min(total, unit * (units * w // workers)) for w in range(workers + 1)]
-
-
 def run_ranges(outputs, unit: int, task, *args) -> None:
-    """Run task(first, stop, views, *args) on each range of _range_bounds(total, unit), which cover [0, total) once.
+    """Run task(first, stop, views, *args) on W contiguous ranges of whole units, which cover [0, total) once.
 
+    W is engine_threads().workers, at most the number of units; each range
+    starts on a multiple of ``unit`` and each but the last stops on one.
     outputs are the caller's 1-D float64 arrays of one entry per item of
     [0, total), total their common length, and views a range's slices of
     them, [out[first:stop] for out in outputs], into which its task writes
@@ -382,9 +334,10 @@ def run_ranges(outputs, unit: int, task, *args) -> None:
     """
     global _task_cpu
     total = outputs[0].shape[0]
-    bounds = _range_bounds(total, unit)
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        bounds = [0, total]  # forking beside live threads can deadlock the child, and the pipes serve one caller
+    units = -(-total // unit)
+    # One range where forking beside live threads could deadlock the child, and the pipes serve one caller.
+    workers = max(1, min(engine_threads().workers, units)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    bounds = [min(total, unit * (units * w // workers)) for w in range(workers + 1)]
     ranges = list(zip(bounds[:-1], bounds[1:]))
     views = {span: [out[span[0] : span[1]] for out in outputs] for span in ranges}
     busy = list(zip(_workers_for(len(ranges) - 1), ranges[1:]))  # in range order, until each replies

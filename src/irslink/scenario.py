@@ -116,11 +116,7 @@ class Scenario:
 
         if self.beta_sd_db is not None:
             store("beta_sd_db", (int, float))
-        n_h, n_v = store("n_h", int), store("n_v", int)
-        if n_h < 1 or n_v < 1:
-            raise ScenarioFormatError("element counts must be >= 1", field="n_h" if n_h < 1 else "n_v")
-        if n_h * n_v > MAX_ELEMENTS:
-            raise ScenarioFormatError(f"n_h * n_v exceeds the cap of {MAX_ELEMENTS} elements", field="n_h")
+        _checked_elements(self.n_h, self.n_v)
 
         for key in _NUMBERS:
             store(key, (int, float))
@@ -130,7 +126,7 @@ class Scenario:
         for key in ("carrier_ghz", "spacing_over_lambda"):
             if getattr(self, key) <= 0:
                 raise ScenarioFormatError("must be positive", field=key)
-        _check_geometry(n_h, n_v, self.carrier_ghz, self.spacing_over_lambda)
+        _check_geometry(self.n_h, self.n_v, self.carrier_ghz, self.spacing_over_lambda)
         _check_gain_scale(self.n, self.beta_sd, db_to_linear(self.beta_sr_dhdv_db), db_to_linear(self.beta_rd_dhdv_db))
 
         model = store("model", str)
@@ -340,6 +336,20 @@ def _check_gain_scale(n: int, beta_sd: float, beta_sr: float, beta_rd: float):
         )
 
 
+def _checked_elements(n_h, n_v) -> int:
+    """N = n_h * n_v for counts each an int >= 1 with N at most MAX_ELEMENTS.
+
+    ScenarioFormatError otherwise, naming the count at fault, or the larger
+    one (n_h on a tie) when N exceeds the cap.
+    """
+    n_h, n_v = _typed("n_h", n_h, int), _typed("n_v", n_v, int)
+    if n_h < 1 or n_v < 1:
+        raise ScenarioFormatError("element counts must be >= 1", field="n_h" if n_h < 1 else "n_v")
+    if n_h * n_v > MAX_ELEMENTS:
+        raise ScenarioFormatError(f"n_h * n_v exceeds the cap of {MAX_ELEMENTS} elements", field="n_h" if n_h >= n_v else "n_v")
+    return n_h * n_v
+
+
 def _build_design(raw: dict, n: int) -> PhaseShiftDesign:
     """The design class named by ``design`` reads its own keys; another design's key is rejected."""
     kind = _typed("design", raw["design"], str)
@@ -370,9 +380,9 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         if key not in values:
             hint = " (use null to block)" if key == "beta_sd_db" else ""
             raise ScenarioFormatError(f"required key is missing{hint}", field=key)
-    # A fixed design reads one angle per element: size it through the count
-    # keys' type rule, and leave their bounds to Scenario.
-    values["design"] = _build_design(raw, _typed("n_h", raw["n_h"], int) * _typed("n_v", raw["n_v"], int))
+    # A fixed design reads one angle per element: size it by counts already
+    # checked, so that a bad count is refused under its own key.
+    values["design"] = _build_design(raw, _checked_elements(raw["n_h"], raw["n_v"]))
     return Scenario(name=name, **values)
 
 

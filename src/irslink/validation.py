@@ -36,7 +36,7 @@ from scipy import special
 
 from . import rng
 from .closedform import GammaParams, _fit, _moments, gamma_fit, outage_probability
-from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
+from .correlation import ArrayGeometry, CorrelationMatrix, one_blas_thread, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
 from .errors import DomainError
 from .montecarlo import _trial_array, _worker_cpu, gain_samples, outage_rates, run_ranges
@@ -234,11 +234,13 @@ def _kernel_traces(kernel: np.ndarray, phases: np.ndarray):
     tr C_b^2 = sum_ij A_ij A_ji p_i p_j = sum_{i<=j} w_ij A_ij^2 p_i p_j with
     w = 1 on the diagonal and 2 off it.  The traces agree with the
     one-vector ``cascade_traces`` of each row to rounding and pass the same
-    checks, the first bad row raising its one-vector error.
+    checks, the first bad row raising its one-vector error.  The product
+    runs on one BLAS thread.
     """
     n = kernel.shape[0]
     rows, cols = _triangle(n)
-    a = np.conj(phases) @ kernel
+    with one_blas_thread():
+        a = np.conj(phases) @ kernel
     t_lin = (a[:, :n] * phases).sum(axis=1)
     a *= a
     # take, not phases[:, rows]: that gives a column-major copy, which

@@ -111,7 +111,7 @@ class Records:
 
 
 def force_workers(monkeypatch, w):
-    monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, 1, w))
+    monkeypatch.setattr(montecarlo, "engine_threads", lambda: EngineThreads(w, w))
 
 
 def _children():

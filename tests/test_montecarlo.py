@@ -1,4 +1,5 @@
 import contextlib
+import io
 import math
 import os
 import select
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irslink import load_scenario, montecarlo, rng, validation
+from irslink import correlation, load_scenario, montecarlo, rng, validation
 from irslink import scenario as scenario_module
 from irslink.correlation import CorrelationMatrix, matrix_sqrt
 from irslink.errors import DomainError, ScenarioFormatError
@@ -85,9 +87,11 @@ def _written_out_channels(beta_sd, l_sr, l_rd, seed, index):
     # h_sr from the next 2N normals, h_rd from the last 2N: real parts, then imaginary parts.
     g_sr = (normals[2 : 2 + n] + 1j * normals[2 + n : 2 + 2 * n]) / np.sqrt(2.0)
     g_rd = (normals[2 + 2 * n : 2 + 3 * n] + 1j * normals[2 + 3 * n :]) / np.sqrt(2.0)
-    # Each projected as a two-row product, never through the matrix-vector routine.
-    h_sr = (np.stack((g_sr, g_sr)) @ l_sr.T)[0]
-    h_rd = (np.stack((g_rd, g_rd)) @ l_rd.T)[0]
+    # Each projected as a two-row product, never through the matrix-vector
+    # routine, on one OpenBLAS thread, as the contract has it.
+    with _blas_count(1):
+        h_sr = (np.stack((g_sr, g_sr)) @ l_sr.T)[0]
+        h_rd = (np.stack((g_rd, g_rd)) @ l_rd.T)[0]
     return complex(h_sd), h_sr, h_rd
 
 
@@ -395,7 +399,7 @@ def test_dead_columns_keep_every_gain_bit(kind, workers, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", DEAD_FACTORS)
-def test_dead_normals_are_zero_and_live_ones_are_box_mullers(kind, monkeypatch):
+def test_dead_normals_are_zero_and_live_ones_are_box_mullers(kind, engine_patch):
     """In every block, a dead normal is +0.0 and a live one has the full transform's bits."""
     l_sr, l_rd = DEAD_FACTORS[kind]()
     n = l_sr.shape[0]
@@ -414,7 +418,7 @@ def test_dead_normals_are_zero_and_live_ones_are_box_mullers(kind, monkeypatch):
         blocks.append((u.copy(), g.copy()))
         return g
 
-    monkeypatch.setattr(rng, "box_muller", recorded)
+    engine_patch.setattr(rng, "box_muller", recorded)
     for _ in channel_blocks(0.5, l_sr, l_rd, 31, 0, 129):  # blocks of 64, 64 and a trailing one
         pass
     assert [u.shape[0] for u, _ in blocks] == [64, 64, 2]
@@ -424,7 +428,7 @@ def test_dead_normals_are_zero_and_live_ones_are_box_mullers(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("model", ["exponential", "uncorrelated", "sinc"])
-def test_a_full_rank_factor_keeps_one_run_per_branch(model, monkeypatch):
+def test_a_full_rank_factor_keeps_one_run_per_branch(model, engine_patch):
     """fig2a's full-rank factors take one cosine and one sine call per block; the sinc factor three of each."""
     scenario = load_scenario("fig2a").with_model(model)
     l_sr, l_rd = (matrix_sqrt(r) for r in scenario.covariances())
@@ -441,7 +445,7 @@ def test_a_full_rank_factor_keeps_one_run_per_branch(model, monkeypatch):
         return call
 
     for name in ("cos", "sin"):
-        monkeypatch.setattr(np, name, counted(name))
+        engine_patch.setattr(np, name, counted(name))
     next(channel_blocks(scenario.beta_sd, l_sr, l_rd, 1, 0, 64))
     if model == "sinc":
         assert len(live) == 5
@@ -570,7 +574,7 @@ class _RangeFailed(Exception):
     pass
 
 
-def _gains_by_range(monkeypatch, act):
+def _gains_by_range(engine_patch, act):
     """Run gain_samples' gains through act(k, gains, *args), k the range (0, 1, 2) of 64 * 9 trials on three workers."""
     blocks, gains = montecarlo.channel_blocks, montecarlo._gains
     here = {}  # each process, forked children included, has its own copy
@@ -579,9 +583,9 @@ def _gains_by_range(monkeypatch, act):
         here["range"] = first // 192
         return blocks(beta_sd, l_sr, l_rd, seed, first, stop)
 
-    monkeypatch.setattr(montecarlo, "channel_blocks", ranged)
-    monkeypatch.setattr(montecarlo, "_gains", lambda *args: act(here["range"], gains, *args))
-    force_workers(monkeypatch, 3)
+    engine_patch.setattr(montecarlo, "channel_blocks", ranged)
+    engine_patch.setattr(montecarlo, "_gains", lambda *args: act(here["range"], gains, *args))
+    force_workers(engine_patch, 3)
 
 
 @pytest.mark.parametrize("failing", ["first child", "both children"])
@@ -666,13 +670,13 @@ class _Unrebuildable(Exception):
         super().__init__(f"{what}: {why}")
 
 
-def _gain_samples_failing_in_range_1(monkeypatch, error):
+def _gain_samples_failing_in_range_1(engine_patch, error):
     def act(k, gains, *args):
         if k == 1:
             raise error
         return gains(*args)
 
-    _gains_by_range(monkeypatch, act)
+    _gains_by_range(engine_patch, act)
     r = square_sinc(2)
     gain_samples(0.5, r, r, Equal(0.0), 64 * 9, seed=1)
 
@@ -735,7 +739,7 @@ from irslink.correlation import identity_correlation
 from irslink.montecarlo import EngineThreads, gain_samples
 from irslink.phaseshift import UniformRandom
 
-montecarlo.engine_threads = lambda: EngineThreads(2, 1, 2)
+montecarlo.engine_threads = lambda: EngineThreads(2, 2)
 r = identity_correlation(4)
 gain_samples(0.5, r, r, UniformRandom(1), 1000, seed=1)
 print(*(worker.pid for worker in montecarlo._workers), flush=True)
@@ -748,7 +752,7 @@ if sys.argv[1] == "raise":
 def test_no_worker_outlives_its_process(ending):
     src = str(Path(montecarlo.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": path}
     child = subprocess.run([sys.executable, "-c", _TWO_RANGES, ending], capture_output=True, text=True, env=env, timeout=120)
     assert child.returncode == (0 if ending == "return" else 1), child.stderr
     pids = [int(pid) for pid in child.stdout.split()]
@@ -817,36 +821,189 @@ def test_a_forked_child_keeps_off_its_parents_workers(monkeypatch):
     assert no_child_left()
 
 
+def _fake_openblas(monkeypatch, exports, count=2):
+    """Stand in for the loaded OpenBLAS libraries, {path: the names it exports}; returns the setter calls, as (name, count).
+
+    Each library's getter reads its count, ``count`` until its setter sets another.
+    """
+    sets = []
+    maps = "".join(f"7f0000-7f1000 r-xp 00000000 00:00 0 {path}\n" for path in exports)
+    monkeypatch.setattr(correlation, "open", lambda *args, **kwargs: io.StringIO(maps), raising=False)
+
+    def library(path):
+        threads = [count]
+
+        def export(name):
+            if "_set_" in name:
+                return lambda n: (sets.append((name, n)), threads.__setitem__(0, n))
+            return lambda: threads[0]
+
+        return types.SimpleNamespace(**{name: export(name) for name in exports[path]})
+
+    monkeypatch.setattr(correlation.ctypes, "CDLL", library)
+    return sets
+
+
+_NUMPY_PAIR = ["scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"]
+_SCIPY_PAIR = ["scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"]
+
+
 def test_engine_threads_rule(monkeypatch):
+    """W is the usable cores where every loaded OpenBLAS has a get/set pair, and 1 otherwise."""
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     plan = montecarlo.engine_threads.__wrapped__
-    for blas, want in ((1, 4), (2, 2), (3, 1), (8, 1), (None, 1)):
-        monkeypatch.setattr(montecarlo, "_blas_threads", lambda blas=blas: blas)
-        assert plan() == EngineThreads(want, blas, 4)
-    assert plan().line() == "MC engine: 1 worker(s), BLAS threads unreadable, usable cores 4"
+    sets = _fake_openblas(monkeypatch, {"/numpy.libs/libscipy_openblas64_.so": _NUMPY_PAIR, "/scipy.libs/libscipy_openblas.so": _SCIPY_PAIR})
+    controls = correlation._blas_controls.__wrapped__()
+    assert len(controls) == 2
+    for found, want in ((controls, 4), (controls[:1], 4), ((), 1)):
+        monkeypatch.setattr(montecarlo, "_blas_controls", lambda found=found: found)
+        assert plan() == EngineThreads(want, 4)
+    assert plan().line() == "MC engine: 1 worker(s), usable cores 4"
+    assert sets == []  # planning only reads
     monkeypatch.delattr(montecarlo.os, "sched_getaffinity")  # as on platforms without it
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: 1)
-    assert plan() == EngineThreads(3, 1, 3)
+    monkeypatch.setattr(montecarlo, "_blas_controls", lambda: controls)
+    assert plan() == EngineThreads(3, 3)
     monkeypatch.undo()
     real = montecarlo.engine_threads()
-    assert real.workers >= 1 and real.cores >= 1
+    assert real.cores >= 1 and real.workers == (real.cores if correlation._blas_controls() else 1)
     assert real is montecarlo.engine_threads()  # read once
 
 
-def test_unreadable_blas_getter_gives_none(monkeypatch):
-    class NoGetters:
-        def __init__(self, path):
-            pass
+@pytest.mark.parametrize("count", [2, 1], ids=["sets-and-restores", "only-reads-at-one"])
+def test_one_blas_thread_sets_each_library_once_and_restores_it(count, monkeypatch):
+    """The outermost body sets each library whose count is not 1 to 1 and restores it, last set first; a nested body and a raise change nothing."""
+    calls = _fake_openblas(monkeypatch, {"/numpy.libs/libscipy_openblas64_.so": _NUMPY_PAIR, "/scipy.libs/libscipy_openblas.so": _SCIPY_PAIR}, count)
+    controls = correlation._blas_controls.__wrapped__()
+    monkeypatch.setattr(correlation, "_blas_controls", lambda: controls)
+    with pytest.raises(_RangeFailed):
+        with correlation.one_blas_thread():
+            with correlation.one_blas_thread():
+                pass
+            raise _RangeFailed
+    one = [(_NUMPY_PAIR[1], 1), (_SCIPY_PAIR[1], 1)]
+    back = [(_SCIPY_PAIR[1], 2), (_NUMPY_PAIR[1], 2)]
+    assert calls == (one + back if count == 2 else [])
 
-    monkeypatch.setattr(montecarlo.ctypes, "CDLL", NoGetters)
-    assert montecarlo._blas_threads() is None
+
+def test_unreadable_blas_getter_gives_none(monkeypatch):
+    """A library with no get/set pair, or no procfs: no controls, W = 1, and no setter is called."""
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cases = [
+        {"/lib/libopenblas.so": ["openblas_get_num_threads"]},  # a getter alone
+        {"/numpy.libs/libscipy_openblas64_.so": _NUMPY_PAIR, "/lib/libopenblas.so": ["openblas_set_num_threads64_"]},
+        {},  # no OpenBLAS loaded
+    ]
+    discover = correlation._blas_controls.__wrapped__
+    for exports in cases:
+        sets = _fake_openblas(monkeypatch, exports)
+        controls = discover()
+        assert controls == ()
+        monkeypatch.setattr(montecarlo, "_blas_controls", lambda: controls)
+        monkeypatch.setattr(correlation, "_blas_controls", lambda: controls)
+        assert montecarlo.engine_threads.__wrapped__() == EngineThreads(1, 2)
+        with correlation.one_blas_thread():
+            pass
+        assert sets == []
 
     def no_procfs(*args, **kwargs):
         raise FileNotFoundError("no such file")
 
-    monkeypatch.setattr(montecarlo, "open", no_procfs, raising=False)
-    assert montecarlo._blas_threads() is None
+    monkeypatch.setattr(correlation, "open", no_procfs, raising=False)
+    assert discover() == ()
+
+
+# gain_samples and sample_channels at fig2a (N = 196), where the factor and
+# the projection of a 2-row block round differently on one and two OpenBLAS
+# threads, and criterion 3's traces.
+_UNDER_BLAS = """
+import hashlib
+from irslink import load_scenario, validation
+from irslink.correlation import _blas_controls, matrix_sqrt
+from irslink.montecarlo import gain_samples, sample_channels
+from irslink.phaseshift import Equal, OptimalCsi, UniformRandom
+
+r_sr, r_rd = load_scenario("fig2a").covariances()
+for design in (Equal(0.3), UniformRandom(11), OptimalCsi()):
+    print(hashlib.sha256(gain_samples(1.0, r_sr, r_rd, design, 1000, seed=7)).hexdigest())
+l_sr, l_rd = matrix_sqrt(r_sr), matrix_sqrt(r_rd)
+print(hashlib.sha256(b"".join(sample_channels(1.0, l_sr, l_rd, 7, i).h_sr.tobytes() for i in range(4))).hexdigest())
+for traces in validation._phase_traces(validation._sinc_square(4), 202, 10_000):
+    print(hashlib.sha256(traces).hexdigest())
+print(*(get() for get, _ in _blas_controls()))
+"""
+
+
+def test_gains_and_traces_do_not_depend_on_the_blas_setting():
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    out = {}
+    for setting in (None, "1", "2"):
+        env = {**base, "PYTHONPATH": path, **({} if setting is None else {"OPENBLAS_NUM_THREADS": setting})}
+        child = subprocess.run([sys.executable, "-c", _UNDER_BLAS], capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        *digests, counts = child.stdout.splitlines()
+        out[setting] = digests
+        if setting is not None:
+            assert counts.split() and set(counts.split()) == {setting}  # every library back at the process's count
+    assert len(out[None]) == 6 and out[None] == out["1"] == out["2"]
+
+
+@contextlib.contextmanager
+def _blas_count(count):
+    """Every loaded OpenBLAS on ``count`` threads for the body, and back at its own count after it."""
+    controls = correlation._blas_controls()
+    prior = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(count)
+        yield controls
+    finally:
+        for (_, put), n in zip(controls, prior):
+            put(n)
+
+
+def test_each_library_keeps_its_count_after_a_call_that_returns_or_raises(engine_patch):
+    assert correlation._blas_controls()  # here numpy's OpenBLAS and scipy's
+    r_sr, r_rd = load_scenario("fig2a").covariances()
+    with _blas_count(2) as controls:
+        gain_samples(1.0, r_sr, r_rd, Equal(0.3), 200, seed=7)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+        montecarlo._stop_workers()  # forked by the call above, before the patches below
+        with pytest.raises(_RangeFailed):
+            _gain_samples_failing_in_range_1(engine_patch, _RangeFailed("range 1"))
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    assert no_child_left()
+
+
+def test_threads_at_once_each_get_the_one_thread_bytes():
+    """More Python threads than cores run gain_samples at once, switching often: each gets the one-thread bytes, and the count is restored."""
+    r_sr, r_rd = load_scenario("fig2a").covariances()
+    run = lambda: gain_samples(1.0, r_sr, r_rd, Equal(0.3), 1000, seed=7).tobytes()
+    with _blas_count(1):
+        want = run()
+    count = len(os.sched_getaffinity(0)) + 1
+    interval = sys.getswitchinterval()
+    with _blas_count(2) as controls:
+        start, got = threading.Barrier(count), []
+
+        def worker():
+            start.wait(timeout=60)
+            got.append(run())
+
+        threads = [threading.Thread(target=worker) for _ in range(count)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * count
+        assert [get() for get, _ in controls] == [2] * len(controls)
 
 
 def test_outage_counts_match_strict_inequality():

@@ -134,9 +134,9 @@ def test_vector_engine_is_the_keyed_philox(seed, domain, values):
         (rng._VECTOR_ROWS - 1, rng._VECTOR_VALUES + 1, False),
     ],
 )
-def test_fill_picks_its_engine_by_shape(monkeypatch, rows, values, vector):
+def test_fill_picks_its_engine_by_shape(engine_patch, rows, values, vector):
     vector_calls = []
-    monkeypatch.setattr(rng, "_philox_uniforms", lambda *args: vector_calls.append(args))
+    engine_patch.setattr(rng, "_philox_uniforms", lambda *args: vector_calls.append(args))
     streams = rng.StreamFamily(4)
     out = np.full((rows, values), np.nan)
     assert streams.fill(rng.DOMAIN_CHANNEL, 2**64 - 5, out) is out

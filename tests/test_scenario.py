@@ -398,13 +398,41 @@ def test_a_threshold_near_the_float_range_is_accepted(route):
 def test_element_count_is_capped(route):
     side = math.isqrt(MAX_ELEMENTS)
     assert build(route, n_h=side, n_v=MAX_ELEMENTS // side).n == MAX_ELEMENTS
-    for n_h, n_v in ((side, MAX_ELEMENTS // side + 1), (MAX_ELEMENTS + 1, 1), (1, MAX_ELEMENTS + 1), (HUGE, 1), (1, HUGE)):
-        with pytest.raises(ScenarioFormatError, match="^n_h: n_h \\* n_v exceeds the cap"):
+    # The error names the larger count, and n_h on a tie.
+    for n_h, n_v, field in (
+        (side, MAX_ELEMENTS // side + 1, "n_v"),
+        (MAX_ELEMENTS // side + 1, side, "n_h"),
+        (side + 1, side + 1, "n_h"),
+        (MAX_ELEMENTS + 1, 1, "n_h"),
+        (1, MAX_ELEMENTS + 1, "n_v"),
+        (HUGE, 1, "n_h"),
+        (1, HUGE, "n_v"),
+    ):
+        with pytest.raises(ScenarioFormatError, match=f"^{field}: n_h \\* n_v exceeds the cap"):
             build(route, n_h=n_h, n_v=n_v)
     with pytest.raises(ScenarioFormatError, match="^n_v: element counts must be >= 1"):
         build(route, n_v=0)
     # The presets stay far below the cap.
     assert all(10 * load_scenario(p).n <= MAX_ELEMENTS for p in PRESETS)
+
+
+@pytest.mark.parametrize(
+    "overrides, field, message",
+    [
+        ({"design": "fixed", "theta": [0.0] * 25, "n_h": -1, "n_v": 5}, "n_h", "element counts must be >= 1"),
+        ({"design": "fixed", "theta": [0.0] * 25, "n_h": 5, "n_v": 0}, "n_v", "element counts must be >= 1"),
+        ({"design": "fixed", "theta": [0.0] * 4, "n_v": 5000}, "n_v", "n_h \\* n_v exceeds the cap"),
+        ({"n_v": 2**64 + 1}, "n_v", "n_h \\* n_v exceeds the cap"),
+        ({"n_v": 5000}, "n_v", "n_h \\* n_v exceeds the cap"),
+        ({"design": "fixed", "theta": [0.0] * 4, "n_h": 2.0}, "n_h", "expected int"),
+    ],
+    ids=["fixed-negative-n_h", "fixed-zero-n_v", "fixed-capped-n_v", "n_v-beyond-64-bits", "n_v-5000", "fixed-float-n_h"],
+)
+def test_a_bad_element_count_is_refused_under_its_own_key(overrides, field, message):
+    """A file's counts are bounded before a fixed design is sized by them, and the cap names the larger count."""
+    with pytest.raises(ScenarioFormatError, match=f"^{field}: {message}") as err:
+        scenario_from_dict(make(**overrides))
+    assert err.value.field == field
 
 
 # One bad value per bound and type rule of the Scenario fields.
