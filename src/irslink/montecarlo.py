@@ -10,18 +10,21 @@ counter-based stream (seed, channel domain, i) in a fixed layout
 then 2N for the surface-destination vector, Box-Muller throughout), so
 trials are order-independent units of work.  Gains, and every estimate made
 from them, are a pure function of (scenario, design, trials, seed) for a
-given BLAS build.  The complex ``eigh`` behind ``matrix_sqrt`` and the
-projection's matrix product would round differently with the OpenBLAS
-thread count, so both run on one OpenBLAS thread
-(correlation.one_blas_thread) whatever the process's setting.  Gains do not
-depend on the engine's worker count either.
+given BLAS build and kernel.  The complex ``eigh`` behind ``matrix_sqrt``
+and the projection's matrix product would round differently with the
+OpenBLAS thread count, so both run on one OpenBLAS thread
+(correlation.one_blas_thread) whatever the process's setting.
 
-Engine: one block kernel serves every caller.  channel_blocks draws trials
-first..stop-1 in blocks of up to 64: rng.StreamFamily.fill writes each
-trial's uniforms into one row of a buffer (by its loop engine, as a block
-is short of the vector engine's rows); Box-Muller
-and the projection through the two covariance factors (one matrix product
-each, over all N columns) then run on the whole block.  Box-Muller computes
+Engine: one block kernel serves every caller, and it computes whole
+aligned blocks only.  For the trials first..stop-1, channel_blocks draws
+each block of 64 trials 64b..64b+63 that holds one of them and yields that
+block's rows in [first, stop): rng.StreamFamily.fill writes each trial's
+uniforms into one row of a buffer (by its loop engine, as a block is short
+of the vector engine's rows); Box-Muller and the projection through the
+two covariance factors (one matrix product each, over all N columns) then
+run on the whole block.  So every product has 64 rows, and a trial's bits
+depend on its block alone, however the BLAS kernel rounds a row with the
+product's row count or the row's place in it.  Box-Muller computes
 only the live normals, those that some factor column reads: normals 0 and 1,
 and the two normals of g[k] iff column k of its factor has a nonzero entry
 (matrix_sqrt's clipped eigenvalues give all-zero columns).  The dead ones
@@ -32,11 +35,11 @@ the sign of a partial sum that is exactly zero; a channel entry that is
 exactly zero may flip its sign, which the gain's squares erase.
 gain_samples iterates those blocks and applies the design's phases for the
 block and the gain, taken as re^2 + im^2.  The per-trial
-operations are one-row views of these routes: sample_channels is a block of
-one trial, which fills two identical rows because numpy hands a one-row
-product to the BLAS matrix-vector routine, which rounds differently from the
-matrix-product one; effective_gain and cophased_phases are the block
-reductions on one row.  Chaining them reproduces gain_samples bit for bit.
+operations are one-row views of these routes: sample_channels is trial i's
+row of its block, effective_gain and cophased_phases are the block
+reductions on one row.  Chaining them reproduces gain_samples bit for bit,
+a shorter run is a prefix of a longer one, and the gains do not depend on
+the worker count: each compares a block's computation with itself.
 
 Workers: W contiguous ranges of whole units cover [0, total) once, and
 run_ranges, the one range runner, runs them: the caller runs the first and
@@ -172,15 +175,15 @@ def _gains(h_sd, h_sr, phases, h_rd):
 
 
 def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int, first: int, stop: int):
-    """Yield (start, h_sd, h_sr, h_rd) for trials first..stop-1, in blocks of up to 64 from first.
+    """Yield (start, h_sd, h_sr, h_rd) for trials first..stop-1: the rows in that range of each aligned 64-trial block.
 
-    Row r of a block is trial start + r: h_sd has one entry per trial, h_sr
-    and h_rd one row of N.  Each row equals sample_channels(..., start + r)
-    bit for bit; l_sr and l_rd are as there, beta_sd must lie in [0, inf)
-    and the trials in [0, 2^128) (DomainError).  A block of one trial fills
-    two identical rows of the buffer and yields the first: the kernel's
-    matrix products then always have two rows or more.  The projection runs
-    on one BLAS thread, which is never held across a yield.
+    Row r of a yield is trial start + r: h_sd has one entry per trial, h_sr
+    and h_rd one row of N.  Each block is computed whole, so a row is the
+    same bits whatever range asked for it, and equals sample_channels(...,
+    start + r); l_sr and l_rd are as there, beta_sd must lie in [0, inf)
+    and the trials in [0, 2^128) (DomainError).  Nothing is yielded if stop
+    <= first.  The projection runs on one BLAS thread, which is never held
+    across a yield.
     """
     n = l_sr.shape[0]
     if l_sr.shape != (n, n) or l_rd.shape != (n, n):
@@ -188,23 +191,22 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
     checked_direct_gain(beta_sd)
     first = rng.check_index(first)
     rng.check_index(max(stop, first + 1) - 1)  # the last trial
+    if stop <= first:
+        return
     live = _live_normals(l_sr, l_rd)
     streams = rng.StreamFamily(seed)
-    u = np.empty((max(min(_BLOCK, stop - first), 2), 2 + 4 * n))
+    u = np.empty((_BLOCK, 2 + 4 * n))
     g = np.zeros(u.shape)  # box_muller leaves the dead normals 0.0 in every block
-    for start in range(first, stop, _BLOCK):
-        count = min(_BLOCK, stop - start)
-        rows = max(count, 2)
-        streams.fill(rng.DOMAIN_CHANNEL, start, u[:count])
-        if count == 1:
-            u[1] = u[0]
-        normals = rng.box_muller(u[:rows], live, g[:rows])  # one trial per row, each trial's channels from its row alone
+    for start in range(first - first % _BLOCK, stop, _BLOCK):
+        streams.fill(rng.DOMAIN_CHANNEL, start, u)
+        normals = rng.box_muller(u, live, g)  # one trial per row, each trial's channels from its row alone
         h_sd = np.sqrt(beta_sd / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
         g_sr = (normals[:, 2 : 2 + n] + 1j * normals[:, 2 + n : 2 + 2 * n]) / np.sqrt(2.0)
         g_rd = (normals[:, 2 + 2 * n : 2 + 3 * n] + 1j * normals[:, 2 + 3 * n :]) / np.sqrt(2.0)
         with one_blas_thread():
             h_sr, h_rd = g_sr @ l_sr.T, g_rd @ l_rd.T
-        yield start, h_sd[:count], h_sr[:count], h_rd[:count]
+        rows = slice(max(first, start) - start, min(stop, start + _BLOCK) - start)
+        yield start + rows.start, h_sd[rows], h_sr[rows], h_rd[rows]
 
 
 def sample_channels(
@@ -214,7 +216,7 @@ def sample_channels(
     seed: int,
     trial_index: int,
 ) -> ChannelRealization:
-    """Draw the channel realization of one trial: row 0 of its one-trial block.
+    """Draw the channel realization of one trial: its row of its 64-trial block.
 
     l_sr and l_rd are square-root factors of the covariance matrices (from
     correlation.matrix_sqrt); the surface vectors are L @ g with g a standard

@@ -14,8 +14,8 @@ Draws depend only on (seed, domain, index), never on evaluation order,
 chunking, or the thread that makes them.  Gains built from them also pass
 through BLAS and LAPACK, whose rounding changes with the OpenBLAS thread
 count, so the simulator makes those calls on one OpenBLAS thread: gains are
-a pure function of (scenario, design, trials, seed) for a given BLAS build,
-and do not depend on how many workers the simulator runs.
+a pure function of (scenario, design, trials, seed) for a given BLAS build
+and kernel, and do not depend on how many workers the simulator runs.
 
 ``StreamFamily.fill`` writes the uniforms of consecutive streams into the
 rows of a buffer, by one of two engines with the same bits.  The loop engine

@@ -264,13 +264,11 @@ def _phase_traces(r: CorrelationMatrix, seed: int, trials: int):
 def _trace_range(first: int, stop: int, views, kernel: np.ndarray, seed: int) -> None:
     """Write (t_lin, t_quad) of draws first..stop-1, from K = _trace_kernel(r), into views: _phase_traces' task for each of its ranges.
 
-    The range keys its own draws.  It draws its phases in batches of whole
-    stacks, at most _DRAW_STACKS each and as even as they split, so that no
-    last batch is left short of the vector engine's rows, and traces each
-    batch stack by stack.  A stack of one draw is traced as two copies of
-    it, as numpy hands a one-row product to the BLAS matrix-vector routine,
-    which rounds differently: so the traces of a shorter run are a prefix
-    of a longer one's, bit for bit.
+    first is a multiple of _TRACE_CHUNK, as run_ranges gives it.  The range
+    keys its own draws.  It draws whole aligned stacks of _TRACE_CHUNK
+    draws, in batches of at most _DRAW_STACKS stacks, as even as they
+    split, so that no last batch is left short of the vector engine's rows;
+    it traces each stack whole and writes the rows that lie in its range.
     """
     draw = UniformRandom(seed).phase_draws(kernel.shape[0])
     t_lin, t_quad = views
@@ -278,12 +276,11 @@ def _trace_range(first: int, stop: int, views, kernel: np.ndarray, seed: int) ->
     batches = -(-stacks // _DRAW_STACKS)
     for b in range(batches):
         begin = _TRACE_CHUNK * (stacks * b // batches)
-        end = min(stop - first, _TRACE_CHUNK * (stacks * (b + 1) // batches))
+        end = _TRACE_CHUNK * (stacks * (b + 1) // batches)
         phases = draw(first + begin, end - begin)
         for start in range(begin, end, _TRACE_CHUNK):
-            top = min(start + _TRACE_CHUNK, end)
-            stack = phases[start - begin : top - begin]
-            traces = _kernel_traces(kernel, stack if top - start > 1 else np.repeat(stack, 2, axis=0))
+            top = min(start + _TRACE_CHUNK, stop - first)
+            traces = _kernel_traces(kernel, phases[start - begin : start - begin + _TRACE_CHUNK])
             t_lin[start:top], t_quad[start:top] = (t[: top - start] for t in traces)
 
 

@@ -35,11 +35,11 @@ def sinc16():
 def heavy_mc(sinc16):
     """One million trials of the N=16 planar model with a common quarter-turn phase.
 
-    Drawn through the simulator's channel blocks, with the gain recomputed
-    here from its definition, so it doubles as the oracle for the
-    closed-form moments, the direct-channel power and the sample covariance
-    of the surface channel.  A prefix is checked bit for bit against the
-    public per-trial operations.
+    Drawn through the simulator's channel blocks on the engine's ranges,
+    with the gain recomputed here from its definition, so it doubles as the
+    oracle for the closed-form moments, the direct-channel power and the
+    sample covariance of the surface channel.  A prefix is checked bit for
+    bit against the public per-trial operations.
     """
     beta_sd = 1.0
     trials = 1_000_000
@@ -48,17 +48,11 @@ def heavy_mc(sinc16):
     seed = 321
     factor = matrix_sqrt(sinc16)
     phases = phase_vector(Equal(np.pi / 4), sinc16.n)
-    gains = np.empty(trials)
-    hsd_power = 0.0
+    gains, hsd_power = np.empty(trials), np.empty(trials)
+    montecarlo.run_ranges((gains, hsd_power), 64, _heavy_range, beta_sd, factor, phases, seed)
     cov = np.zeros((sinc16.n, sinc16.n), dtype=complex)
-    for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, factor, factor, seed, 0, trials):
-        # |h_sd + sum_n conj(h_sr[n]) phases[n] h_rd[n]|^2, as re^2 + im^2
-        x = h_sd + (np.conj(h_sr) * phases * h_rd).sum(axis=-1)
-        gains[start : start + h_sd.shape[0]] = x.real * x.real + x.imag * x.imag
-        hsd_power += float(np.sum(np.abs(h_sd) ** 2))
-        if start < cov_trials:
-            h = h_sr[: cov_trials - start]
-            cov += h.T @ np.conj(h)
+    for _, _, h_sr, _ in channel_blocks(beta_sd, factor, factor, seed, 0, cov_trials):
+        cov += h_sr.T @ np.conj(h_sr)
     for i in range(prefix):
         ch = sample_channels(beta_sd, factor, factor, seed, i)
         assert effective_gain(ch, phases) == gains[i], f"trial {i} differs from the per-trial ops"
@@ -69,10 +63,21 @@ def heavy_mc(sinc16):
         "seed": seed,
         "trials": trials,
         "gains": gains,
-        "hsd_power_mean": hsd_power / trials,
+        "hsd_power_mean": float(np.mean(hsd_power)),
         "cov": cov / cov_trials,
         "cov_trials": cov_trials,
     }
+
+
+def _heavy_range(first, stop, views, beta_sd, factor, phases, seed):
+    """Write the gains and |h_sd|^2 of trials first..stop-1 into views: heavy_mc's task for each engine range."""
+    gains, hsd_power = views
+    for start, h_sd, h_sr, h_rd in channel_blocks(beta_sd, factor, factor, seed, first, stop):
+        rows = slice(start - first, start - first + h_sd.shape[0])
+        # |h_sd + sum_n conj(h_sr[n]) phases[n] h_rd[n]|^2, as re^2 + im^2
+        x = h_sd + (np.conj(h_sr) * phases * h_rd).sum(axis=-1)
+        gains[rows] = x.real * x.real + x.imag * x.imag
+        hsd_power[rows] = h_sd.real * h_sd.real + h_sd.imag * h_sd.imag
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import platform
 import select
 import signal
 import subprocess
@@ -74,25 +75,40 @@ def test_sample_channels_deterministic_per_trial():
 
 
 def _written_out_channels(beta_sd, l_sr, l_rd, seed, index):
-    """The channels of trial ``index``, from a freshly keyed Philox with the draw layout written out."""
+    """The channels of trial ``index``: row index mod 64 of its aligned 64-trial block, written out.
+
+    The last block written out is kept, so a run of trials of one block
+    keys and projects it once.
+    """
+    start, row = index - index % 64, index % 64
+    key = (beta_sd, seed, start, l_sr.tobytes(), l_rd.tobytes())
+    if key not in _written_out:
+        _written_out.clear()
+        _written_out[key] = _written_out_block(beta_sd, l_sr, l_rd, seed, start)
+    h_sd, h_sr, h_rd = _written_out[key]
+    return complex(h_sd[row]), h_sr[row].copy(), h_rd[row].copy()
+
+
+_written_out = {}
+
+
+def _written_out_block(beta_sd, l_sr, l_rd, seed, start):
+    """The channels of trials start..start+63, from freshly keyed Philox streams with the draw layout written out."""
     n = l_sr.shape[0]
-    u = reference(seed, rng.DOMAIN_CHANNEL, index).random(2 + 4 * n)
-    # Box-Muller: radii from the first half of the uniforms, angles from the
-    # second; cosines are normals 0..2N, sines the rest.
+    u = np.stack([reference(seed, rng.DOMAIN_CHANNEL, start + r).random(2 + 4 * n) for r in range(64)])
+    # Box-Muller: radii from the first half of a trial's uniforms, angles
+    # from the second; cosines are normals 0..2N, sines the rest.
     pairs = 1 + 2 * n
-    radius = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
-    angle = 2.0 * np.pi * u[pairs:]
-    normals = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
-    h_sd = np.sqrt(beta_sd / 2.0) * (normals[0] + 1j * normals[1])
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, :pairs]))
+    angle = 2.0 * np.pi * u[:, pairs:]
+    normals = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=1)
+    h_sd = np.sqrt(beta_sd / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
     # h_sr from the next 2N normals, h_rd from the last 2N: real parts, then imaginary parts.
-    g_sr = (normals[2 : 2 + n] + 1j * normals[2 + n : 2 + 2 * n]) / np.sqrt(2.0)
-    g_rd = (normals[2 + 2 * n : 2 + 3 * n] + 1j * normals[2 + 3 * n :]) / np.sqrt(2.0)
-    # Each projected as a two-row product, never through the matrix-vector
-    # routine, on one OpenBLAS thread, as the contract has it.
+    g_sr = (normals[:, 2 : 2 + n] + 1j * normals[:, 2 + n : 2 + 2 * n]) / np.sqrt(2.0)
+    g_rd = (normals[:, 2 + 2 * n : 2 + 3 * n] + 1j * normals[:, 2 + 3 * n :]) / np.sqrt(2.0)
+    # Each side projected as one 64-row product on one OpenBLAS thread, as the contract has it.
     with _blas_count(1):
-        h_sr = (np.stack((g_sr, g_sr)) @ l_sr.T)[0]
-        h_rd = (np.stack((g_rd, g_rd)) @ l_rd.T)[0]
-    return complex(h_sd), h_sr, h_rd
+        return h_sd, g_sr @ l_sr.T, g_rd @ l_rd.T
 
 
 def _same_bits(got, want):
@@ -108,7 +124,7 @@ def test_channel_draw_layout_is_pinned(side):
         want = _written_out_channels(0.5, factor, factor, 13, index)
         assert _same_bits((ch.h_sd, ch.h_sr, ch.h_rd), want), f"trial {index}"
     blocks = list(channel_blocks(0.5, factor, factor, 13, 0, 65))
-    assert [block[0] for block in blocks] == [0, 64]  # trial 64 is a trailing block of one
+    assert [block[0] for block in blocks] == [0, 64]  # trial 64 is yielded alone, from its whole block
     h_sd, h_sr, h_rd = (np.concatenate([block[k] for block in blocks]) for k in (1, 2, 3))
     for i in (0, 63, 64):
         want = _written_out_channels(0.5, factor, factor, 13, i)
@@ -235,6 +251,25 @@ def test_per_trial_ops_match_partial_blocks(side):
                 else:
                     phases = phase_vector(design, r.n, draw_index=i)
                 assert effective_gain(ch, phases) == gains[i]
+
+
+@pytest.mark.parametrize("side", [1, 2, 8])
+def test_a_range_starting_mid_block_gives_those_rows_of_the_whole_blocks(side):
+    """Trials 5..69 come from the whole blocks 0..63 and 64..127, as a run from trial 0 draws them; an empty range yields nothing."""
+    r = square_sinc(side)
+    factor = matrix_sqrt(r)
+    whole = list(channel_blocks(0.5, factor, factor, 13, 0, 128))
+    part = list(channel_blocks(0.5, factor, factor, 13, 5, 70))
+    assert [block[0] for block in part] == [5, 64]
+    for k in (1, 2, 3):
+        got, want = (np.concatenate([block[k] for block in blocks]) for blocks in (part, whole))
+        assert got.tobytes() == want[5:70].tobytes()
+    for design in _all_designs(r.n):
+        gains = np.empty(65)
+        montecarlo._gain_range(5, 70, (gains,), 0.5, factor, factor, design, 13)
+        assert gains.tobytes() == gain_samples(0.5, r, r, design, 70, seed=13)[5:].tobytes()
+    for first, stop in ((5, 5), (70, 5), (64, 64), (0, 0)):
+        assert list(channel_blocks(0.5, factor, factor, 13, first, stop)) == []
 
 
 def _check_ranges(ranges, w, trials):
@@ -368,6 +403,16 @@ DEAD_FACTORS = {
 }
 
 
+def _written_out_gain(design, i, h_sd, h_sr, h_rd):
+    """Trial i's gain under design over its written-out channels, as re^2 + im^2."""
+    if isinstance(design, OptimalCsi):
+        phases = OptimalCsi.cophase(h_sd, h_sr, h_rd)
+    else:
+        phases = phase_vector(design, h_sr.shape[0], draw_index=i)
+    x = h_sd + (np.conj(h_sr) * phases * h_rd).sum()
+    return x.real * x.real + x.imag * x.imag
+
+
 @pytest.mark.parametrize("kind", DEAD_FACTORS)
 def test_dead_columns_keep_every_gain_bit(kind, workers, monkeypatch):
     """Gains through factors with dead columns equal the written-out layout's, bit for bit, on 1-3 workers."""
@@ -380,12 +425,7 @@ def test_dead_columns_keep_every_gain_bit(kind, workers, monkeypatch):
         want = np.empty(65)
         for i in range(65):
             h_sd, h_sr, h_rd = _written_out_channels(0.5, l_sr, l_rd, 23, i)
-            if isinstance(design, OptimalCsi):
-                phases = OptimalCsi.cophase(h_sd, h_sr, h_rd)
-            else:
-                phases = phase_vector(design, n, draw_index=i)
-            x = h_sd + (np.conj(h_sr) * phases * h_rd).sum()
-            want[i] = x.real * x.real + x.imag * x.imag
+            want[i] = _written_out_gain(design, i, h_sd, h_sr, h_rd)
             if kind == "all-dead":
                 assert want[i] == h_sd.real * h_sd.real + h_sd.imag * h_sd.imag  # |h_sd|^2
             # A channel entry may differ from the written-out one only in the sign of an exact zero.
@@ -419,9 +459,9 @@ def test_dead_normals_are_zero_and_live_ones_are_box_mullers(kind, engine_patch)
         return g
 
     engine_patch.setattr(rng, "box_muller", recorded)
-    for _ in channel_blocks(0.5, l_sr, l_rd, 31, 0, 129):  # blocks of 64, 64 and a trailing one
+    for _ in channel_blocks(0.5, l_sr, l_rd, 31, 0, 129):  # three whole blocks, the last for its first trial
         pass
-    assert [u.shape[0] for u, _ in blocks] == [64, 64, 2]
+    assert [u.shape[0] for u, _ in blocks] == [64, 64, 64]
     for u, g in blocks:
         assert not g[:, ~live].any() and not np.signbit(g[:, ~live]).any()
         assert g[:, live].tobytes() == box_muller(u)[:, live].tobytes()
@@ -914,8 +954,8 @@ def test_unreadable_blas_getter_gives_none(monkeypatch):
 
 
 # gain_samples and sample_channels at fig2a (N = 196), where the factor and
-# the projection of a 2-row block round differently on one and two OpenBLAS
-# threads, and criterion 3's traces.
+# the block projection round differently on one and two OpenBLAS threads,
+# and criterion 3's traces.
 _UNDER_BLAS = """
 import hashlib
 from irslink import load_scenario, validation
@@ -948,6 +988,67 @@ def test_gains_and_traces_do_not_depend_on_the_blas_setting():
         if setting is not None:
             assert counts.split() and set(counts.split()) == {setting}  # every library back at the process's count
     assert len(out[None]) == 6 and out[None] == out["1"] == out["2"]
+
+
+# The engine's identities, checked on an OpenBLAS kernel forced on the child
+# alone: gain prefixes, per-trial ops against block rows, the written-out
+# bits through the scattered dead-column factors, and criterion 3's trace
+# prefixes.  The first line names the core of each loaded OpenBLAS.
+_ON_KERNEL = """
+import ctypes
+import numpy as np
+from test_montecarlo import (
+    DEAD_FACTORS, CorrelationMatrix, OptimalCsi, _all_designs, _written_out_channels, _written_out_gain, cophased_phases,
+    effective_gain, gain_samples, matrix_sqrt, montecarlo, phase_vector, sample_channels, square_sinc, validation, zeros,
+)
+
+with open("/proc/self/maps") as fh:
+    libs = [ctypes.CDLL(path) for path in sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})]
+cores = [getattr(lib, name) for lib in libs for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename") if hasattr(lib, name)]
+for core in cores:
+    core.restype = ctypes.c_char_p
+print(*(core().decode() for core in cores), flush=True)
+for side in (2, 8):
+    r = square_sinc(side)
+    factor = matrix_sqrt(r)
+    for design in _all_designs(r.n):
+        full = gain_samples(0.5, r, r, design, 200, seed=13)
+        for trials in (1, 65, 131):
+            assert gain_samples(0.5, r, r, design, trials, seed=13).tobytes() == full[:trials].tobytes(), (side, design, trials)
+        for i in (0, 63, 64, 130):
+            ch = sample_channels(0.5, factor, factor, 13, i)
+            phases = cophased_phases(ch) if isinstance(design, OptimalCsi) else phase_vector(design, r.n, draw_index=i)
+            assert effective_gain(ch, phases) == full[i], (side, design, i)
+l_sr, l_rd = DEAD_FACTORS["scattered"]()
+r_sr, r_rd = zeros(16), CorrelationMatrix(np.eye(16))
+montecarlo.matrix_sqrt = lambda r: l_sr if r is r_sr else l_rd
+for design in _all_designs(16):
+    want = np.array([_written_out_gain(design, i, *_written_out_channels(0.5, l_sr, l_rd, 23, i)) for i in range(65)])
+    for trials in (1, 65):
+        assert gain_samples(0.5, r_sr, r_rd, design, trials, seed=23).tobytes() == want[:trials].tobytes(), (design, trials)
+for side in (3, 4):  # odd last stacks, at N = 9 and 16
+    r = square_sinc(side)
+    full = validation._phase_traces(r, 202, 600)
+    for draws in (1, 255, 257, 259):
+        for short, long in zip(validation._phase_traces(r, 202, draws), full):
+            assert short.tobytes() == long[:draws].tobytes(), (side, draws)
+"""
+
+
+@pytest.mark.parametrize("kernel, core", [("Haswell", "Haswell"), ("Sandybridge", "Sandybridge"), ("Prescott", "Katmai")])
+def test_identities_hold_on_other_openblas_kernels(kernel, core):
+    """Each identity compares a block's computation with itself, so it holds whatever the kernel's rounding."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} names an x86-64 kernel; this machine is {platform.machine()}")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(p for p in (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": kernel}
+    child = subprocess.run([sys.executable, "-c", _ON_KERNEL], capture_output=True, text=True, env=env, timeout=120)
+    reported = child.stdout.splitlines()[:1]
+    if reported == [""]:
+        pytest.skip("no loaded OpenBLAS exports scipy_openblas_get_corename64_ or scipy_openblas_get_corename")
+    assert reported and set(reported[0].split()) == {core}, f"OPENBLAS_CORETYPE={kernel} ran on {reported}: {child.stderr}"
+    assert child.returncode == 0, child.stderr
 
 
 @contextlib.contextmanager
