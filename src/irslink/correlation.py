@@ -5,8 +5,8 @@ model, and the uncorrelated identity, and factors them for channel sampling.
 
 OpenBLAS rounds a product or a decomposition differently with its thread
 count, so the Monte-Carlo engine runs every BLAS call its gains pass through
-inside one_blas_thread: matrix_sqrt's eigh here, and the projections and
-trace products of the engine's ranges.
+inside one_blas_thread: matrix_sqrt's eigh here, each range that
+montecarlo.run_ranges runs, and sample_channels' one block.
 """
 
 import contextlib

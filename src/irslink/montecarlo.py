@@ -12,8 +12,9 @@ trials are order-independent units of work.  Gains, and every estimate made
 from them, are a pure function of (scenario, design, trials, seed) for a
 given BLAS build and kernel.  The complex ``eigh`` behind ``matrix_sqrt``
 and the projection's matrix product would round differently with the
-OpenBLAS thread count, so both run on one OpenBLAS thread
-(correlation.one_blas_thread) whatever the process's setting.
+OpenBLAS thread count, so matrix_sqrt, sample_channels and each range of
+run_ranges pin one OpenBLAS thread (correlation.one_blas_thread) whatever
+the process's setting, and a range task's kernels are plain numpy.
 
 Engine: one block kernel serves every caller, and it computes whole
 aligned blocks only.  For the trials first..stop-1, channel_blocks draws
@@ -182,8 +183,8 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
     same bits whatever range asked for it, and equals sample_channels(...,
     start + r); l_sr and l_rd are as there, beta_sd must lie in [0, inf)
     and the trials in [0, 2^128) (DomainError).  Nothing is yielded if stop
-    <= first.  The projection runs on one BLAS thread, which is never held
-    across a yield.
+    <= first.  It runs at the caller's BLAS setting, so its rows are the
+    engine's bits in a range of run_ranges or in sample_channels.
     """
     n = l_sr.shape[0]
     if l_sr.shape != (n, n) or l_rd.shape != (n, n):
@@ -203,8 +204,7 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
         h_sd = np.sqrt(beta_sd / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
         g_sr = (normals[:, 2 : 2 + n] + 1j * normals[:, 2 + n : 2 + 2 * n]) / np.sqrt(2.0)
         g_rd = (normals[:, 2 + 2 * n : 2 + 3 * n] + 1j * normals[:, 2 + 3 * n :]) / np.sqrt(2.0)
-        with one_blas_thread():
-            h_sr, h_rd = g_sr @ l_sr.T, g_rd @ l_rd.T
+        h_sr, h_rd = g_sr @ l_sr.T, g_rd @ l_rd.T
         rows = slice(max(first, start) - start, min(stop, start + _BLOCK) - start)
         yield start + rows.start, h_sd[rows], h_sr[rows], h_rd[rows]
 
@@ -223,7 +223,8 @@ def sample_channels(
     complex Gaussian vector.  trial_index must lie in [0, 2^128) (DomainError).
     """
     i = rng.check_index(trial_index)
-    _, h_sd, h_sr, h_rd = next(channel_blocks(beta_sd, l_sr, l_rd, seed, i, i + 1))
+    with one_blas_thread():
+        _, h_sd, h_sr, h_rd = next(channel_blocks(beta_sd, l_sr, l_rd, seed, i, i + 1))
     return ChannelRealization(h_sd=complex(h_sd[0]), h_sr=h_sr[0], h_rd=h_rd[0])
 
 
@@ -308,16 +309,17 @@ def run_ranges(outputs, unit: int, task, *args) -> None:
     them, [out[first:stop] for out in outputs], into which its task writes
     the range's results.  task must be a module-level function and args
     picklable: this process runs the first range into its slices, and sends
-    each other one to a worker of its own as data.  The workers are forked
-    on the first call that needs them and serve every later call of this
-    process, so a call costs no fork: each worker receives (task, first,
-    stop, len(outputs), args) on its task pipe, as a pickle whose array
-    buffers travel out of band, without a bytes copy, runs the task into
-    arrays of its own and replies on its reply pipe with its task CPU
-    seconds, whether its range raised and, if it did not, the bytes of its
-    arrays, which this process reads straight into the range's slices.  A
-    worker forked before a module attribute was patched keeps the code it
-    was forked with; _stop_workers lets the next call fork new ones.
+    each other one to a worker of its own as data.  Every task call, here or
+    in a worker, runs on one BLAS thread (correlation.one_blas_thread).  The
+    workers are forked on the first call that needs them and serve every
+    later call of this process, so a call costs no fork: each worker
+    receives (task, first, stop, len(outputs), args) on its task pipe, as a
+    pickle whose array buffers travel out of band, without a bytes copy,
+    runs the task into arrays of its own and replies on its reply pipe with
+    its task CPU seconds, whether its range raised and, if it did not, the
+    bytes of its arrays, which this process reads straight into the range's
+    slices.  A worker forked before a module attribute was patched keeps the
+    code it was forked with; _stop_workers lets the next call fork new ones.
 
     Once every worker has replied, this process runs again, in range
     order, each range whose worker raised, so that range's exception rises
@@ -348,7 +350,8 @@ def run_ranges(outputs, unit: int, task, *args) -> None:
         for worker, (first, stop) in busy:
             with contextlib.suppress(BrokenPipeError):  # a worker that died: its reply below meets end of file
                 _send(worker.tasks, (task, first, stop, len(outputs), args))
-        task(*ranges[0], views[ranges[0]], *args)
+        with one_blas_thread():
+            task(*ranges[0], views[ranges[0]], *args)
         while busy:
             worker, span = busy[0]
             try:
@@ -369,7 +372,8 @@ def run_ranges(outputs, unit: int, task, *args) -> None:
             code = os.waitstatus_to_exitcode(reply)
             raise RuntimeError(f"Monte-Carlo range {span[0]}..{span[1]} ended in its forked child with wait status {reply} (exit code {code})")
         if reply[1]:
-            task(*span, views[span], *args)
+            with one_blas_thread():
+                task(*span, views[span], *args)
 
 
 @dataclass(frozen=True)
@@ -433,7 +437,8 @@ def _serve(tasks: int, replies: int) -> None:
         try:
             task, first, stop, count, args = pickle.loads(head, buffers=buffers)
             results = [np.empty(stop - first) for _ in range(count)]
-            task(first, stop, results, *args)
+            with one_blas_thread():
+                task(first, stop, results, *args)
         except BaseException:  # the owner reruns the range, so its exception rises there
             results = None
         _write(replies, struct.pack("<d?", time.process_time() - start, results is None), *(results or ()))

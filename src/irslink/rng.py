@@ -23,7 +23,7 @@ repositions numpy's Philox at each row's stream and lets it fill the row;
 its cost is mostly the two calls per row.  The vector engine evaluates
 Philox4x64-10 in numpy over all the rows' counter blocks at once (Salmon et
 al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), at a cost per
-block.  The shape decides: rows of at most 16 values (4 blocks), 1024 rows or
+block.  The shape decides: rows of at most 16 values (4 blocks), 256 rows or
 more, go to the vector engine, and everything else to the loop engine.
 
 Standard normals are produced by the basic Box-Muller transform on the
@@ -53,11 +53,10 @@ _WORD = 0xFFFFFFFFFFFFFFFF
 
 # The engine rule of StreamFamily.fill: the vector engine takes rows of at
 # most _VECTOR_VALUES uniforms when there are _VECTOR_ROWS of them or more.
-# Measured on a 2-core VM, the loop engine costs about 2.6 us per row of 16
-# values; the vector engine 2.6 us at 256 such rows and 1.5 at 1024, but
-# 3.8 us per row of 64 values, where the loop engine takes 1.9.
+# Per row of 16 values on a 2-core VM (best of 5 timeit runs): vector 1.5 us
+# at 256 rows and 2.5 at 128, loop 1.7; of 64 values, vector 2.6, loop 2.0.
 _VECTOR_VALUES = 16
-_VECTOR_ROWS = 1024
+_VECTOR_ROWS = 256
 _CHUNK_BLOCKS = 8192  # counter blocks per vector pass, which bounds its buffers
 
 # Philox4x64-10's constants.  Those that meet a uint64 array are uint64

@@ -36,7 +36,7 @@ from scipy import special
 
 from . import rng
 from .closedform import GammaParams, _fit, _moments, gamma_fit, outage_probability
-from .correlation import ArrayGeometry, CorrelationMatrix, one_blas_thread, sinc_correlation
+from .correlation import ArrayGeometry, CorrelationMatrix, sinc_correlation
 from .curves import run_compare, run_curve, run_surface
 from .errors import DomainError
 from .montecarlo import _trial_array, _worker_cpu, gain_samples, outage_rates, run_ranges
@@ -51,8 +51,8 @@ _DESIGN_SEED = 9001  # phase seed of the uniform-random design used in MC criter
 # about 40% more: what moves the cost of a stack is whether the allocator
 # must page its arrays in afresh, as it does for every stack of 512.
 _TRACE_CHUNK = 256
-# Stacks whose phases are drawn in one batch: 2048 draws of N = 16 take the
-# vector engine of rng.StreamFamily.fill, which a single stack would not.
+# Stacks whose phases are drawn in one batch: the vector engine of
+# rng.StreamFamily.fill costs less per draw on more rows.
 _DRAW_STACKS = 8
 TRACE_BOUND_SLACK = 1e-10  # a trace-bound margin may fall this far below zero
 
@@ -235,12 +235,11 @@ def _kernel_traces(kernel: np.ndarray, phases: np.ndarray):
     w = 1 on the diagonal and 2 off it.  The traces agree with the
     one-vector ``cascade_traces`` of each row to rounding and pass the same
     checks, the first bad row raising its one-vector error.  The product
-    runs on one BLAS thread.
+    runs at the caller's BLAS setting, one thread in a range of run_ranges.
     """
     n = kernel.shape[0]
     rows, cols = _triangle(n)
-    with one_blas_thread():
-        a = np.conj(phases) @ kernel
+    a = np.conj(phases) @ kernel
     t_lin = (a[:, :n] * phases).sum(axis=1)
     a *= a
     # take, not phases[:, rows]: that gives a column-major copy, which
@@ -266,19 +265,15 @@ def _trace_range(first: int, stop: int, views, kernel: np.ndarray, seed: int) ->
 
     first is a multiple of _TRACE_CHUNK, as run_ranges gives it.  The range
     keys its own draws.  It draws whole aligned stacks of _TRACE_CHUNK
-    draws, in batches of at most _DRAW_STACKS stacks, as even as they
-    split, so that no last batch is left short of the vector engine's rows;
-    it traces each stack whole and writes the rows that lie in its range.
+    draws in order, at most _DRAW_STACKS stacks per batch; it traces each
+    stack whole and writes the rows that lie in its range.
     """
     draw = UniformRandom(seed).phase_draws(kernel.shape[0])
     t_lin, t_quad = views
-    stacks = -(-(stop - first) // _TRACE_CHUNK)
-    batches = -(-stacks // _DRAW_STACKS)
-    for b in range(batches):
-        begin = _TRACE_CHUNK * (stacks * b // batches)
-        end = _TRACE_CHUNK * (stacks * (b + 1) // batches)
-        phases = draw(first + begin, end - begin)
-        for start in range(begin, end, _TRACE_CHUNK):
+    span = _TRACE_CHUNK * -(-(stop - first) // _TRACE_CHUNK)  # the range's whole stacks
+    for begin in range(0, span, _TRACE_CHUNK * _DRAW_STACKS):
+        phases = draw(first + begin, min(span - begin, _TRACE_CHUNK * _DRAW_STACKS))
+        for start in range(begin, begin + phases.shape[0], _TRACE_CHUNK):
             top = min(start + _TRACE_CHUNK, stop - first)
             traces = _kernel_traces(kernel, phases[start - begin : start - begin + _TRACE_CHUNK])
             t_lin[start:top], t_quad[start:top] = (t[: top - start] for t in traces)
