@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .correlation import CorrelationMatrix
 from .errors import DegenerateScenarioError, DomainError
@@ -92,6 +91,8 @@ def outage_probability(gp: GammaParams, z):
 
 def _lower_gamma(shape, scale, z):
     """gammainc(shape, z / scale), elementwise over broadcast arrays; the outage of every Gamma fit."""
+    from scipy import special  # at the first fit evaluated, so that ``import irslink`` loads numpy only
+
     with np.errstate(over="ignore"):  # a z/scale beyond the float range is inf, whose P is the limit 1
         return special.gammainc(shape, z / scale)
 

@@ -34,6 +34,9 @@ _blas_lock = threading.RLock()
 def _blas_controls() -> tuple:
     """(get, set) thread-count functions of each loaded OpenBLAS, read once per process.
 
+    The set is the libraries mapped at the first call: numpy's, and scipy's
+    only if scipy.special was imported before.  The engine calls only numpy's.
+
     () if a loaded OpenBLAS has no such pair or cannot be opened, if none is
     loaded, or if /proc/self/maps cannot be read: the count cannot then be
     set for every BLAS call.

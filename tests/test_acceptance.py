@@ -164,6 +164,21 @@ def test_the_package_does_not_load_or_export_the_gate():
     assert defined.isdisjoint(irslink.__all__)
 
 
+def test_a_criterion_loads_scipy_before_its_clock_starts():
+    """Criterion 1 calls no scipy function, yet running it loads ``scipy.special``: the registered
+    criterion imports it before timing the check, so no wall-clock limit holds that one-time load."""
+    src = str(Path(irslink.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, irslink.validation as v; before = 'scipy.special' in sys.modules; "
+        "result = v.CRITERIA[1](); print(before, result.passed, 'scipy.special' in sys.modules)"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert child.stdout.split() == ["False", "True", "True"]
+
+
 def test_the_submodule_import_graph_is_acyclic():
     """No irslink submodule imports, directly or through others, one that imports it back."""
     package = Path(irslink.__file__).resolve().parent

@@ -9,8 +9,8 @@ from urllib.parse import unquote
 
 import numpy as np
 import pytest
+import scipy.special
 
-import irslink.closedform as closedform_module
 import irslink.curves as curves_module
 from irslink import cli, validation
 from irslink.curves import read_curve_csv
@@ -42,6 +42,39 @@ def test_curve_subcommand(tmp_path):
     curve = read_curve_csv(out)
     assert curve.scenario_name == "fig2a"
     assert len(curve.xi) == 33
+
+
+# Which scipy modules a fresh interpreter holds after each step: the three
+# imports, a curve that fails on its scenario, and a --trials 0 curve.
+_LEAN_START = """
+import json, sys
+steps = []
+def step(label, code=None):
+    steps.append([label, code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+import irslink; step("import irslink")
+import irslink.cli; step("import irslink.cli")
+import irslink.validation; step("import irslink.validation")
+step("missing scenario", irslink.cli.main(["curve", "--scenario", "missing.json"]))
+step("fig2a", irslink.cli.main(["curve", "--scenario", "fig2a", "--trials", "0", "--out", "fig2a.csv"]))
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_at_the_first_fit_evaluated_and_not_before(tmp_path):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-c", _LEAN_START], capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert child.returncode == 0, child.stderr
+    *lean, (_, code, loaded) = json.loads(child.stdout.splitlines()[-1])
+    assert lean == [
+        ["import irslink", None, []],
+        ["import irslink.cli", None, []],
+        ["import irslink.validation", None, []],
+        ["missing scenario", 2, []],
+    ]
+    assert "is neither an existing file nor a preset" in child.stderr
+    assert code == 0 and "scipy.special" in loaded and (tmp_path / "fig2a.csv").exists()
 
 
 def test_curve_with_trials_and_file_scenario(tmp_path):
@@ -144,10 +177,11 @@ def test_infinite_surface_threshold_is_input_error(tmp_path):
 def test_surface_cell_count_is_bounded(tmp_path, monkeypatch, capsys):
     # Two axes of 95 001 points each, both under the per-axis cap: 9.0e9 cells
     # (72 GB) are refused before the surface is allocated.  gammainc is
-    # stubbed, so a tree without the cap fails here instead of allocating.
+    # stubbed where closedform looks it up at call time, so a tree without
+    # the cap fails here instead of allocating.
     out = tmp_path / "surface.csv"
     evaluated = []
-    monkeypatch.setattr(closedform_module.special, "gammainc", lambda *a: evaluated.append(a))
+    monkeypatch.setattr(scipy.special, "gammainc", lambda *a: evaluated.append(a))
     code = cli.main(["surface", "--ka-step", "5e-5", "--wa-step", "5e-5", "--out", str(out)])
     assert code == 2
     assert "exceeds the cap of 100000" in capsys.readouterr().err

@@ -956,6 +956,8 @@ def test_unreadable_blas_getter_gives_none(monkeypatch):
 # gain_samples and sample_channels at fig2a (N = 196), where the factor and
 # the block projection round differently on one and two OpenBLAS threads,
 # and criterion 3's traces; first and last, each library's thread count.
+# The first line, if any, imports scipy.special and with it scipy's OpenBLAS
+# before the first engine call reads the set of loaded libraries.
 _UNDER_BLAS = """
 import hashlib
 from irslink import load_scenario, validation
@@ -980,16 +982,19 @@ def test_gains_and_traces_do_not_depend_on_the_blas_setting():
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     out = {}
-    for setting in (None, "1", "2"):
-        env = {**base, "PYTHONPATH": path, **({} if setting is None else {"OPENBLAS_NUM_THREADS": setting})}
-        child = subprocess.run([sys.executable, "-c", _UNDER_BLAS], capture_output=True, text=True, env=env, timeout=120)
-        assert child.returncode == 0, child.stderr
-        before, *digests, after = child.stdout.splitlines()
-        out[setting] = digests
-        # Every library back at the count it had before the first engine call;
-        # OpenBLAS caps the variable's count at the usable cores.
-        assert before.split() and after == before
-    assert len(out[None]) == 6 and out[None] == out["1"] == out["2"]
+    for first in ("", "import scipy.special"):
+        for setting in (None, "1", "2"):
+            env = {**base, "PYTHONPATH": path, **({} if setting is None else {"OPENBLAS_NUM_THREADS": setting})}
+            code = first + _UNDER_BLAS
+            child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+            assert child.returncode == 0, child.stderr
+            before, *digests, after = child.stdout.splitlines()
+            out[first, setting] = digests
+            # Every library back at the count it had before the first engine call;
+            # OpenBLAS caps the variable's count at the usable cores.
+            assert before.split() and after == before
+    want = out["", None]
+    assert len(want) == 6 and all(digests == want for digests in out.values())
 
 
 # The engine's identities, checked on an OpenBLAS kernel forced on the child
@@ -1096,6 +1101,9 @@ def test_every_range_runs_on_one_blas_thread(workers):
 
 
 def test_each_library_keeps_its_count_after_a_call_that_returns_or_raises(engine_patch):
+    import scipy.special  # maps scipy's OpenBLAS, whatever this process loaded before
+
+    correlation._blas_controls.cache_clear()  # so the set is read again, with scipy's library in it
     assert correlation._blas_controls()  # here numpy's OpenBLAS and scipy's
     r_sr, r_rd = load_scenario("fig2a").covariances()
     with _blas_count(2) as controls:
