@@ -121,13 +121,16 @@ class CorrelationMatrix:
     verdict, it keeps the two numbers of the Hermitian test:
     hermitian_residual = max|R - R^H| and max_abs = max|R|.
     scale_covariance derives beta*R's verdict from these three instead of
-    checking the scaled matrix again.
+    checking the scaled matrix again.  _factor is matrix_sqrt's result,
+    None until its first call on the matrix.
     """
 
     entries: np.ndarray
     eig_range: tuple = field(init=False, repr=False, compare=False)
     hermitian_residual: float = field(init=False, repr=False, compare=False)
     max_abs: float = field(init=False, repr=False, compare=False)
+    # The class default serves every construction route, object.__new__ included.
+    _factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, residual, largest = _checked_entries(self.entries)
@@ -272,13 +275,19 @@ def matrix_sqrt(r: CorrelationMatrix) -> np.ndarray:
     Uses the eigendecomposition rather than Cholesky: the sinc model at
     sub-wavelength spacing is numerically rank deficient, so eigenvalues in
     [-PSD_RTOL*lam_max, 0) are clipped to zero before taking square roots.
-    The decomposition runs on one BLAS thread.
+    The decomposition runs on one BLAS thread.  A matrix is factored once:
+    the read-only factor is kept on r, and every later call returns it.
     """
-    with one_blas_thread():
-        eigs, vecs = np.linalg.eigh(r.entries)
-    lam_max = max(float(eigs[-1]), 0.0)
-    if float(eigs[0]) < -PSD_RTOL * lam_max:
-        raise NotPositiveSemidefiniteError(
-            f"smallest eigenvalue {eigs[0]:.3e} below PSD tolerance; cannot factor"
-        )
-    return vecs * np.sqrt(np.clip(eigs, 0.0, None))[None, :]
+    factor = r._factor
+    if factor is None:
+        with one_blas_thread():
+            eigs, vecs = np.linalg.eigh(r.entries)
+        lam_max = max(float(eigs[-1]), 0.0)
+        if float(eigs[0]) < -PSD_RTOL * lam_max:
+            raise NotPositiveSemidefiniteError(
+                f"smallest eigenvalue {eigs[0]:.3e} below PSD tolerance; cannot factor"
+            )
+        factor = vecs * np.sqrt(np.clip(eigs, 0.0, None))[None, :]
+        factor.setflags(write=False)
+        object.__setattr__(r, "_factor", factor)
+    return factor

@@ -8,7 +8,6 @@ drawn once per curve and compared against every threshold on the grid.
 import errno
 import math
 import os
-import secrets
 from dataclasses import dataclass, fields
 from urllib.parse import quote, unquote
 
@@ -191,7 +190,7 @@ def write_lines(path, lines) -> None:
     OSError about the temporary file is raised again naming ``path``."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

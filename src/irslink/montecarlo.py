@@ -23,7 +23,13 @@ block's rows in [first, stop): rng.StreamFamily.fill writes each trial's
 uniforms into one row of a buffer (by its loop engine, as a block is short
 of the vector engine's rows); Box-Muller and the projection through the
 two covariance factors (one matrix product each, over all N columns) then
-run on the whole block.  So every product has 64 rows, and a trial's bits
+run on the whole block.  Between them, _complex_normals writes the complex
+normals (re + 1j*im) / sqrt(2) into two buffers of the range, one product
+by 1/sqrt(2) per part, which gives the division's bits (a -0.0 normal,
+from a radius uniform of exactly 0, keeps its sign).  The factors are
+matrix_sqrt's, computed once per covariance matrix and kept on it, and
+Scenario.covariances holds the last pair, so the curves of one link and
+surface share one factor pair.  So every product has 64 rows, and a trial's bits
 depend on its block alone, however the BLAS kernel rounds a row with the
 product's row count or the row's place in it.  Box-Muller computes
 only the live normals, those that some factor column reads: normals 0 and 1,
@@ -175,6 +181,24 @@ def _gains(h_sd, h_sr, phases, h_rd):
     return x.real * x.real + x.imag * x.imag
 
 
+# numpy divides a complex array by sqrt(2) + 0j as (re + im*0, im - re*0) times
+# this reciprocal, so a product by it gives the quotient's bits.
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
+def _complex_normals(re, im, out):
+    """Write (re + 1j*im) / sqrt(2) into out, a complex128 array of re's shape, as one product per part.
+
+    Each part has the division's bits but where the normal is -0.0: the
+    product keeps that sign, and the division gives +0.0 (the real part
+    stays -0.0 only if im < 0).  Only the sign of a zero differs, as a
+    dead normal's may.
+    """
+    np.multiply(re, _SQRT_HALF, out=out.real)
+    np.multiply(im, _SQRT_HALF, out=out.imag)
+    return out
+
+
 def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int, first: int, stop: int):
     """Yield (start, h_sd, h_sr, h_rd) for trials first..stop-1: the rows in that range of each aligned 64-trial block.
 
@@ -198,12 +222,13 @@ def channel_blocks(beta_sd: float, l_sr: np.ndarray, l_rd: np.ndarray, seed: int
     streams = rng.StreamFamily(seed)
     u = np.empty((_BLOCK, 2 + 4 * n))
     g = np.zeros(u.shape)  # box_muller leaves the dead normals 0.0 in every block
+    g_sr, g_rd = np.empty((_BLOCK, n), dtype=np.complex128), np.empty((_BLOCK, n), dtype=np.complex128)
     for start in range(first - first % _BLOCK, stop, _BLOCK):
         streams.fill(rng.DOMAIN_CHANNEL, start, u)
         normals = rng.box_muller(u, live, g)  # one trial per row, each trial's channels from its row alone
         h_sd = np.sqrt(beta_sd / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
-        g_sr = (normals[:, 2 : 2 + n] + 1j * normals[:, 2 + n : 2 + 2 * n]) / np.sqrt(2.0)
-        g_rd = (normals[:, 2 + 2 * n : 2 + 3 * n] + 1j * normals[:, 2 + 3 * n :]) / np.sqrt(2.0)
+        _complex_normals(normals[:, 2 : 2 + n], normals[:, 2 + n : 2 + 2 * n], g_sr)
+        _complex_normals(normals[:, 2 + 2 * n : 2 + 3 * n], normals[:, 2 + 3 * n :], g_rd)
         h_sr, h_rd = g_sr @ l_sr.T, g_rd @ l_rd.T
         rows = slice(max(first, start) - start, min(stop, start + _BLOCK) - start)
         yield start + rows.start, h_sd[rows], h_sr[rows], h_rd[rows]

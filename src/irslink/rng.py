@@ -124,7 +124,8 @@ class StreamFamily:
             "uinteger": 0,
         }
 
-    def get(self, domain: int, index: int) -> np.random.Generator:
+    # Quoted: an annotation evaluated at def time would load numpy.random on import irslink.
+    def get(self, domain: int, index: int) -> "np.random.Generator":
         """The generator at stream ``index`` of ``domain``; index in [0, 2^128), as ``check_index`` admits."""
         index = int(index)
         words = self._counter

@@ -7,7 +7,6 @@ beta*d_H*d_V (the form in which link budgets state them), and the selected
 model matrix is scaled by those products directly.
 """
 
-import hashlib
 import json
 import math
 import sys
@@ -54,14 +53,18 @@ MAX_GRID_POINTS = 100_000
 # two scaled covariances and their factors, cascade products), and the sinc
 # model builds an N x N float distance array on top, so a run at the cap
 # needs a few GB and O(N^3) eigendecompositions.  Between curves the process
-# still holds the last model it built, one N x N complex128 matrix, until a
-# scenario with other model inputs replaces it.  Every preset and benchmark
-# scenario has N <= 400.
+# still holds the last model it built and the last pair scaled from it: three
+# N x N complex128 matrices, five once a Monte-Carlo curve has factored the
+# pair (3.1 MB at N = 196), until a scenario with other inputs replaces them.
+# Every preset and benchmark scenario has N <= 400.
 MAX_ELEMENTS = 4096
 
-# The last model built, as (key, model), or None.  It is one slot, emptied
-# before each build, so the process never holds two models for it.  Threads
-# need no lock: each reads the pair once, and a rebinding of the name is atomic.
+# The last model built and the last pair scaled from it, as (model key, model,
+# gains, (r_sr, r_rd)), or None; gains and the pair are None until covariances
+# scales one.  It is one slot: a build empties it, and a new pair drops the old
+# one first, so the process never holds two models or two pairs for it.
+# Threads need no lock: each reads the slot once, and a rebinding of the name
+# is atomic.
 _held_model = None
 
 
@@ -183,28 +186,48 @@ class Scenario:
         other call drops the held model, then builds and checks its own.
         """
         global _held_model
-        build, inputs = _MODEL_BUILDERS[self.model]
-        args = inputs(self)
-        # A float input counts by its bits: -0.0 builds other bytes than 0.0.  The
-        # geometry's floats are positive, where == already compares bits.
-        key = (self.model, *(v.hex() if isinstance(v, float) else v for v in args))
+        key, build, args = self._model_inputs()
         held = _held_model
         if held is not None and held[0] == key:
             return held[1]
-        held = _held_model = None  # free the old model before the new one is allocated
+        held = _held_model = None  # free the old model and pair before the new model is allocated
         model = build(*args)
-        _held_model = key, model
+        _held_model = key, model, None, None
         return model
 
     def covariances(self):
         """(r_sr, r_rd), the model matrix scaled by the configured products.
 
-        Both are scaled afresh on every call; the model may be the held one.
+        The process holds the last pair with its model.  A call with that
+        model's inputs and both products equal gets the same two read-only
+        matrices back, with the factors matrix_sqrt keeps on them, so the
+        curves of one link and surface factor it once.  Any other call drops
+        the held pair before it fetches or builds the model, then scales its
+        own.  The held pair is two N x N complex128 matrices, and two more
+        once a Monte-Carlo curve has factored them: 2.4 MB at N = 196.
         """
+        global _held_model
+        key = self._model_inputs()[0]
+        # The products are positive and finite, where == compares bits.
+        gains = db_to_linear(self.beta_sr_dhdv_db), db_to_linear(self.beta_rd_dhdv_db)
+        held = _held_model
+        if held is not None and held[0] == key and held[2] == gains:
+            return held[3]
+        if held is not None:
+            _held_model = held[0], held[1], None, None  # free the old pair before a new one is allocated
+        held = None
         r = self.correlation_model()
-        r_sr = scale_covariance(r, db_to_linear(self.beta_sr_dhdv_db))
-        r_rd = scale_covariance(r, db_to_linear(self.beta_rd_dhdv_db))
-        return r_sr, r_rd
+        pair = scale_covariance(r, gains[0]), scale_covariance(r, gains[1])
+        _held_model = key, r, gains, pair
+        return pair
+
+    def _model_inputs(self):
+        """(key, builder, builder inputs) of the scenario's model; the key names the held model."""
+        build, inputs = _MODEL_BUILDERS[self.model]
+        args = inputs(self)
+        # A float input counts by its bits: -0.0 builds other bytes than 0.0.  The
+        # geometry's floats are positive, where == already compares bits.
+        return (self.model, *(v.hex() if isinstance(v, float) else v for v in args)), build, args
 
     def snr_threshold(self, xi):
         """z = sigma2 (2^xi - 1) / rho: the gain below which the target rate fails.
@@ -223,6 +246,8 @@ class Scenario:
 
     def digest(self) -> str:
         """Hash over the schema fields; changes iff any scenario field changes."""
+        import hashlib  # here, not at the top: import irslink need not load it
+
         canonical = json.dumps(self.to_schema_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

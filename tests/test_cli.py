@@ -44,18 +44,21 @@ def test_curve_subcommand(tmp_path):
     assert len(curve.xi) == 33
 
 
-# Which scipy modules a fresh interpreter holds after each step: the three
-# imports, a curve that fails on its scenario, and a --trials 0 curve.
+# Which scipy and numpy.random modules a fresh interpreter holds after each
+# step: the three imports, a curve that fails on its scenario, a --trials 0
+# curve and a curve with trials.
 _LEAN_START = """
 import json, sys
 steps = []
 def step(label, code=None):
-    steps.append([label, code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+    held = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
+    steps.append([label, code, held])
 import irslink; step("import irslink")
 import irslink.cli; step("import irslink.cli")
 import irslink.validation; step("import irslink.validation")
 step("missing scenario", irslink.cli.main(["curve", "--scenario", "missing.json"]))
 step("fig2a", irslink.cli.main(["curve", "--scenario", "fig2a", "--trials", "0", "--out", "fig2a.csv"]))
+step("fig2a mc", irslink.cli.main(["curve", "--scenario", "fig2a", "--trials", "64", "--out", "fig2a-mc.csv"]))
 print(json.dumps(steps))
 """
 
@@ -66,7 +69,7 @@ def test_scipy_loads_at_the_first_fit_evaluated_and_not_before(tmp_path):
         [sys.executable, "-c", _LEAN_START], capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}
     )
     assert child.returncode == 0, child.stderr
-    *lean, (_, code, loaded) = json.loads(child.stdout.splitlines()[-1])
+    *lean, (_, code, loaded), (_, mc_code, mc_loaded) = json.loads(child.stdout.splitlines()[-1])
     assert lean == [
         ["import irslink", None, []],
         ["import irslink.cli", None, []],
@@ -75,6 +78,8 @@ def test_scipy_loads_at_the_first_fit_evaluated_and_not_before(tmp_path):
     ]
     assert "is neither an existing file nor a preset" in child.stderr
     assert code == 0 and "scipy.special" in loaded and (tmp_path / "fig2a.csv").exists()
+    # scipy.special loads numpy.random itself, so only a curve with trials shows the draws' import.
+    assert mc_code == 0 and "numpy.random" in mc_loaded and (tmp_path / "fig2a-mc.csv").exists()
 
 
 def test_curve_with_trials_and_file_scenario(tmp_path):

@@ -170,6 +170,40 @@ def test_matrix_sqrt_reconstruction(side):
     assert err < 1e-9
 
 
+# Each construction route: the checked constructor, a model builder, and scale_covariance's object.__new__.
+FACTOR_ROUTES = {
+    "constructor": lambda: CorrelationMatrix(np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.0]])),
+    "sinc": lambda: square_sinc(4),
+    "exponential": lambda: exponential_correlation(9, 0.9),
+    "scaled": lambda: scale_covariance(square_sinc(4), 3e-9),
+}
+
+
+@pytest.mark.parametrize("route", FACTOR_ROUTES)
+def test_a_matrix_is_factored_once(route, monkeypatch):
+    r = FACTOR_ROUTES[route]()
+    assert r._factor is None
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    factor = matrix_sqrt(r)
+    assert matrix_sqrt(r) is factor and len(calls) == 1
+    assert not factor.flags.writeable
+    # The held factor has the bits of a fresh one on a new matrix with the same entries.
+    fresh = CorrelationMatrix(r.entries.copy())
+    assert matrix_sqrt(fresh) is not factor
+    assert matrix_sqrt(fresh).tobytes() == factor.tobytes() and len(calls) == 2
+
+
+def test_a_failed_factor_is_not_kept():
+    r = identity_correlation(2)
+    object.__setattr__(r, "entries", np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for _ in range(2):
+        with pytest.raises(NotPositiveSemidefiniteError):
+            matrix_sqrt(r)
+    assert r._factor is None
+
+
 def test_not_psd_rejected():
     with pytest.raises(NotPositiveSemidefiniteError):
         CorrelationMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from irslink import correlation, load_scenario, montecarlo, rng, validation
 from irslink import scenario as scenario_module
-from irslink.correlation import CorrelationMatrix, matrix_sqrt
+from irslink.correlation import CorrelationMatrix, matrix_sqrt, scale_covariance
 from irslink.errors import DomainError, ScenarioFormatError
 from irslink.montecarlo import (
     ChannelRealization,
@@ -34,6 +34,7 @@ from irslink.montecarlo import (
     sample_channels,
 )
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, UniformRandom, phase_vector
+from irslink.units import db_to_linear
 
 from conftest import PROPERTY, Records, force_workers, in_own_children, no_child_left, square_sinc
 from test_rng import reference
@@ -1178,6 +1179,65 @@ def test_gains_through_the_held_model_are_the_bits_of_a_fresh_build(empty_model_
     scenario_module._held_model = None  # the next call builds the model again
     assert gains() == through_held == built
     assert len(read_ranges()) == 3 * w  # 65 trials are two 64-trial ranges at W = 2
+
+
+FIG2_DESIGNS = [Equal(0.3), Fixed(np.linspace(-3.0, 3.0, 196)), UniformRandom(5), OptimalCsi()]
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_held_and_cold_covariances_give_the_same_gains(empty_model_slot, workers, w):
+    # fig2a and fig2b differ only in beta_sd, so every curve after the first gets the held pair and its
+    # factors.  Each preset's cold pair is scaled afresh from the model and factored at its first call.
+    workers(w)
+    held = load_scenario("fig2a").covariances()
+    model = load_scenario("fig2a").correlation_model()
+    for preset in ("fig2a", "fig2b"):
+        sc = load_scenario(preset)
+        cold = [scale_covariance(model, db_to_linear(db)) for db in (sc.beta_sr_dhdv_db, sc.beta_rd_dhdv_db)]
+        for design in FIG2_DESIGNS:
+            sc = replace(sc, design=design)
+            for trials in (1, 63, 64, 65, 1000):
+                pair = sc.covariances()
+                assert pair[0] is held[0] and pair[1] is held[1]
+                want = gain_samples(sc.beta_sd, *cold, design, trials, seed=trials)
+                assert gain_samples(sc.beta_sd, *pair, design, trials, seed=trials).tobytes() == want.tobytes()
+    assert all(r._factor is not None for r in held)
+
+
+def _normals_with_edges(n):
+    """A block of normals in the channel layout, its dead columns 0.0, with subnormal, tiny and huge live values."""
+    g = np.random.default_rng(40).standard_normal((64, 2 + 4 * n))
+    g[:, 2 : 2 + 3] = 0.0  # dead columns of g_sr, real and imaginary
+    g[:, 2 + n : 2 + n + 3] = 0.0
+    g[:, 2 + 2 * n] = 0.0  # a dead column of g_rd
+    g[:, 2 + 3 * n] = 0.0
+    edges = np.array([5e-324, -5e-324, 2.5e-310, -1e-308, 2.2250738585072014e-308, 1e-300, 1.7e308, -1.7976931348623157e308])
+    g[: edges.size, 10] = edges
+    g[: edges.size, 2 + 3 * n + 9] = -edges[::-1]
+    return g
+
+
+@pytest.mark.parametrize("n", [16, 196])
+def test_complex_normals_are_the_bits_of_the_complex_division(n):
+    # channel_blocks writes g = (re + 1j*im) / sqrt(2) by one product per part; numpy's complex
+    # division must keep multiplying by the same reciprocal, or the gains would move.
+    g = _normals_with_edges(n)
+    for re, im in ((g[:, 2 : 2 + n], g[:, 2 + n : 2 + 2 * n]), (g[:, 2 + 2 * n : 2 + 3 * n], g[:, 2 + 3 * n :])):
+        want = (re + 1j * im) / np.sqrt(2.0)
+        got = montecarlo._complex_normals(re, im, np.empty((64, n), dtype=np.complex128))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_negative_zero_normal_keeps_its_sign_where_the_division_drops_it():
+    # Box-Muller gives -0.0 only from a radius uniform of exactly 0; the values stay equal.
+    re, im = np.array([-0.0, -0.0, -0.0, 1.0, 0.0]), np.array([1.0, -1.0, -0.0, -0.0, -0.0])
+    want = (re + 1j * im) / np.sqrt(2.0)
+    got = montecarlo._complex_normals(re, im, np.empty(5, dtype=np.complex128))
+    assert np.array_equal(got, want)
+    assert np.signbit(got.real).tolist() == [True, True, True, False, False]
+    assert np.signbit(want.real).tolist() == [False, True, False, False, False]
+    assert np.signbit(got.imag).tolist() == [False, True, True, True, True]
+    assert np.signbit(want.imag).tolist() == [False, True, False, False, False]
 
 
 def test_uniform_design_worse_than_equal_when_blocked():

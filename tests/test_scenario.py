@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 import irslink
 from irslink import scenario as scenario_module
-from irslink.correlation import exponential_correlation, identity_correlation, sinc_correlation
+from irslink.correlation import exponential_correlation, identity_correlation, matrix_sqrt, scale_covariance, sinc_correlation
 from irslink.errors import DomainError, NotPositiveSemidefiniteError, ScenarioFormatError
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom
 from irslink.scenario import (
     DESIGNS, MAX_ELEMENTS, MAX_GRID_POINTS, MODELS, PRESETS, Scenario, load_scenario, scenario_from_dict, step_grid,
 )
+from irslink.units import db_to_linear
 
 from conftest import PROPERTY
 from test_boundary_fuzz import DROP, POOL
@@ -657,22 +658,89 @@ def test_the_previous_model_is_freed_before_the_next_build(empty_model_slot, mon
     assert alive_at_build == [False]
 
 
-def test_threads_that_alternate_models_each_get_their_own(empty_model_slot):
+def fresh_pair_bytes(sc):
+    """The bytes of sc's scaled pair straight from its model's builder, past the held ones."""
+    model = {"sinc": lambda: sinc_correlation(sc.geometry()), "exponential": lambda: exponential_correlation(sc.n, sc.exp_magnitude),
+             "uncorrelated": lambda: identity_correlation(sc.n)}[sc.model]()
+    return [scale_covariance(model, db_to_linear(db)).entries.tobytes() for db in (sc.beta_sr_dhdv_db, sc.beta_rd_dhdv_db)]
+
+
+@pytest.mark.parametrize("base, overrides", OTHER_FIELD_CHANGES[2:])
+def test_equal_model_inputs_and_gains_get_the_held_pair(empty_model_slot, base, overrides):
+    first = scenario_from_dict(make(**base)).covariances()
+    sc = scenario_from_dict(make(**{**base, **overrides}))
+    pair = sc.covariances()
+    assert pair[0] is first[0] and pair[1] is first[1]
+    assert not any(r.entries.flags.writeable for r in pair)
+    assert [r.entries.tobytes() for r in pair] == fresh_pair_bytes(sc)
+
+
+# Each changes a gain, a model input or N: the first two are OTHER_FIELD_CHANGES' gain changes.
+PAIR_INPUT_CHANGES = OTHER_FIELD_CHANGES[:2] + [({}, {"beta_sr_dhdv_db": -84.0 + 1e-13})] + MODEL_INPUT_CHANGES
+
+
+@pytest.mark.parametrize("base, overrides", PAIR_INPUT_CHANGES)
+def test_a_changed_gain_or_model_input_scales_a_new_pair(empty_model_slot, base, overrides):
+    first = scenario_from_dict(make(**base)).covariances()
+    sc = scenario_from_dict(make(**{**base, **overrides}))
+    pair = sc.covariances()
+    assert pair[0] is not first[0] and pair[1] is not first[1]
+    assert [r.entries.tobytes() for r in pair] == fresh_pair_bytes(sc)
+    assert sc.covariances()[0] is pair[0]
+
+
+@pytest.mark.parametrize("overrides, builder", [({"model": "uncorrelated"}, "identity_correlation"), ({"beta_rd_dhdv_db": -70.0}, "scale_covariance")])
+def test_the_held_pair_and_its_factors_are_freed_before_the_next_build(empty_model_slot, monkeypatch, overrides, builder):
+    # A new model, or a new pair on the held model: the old pair and its factors go first.
+    pair = scenario_from_dict(make()).covariances()
+    held = [weakref.ref(x) for r in pair for x in (r, r.entries, matrix_sqrt(r))]
+    del pair
+    alive_at_build = []
+    build = getattr(scenario_module, builder)
+
+    def watched(*args):
+        alive_at_build.append(any(ref() is not None for ref in held))
+        return build(*args)
+
+    monkeypatch.setattr(scenario_module, builder, watched)
+    scenario_from_dict(make(**overrides)).covariances()
+    assert alive_at_build and not any(alive_at_build)
+
+
+def test_a_held_pair_leaves_with_its_model(empty_model_slot):
+    pair = scenario_from_dict(make()).covariances()
+    held = weakref.ref(pair[0])
+    del pair
+    scenario_from_dict(make(n_h=3)).correlation_model()
+    assert held() is None
+
+
+# What each thread reads, and its bytes straight from the builders.
+THREAD_READS = {
+    "correlation_model": (lambda sc: [sc.correlation_model().entries.tobytes()], lambda sc: [fresh_model_bytes(sc)]),
+    "covariances": (lambda sc: [r.entries.tobytes() for r in sc.covariances()], fresh_pair_bytes),
+}
+
+
+@pytest.mark.parametrize("read", THREAD_READS)
+def test_threads_that_alternate_models_each_get_their_own(empty_model_slot, read):
     pairs = [
         [scenario_from_dict(make(model=model, **extra)) for model, extra in pair]
         for pair in (
             [("sinc", {}), ("exponential", {"exp_magnitude": 0.5})],
             [("uncorrelated", {}), ("exponential", {"exp_magnitude": 0.25})],
+            [("sinc", {"beta_sr_dhdv_db": -80.0}), ("sinc", {"beta_rd_dhdv_db": -70.0})],
         )
     ]
-    want = {sc: fresh_model_bytes(sc) for pair in pairs for sc in pair}
+    got, fresh = THREAD_READS[read]
+    want = {sc: fresh(sc) for pair in pairs for sc in pair}
     rounds = 400
     done, wrong = [], []
 
     def alternate(pair):
         for i in range(rounds):
             sc = pair[i % 2]
-            if sc.correlation_model().entries.tobytes() != want[sc]:
+            if got(sc) != want[sc]:
                 wrong.append((sc.model, i))
         done.append(True)
 
@@ -687,7 +755,7 @@ def test_threads_that_alternate_models_each_get_their_own(empty_model_slot):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert done == [True, True]
+    assert done == [True] * len(pairs)
     assert wrong == []
 
 
