@@ -114,7 +114,11 @@ class CorrelationMatrix:
 
     Entries are dimensionless correlation coefficients for a just-built
     model matrix (unit diagonal), or carry linear power units after
-    scale_covariance; they are stored as a private read-only complex128 copy.
+    scale_covariance.  They are stored as a private read-only copy of the
+    array the checks read: float64 for a real matrix (so the sinc,
+    exponential and identity models are never held as complex), complex128
+    for one with a nonzero imaginary part; scale_covariance's result is
+    always complex128.
     A matrix is checked once, where it is built: square, non-empty, finite,
     Hermitian (max|R - R^H| <= HERMITIAN_ATOL max(1, max|R|)) and PSD.
     Besides eig_range, the (smallest, largest) eigenvalue behind the PSD
@@ -141,7 +145,7 @@ class CorrelationMatrix:
             raise NotPositiveSemidefiniteError(
                 f"smallest eigenvalue {lo:.3e} below PSD tolerance {-PSD_RTOL * lam_max:.3e}"
             )
-        m = np.array(self.entries, dtype=np.complex128)
+        m = np.array(a)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "eig_range", (lo, hi))
@@ -249,6 +253,9 @@ def scale_covariance(r: CorrelationMatrix, beta: float) -> CorrelationMatrix:
     Hermitian iff beta*max|R - R^H| <= HERMITIAN_ATOL max(1, beta*max|R|),
     the test on the scaled matrix written with r's stored numbers; a real
     factor keeps an exactly Hermitian R (residual 0) exactly Hermitian.
+    beta*R is complex128 for a real R too: beta times each entry in the real
+    part and +0.0 in the imaginary part, the bytes of beta times R's complex
+    copy, written with no N x N temporary.
     """
     if not 0 < beta < math.inf:
         raise DomainError(f"large-scale gain must be positive and finite, got {beta}")
@@ -259,7 +266,11 @@ def scale_covariance(r: CorrelationMatrix, beta: float) -> CorrelationMatrix:
     residual = beta * r.hermitian_residual
     if residual > HERMITIAN_ATOL * max(1.0, largest):
         raise DomainError(f"correlation matrix scaled by the large-scale gain {beta!r} is not Hermitian")
-    entries = beta * r.entries
+    if r.entries.dtype == np.complex128:
+        entries = beta * r.entries
+    else:
+        entries = np.zeros_like(r.entries, dtype=np.complex128)
+        np.multiply(r.entries, beta, out=entries.real)
     entries.setflags(write=False)
     scaled = object.__new__(CorrelationMatrix)
     object.__setattr__(scaled, "entries", entries)
@@ -275,13 +286,14 @@ def matrix_sqrt(r: CorrelationMatrix) -> np.ndarray:
     Uses the eigendecomposition rather than Cholesky: the sinc model at
     sub-wavelength spacing is numerically rank deficient, so eigenvalues in
     [-PSD_RTOL*lam_max, 0) are clipped to zero before taking square roots.
-    The decomposition runs on one BLAS thread.  A matrix is factored once:
-    the read-only factor is kept on r, and every later call returns it.
+    The decomposition is the complex eigh, also of a real matrix, and runs
+    on one BLAS thread.  A matrix is factored once: the read-only factor is
+    kept on r, and every later call returns it.
     """
     factor = r._factor
     if factor is None:
         with one_blas_thread():
-            eigs, vecs = np.linalg.eigh(r.entries)
+            eigs, vecs = np.linalg.eigh(np.asarray(r.entries, dtype=np.complex128))
         lam_max = max(float(eigs[-1]), 0.0)
         if float(eigs[0]) < -PSD_RTOL * lam_max:
             raise NotPositiveSemidefiniteError(

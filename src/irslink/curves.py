@@ -17,7 +17,7 @@ from . import __version__, rng
 from .closedform import _lower_gamma, gamma_fit, outage_probability
 from .errors import DomainError
 from .montecarlo import gain_samples, outage_rates
-from .scenario import MAX_GRID_POINTS, MODELS, Scenario
+from .scenario import MAX_GRID_POINTS, MODELS, Scenario, release_pair
 
 _FLOAT_FMT = "%.17g"  # lossless float64 round trip
 
@@ -73,7 +73,7 @@ def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
     xi = scenario.xi_grid()
     z = scenario.snr_threshold(xi)
 
-    r_sr, r_rd = scenario.covariances()
+    r_sr, r_rd = pair = scenario.covariances()
     # None for per-realization co-phasing, which has no closed form.
     gp = gamma_fit(scenario.beta_sd, r_sr, r_rd, scenario.design)
     if gp is None:
@@ -91,6 +91,7 @@ def run_curve(scenario: Scenario, trials: int, seed: int) -> OutageCurve:
     else:
         p_mc = np.full(xi.shape, np.nan)
         std_err = np.full(xi.shape, np.nan)
+    release_pair(pair)  # a pair that no MC curve factored goes with this curve
 
     return OutageCurve(
         scenario_name=scenario.name,

@@ -49,23 +49,40 @@ PRESETS = tuple(sorted(p.name.removesuffix(".json") for p in _PRESET_DIR.iterdir
 MAX_GRID_POINTS = 100_000
 
 # Largest surface accepted, n_h * n_v = 64 x 64.  One N x N complex128 matrix
-# takes 16 N^2 bytes, 268 MB at the cap; a curve holds several (the model,
-# two scaled covariances and their factors, cascade products), and the sinc
-# model builds an N x N float distance array on top, so a run at the cap
-# needs a few GB and O(N^3) eigendecompositions.  Between curves the process
-# still holds the last model it built and the last pair scaled from it: three
-# N x N complex128 matrices, five once a Monte-Carlo curve has factored the
-# pair (3.1 MB at N = 196), until a scenario with other inputs replaces them.
-# Every preset and benchmark scenario has N <= 400.
+# takes 16 N^2 bytes, 268 MB at the cap, and a float64 one half that; a curve
+# holds several (the float64 model, two complex128 scaled covariances and
+# their factors, cascade products), and the sinc model builds N x N float
+# arrays on top, so a run at the cap needs over a GB and O(N^3)
+# eigendecompositions.  Between curves the process holds the last model it
+# built (134 MB at the cap), and beside it the last pair scaled from it only
+# once a Monte-Carlo curve has factored the pair: four N x N complex128
+# matrices more (2.4 MB at N = 196), until a scenario with other inputs
+# replaces them.  Every preset and benchmark scenario has N <= 400.
 MAX_ELEMENTS = 4096
 
 # The last model built and the last pair scaled from it, as (model key, model,
 # gains, (r_sr, r_rd)), or None; gains and the pair are None until covariances
-# scales one.  It is one slot: a build empties it, and a new pair drops the old
-# one first, so the process never holds two models or two pairs for it.
+# scales one, and again once release_pair drops an unfactored one.  It is one
+# slot: a build empties it, and a new pair drops the old one first, so the
+# process never holds two models or two pairs for it.
 # Threads need no lock: each reads the slot once, and a rebinding of the name
 # is atomic.
 _held_model = None
+
+
+def release_pair(pair) -> None:
+    """Drop pair, a Scenario.covariances result, from the held slot unless matrix_sqrt has factored it.
+
+    A closed-form curve calls it when it ends: its pair costs two N x N
+    complex128 matrices, and the next curve on the link scales the same
+    bytes again at O(N^2).  A pair that a Monte-Carlo curve factored stays
+    with its factors, which cost an eigh each to make.  The model stays
+    held either way.
+    """
+    global _held_model
+    held = _held_model
+    if held is not None and held[3] is pair and all(r._factor is None for r in pair):
+        _held_model = held[0], held[1], None, None
 
 
 def step_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -179,7 +196,8 @@ class Scenario:
     def correlation_model(self) -> CorrelationMatrix:
         """The unscaled (unit-diagonal) model matrix.
 
-        The process holds the last model built, one N x N complex128 matrix.
+        The process holds the last model built, one read-only N x N float64
+        matrix (the three models are real).
         A call with that model's name and builder inputs (the geometry for
         sinc, N and exp_magnitude for exponential, N for uncorrelated) gets
         the same read-only matrix back, with no second build or check.  Any
@@ -205,6 +223,7 @@ class Scenario:
         the held pair before it fetches or builds the model, then scales its
         own.  The held pair is two N x N complex128 matrices, and two more
         once a Monte-Carlo curve has factored them: 2.4 MB at N = 196.
+        release_pair drops a pair that no curve has factored.
         """
         global _held_model
         key = self._model_inputs()[0]

@@ -196,8 +196,12 @@ def criterion_2(trials=None, seed=None):
 
 
 def _real_symmetric(r: CorrelationMatrix, what: str) -> None:
-    """DomainError unless R is real and exactly symmetric, as criteria 3 and 8 need."""
-    if r.entries.imag.any() or r.hermitian_residual != 0:
+    """DomainError unless R is real and exactly symmetric, as criteria 3 and 8 need.
+
+    A float64 matrix is real by its dtype: its .imag would be a new N x N
+    array of zeros.  A complex one is real if its imaginary part is all zero.
+    """
+    if (r.entries.dtype.kind == "c" and r.entries.imag.any()) or r.hermitian_residual != 0:
         raise DomainError(f"{what} needs a real, exactly symmetric correlation matrix")
 
 
@@ -219,11 +223,13 @@ def _trace_kernel(r: CorrelationMatrix) -> np.ndarray:
     Row b of conj(P) @ K is then the upper triangle of A_b = R conj(D_b) R
     for the phases p_b = P[b] on the diagonal of D_b; A_b is symmetric, so
     that triangle is all of it.  R must be real and exactly symmetric
-    (DomainError otherwise).  It takes 8 N^2 (N + 1) bytes: 34 KB at N = 16.
+    (DomainError otherwise).  K is complex128, as the phases it meets are:
+    it takes 8 N^2 (N + 1) bytes, 34 KB at N = 16, and each stack's product
+    is one complex product with no cast of K.
     """
     _real_symmetric(r, "the trace kernel")
     rows, cols = _triangle(r.n)
-    return r.entries.T[:, rows] * r.entries[:, cols]
+    return np.asarray(r.entries.T[:, rows] * r.entries[:, cols], dtype=np.complex128)
 
 
 def _kernel_traces(kernel: np.ndarray, phases: np.ndarray):

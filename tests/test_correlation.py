@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,9 @@ from irslink.correlation import (
     scale_covariance,
     sinc_correlation,
 )
+from irslink import validation
 from irslink.errors import DomainError, NotPositiveSemidefiniteError
+from irslink.phaseshift import Equal
 from irslink.scenario import MODELS, PRESETS, load_scenario
 
 from conftest import WAVELENGTH, square_sinc
@@ -283,17 +286,96 @@ def test_non_hermitian_rejected_by_either_route(m):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_entries_are_a_private_read_only_copy(dtype):
-    x = np.array(square_sinc(3).entries.real, dtype=dtype)
+    # A real matrix, also one given as complex with zero imaginary parts, is held as float64.
+    x = np.array(square_sinc(3).entries, dtype=dtype)
     r = CorrelationMatrix(x)
-    assert r.entries.dtype == np.complex128 and not r.entries.flags.writeable
-    assert np.array_equal(r.entries, np.asarray(x, np.complex128))
-    assert r.entries.tobytes() == np.asarray(x, np.complex128).tobytes()
+    assert r.entries.dtype == np.float64 and not r.entries.flags.writeable
+    assert r.entries.tobytes() == x.real.tobytes()
     x[0, 1] = x[1, 0] = 0.25
     assert r.entries[0, 1] != 0.25
     for beta in (1e-9, 7.0):
         scaled = scale_covariance(r, beta)
-        assert scaled.entries.tobytes() == (beta * r.entries).tobytes()
+        assert scaled.entries.dtype == np.complex128
+        assert scaled.entries.tobytes() == (beta * r.entries.astype(np.complex128)).tobytes()
         assert not scaled.entries.flags.writeable
+
+
+@pytest.mark.parametrize("given", [[[2, 1], [1, 2]], np.array([[2, 1], [1, 2]], dtype=np.float32), [[True, False], [False, True]]], ids=["ints", "float32", "bools"])
+def test_other_real_input_is_held_as_float64(given):
+    r = CorrelationMatrix(given)
+    assert r.entries.dtype == np.float64 and not r.entries.flags.writeable
+    assert r.entries.tolist() == np.asarray(given, dtype=np.float64).tolist()
+
+
+def test_a_complex_matrix_is_held_as_complex128():
+    x = np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 1.0]])
+    r = CorrelationMatrix(x)
+    assert r.entries.dtype == np.complex128 and not r.entries.flags.writeable
+    assert r.entries.tobytes() == x.tobytes()
+    x[0, 1] = 0.25
+    assert r.entries[0, 1] != 0.25
+    for beta in (1e-9, 7.0):
+        assert scale_covariance(r, beta).entries.tobytes() == (beta * r.entries).tobytes()
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The bytes of a float64 or complex128 array as int64s, which tell -0.0 from 0.0 and compare NaNs."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# The real models at N = 1, 16, 196 and 400: sinc at a quarter wavelength has
+# negative entries, the exponential model at magnitude 0.1 has subnormals and
+# zeros at N = 400 (0.1^k is subnormal from k = 308 and zero past k = 323),
+# and the identity has zeros.
+REAL_MODELS = {
+    f"{name}-{side * side}": build
+    for side in (1, 4, 14, 20)
+    for name, build in (
+        ("sinc", lambda side=side: square_sinc(side, 0.25)),
+        ("exponential", lambda side=side: exponential_correlation(side * side, 0.1)),
+        ("identity", lambda side=side: identity_correlation(side * side)),
+    )
+}
+
+
+@pytest.mark.parametrize("beta", [1e-9, 7.0])
+@pytest.mark.parametrize("model", REAL_MODELS)
+def test_a_scaled_real_model_has_the_bytes_of_its_scaled_complex_copy(model, beta):
+    r = REAL_MODELS[model]()
+    assert r.entries.dtype == np.float64
+    scaled = scale_covariance(r, beta)
+    assert scaled.entries.dtype == np.complex128
+    assert np.array_equal(_bits(scaled.entries), _bits(beta * r.entries.astype(np.complex128)))
+
+
+@pytest.mark.parametrize("model", [m for m in REAL_MODELS if not m.endswith("-400")])
+def test_a_real_model_factors_as_its_complex_copy(model):
+    r = REAL_MODELS[model]()
+    copy = scale_covariance(r, 1.0)  # complex128, with r's values and +0.0 imaginary parts
+    assert np.array_equal(_bits(copy.entries), _bits(r.entries.astype(np.complex128)))
+    assert np.array_equal(_bits(matrix_sqrt(r)), _bits(matrix_sqrt(copy)))
+
+
+def test_a_real_model_is_held_in_8_n_squared_bytes_and_traced_with_no_complex_copy():
+    """An N x N complex128 array is 16 N^2 bytes.  At N = 400 the sinc build's
+    own float64 arrays peak near 24.4 N^2 (the distances, their sinc and one
+    working copy) and Equal's traces near 16.4 N^2 (two float64 buffers); a
+    complex copy of the model lifts the build to 32 N^2 and the traces to
+    32.8 N^2, and holds 16 N^2."""
+    n = 400
+    tracemalloc.start()
+    try:
+        r = validation._sinc_square(20)
+        held, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        Equal(0.0).cascade_moments(r, r)
+        traces_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert r.n == n and r.entries.dtype == np.float64 and r.entries.nbytes == 8 * n * n
+    assert held < 9 * n * n
+    assert build_peak < 28 * n * n
+    assert traces_peak < 24 * n * n
 
 
 def test_empty_matrix_rejected_at_the_shape_check():

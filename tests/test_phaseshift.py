@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from irslink.correlation import (
     CorrelationMatrix,
     exponential_correlation,
     identity_correlation,
+    scale_covariance,
     sinc_correlation,
 )
 from irslink.curves import run_curve
@@ -415,6 +417,18 @@ def test_trace_kernel_needs_a_real_exactly_symmetric_matrix():
         validation._trace_kernel(r)
 
 
+def test_the_real_guard_reads_a_float64_model_without_an_n_by_n_array():
+    r = square_sinc(20)
+    tracemalloc.start()
+    try:
+        validation._real_symmetric(r, "the test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < r.n * r.n  # the .imag of a float64 array is a new 8 N^2 bytes of zeros
+    validation._real_symmetric(scale_covariance(r, 2.0), "the test")  # complex128, imaginary parts all zero
+
+
 def test_optimal_csi_not_materializable():
     with pytest.raises(ContractViolationError):
         phase_vector(OptimalCsi(), 4)
@@ -564,6 +578,21 @@ def test_trace_bound_matches_the_per_design_complex_trace(r):
     for row, margin in zip(phases, margins):
         want, t_equal = _row_margin(r, row)
         assert abs(margin - want) <= 1e-12 * t_equal
+
+
+@pytest.mark.parametrize(
+    "r",
+    [square_sinc(4), square_sinc(14, 0.25), exponential_correlation(196, 0.8), identity_correlation(16)],
+    ids=["sinc16", "sinc196-quarter", "exponential196", "identity16"],
+)
+def test_a_real_model_has_the_moments_of_its_complex_copy(r):
+    # A real model's moments run in real arithmetic; its complex copy's, as a scaled pair's do, in complex.
+    copy = scale_covariance(r, 1.0)
+    assert r.entries.dtype == np.float64 and copy.entries.dtype == np.complex128
+    thetas = np.random.default_rng(r.n).uniform(-np.pi, np.pi, r.n)
+    for design in (Equal(0.3), UniformRandom(17), Fixed(thetas)):
+        for got, want in zip(design.cascade_moments(r, r), design.cascade_moments(copy, copy)):
+            assert abs(got - want) <= 1e-13 * abs(want), design.kind
 
 
 def test_trace_bound_requires_real_model():

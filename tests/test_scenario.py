@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import irslink
 from irslink import scenario as scenario_module
 from irslink.correlation import exponential_correlation, identity_correlation, matrix_sqrt, scale_covariance, sinc_correlation
+from irslink.curves import run_curve
 from irslink.errors import DomainError, NotPositiveSemidefiniteError, ScenarioFormatError
 from irslink.phaseshift import Equal, Fixed, OptimalCsi, PhaseShiftDesign, UniformRandom
 from irslink.scenario import (
@@ -713,6 +714,27 @@ def test_a_held_pair_leaves_with_its_model(empty_model_slot):
     del pair
     scenario_from_dict(make(n_h=3)).correlation_model()
     assert held() is None
+
+
+def test_a_closed_form_curve_drops_its_pair_and_a_monte_carlo_curve_keeps_it(empty_model_slot, monkeypatch):
+    sc = scenario_from_dict(make())
+    model = sc.correlation_model()
+    held = [weakref.ref(r) for r in sc.covariances()]
+    run_curve(sc, 0, 1)
+    assert not any(ref() for ref in held)
+    assert scenario_module._held_model[1:] == (model, None, None)
+
+    held = [weakref.ref(r) for r in sc.covariances()]
+    run_curve(sc, 64, 1)
+    assert all(ref() for ref in held) and all(ref()._factor is not None for ref in held)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    run_curve(replace(sc, design=UniformRandom(3)), 64, 2)
+    run_curve(sc, 0, 1)  # a factored pair stays through a closed-form curve too
+    assert calls == []
+    assert all(r is ref() for r, ref in zip(sc.covariances(), held))
+    assert sc.correlation_model() is model
 
 
 # What each thread reads, and its bytes straight from the builders.
